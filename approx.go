@@ -136,8 +136,8 @@ func (s *System) analyzeApprox(ctx context.Context, h *Compiled, opts AnalysisOp
 		}
 		batchSeed := opts.Seed + uint64(n+1)*approxSeedStride
 		endSens := trace.StartStage(rec, "logicsim.sensitization")
-		sens, err := logicsim.AnalyzeCompiledLanes(h.cc, ao.BatchVectors,
-			stats.NewRNG(batchSeed), 0, opts.LaneWords)
+		sens, err := logicsim.AnalyzeCompiled(h.cc, ao.BatchVectors,
+			stats.NewRNG(batchSeed), 0)
 		endSens()
 		if err != nil {
 			return nil, err
@@ -148,7 +148,6 @@ func (s *System) analyzeApprox(ctx context.Context, h *Compiled, opts AnalysisOp
 			POLoad:          opts.POLoad,
 			Spans:           rec,
 			Lean:            true,
-			LaneWords:       opts.LaneWords,
 			PrecomputedSens: sens,
 		})
 		if err != nil {

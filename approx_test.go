@@ -22,7 +22,7 @@ func TestApproxBracketsExact(t *testing.T) {
 			t.Fatalf("%s: exact report carries approx fields: %+v", name, exact)
 		}
 		ao := &ApproxOptions{RelErr: 0.05, BatchVectors: 1000}
-		rep, err := s.Analyze(c, AnalysisOptions{Seed: 3, Approx: ao, LaneWords: 8})
+		rep, err := s.Analyze(c, AnalysisOptions{Seed: 3, Approx: ao})
 		if err != nil {
 			t.Fatal(err)
 		}

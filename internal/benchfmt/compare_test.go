@@ -109,24 +109,6 @@ func TestCompareAllocFactor(t *testing.T) {
 	}
 }
 
-func TestCompareWidePairs(t *testing.T) {
-	// Baseline: wide runs at 0.5x the scalar time.
-	base := report(bench("Susc", 1e9, nil), bench("SuscWide", 5e8, nil))
-	// Both absolute times within the loose 2.5x bound (scalar got
-	// faster, wide 2.4x slower), but the wide engine slid from 0.5x to
-	// 1.5x of scalar — past the 1.25 ratio limit.
-	cur := report(bench("Susc", 8e8, nil), bench("SuscWide", 1.2e9, nil))
-	regs := Compare(base, cur, CompareOptions{})
-	if len(regs) != 1 || regs[0].Benchmark != "SuscWide" || regs[0].Metric != "ns/op vs Susc" {
-		t.Fatalf("pair drift not flagged exactly once: %v", regs)
-	}
-	// A uniformly slower machine keeps the ratio: clean.
-	cur2 := report(bench("Susc", 2e9, nil), bench("SuscWide", 1e9, nil))
-	if regs := Compare(base, cur2, CompareOptions{}); len(regs) != 0 {
-		t.Fatalf("ratio-preserving slowdown flagged: %v", regs)
-	}
-}
-
 func TestCompareMemCeilings(t *testing.T) {
 	ceil := map[string]float64{"Compile1M": 2e9}
 	// Under the ceiling: clean, even with an empty baseline.

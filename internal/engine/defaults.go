@@ -18,9 +18,6 @@ const (
 	// DefaultWideWidth is the largest sample width, standing in for the
 	// Lemma-1 "very wide glitch" (s).
 	DefaultWideWidth = 2.56e-9
-	// DefaultLaneWords is the bit-parallel simulation lane width in
-	// 64-bit words: 1 keeps the historical 64-vector-per-pass engine.
-	DefaultLaneWords = 1
 )
 
 // Params are the analysis knobs every flow shares. A zero value means
@@ -31,25 +28,12 @@ type Params struct {
 	POLoad       float64
 	ClockPeriod  float64
 	WideWidth    float64
-	// LaneWords is the logic-simulation lane width in 64-bit words
-	// (1, 4 or 8 — one pass simulates 64·LaneWords vectors). Counts
-	// are bit-identical across widths. Invalid values normalize to
-	// the nearest supported width below.
-	LaneWords int
 }
 
 // Normalize fills zero (or negative) fields with the paper defaults.
 func (p *Params) Normalize() {
 	if p.Vectors <= 0 {
 		p.Vectors = DefaultVectors
-	}
-	switch {
-	case p.LaneWords >= 8:
-		p.LaneWords = 8
-	case p.LaneWords >= 4:
-		p.LaneWords = 4
-	default:
-		p.LaneWords = DefaultLaneWords
 	}
 	if p.SampleWidths <= 0 {
 		p.SampleWidths = DefaultSampleWidths

@@ -38,13 +38,6 @@ const DefaultVectors = engine.DefaultVectors
 // fallback path.)
 var maxConeEntries = 1 << 25
 
-// maxScratchBytes bounds the combined per-worker sensitization
-// arenas of the wide-lane engine: on very large circuits the worker
-// count is reduced rather than letting parallelism multiply peak
-// memory past the budget. (The scalar engine uses the finer-grained
-// DefaultSensBudgetBytes chunking policy instead.)
-const maxScratchBytes = 1 << 30
-
 // DefaultSensBudgetBytes bounds the transient working set of one
 // scalar sensitization analysis: the base-value arena, the per-edge
 // side-input arena and every DP worker's scratch arena together. When
@@ -151,15 +144,10 @@ func AnalyzeWorkers(c *ckt.Circuit, nVectors int, rng *stats.RNG, workers int) (
 	return AnalyzeCompiled(cc, nVectors, rng, workers)
 }
 
-// sensKey memoizes Sensitization results on the compiled handle. The
-// lane width is part of the key even though results are bit-identical
-// across widths: a mixed-width workload must never block one width's
-// callers on another width's in-flight build, and the key documents
-// which engine produced the retained value.
+// sensKey memoizes Sensitization results on the compiled handle.
 type sensKey struct {
 	vectors int
 	seed    uint64
-	lanes   int
 }
 
 // conesKey memoizes the fanout-cone CSR arena on the compiled handle.
@@ -176,7 +164,7 @@ func Sensitization(cc *engine.CompiledCircuit, vectors int, seed uint64) (*Resul
 	if vectors <= 0 {
 		vectors = DefaultVectors
 	}
-	v, err := cc.Memo(sensKey{vectors, seed, 1}, func() (any, error) {
+	v, err := cc.Memo(sensKey{vectors, seed}, func() (any, error) {
 		return AnalyzeCompiled(cc, vectors, stats.NewRNG(seed), 0)
 	})
 	if err != nil {

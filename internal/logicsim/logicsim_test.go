@@ -169,9 +169,16 @@ func pathSensitized(t *testing.T, c *ckt.Circuit, inputs []bool, from, to int) b
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sensitizedFrom(c, c.MustTopoOrder(), val, from)[to]
+}
+
+// sensitizedFrom is pathSensitized's DP under already-evaluated gate
+// values: sens[g] reports whether some path from gate `from` to g has
+// every side input at a non-controlling value.
+func sensitizedFrom(c *ckt.Circuit, order []int, val []bool, from int) []bool {
 	sens := make([]bool, len(c.Gates))
 	sens[from] = true
-	for _, id := range c.MustTopoOrder() {
+	for _, id := range order {
 		g := c.Gates[id]
 		if g.Type == ckt.Input || id == from {
 			continue
@@ -196,7 +203,7 @@ func pathSensitized(t *testing.T, c *ckt.Circuit, inputs []bool, from, to int) b
 			}
 		}
 	}
-	return sens[to]
+	return sens
 }
 
 func TestSideSensitization(t *testing.T) {

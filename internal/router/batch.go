@@ -7,6 +7,7 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 
@@ -76,7 +77,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			return // client gone
 		}
-		pending = rt.runBatchRound(r.Context(), &req, &resp, pending, round > 0)
+		pending = rt.runBatchRound(r.Context(), r.Header, &req, &resp, pending, round > 0)
 	}
 	for _, it := range pending {
 		setItemError(&resp, it, "no shard available")
@@ -121,8 +122,9 @@ type shardGroup struct {
 
 // runBatchRound places items, executes the per-shard sub-batches
 // concurrently, merges answers, and returns the items that still need
-// a home (transport failures only).
-func (rt *Router) runBatchRound(ctx context.Context, req *serclient.BatchRequest, resp *serclient.BatchResponse, items []batchItem, isRetry bool) (retry []batchItem) {
+// a home (transport failures only). hdr is the incoming request's
+// header, whose X-Request-ID every sub-batch carries.
+func (rt *Router) runBatchRound(ctx context.Context, hdr http.Header, req *serclient.BatchRequest, resp *serclient.BatchResponse, items []batchItem, isRetry bool) (retry []batchItem) {
 	groups := make(map[string]*shardGroup)
 	var unplaced []batchItem
 	for _, it := range items {
@@ -173,21 +175,21 @@ func (rt *Router) runBatchRound(ctx context.Context, req *serclient.BatchRequest
 		wg.Add(1)
 		go func(g *shardGroup) {
 			defer wg.Done()
-			sub, err := g.sh.cl.Batch(ctx, g.sub)
+			sub, rejected, err := rt.sendBatch(ctx, g.sh, g.sub, hdr)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
-			case err == nil:
+			case err == nil && rejected == "":
 				rt.met.countForward(g.sh.name)
 				if g.rerouted {
 					rt.met.reroutes.Add(1)
 				}
 				mergeSubBatch(resp, g.items, sub)
-			case serclient.StatusOf(err) > 0:
+			case err == nil:
 				// An HTTP-level rejection (limits, validation) is the
 				// shard's final answer for the whole sub-batch.
 				for _, it := range g.items {
-					setItemError(resp, it, err.Error())
+					setItemError(resp, it, rejected)
 				}
 			default:
 				// Transport failure: the shard is gone; re-place its items
@@ -202,6 +204,34 @@ func (rt *Router) runBatchRound(ctx context.Context, req *serclient.BatchRequest
 	}
 	wg.Wait()
 	return append(retry, unplaced...)
+}
+
+// sendBatch forwards one sub-batch through send, so it carries the
+// same forwarded headers as a single request. A non-2xx shard answer
+// comes back as a rejection message in serclient's error format; err
+// reports transport and decode failures only.
+func (rt *Router) sendBatch(ctx context.Context, sh *shard, sub serclient.BatchRequest, hdr http.Header) (*serclient.BatchResponse, string, error) {
+	body, err := json.Marshal(sub)
+	if err != nil {
+		return nil, "", err
+	}
+	resp, err := rt.send(ctx, sh, http.MethodPost, "/v1/batch", body, hdr)
+	if err != nil {
+		return nil, "", err
+	}
+	if resp.status/100 != 2 {
+		msg := http.StatusText(resp.status)
+		var er serclient.ErrorResponse
+		if json.Unmarshal(resp.body, &er) == nil && er.Error != "" {
+			msg = er.Error
+		}
+		return nil, fmt.Sprintf("serd: HTTP %d: %s", resp.status, msg), nil
+	}
+	var out serclient.BatchResponse
+	if err := json.Unmarshal(resp.body, &out); err != nil {
+		return nil, "", fmt.Errorf("decode batch response from shard %s: %v", sh.name, err)
+	}
+	return &out, "", nil
 }
 
 // mergeSubBatch copies one sub-batch answer into the merged response

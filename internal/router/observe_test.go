@@ -74,48 +74,61 @@ func TestRouterPrometheusExposition(t *testing.T) {
 }
 
 // TestRouterRequestIDFlow: an explicit X-Request-ID survives the hop
-// through the router to the shard and back; without one the router
+// through the router to the shard and back, for single requests and
+// for every sub-batch of a batch fan-out; without one the router
 // mints an ID at the edge.
 func TestRouterRequestIDFlow(t *testing.T) {
 	f := newFleet(t, 2, serd.Config{Workers: 1})
 	ctx := context.Background()
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.front+"/v1/analyze",
-		strings.NewReader(`{"circuit":"c17","vectors":500,"seed":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Request-ID", "req-via-router")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("routed analyze: HTTP %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Request-ID"); got != "req-via-router" {
-		t.Fatalf("routed response X-Request-ID = %q, want req-via-router", got)
-	}
-
-	// The shard saw the same ID: its debug ring recorded the request
-	// under it.
-	var found bool
-	for _, sh := range f.shards {
-		dr, err := sh.cl.DebugRequests(ctx, 0)
+	for _, tc := range []struct{ endpoint, id, body string }{
+		{"analyze", "req-via-router", `{"circuit":"c17","vectors":500,"seed":1}`},
+		// Items keyed to different circuits spread over both shards.
+		{"batch", "req-batch-via-router", `{"analyze":[` +
+			`{"circuit":"c17","vectors":500,"seed":1},{"circuit":"c432","vectors":500,"seed":1},` +
+			`{"circuit":"c499","vectors":500,"seed":1},{"circuit":"c880","vectors":500,"seed":1}]}`},
+	} {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.front+"/v1/"+tc.endpoint,
+			strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range dr.Requests {
-			if e.RequestID == "req-via-router" && e.Endpoint == "analyze" {
-				found = true
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Request-ID", tc.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("routed %s: HTTP %d", tc.endpoint, resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Request-ID"); got != tc.id {
+			t.Fatalf("routed %s response X-Request-ID = %q, want %s", tc.endpoint, got, tc.id)
+		}
+
+		// Every shard that served the request recorded it under the
+		// same ID in its debug ring, and none under another.
+		found := 0
+		for _, sh := range f.shards {
+			dr, err := sh.cl.DebugRequests(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range dr.Requests {
+				if e.Endpoint != tc.endpoint {
+					continue
+				}
+				if e.RequestID != tc.id {
+					t.Fatalf("shard %s recorded a routed %s under %q, want %s", sh.name, tc.endpoint, e.RequestID, tc.id)
+				}
+				found++
 			}
 		}
-	}
-	if !found {
-		t.Fatal("no shard debug ring recorded the forwarded request ID")
+		if found == 0 {
+			t.Fatalf("no shard debug ring recorded the forwarded %s request ID", tc.endpoint)
+		}
 	}
 
 	// Router-minted ID when the caller sends none.

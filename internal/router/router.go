@@ -251,7 +251,7 @@ func routingKey(circuit, netlist, name string) string {
 		if name == "" {
 			name = "inline"
 		}
-		if c, err := bench.Parse(strings.NewReader(netlist), name); err == nil {
+		if c, err := bench.ParseStream(strings.NewReader(netlist), name); err == nil {
 			if key, err := bench.ContentHash(c); err == nil {
 				return key
 			}

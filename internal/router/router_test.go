@@ -201,9 +201,10 @@ func TestRouterBatchBitIdentity(t *testing.T) {
 }
 
 // TestRouterBatchValidation mirrors serd's own batch-limit behavior at
-// the router tier.
+// the router tier, and checks that a sub-batch the shard rejects fails
+// its items with the shard's answer rather than failing the batch.
 func TestRouterBatchValidation(t *testing.T) {
-	f := newFleet(t, 1, serd.Config{Workers: 1})
+	f := newFleet(t, 1, serd.Config{Workers: 1, MaxBatchItems: 2})
 	ctx := context.Background()
 	if _, err := f.client.Batch(ctx, serclient.BatchRequest{}); !serclient.IsStatus(err, 400) {
 		t.Fatalf("empty batch: got %v, want HTTP 400", err)
@@ -214,6 +215,13 @@ func TestRouterBatchValidation(t *testing.T) {
 	}
 	if _, err := f.client.Batch(ctx, big); !serclient.IsStatus(err, 400) {
 		t.Fatalf("oversized batch: got %v, want HTTP 400", err)
+	}
+	resp, err := f.client.Batch(ctx, serclient.BatchRequest{Analyze: big.Analyze[:3]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "serd: HTTP 400: batch has 3 items, limit is 2"; resp.Failed != 3 || resp.Analyze[2].Error != want {
+		t.Fatalf("shard-rejected sub-batch: failed %d, item error %q, want 3 and %q", resp.Failed, resp.Analyze[2].Error, want)
 	}
 }
 

@@ -93,20 +93,14 @@ type Options struct {
 	// ID, which the frame preserves). Nil selects the speed-driven
 	// baseline sizing, as ser.Analyze does.
 	Cells aserta.Assignment
-	// LaneWords is the bit-parallel simulation lane width in 64-bit
-	// words (1, 4 or 8; default 1) used by both the frame
-	// sensitization analysis and the multi-cycle fault chase. Results
-	// are bit-identical across widths.
-	LaneWords int
 }
 
 func (o Options) withDefaults() Options {
-	p := engine.Params{Vectors: o.Vectors, POLoad: o.POLoad, ClockPeriod: o.ClockPeriod, LaneWords: o.LaneWords}
+	p := engine.Params{Vectors: o.Vectors, POLoad: o.POLoad, ClockPeriod: o.ClockPeriod}
 	p.Normalize()
 	o.Vectors = p.Vectors
 	o.POLoad = p.POLoad
 	o.ClockPeriod = p.ClockPeriod
-	o.LaneWords = p.LaneWords
 	if o.Cycles <= 0 {
 		o.Cycles = DefaultCycles
 	}
@@ -228,7 +222,6 @@ func AnalyzeCompiledContext(ctx context.Context, cc *engine.CompiledCircuit, lib
 		POLoad:      opts.POLoad,
 		ClockPeriod: opts.ClockPeriod,
 		Spans:       rec,
-		LaneWords:   opts.LaneWords,
 	})
 	if err != nil {
 		return nil, err
@@ -240,8 +233,8 @@ func AnalyzeCompiledContext(ctx context.Context, cc *engine.CompiledCircuit, lib
 	// LogicalPropagate: the multi-cycle fault chase, shared with every
 	// other pipeline flow through internal/strike.
 	endLogical := trace.StartStage(rec, "strike.logical")
-	epf, err := strike.LogicalPropagateLanes(ctx, cc, opts.Cycles, opts.Vectors,
-		stats.NewRNG(opts.Seed+faultSeedOffset), opts.InitState, opts.Workers, opts.LaneWords)
+	epf, err := strike.LogicalPropagate(ctx, cc, opts.Cycles, opts.Vectors,
+		stats.NewRNG(opts.Seed+faultSeedOffset), opts.InitState, opts.Workers)
 	endLogical()
 	if err != nil {
 		return nil, err

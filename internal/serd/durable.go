@@ -490,6 +490,9 @@ func (s *Server) rebuildRun(js *journal.JobState) (func(ctx context.Context) (an
 		if err := json.Unmarshal(js.Request, &req); err != nil {
 			return nil, fmt.Errorf("decode request: %v", err)
 		}
+		if err := s.checkOptimize(&req); err != nil {
+			return nil, err
+		}
 		req.Netlist = netlist
 		ld, err := s.loadCompiled(req.Circuit, req.Netlist, req.Name)
 		if err != nil {

@@ -468,6 +468,70 @@ func TestRestartRecoveryInProcess(t *testing.T) {
 	}
 }
 
+// TestOptimizeValidation: an unknown method and negative iterations or
+// max_basis are client errors on every path — 400 on sync and async
+// submissions, a per-item error in a batch, and, for a submission
+// journaled before the check existed, a recovery failure on restart
+// that never runs or retries the job.
+func TestOptimizeValidation(t *testing.T) {
+	rows := []struct {
+		name, want string
+		req        serclient.OptimizeRequest
+	}{
+		{"unknown method", "unknown method", serclient.OptimizeRequest{Circuit: "c17", Vectors: 200, Method: "bogus"}},
+		{"negative iterations", "iterations", serclient.OptimizeRequest{Circuit: "c17", Vectors: 200, Iterations: -1}},
+		{"negative max_basis", "max_basis", serclient.OptimizeRequest{Circuit: "c17", Vectors: 200, MaxBasis: -2}},
+	}
+
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(rows))
+	for i, row := range rows {
+		raw, err := json.Marshal(row.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = newJobID()
+		if err := jnl.Append(journal.Record{Job: ids[i], Event: journal.EventSubmitted, Kind: "optimize", Request: raw}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, cl, _, done := newDurableServer(t, fastRetry(Config{Workers: 1, Journal: jnl}))
+	defer func() {
+		done()
+		jnl.Close()
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	for i, row := range rows {
+		if _, err := cl.Optimize(ctx, row.req); !serclient.IsStatus(err, http.StatusBadRequest) {
+			t.Errorf("%s sync: got %v, want 400", row.name, err)
+		}
+		if _, err := cl.OptimizeAsync(ctx, row.req); !serclient.IsStatus(err, http.StatusBadRequest) {
+			t.Errorf("%s async: got %v, want 400", row.name, err)
+		}
+		br, err := cl.Batch(ctx, serclient.BatchRequest{Optimize: []serclient.OptimizeRequest{row.req}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it := br.Optimize[0]; it.Result != nil || !strings.Contains(it.Error, row.want) {
+			t.Errorf("%s batch: item error %q, want one naming %q", row.name, it.Error, row.want)
+		}
+		final, err := cl.WaitJob(ctx, ids[i], 5*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.Status != serclient.JobFailed || final.Attempts != 0 || !strings.Contains(final.Error, row.want) {
+			t.Errorf("%s replay: status %s, attempts %d, error %q; want failed at recovery with no attempt",
+				row.name, final.Status, final.Attempts, final.Error)
+		}
+	}
+}
+
 // TestGracefulDrainKeepsQueuedJobsDurable: Shutdown lets the running
 // job finish (journaled done), skips the queued one without running it
 // (journaled queued — not lost, not started), refuses new submissions,

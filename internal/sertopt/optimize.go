@@ -45,10 +45,6 @@ type Options struct {
 	StepInit float64
 	// ASERTAConfig tunes the embedded analyses.
 	SampleWidths int
-	// LaneWords is the bit-parallel simulation lane width for the
-	// one-time sensitization analysis (1, 4 or 8; default 1). Counts
-	// are bit-identical across widths.
-	LaneWords int
 }
 
 func (o Options) withDefaults() Options {
@@ -164,7 +160,7 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	// seed) entry. The optimizer is the incremental configuration of
 	// the shared strike pipeline: gradient seeding re-enters it through
 	// RecomputeU (strike.Delta), re-reducing only affected fanin cones.
-	sens, err := logicsim.SensitizationLanes(cc, opts.Vectors, opts.Seed, opts.LaneWords)
+	sens, err := logicsim.Sensitization(cc, opts.Vectors, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +169,6 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		Seed:         opts.Seed,
 		SampleWidths: opts.SampleWidths,
 		POLoad:       opts.Match.POLoad,
-		LaneWords:    opts.LaneWords,
 	}
 
 	res.BaseMetrics, err = EvaluateMetricsCompiled(cc, lib, baseline, sens, opts.Match.POLoad)

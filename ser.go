@@ -379,12 +379,6 @@ type AnalysisOptions struct {
 	// RecomputeU is non-incremental). The serving tier's default —
 	// it cuts tens of MB of per-request allocation on large circuits.
 	Lean bool
-	// LaneWords selects the bit-parallel simulation lane width in
-	// 64-bit words (1, 4 or 8 — 64, 256 or 512 vectors per pass;
-	// default 1). Results are bit-identical across widths; wider lanes
-	// trade a larger inner block for fewer passes over the arena on
-	// circuits big enough to fall out of cache.
-	LaneWords int
 	// Approx, when non-nil, switches to the sampled analysis mode:
 	// U is estimated from independent vector batches with a Student-t
 	// confidence interval and early termination (see ApproxOptions).
@@ -555,12 +549,11 @@ func (s *System) AnalyzeCompiledContext(ctx context.Context, h *Compiled, opts A
 		return s.analyzeApprox(ctx, h, opts, cells)
 	}
 	an, err := aserta.AnalyzeCompiled(h.cc, s.Lib, cells, aserta.Config{
-		Vectors:   opts.Vectors,
-		Seed:      opts.Seed,
-		POLoad:    opts.POLoad,
-		Spans:     rec,
-		Lean:      opts.Lean,
-		LaneWords: opts.LaneWords,
+		Vectors: opts.Vectors,
+		Seed:    opts.Seed,
+		POLoad:  opts.POLoad,
+		Spans:   rec,
+		Lean:    opts.Lean,
 	})
 	if err != nil {
 		return nil, err
@@ -598,11 +591,6 @@ type SequentialOptions struct {
 	// InitState is the flop reset state in Circuit.DFFs() order; nil
 	// means all zeros.
 	InitState []bool
-	// LaneWords selects the bit-parallel lane width for both frame
-	// sensitization and the multi-cycle fault chase (1, 4 or 8; other
-	// values snap down; see AnalysisOptions.LaneWords). Bit-identical
-	// at every width.
-	LaneWords int
 }
 
 // SequentialGateReport is one gate's sequential summary.
@@ -702,7 +690,6 @@ func (s *System) AnalyzeSequentialCompiledContext(ctx context.Context, h *Compil
 		ClockPeriod: opts.ClockPeriod,
 		FluxPerHour: opts.FluxPerHour,
 		InitState:   opts.InitState,
-		LaneWords:   opts.LaneWords,
 	})
 	if err != nil {
 		return nil, err
@@ -734,10 +721,6 @@ type OptimizeOptions struct {
 	Method string
 	// Weights override the Eq. 5 cost weights.
 	Weights *sertopt.Weights
-	// LaneWords selects the bit-parallel lane width for the optimizer's
-	// sensitization and cost loop (1, 4 or 8; other values snap down;
-	// see AnalysisOptions.LaneWords). Bit-identical at every width.
-	LaneWords int
 }
 
 // OptimizeResult is the public SERTOPT outcome.
@@ -825,7 +808,6 @@ func (s *System) OptimizeCompiledContext(ctx context.Context, h *Compiled, opts 
 		Vectors:    opts.Vectors,
 		Seed:       opts.Seed,
 		Method:     opts.Method,
-		LaneWords:  opts.LaneWords,
 	}
 	if opts.Weights != nil {
 		sopts.Weights = *opts.Weights
