@@ -347,8 +347,8 @@ func BenchmarkSusceptibilityC7552(b *testing.B) {
 
 // BenchmarkSusceptibilityC7552Lean is the susceptibility hot path in
 // the serving tier's fast configuration: the lean analysis mode
-// (pooled scratch, no retained WS/Wij arenas). The ranking metric is
-// pinned alongside the exact-mode benchmark — lean mode is
+// (per-worker column scratch, no retained WS/Wij arenas). The ranking
+// metric is pinned alongside the exact-mode benchmark — lean mode is
 // bit-identical to it, so any drift here is a correctness bug, not a
 // tuning artifact.
 func BenchmarkSusceptibilityC7552Lean(b *testing.B) {

@@ -23,7 +23,6 @@ package aserta
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/charlib"
 	"repro/internal/ckt"
@@ -69,14 +68,15 @@ type Config struct {
 	// the delta propagation (default 64; negative disables the
 	// cadence).
 	FullRecomputeEvery int
-	// Lean skips retaining the per-analysis WS/Wij arenas: the
-	// electrical pass runs in pooled scratch that is returned when the
-	// analysis completes, so a serving tier's warm path stops paying a
-	// ~nGates·nPOs·K allocation (tens of MB on c7552) per request.
-	// U and Ui are bit-identical to a full analysis; Analysis.WS and
-	// Analysis.Wij are nil, SpectrumU is unavailable, and RecomputeU
-	// falls back to an exact full re-evaluation per call (no
-	// incremental delta baseline is retained).
+	// Lean skips retaining the per-analysis WS/Wij arenas: each
+	// electrical-pass worker evaluates its PO-column chunks in
+	// nGates·chunk·K scratch and only the nGates·nPOs Wij table the
+	// reduce reads is materialized, so a serving tier's warm path
+	// stops paying a ~nGates·nPOs·K allocation (tens of MB on c7552)
+	// per request. U and Ui are bit-identical to a full analysis;
+	// Analysis.WS and Analysis.Wij are nil, SpectrumU is unavailable,
+	// and RecomputeU falls back to an exact full re-evaluation per
+	// call (no incremental delta baseline is retained).
 	Lean bool
 	// Spans, when non-nil, receives one span per pipeline stage
 	// (sources, sensitization, electrical, reduce). Timing is
@@ -178,26 +178,6 @@ type Analysis struct {
 // 2(wi−d) (d ≤ wi ≤ 2d), or wi (wi > 2d).
 func Attenuate(wi, d float64) float64 { return strike.Attenuate(wi, d) }
 
-// wsPool recycles the electrical-pass scratch arenas of Lean analyses:
-// the WS table alone is nGates·nPOs·K floats (tens of MB on c7552),
-// and a serving tier would otherwise allocate and zero one per
-// request. Buffers are returned un-zeroed; Propagator.Run is written
-// to tolerate stale scratch.
-type floatPool struct{ p sync.Pool }
-
-func (fp *floatPool) get(n int) []float64 {
-	if v := fp.p.Get(); v != nil {
-		if s := v.([]float64); cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-func (fp *floatPool) put(s []float64) { fp.p.Put(s[:0]) } //nolint:staticcheck // slice header boxing is one small alloc
-
-var wsPool floatPool
-
 // GateLoads computes each gate's output load: the input capacitance of
 // every fanout pin plus the PO latch load where applicable.
 func GateLoads(c *ckt.Circuit, lib *charlib.Library, cells Assignment, poLoad float64) ([]float64, error) {
@@ -218,9 +198,9 @@ func Analyze(c *ckt.Circuit, lib *charlib.Library, cells Assignment, cfg Config)
 
 // AnalyzeCompiled runs the full ASERTA flow against a compiled
 // circuit. Results are bit-identical to Analyze; the netlist-derived
-// work (topological orders, fanout-cone arenas, and — unless
-// cfg.PrecomputedSens overrides it — the sensitization simulation) is
-// served from the handle.
+// work (topological orders, levels, and — unless cfg.PrecomputedSens
+// overrides it — the sensitization simulation) is served from the
+// handle.
 func AnalyzeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells Assignment, cfg Config) (*Analysis, error) {
 	cfg = cfg.withDefaults()
 	c := cc.Circuit()
@@ -266,17 +246,14 @@ func AnalyzeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells Ass
 	nPOs := len(c.Outputs())
 	K := len(a.Samples)
 	if cfg.Lean {
-		// Pooled scratch: Run zero-fills every wij entry and never
-		// reads an unwritten ws row, so stale pool contents are safe.
-		ws := wsPool.get(nGates * nPOs * K)
-		wij := wsPool.get(nGates * nPOs)
-		a.prop.Run(a.Delays, ws, wij)
+		// No WS table: each worker keeps its own column-chunk scratch
+		// and only Wij, which the reduce needs, is materialized.
+		wij := make([]float64, nGates*nPOs)
+		a.prop.Run(a.Delays, nil, wij)
 		endElec()
 		endReduce := trace.StartStage(cfg.Spans, "strike.reduce")
 		a.Ui, a.U = strike.ReduceFlat(c, a.Flux, wij, nPOs, cfg.ClockPeriod)
 		a.delta = a.prop.NewDelta(a.Delays, nil, nil, a.Ui, a.U, a.uiOf)
-		wsPool.put(ws)
-		wsPool.put(wij)
 		endReduce()
 		return a, nil
 	}

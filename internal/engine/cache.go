@@ -107,8 +107,8 @@ func (ca *Cache) Get(key string, build func() (*CompiledCircuit, error)) (*Compi
 				ca.hits++
 				ca.lru.MoveToFront(e.elem)
 				// Re-weigh: the handle's memo grows between accesses
-				// (sensitization results, cone arenas), and the budget
-				// must track retained memory, not just gate count.
+				// (sensitization results, electrical statics), and the
+				// budget must track retained memory, not just gate count.
 				if w := e.cc.Weight(); w != e.weight {
 					ca.used += w - e.weight
 					e.weight = w

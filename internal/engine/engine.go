@@ -19,9 +19,8 @@
 //   - the primary-output column map (gate ID -> Outputs() column);
 //   - CSR offset arrays for the per-fanout-edge and per-fanin-edge
 //     arenas the analysis passes fill;
-//   - lazily, through the keyed memo: the fanout-cone CSR arena of the
-//     sensitization DP, the combinational frame of a sequential
-//     circuit, depth-from-PO, and the (vectors, seed)-keyed
+//   - lazily, through the keyed memo: the combinational frame of a
+//     sequential circuit, depth-from-PO, and the (vectors, seed)-keyed
 //     sensitization statistics themselves (the 10,000-vector logic
 //     simulation — the dominant cost of a warm analysis).
 //
@@ -185,7 +184,7 @@ func (cc *CompiledCircuit) FaninEdgeOffsets() []int { return cc.edgeOff }
 // MemoWeigher lets memoized values report their retained size in
 // cache-weight units (one unit ~ one gate record, ~128 bytes), so a
 // cache weighing handles by Weight sees memoized sensitization
-// results and cone arenas grow the entry — without it, a client
+// results and electrical statics grow the entry — without it, a client
 // cycling (vectors, seed) pairs could retain orders of magnitude more
 // memory than the gate-count budget accounts for.
 type MemoWeigher interface{ MemoWeight() int64 }

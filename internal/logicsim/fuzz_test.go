@@ -1,6 +1,7 @@
 package logicsim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ckt"
@@ -10,13 +11,10 @@ import (
 )
 
 // FuzzSensitization checks the bit-parallel, chunked sensitization
-// kernel against a literal per-vector oracle. On a random generated
-// netlist, with fuzzed vector count, seed, worker count and memory
-// budget (small budgets force multi-chunk runs), the reference redraws
-// the primary-input words from the same RNG stream, evaluates every
-// vector one at a time with Evaluate, and runs the path-sensitization
-// DP from every source gate. P1, Activity and every Pij must equal the
-// reference counts divided by N exactly.
+// kernel against the literal per-vector oracle (literalSensitization)
+// on a random generated netlist, with fuzzed vector count, seed,
+// worker count and memory budget (small budgets force multi-chunk
+// runs).
 func FuzzSensitization(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint8(8), uint8(30), uint8(4), uint16(100), uint8(0), uint16(0))
 	f.Add(uint64(7), uint64(5), uint8(4), uint8(60), uint8(6), uint16(517), uint8(2), uint16(2000))
@@ -40,65 +38,148 @@ func FuzzSensitization(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireSameResult(t, literalSensitization(t, c, n, simSeed), got, "fuzz")
+	})
+}
 
-		inputs := c.Inputs()
-		nWords := (n + 63) / 64
-		rng := stats.NewRNG(simSeed)
-		piW := make([]uint64, len(inputs)*nWords)
-		for i := range piW {
-			piW[i] = rng.Uint64()
+// literalSensitization is the per-vector oracle of the kernel: it
+// redraws the primary-input words from the same RNG stream, evaluates
+// every vector one at a time with Evaluate, and runs the forward
+// path-sensitization DP (sensitizedFrom) from every source gate. P1,
+// Activity and Pij are the reference counts divided by N, so a correct
+// kernel matches them exactly.
+func literalSensitization(t *testing.T, c *ckt.Circuit, n int, simSeed uint64) *Result {
+	t.Helper()
+	inputs := c.Inputs()
+	nWords := (n + 63) / 64
+	rng := stats.NewRNG(simSeed)
+	piW := make([]uint64, len(inputs)*nWords)
+	for i := range piW {
+		piW[i] = rng.Uint64()
+	}
+	order := c.MustTopoOrder()
+	pos := c.Outputs()
+	ones := make([]int, len(c.Gates))
+	pij := make([][]int, len(c.Gates))
+	for id := range pij {
+		pij[id] = make([]int, len(pos))
+	}
+	in := make([]bool, len(inputs))
+	for v := 0; v < n; v++ {
+		for i := range inputs {
+			in[i] = piW[i*nWords+v/64]>>(v%64)&1 == 1
 		}
-		order := c.MustTopoOrder()
-		pos := c.Outputs()
-		ones := make([]int, len(c.Gates))
-		pij := make([][]int, len(c.Gates))
-		for id := range pij {
-			pij[id] = make([]int, len(pos))
+		val, err := Evaluate(c, in)
+		if err != nil {
+			t.Fatal(err)
 		}
-		in := make([]bool, len(inputs))
-		for v := 0; v < n; v++ {
-			for i := range inputs {
-				in[i] = piW[i*nWords+v/64]>>(v%64)&1 == 1
+		for id, b := range val {
+			if b {
+				ones[id]++
 			}
-			val, err := Evaluate(c, in)
-			if err != nil {
-				t.Fatal(err)
+		}
+		for _, g := range c.Gates {
+			if g.Type == ckt.Input {
+				continue // strikes hit gate outputs only
 			}
-			for id, b := range val {
-				if b {
-					ones[id]++
+			sens := sensitizedFrom(c, order, val, g.ID)
+			for k, po := range pos {
+				if sens[po] {
+					pij[g.ID][k]++
 				}
 			}
-			for _, g := range c.Gates {
-				if g.Type == ckt.Input {
-					continue // strikes hit gate outputs only
+		}
+	}
+
+	nv := float64(n)
+	want := &Result{
+		N:        n,
+		P1:       make([]float64, len(c.Gates)),
+		Activity: make([]float64, len(c.Gates)),
+		Pij:      make([][]float64, len(c.Gates)),
+	}
+	for id := range c.Gates {
+		p1 := float64(ones[id]) / nv
+		want.P1[id] = p1
+		want.Activity[id] = 2 * p1 * (1 - p1)
+		want.Pij[id] = make([]float64, len(pos))
+		for k := range pos {
+			want.Pij[id][k] = float64(pij[id][k]) / nv
+		}
+	}
+	return want
+}
+
+// TestSensitizationEdgeCases pins the kernel to the literal oracle on
+// a hand-written netlist holding every shape the PO-rooted DP must
+// get right: a primary input that is also a PO (its column stays
+// zero), a PO that drives further logic (as a sequential frame's D-pin
+// drivers do), one signal on two pins of a gate (one edge per pin,
+// ORed), and logic that reaches no PO (zero rows). Vector counts
+// straddle the 64-lane word boundary, and the budgets force one-word
+// chunks.
+func TestSensitizationEdgeCases(t *testing.T) {
+	c := ckt.New("edges")
+	add := func(name string, typ ckt.GateType, ins ...string) int {
+		id := c.MustAddGate(name, typ)
+		for _, in := range ins {
+			src, ok := c.GateByName(in)
+			if !ok {
+				t.Fatalf("unknown fanin %q", in)
+			}
+			c.MustConnect(src, id)
+		}
+		return id
+	}
+	a := add("a", ckt.Input)
+	add("b", ckt.Input)
+	add("c", ckt.Input)
+	add("d", ckt.Input)
+	add("g1", ckt.Nand, "a", "b")
+	add("g2", ckt.Nor, "b", "c")
+	add("g3", ckt.Nand, "g2", "g2", "d")
+	g4 := add("g4", ckt.And, "g1", "g3", "d")
+	g5 := add("g5", ckt.Xor, "g4", "c")
+	g6 := add("g6", ckt.Or, "g1", "d")
+	g7 := add("g7", ckt.Not, "g6")
+	// g3 reaches g8 directly and through g4, under different side
+	// conditions, so its observability must OR both pushes.
+	g8 := add("g8", ckt.Xor, "g3", "g4")
+	for _, po := range []int{a, g4, g5, g8} {
+		c.MarkPO(po)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cc := engine.MustCompile(c)
+	for _, n := range []int{1, 63, 64, 65, 300} {
+		want := literalSensitization(t, c, n, 3)
+		for workers := 1; workers <= 4; workers++ {
+			for _, budget := range []int64{0, 1, 200} {
+				got, err := AnalyzeCompiledBudget(cc, n, stats.NewRNG(3), workers, budget)
+				if err != nil {
+					t.Fatal(err)
 				}
-				sens := sensitizedFrom(c, order, val, g.ID)
-				for k, po := range pos {
-					if sens[po] {
-						pij[g.ID][k]++
+				label := fmt.Sprintf("N=%d workers=%d budget=%d", n, workers, budget)
+				requireSameResult(t, want, got, label)
+				for id := range c.Gates {
+					if got.Pij[id][0] != 0 {
+						t.Fatalf("%s: Pij[%d] reaches the PI output", label, id)
+					}
+				}
+				for _, id := range []int{a, g6, g7} {
+					for k, p := range got.Pij[id] {
+						if p != 0 {
+							t.Fatalf("%s: Pij[%d][%d] = %v, want 0", label, id, k, p)
+						}
+					}
+				}
+				for k, po := range []int{g4, g5, g8} {
+					if got.Pij[po][k+1] != 1 {
+						t.Fatalf("%s: P_jj of %s = %v, want 1", label, c.Gates[po].Name, got.Pij[po][k+1])
 					}
 				}
 			}
 		}
-
-		if got.N != n {
-			t.Fatalf("N = %d, want %d", got.N, n)
-		}
-		nv := float64(n)
-		for id := range c.Gates {
-			p1 := float64(ones[id]) / nv
-			if got.P1[id] != p1 {
-				t.Fatalf("P1[%d] = %v, reference %v", id, got.P1[id], p1)
-			}
-			if act := 2 * p1 * (1 - p1); got.Activity[id] != act {
-				t.Fatalf("Activity[%d] = %v, reference %v", id, got.Activity[id], act)
-			}
-			for k := range pos {
-				if want := float64(pij[id][k]) / nv; got.Pij[id][k] != want {
-					t.Fatalf("Pij[%d][%d] = %v, reference %v", id, k, got.Pij[id][k], want)
-				}
-			}
-		}
-	})
+	}
 }

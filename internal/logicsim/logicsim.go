@@ -4,22 +4,21 @@
 // probability that there is at least one path sensitized from output
 // of gate i to primary output j") that ASERTA's logical-masking model
 // needs. The paper estimates P_ij with zero-delay simulation of 10,000
-// random inputs; this package reproduces that with exact bit-parallel
-// fault simulation of each gate's fanout cone.
+// random inputs; this package reproduces that exactly, bit-parallel,
+// with one backward observability DP over each primary output's fanin
+// cone (every source in the cone is served by that one walk).
 //
 // The analysis is built for throughput: all bit-vector state lives in
 // flat arenas indexed by gateID*nWords (no per-gate allocations in the
-// hot path), fanout cones are precomputed once in levelized order, and
-// the per-source-gate sensitization DP — embarrassingly parallel, as
-// each source's cone walk is independent — fans out over a worker
-// pool. Results are bit-identical to the serial evaluation order for a
-// fixed seed regardless of worker count.
+// hot path), and the per-PO sensitization DP — embarrassingly
+// parallel, as each output's cone walk is independent — fans out over
+// a worker pool. Results are bit-identical to the serial evaluation
+// order for a fixed seed regardless of worker count.
 package logicsim
 
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/ckt"
 	"repro/internal/engine"
@@ -31,13 +30,6 @@ import (
 // sensitization probabilities.
 const DefaultVectors = engine.DefaultVectors
 
-// maxConeEntries bounds the memory of the precomputed fanout-cone
-// arena (entries are int32 gate IDs). Past the budget the DP falls
-// back to scanning the topological suffix per source, which needs no
-// arena and produces identical results. (A var so tests can force the
-// fallback path.)
-var maxConeEntries = 1 << 25
-
 // DefaultSensBudgetBytes bounds the transient working set of one
 // scalar sensitization analysis: the base-value arena, the per-edge
 // side-input arena and every DP worker's scratch arena together. When
@@ -47,8 +39,7 @@ var maxConeEntries = 1 << 25
 // across chunks), only peak memory and a per-chunk cone re-walk
 // change. The default (2 GiB) keeps every ISCAS-class workload in a
 // single chunk; serd exposes it as -sens-mem-budget. It does not
-// count the returned Result (the Pij matrix is the analysis' output)
-// or the memoized cone arena (bounded separately by maxConeEntries).
+// count the returned Result (the Pij matrix is the analysis' output).
 var DefaultSensBudgetBytes = int64(2) << 30
 
 // minChunkWords is the smallest chunk width worth paying a cone
@@ -150,9 +141,6 @@ type sensKey struct {
 	seed    uint64
 }
 
-// conesKey memoizes the fanout-cone CSR arena on the compiled handle.
-type conesKey struct{}
-
 // Sensitization returns the sensitization statistics for the compiled
 // circuit at the given vector count and seed, memoized on the handle:
 // the 10,000-vector simulation — the dominant cost of a warm analysis —
@@ -174,11 +162,11 @@ func Sensitization(cc *engine.CompiledCircuit, vectors int, seed uint64) (*Resul
 }
 
 // AnalyzeCompiled is AnalyzeWorkers over a pre-compiled circuit: the
-// topological order, fanin-edge offsets and fanout-cone arena come
-// from (or are memoized on) the handle instead of being re-derived per
-// call. Results are bit-identical to AnalyzeWorkers for any worker
-// count. Peak memory is bounded by DefaultSensBudgetBytes; use
-// AnalyzeCompiledBudget for an explicit budget.
+// topological order, logic levels and fanin-edge offsets come from
+// the handle instead of being re-derived per call. Results are
+// bit-identical to AnalyzeWorkers for any worker count. Peak memory is
+// bounded by DefaultSensBudgetBytes; use AnalyzeCompiledBudget for an
+// explicit budget.
 func AnalyzeCompiled(cc *engine.CompiledCircuit, nVectors int, rng *stats.RNG, workers int) (*Result, error) {
 	return AnalyzeCompiledBudget(cc, nVectors, rng, workers, DefaultSensBudgetBytes)
 }
@@ -224,22 +212,16 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 		w[nWords-1] &= lastMask
 	}
 
-	// Source gates: every non-input gate, in topological order.
-	sources := make([]int, 0, nGates)
-	for _, id := range order {
-		if c.Gates[id].Type != ckt.Input {
-			sources = append(sources, id) // the paper injects at gate outputs only
-		}
-	}
-
 	// Chunk policy: the recycled arenas cost (nGates+nEdges)*8 bytes
 	// per vector word plus nGates*8 per word for each DP worker's
 	// scratch. Shed workers first (a narrow chunk re-walks every cone
 	// per chunk, which is the more expensive regression), then narrow
 	// the chunk to fit.
+	pos := c.Outputs()
+	nPOs := len(pos)
 	nw := par.Workers(workers)
-	if nw > len(sources) {
-		nw = len(sources)
+	if nw > nPOs {
+		nw = nPOs
 	}
 	if nw < 1 {
 		nw = 1
@@ -272,8 +254,6 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 		Pij:      make([][]float64, nGates),
 		poCol:    make(map[int]int),
 	}
-	pos := c.Outputs()
-	nPOs := len(pos)
 	for k, id := range pos {
 		res.poCol[id] = k
 	}
@@ -293,36 +273,22 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 
 	// Recycled chunk arenas, indexed gateID*cwk (cwk = current chunk
 	// width): base values, per-fanin-edge side-input conditions, and
-	// one sensitization arena per DP worker.
+	// one observability arena per DP worker.
 	base := make([]uint64, nGates*cw)
 	sideOK := make([]uint64, nEdges*cw)
+	lv := cc.Levels()
+	maxLv := 0
+	for _, l := range lv {
+		if l > maxLv {
+			maxLv = l
+		}
+	}
 	scratches := make([]*dpScratch, nw)
 	for i := range scratches {
 		scratches[i] = &dpScratch{
-			sens: make([]uint64, nGates*cw),
-			mark: make([]int, nGates),
-		}
-		for j := range scratches[i].mark {
-			scratches[i].mark[j] = -1
-		}
-	}
-
-	cones := conesFor(cc, sources, workers)
-	var walkers []*coneWalker
-	if cones == nil {
-		// Past the cone-arena budget each DP worker walks cones on the
-		// fly instead (see coneWalker); the walk is re-done per chunk,
-		// trading time for bounded memory.
-		lv := cc.Levels()
-		maxLv := 0
-		for _, l := range lv {
-			if l > maxLv {
-				maxLv = l
-			}
-		}
-		walkers = make([]*coneWalker, nw)
-		for i := range walkers {
-			walkers[i] = newConeWalker(nGates, lv, maxLv)
+			obs:   make([]uint64, nGates*cw),
+			mark:  make([]int, nGates),
+			level: make([][]int32, maxLv+1),
 		}
 	}
 
@@ -370,22 +336,16 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 		// P_ij as "the probability that there is at least one path
 		// sensitized from output of gate i to primary output j": a
 		// path is sensitized under a vector when every side input
-		// along it carries a non-controlling value. Per vector this is
-		// a boolean DP over the fanout cone:
+		// along it carries a non-controlling value. (Flip-based fault
+		// simulation would also count multi-path cancellation effects,
+		// under which the paper's Lemma 1 does not hold; path
+		// sensitization is the paper's model.)
 		//
-		//	sens(i)    = 1
-		//	sens(g)    = OR over fanins f of sens(f) AND sideOK(g, f)
-		//	sideOK(g,f)= all inputs of g other than f non-controlling
-		//
-		// and P_ij = Pr[sens(j)]. (Flip-based fault simulation would
-		// also count multi-path cancellation effects, under which the
-		// paper's Lemma 1 does not hold; path sensitization is the
-		// paper's model.)
-		//
-		// sideOK depends only on base values, so it is precomputed per
-		// fanin edge into a flat edge arena (gates are independent —
-		// the fill is parallel and in place, costing no extra memory
-		// per worker).
+		// sideOK(g, f) — all inputs of g other than fanin slot f
+		// non-controlling — depends only on base values, so it is
+		// precomputed per fanin edge into a flat edge arena (gates are
+		// independent — the fill is parallel and in place, costing no
+		// extra memory per worker).
 		par.ForChunks(nGates, workers, 0, func(lo, hi int) {
 			for id := lo; id < hi; id++ {
 				g := c.Gates[id]
@@ -419,46 +379,86 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 			}
 		})
 
-		// Per-source DP over this chunk. Popcounts accumulate into the
-		// Pij rows as exact float64 integers (≤ nVectors < 2^53); the
-		// division happens once, after the last chunk, so the result
-		// equals the whole-run popcount divided once — bit-identical
-		// to the single-chunk computation.
-		par.Each(len(sources), nw, 1, func(worker, lo, hi int) {
+		// Per vector, "some path from i to j is sensitized" is the
+		// Boolean path sum OR_paths AND_edges sideOK. It factors at
+		// either end: forward from i, or backward from j as the
+		// observability DP
+		//
+		//	obs_j(j) = 1
+		//	obs_j(f) = OR over fanout edges (f -> g, slot) of
+		//	           obs_j(g) AND sideOK(g, slot)
+		//
+		// with P_ij = Pr[obs_j(i)]. AND and OR on bit lanes are exact,
+		// so both directions give the same bits; the backward one
+		// walks each PO's fanin cone once and serves every source in
+		// it, where the forward one walks a fanout cone per source.
+		// The walk pops a frontier bucketed by logic level, highest
+		// first: every fanout inside the cone sits at a higher level,
+		// so a gate's row is complete when its level comes up. Only
+		// gates that some vector reaches are ever queued.
+		//
+		// Popcounts accumulate into the Pij entries as exact float64
+		// integers (≤ nVectors < 2^53); the division happens once,
+		// after the last chunk, so the result equals the whole-run
+		// popcount divided once — bit-identical to the single-chunk
+		// computation. Workers own disjoint Pij columns.
+		par.Each(nPOs, nw, 1, func(worker, lo, hi int) {
 			sc := scratches[worker]
-			for si := lo; si < hi; si++ {
-				fid := sources[si]
+			for k := lo; k < hi; k++ {
+				poID := pos[k]
+				if c.Gates[poID].Type == ckt.Input {
+					continue // a PI marked as PO: nothing upstream
+				}
 				sc.epoch++
-				row := sc.sens[fid*cwk : (fid+1)*cwk]
-				for k := range row {
-					row[k] = ^uint64(0)
+				row := sc.obs[poID*cwk : (poID+1)*cwk]
+				for w := range row {
+					row[w] = ^uint64(0)
 				}
 				if final {
 					row[cwk-1] &= lastMask
 				}
-				sc.mark[fid] = sc.epoch
-				if cones != nil {
-					for _, id := range cones.of(si) {
-						dpGate(c.Gates[id], int(id), sc, sideOK, edgeOff, cwk)
+				sc.mark[poID] = sc.epoch
+				top := lv[poID]
+				sc.level[top] = append(sc.level[top], int32(poID))
+				for l := top; l > 0; l-- {
+					for _, id32 := range sc.level[l] {
+						id := int(id32)
+						o := sc.obs[id*cwk : (id+1)*cwk]
+						if id != poID {
+							cnt := 0
+							for _, w := range o {
+								cnt += bits.OnesCount64(w)
+							}
+							res.Pij[id][k] += float64(cnt) // P_jj set after the chunk loop
+						}
+						for fi, f := range c.Gates[id].Fanin {
+							if c.Gates[f].Type == ckt.Input {
+								continue // strikes hit gate outputs only
+							}
+							side := sideOK[(edgeOff[id]+fi)*cwk : (edgeOff[id]+fi+1)*cwk]
+							dst := sc.obs[f*cwk : (f+1)*cwk]
+							if sc.mark[f] == sc.epoch {
+								for w := range dst {
+									dst[w] |= o[w] & side[w]
+								}
+								continue
+							}
+							// First push: assign, so the arena never needs
+							// clearing between walks, and queue f only if
+							// some vector reaches it.
+							live := uint64(0)
+							for w := range dst {
+								v := o[w] & side[w]
+								dst[w] = v
+								live |= v
+							}
+							if live != 0 {
+								sc.mark[f] = sc.epoch
+								sc.level[lv[f]] = append(sc.level[lv[f]], int32(f))
+							}
+						}
 					}
-				} else {
-					for _, id := range walkers[worker].cone(c, fid) {
-						dpGate(c.Gates[id], int(id), sc, sideOK, edgeOff, cwk)
-					}
-				}
-				out := res.Pij[fid]
-				for k2, poID := range pos {
-					if poID == fid {
-						continue // P_jj set after the chunk loop
-					}
-					if sc.mark[poID] != sc.epoch {
-						continue
-					}
-					cnt := 0
-					for _, w := range sc.sens[poID*cwk : (poID+1)*cwk] {
-						cnt += bits.OnesCount64(w)
-					}
-					out[k2] += float64(cnt)
+					sc.level[l] = sc.level[l][:0]
 				}
 			}
 		})
@@ -473,229 +473,24 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 	for i := range pijFlat {
 		pijFlat[i] /= nv
 	}
-	for _, fid := range sources {
-		if k, ok := res.poCol[fid]; ok {
+	for _, id := range pos {
+		if c.Gates[id].Type != ckt.Input {
 			// Paper: "For primary output j, Pjj is 1."
-			res.Pij[fid][k] = 1
+			res.Pij[id][res.poCol[id]] = 1
 		}
 	}
 	return res, nil
 }
 
-// dpScratch is one DP worker's private state: a sensitization arena
-// and an epoch-marked membership array, both reused across sources so
-// the inner loop never allocates.
+// dpScratch is one DP worker's private state, reused across POs so
+// the inner loop never allocates: the observability arena, the epoch
+// marks of the gates holding a valid row in the current walk, and the
+// walk's frontier bucketed by logic level.
 type dpScratch struct {
-	sens  []uint64
+	obs   []uint64
 	mark  []int
 	epoch int
-}
-
-// dpGate advances the sensitization DP through one gate: OR together
-// each marked fanin's sensitization masked by that edge's side-input
-// condition, and mark the gate when any vector survives.
-func dpGate(g *ckt.Gate, id int, sc *dpScratch, sideOK []uint64, edgeOff []int, nWords int) {
-	inCone := false
-	for _, f := range g.Fanin {
-		if sc.mark[f] == sc.epoch {
-			inCone = true
-			break
-		}
-	}
-	if !inCone {
-		return
-	}
-	row := sc.sens[id*nWords : (id+1)*nWords]
-	any := uint64(0)
-	for k := 0; k < nWords; k++ {
-		v := uint64(0)
-		for fi, f := range g.Fanin {
-			if sc.mark[f] == sc.epoch {
-				v |= sc.sens[f*nWords+k] & sideOK[(edgeOff[id]+fi)*nWords+k]
-			}
-		}
-		row[k] = v
-		any |= v
-	}
-	if any != 0 {
-		sc.mark[id] = sc.epoch
-	}
-}
-
-// coneBox wraps the memoized cone arena: the arena is legitimately nil
-// past the memory budget, and a typed wrapper keeps that distinct from
-// a missing memo value.
-type coneBox struct{ cs *coneSet }
-
-// MemoWeight reports the cone arena's retained size in cache-weight
-// units (engine.MemoWeigher).
-func (b coneBox) MemoWeight() int64 {
-	if b.cs == nil {
-		return 0
-	}
-	return int64(len(b.cs.gates)) * 4 / 128
-}
-
-// conesFor returns the fanout-cone CSR arena for the compiled circuit,
-// memoized on the handle — the arena depends only on the netlist, so
-// every sensitization run against one handle shares it. The build is
-// deterministic in the netlist regardless of the worker count.
-func conesFor(cc *engine.CompiledCircuit, sources []int, workers int) *coneSet {
-	v, _ := cc.Memo(conesKey{}, func() (any, error) {
-		return coneBox{precomputeCones(cc, sources, workers)}, nil
-	})
-	return v.(coneBox).cs
-}
-
-// coneSet is a CSR arena of precomputed fanout cones: cone i holds the
-// non-input gates strictly downstream of sources[i], in topological
-// (levelized) order.
-type coneSet struct {
-	off   []int
-	gates []int32
-}
-
-func (cs *coneSet) of(i int) []int32 { return cs.gates[cs.off[i]:cs.off[i+1]] }
-
-// coneWalker collects one gate's fanout cone by walking fanout edges —
-// work proportional to the cone, not to the whole netlist like the old
-// topological-suffix sweep, which is the difference between O(cone)
-// and O(gates) per source on million-gate circuits. The collected
-// gates are counting-sorted by logic level; level order is a valid
-// topological order of the cone (every fanin is at a strictly lower
-// level), and the DP result per gate depends only on its fanins'
-// results, so any topological processing order yields bit-identical
-// results. All state is recycled across calls via epoch marking.
-type coneWalker struct {
-	lv    []int   // logic level per gate (shared, read-only)
-	reach []int32 // epoch marks
-	epoch int32
-	stack []int32
-	buf   []int32 // collected cone, discovery order
-	out   []int32 // collected cone, level order
-	cnt   []int32 // counting-sort buckets, one per level
-}
-
-func newConeWalker(nGates int, lv []int, maxLv int) *coneWalker {
-	return &coneWalker{lv: lv, reach: make([]int32, nGates), cnt: make([]int32, maxLv+1)}
-}
-
-// cone returns the non-input gates strictly downstream of fid in
-// level order. The returned slice is valid until the next call.
-func (w *coneWalker) cone(c *ckt.Circuit, fid int) []int32 {
-	if w.epoch == 1<<31-1 {
-		// Epoch wrap: reset marks so stale epochs can never alias.
-		for i := range w.reach {
-			w.reach[i] = 0
-		}
-		w.epoch = 0
-	}
-	w.epoch++
-	ep := w.epoch
-	stack := append(w.stack[:0], int32(fid))
-	buf := w.buf[:0]
-	w.reach[fid] = ep
-	minLv, maxLv := int(^uint(0)>>1), -1
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, f := range c.Gates[id].Fanout {
-			if w.reach[f] == ep {
-				continue
-			}
-			w.reach[f] = ep
-			stack = append(stack, int32(f))
-			buf = append(buf, int32(f))
-			if l := w.lv[f]; l < minLv {
-				minLv = l
-			}
-			if l := w.lv[f]; l > maxLv {
-				maxLv = l
-			}
-		}
-	}
-	w.stack, w.buf = stack, buf
-	if len(buf) == 0 {
-		return buf
-	}
-	if cap(w.out) < len(buf) {
-		w.out = make([]int32, len(buf))
-	}
-	out := w.out[:len(buf)]
-	for _, id := range buf {
-		w.cnt[w.lv[id]]++
-	}
-	sum := int32(0)
-	for l := minLv; l <= maxLv; l++ {
-		n := w.cnt[l]
-		w.cnt[l] = sum
-		sum += n
-	}
-	for _, id := range buf {
-		out[w.cnt[w.lv[id]]] = id
-		w.cnt[w.lv[id]]++
-	}
-	for l := minLv; l <= maxLv; l++ {
-		w.cnt[l] = 0
-	}
-	return out
-}
-
-// precomputeCones builds the cone arena with a parallel fanout walk
-// per source (counting pass, then a fill pass into the shared arena).
-// Returns nil when the arena would exceed the memory budget — the
-// counting pass aborts as soon as the running total crosses it, so a
-// million-gate circuit with huge cones never pays for a full count —
-// and callers then fall back to walking cones on the fly.
-func precomputeCones(cc *engine.CompiledCircuit, sources []int, workers int) *coneSet {
-	c := cc.Circuit()
-	n := len(sources)
-	if n == 0 {
-		return &coneSet{off: make([]int, 1)}
-	}
-	lv := cc.Levels()
-	maxLv := 0
-	for _, l := range lv {
-		if l > maxLv {
-			maxLv = l
-		}
-	}
-	nw := par.Workers(workers)
-	walkers := make([]*coneWalker, nw)
-	for i := range walkers {
-		walkers[i] = newConeWalker(len(c.Gates), lv, maxLv)
-	}
-	counts := make([]int, n)
-	var total atomic.Int64
-	var over atomic.Bool
-	par.Each(n, nw, 0, func(worker, lo, hi int) {
-		w := walkers[worker]
-		for si := lo; si < hi; si++ {
-			if over.Load() {
-				return
-			}
-			cn := len(w.cone(c, sources[si]))
-			counts[si] = cn
-			if total.Add(int64(cn)) > int64(maxConeEntries) {
-				over.Store(true)
-				return
-			}
-		}
-	})
-	if over.Load() {
-		return nil
-	}
-	cs := &coneSet{off: make([]int, n+1), gates: make([]int32, total.Load())}
-	for i, cn := range counts {
-		cs.off[i+1] = cs.off[i] + cn
-	}
-	par.Each(n, nw, 0, func(worker, lo, hi int) {
-		w := walkers[worker]
-		for si := lo; si < hi; si++ {
-			copy(cs.gates[cs.off[si]:cs.off[si+1]], w.cone(c, sources[si]))
-		}
-	})
-	return cs
+	level [][]int32
 }
 
 // SideSensitization returns S_is: the probability that gate s is

@@ -219,33 +219,6 @@ func TestAnalyzeParallelMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// TestAnalyzeConeFallbackMatches forces the suffix-scan fallback path
-// (no precomputed cone arena) and checks it against the default path.
-func TestAnalyzeConeFallbackMatches(t *testing.T) {
-	c, err := gen.ISCAS85("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := maxConeEntries
-	maxConeEntries = 0 // every cone set exceeds the budget
-	defer func() { maxConeEntries = saved }()
-	want, err := analyzeReference(c, 2000, stats.NewRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AnalyzeWorkers(c, 2000, stats.NewRNG(7), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range want.Pij {
-		for j := range want.Pij[id] {
-			if got.Pij[id][j] != want.Pij[id][j] {
-				t.Fatalf("Pij[%d][%d] mismatch", id, j)
-			}
-		}
-	}
-}
-
 func BenchmarkAnalyzeC432(b *testing.B) {
 	c, err := gen.ISCAS85("c432")
 	if err != nil {

@@ -98,8 +98,9 @@ func BuildFrame(c *ckt.Circuit) (*Frame, error) {
 
 // MemoWeight reports the frame's retained size in cache-weight units
 // (engine.MemoWeigher): the compiled frame circuit plus everything
-// memoized on it (its own sensitization results, cone arenas), so a
-// cached sequential handle's weight reflects the whole nest.
+// memoized on it (its own sensitization results and electrical
+// statics), so a cached sequential handle's weight reflects the whole
+// nest.
 func (fr *Frame) MemoWeight() int64 { return fr.CC.Weight() }
 
 // frameKey memoizes the compiled frame on the sequential handle.

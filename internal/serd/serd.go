@@ -654,11 +654,15 @@ func sequentialOptions(vectors int, seed uint64, poLoad float64, cycles int, ini
 	}
 }
 
+// Exact analyses run Lean: the wire carries U and per-gate rows only,
+// never the WS/Wij tables, so the per-request nGates·nPOs·K arena is
+// pure garbage (the sampled mode is Lean already).
 func analysisOptions(vectors int, seed uint64, poLoad float64, approx *serclient.ApproxRequest) ser.AnalysisOptions {
 	return ser.AnalysisOptions{
 		Vectors: vectors,
 		Seed:    seed,
 		POLoad:  poLoad,
+		Lean:    true,
 		Approx:  approxOptions(approx),
 	}
 }

@@ -198,13 +198,16 @@ func (p *Propagator) prepAttenGate(id int, d float64) {
 
 // computeGateColumns evaluates gate i's §3.2 step (iii)/(iv) rows for
 // PO columns [jLo, jHi): WS rows into wsDst and expected widths into
-// wijDst. Successor rows are read from wsDst, except that when
-// affected is non-nil the rows of unaffected successors come from
-// wsBase (the incremental delta evaluation). accK is caller scratch of
-// K floats. The accumulation order (ascending successor index per
-// sample) matches the historical serial pass, so results are
-// bit-identical to it.
-func (p *Propagator) computeGateColumns(i, jLo, jHi int, accK []float64, wsDst, wijDst, wsBase []float64, affected []bool) {
+// wijDst (len nGates*nPOs). The WS arenas hold stride columns per gate
+// starting at column jLo — row (s, j) sits at (s*stride+j-jLo)*K — so
+// a full nGates×nPOs×K table (sliced at its jLo*K offset) and a
+// worker's nGates×chunk×K scratch share one layout. Successor rows are
+// read from wsDst, except that when affected is non-nil the rows of
+// unaffected successors come from wsBase (the incremental delta
+// evaluation). accK is caller scratch of K floats. The accumulation
+// order (ascending successor index per sample) matches the historical
+// serial pass, so results are bit-identical to it.
+func (p *Propagator) computeGateColumns(i, jLo, jHi, stride int, accK []float64, wsDst, wijDst, wsBase []float64, affected []bool) {
 	c := p.c
 	g := c.Gates[i]
 	ws := p.samples
@@ -221,8 +224,8 @@ func (p *Propagator) computeGateColumns(i, jLo, jHi int, accK []float64, wsDst, 
 		j, _ := p.cc.POColumn(i)
 		ownCol = j
 		if j >= jLo && j < jHi {
-			row := wsDst[(i*nPOs+j)*K : (i*nPOs+j+1)*K]
-			copy(row, ws)
+			r := (i*stride + j - jLo) * K
+			copy(wsDst[r:r+K], ws)
 			wijDst[i*nPOs+j] = p.genWidth[i]
 		}
 		if len(g.Fanout) == 0 {
@@ -245,12 +248,14 @@ func (p *Propagator) computeGateColumns(i, jLo, jHi int, accK []float64, wsDst, 
 			// (un-zeroed) arena.
 			continue
 		}
+		col := j - jLo
+		r := (i*stride + col) * K
 		if den[j] == 0 {
 			// Reachable but with a zero Eq. 2 denominator (every side
 			// sensitization vanished): the glitch contributes nothing,
 			// but predecessors WILL read this row, so it must hold
 			// zeros even in a reused arena.
-			row := wsDst[(i*nPOs+j)*K : (i*nPOs+j+1)*K]
+			row := wsDst[r : r+K]
 			for k := range row {
 				row[k] = 0
 			}
@@ -271,7 +276,8 @@ func (p *Propagator) computeGateColumns(i, jLo, jHi int, accK []float64, wsDst, 
 			if affected != nil && !affected[s] {
 				src = wsBase
 			}
-			sj := src[(s*nPOs+j)*K : (s*nPOs+j+1)*K]
+			rs := (s*stride + col) * K
+			sj := src[rs : rs+K]
 			att := s * K
 			for k := 0; k < K; k++ {
 				idx := p.attIdx[att+k]
@@ -290,7 +296,7 @@ func (p *Propagator) computeGateColumns(i, jLo, jHi int, accK []float64, wsDst, 
 				accK[k] += w * v
 			}
 		}
-		row := wsDst[(i*nPOs+j)*K : (i*nPOs+j+1)*K]
+		row := wsDst[r : r+K]
 		for k := 0; k < K; k++ {
 			row[k] = pij * accK[k] / den[j]
 		}
@@ -309,9 +315,11 @@ func (p *Propagator) computeGateColumns(i, jLo, jHi int, accK []float64, wsDst, 
 // wsDst may hold stale data from a previous Run: every row the pass
 // reads is written (or zero-filled) first, because the combine loop
 // skips zero-P_sj successors. Rows of unreachable (i, j) pairs are left
-// untouched — callers exposing the WS table must supply a zeroed arena;
-// callers that only consume wijDst (which IS fully zero-filled here)
-// may reuse scratch.
+// untouched — callers exposing the WS table must supply a zeroed arena.
+// A nil wsDst retains no WS table at all: each worker evaluates its
+// column chunks in a private nGates×chunk×K scratch arena and only
+// wijDst (which IS fully zero-filled here) is written — the Lean
+// analysis path, bit-identical to the full one.
 func (p *Propagator) Run(delays, wsDst, wijDst []float64) {
 	p.prepAtten(delays)
 	K := len(p.samples)
@@ -319,18 +327,32 @@ func (p *Propagator) Run(delays, wsDst, wijDst []float64) {
 	for i := range wijDst {
 		wijDst[i] = 0
 	}
+	if nPOs == 0 {
+		return
+	}
 	nw := par.Workers(0)
+	if nw > nPOs {
+		nw = nPOs
+	}
+	grain := (nPOs + 4*nw - 1) / (4 * nw) // ~4 chunks per worker
 	accs := make([][]float64, nw)
+	scratch := make([][]float64, nw)
 	for w := range accs {
 		accs[w] = make([]float64, K)
+		if wsDst == nil {
+			scratch[w] = make([]float64, len(p.c.Gates)*grain*K)
+		}
 	}
-	par.Each(nPOs, nw, 0, func(worker, jLo, jHi int) {
-		accK := accs[worker]
+	par.Each(nPOs, nw, grain, func(worker, jLo, jHi int) {
+		ws, stride := scratch[worker], grain
+		if wsDst != nil {
+			ws, stride = wsDst[jLo*K:], nPOs
+		}
 		for _, i := range p.rorder {
 			if p.c.Gates[i].Type.IsSource() {
 				continue
 			}
-			p.computeGateColumns(i, jLo, jHi, accK, wsDst, wijDst, nil, nil)
+			p.computeGateColumns(i, jLo, jHi, stride, accs[worker], ws, wijDst, nil, nil)
 		}
 	})
 }
@@ -513,7 +535,7 @@ func (d *Delta) Recompute(delays []float64, fullEvery int) (float64, error) {
 		for j := range wij {
 			wij[j] = 0
 		}
-		p.computeGateColumns(i, 0, nPOs, accK, d.incrWS, d.incrWij, d.baseWS, d.affected)
+		p.computeGateColumns(i, 0, nPOs, nPOs, accK, d.incrWS, d.incrWij, d.baseWS, d.affected)
 		u += d.reduce(i, wij) - d.baseUi[i]
 	}
 	return u, nil

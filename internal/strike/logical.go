@@ -20,7 +20,10 @@ import (
 // Flops are independent given the shared trace, so the sweep fans out
 // over a worker pool (workers <= 0 selects one per CPU); each flop
 // writes only its own slot, keeping the result bit-identical for any
-// worker count. This is the dominant stage on big circuits
+// worker count. Each worker reuses one frame arena and one pair of
+// state arrays across its flops: EvalFrame overwrites every gate row
+// and the state is re-copied from State[0] per flop, so nothing stale
+// survives. This is the dominant stage on big circuits
 // (flops × cycles frame evaluations), so ctx is polled at every flop
 // boundary.
 func LogicalPropagate(ctx context.Context, cc *engine.CompiledCircuit, cycles, vectors int, rng *stats.RNG, initState []bool, workers int) ([]float64, error) {
@@ -39,11 +42,23 @@ func LogicalPropagate(ctx context.Context, cc *engine.CompiledCircuit, cycles, v
 	lastMask := tr.LastMask()
 	nGates := len(c.Gates)
 	pos := c.Outputs()
-	par.ForChunks(nFlops, workers, 1, func(lo, hi int) {
-		vals := make([]uint64, nGates*nW)
-		st := make([]uint64, nFlops*nW)
-		next := make([]uint64, nFlops*nW)
+	nw := par.Workers(workers)
+	if nw > nFlops {
+		nw = nFlops
+	}
+	type scratch struct{ vals, st, next []uint64 }
+	scratches := make([]scratch, nw)
+	for i := range scratches {
+		scratches[i] = scratch{
+			vals: make([]uint64, nGates*nW),
+			st:   make([]uint64, nFlops*nW),
+			next: make([]uint64, nFlops*nW),
+		}
+	}
+	par.Each(nFlops, nw, 1, func(worker, lo, hi int) {
+		vals := scratches[worker].vals
 		for fi := lo; fi < hi; fi++ {
+			st, next := scratches[worker].st, scratches[worker].next
 			if ctx.Err() != nil {
 				return // the post-pool ctx check reports the cancellation
 			}

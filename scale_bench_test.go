@@ -83,12 +83,10 @@ func BenchmarkCompile1M(b *testing.B) {
 
 // BenchmarkAnalyze1M measures bounded-memory sensitization on the
 // 1M-gate netlist: 2048 random vectors under the default 2 GiB
-// transient budget, which forces both degradation modes — the cone
-// arena overflows maxConeEntries (cones are walked on the fly) and
-// the vector words are processed in chunks through recycled arenas.
-// The pinned pij-mass metric is deterministic (the chunked DP is
-// bit-identical to the unbounded one), so the scale job checks the
-// result, not just the footprint.
+// transient budget, with one fanin-cone walk per primary output and
+// no per-circuit cone arena. The pinned pij-mass metric is
+// deterministic (the DP is bit-identical at every budget and worker
+// count), so the scale job checks the result, not just the footprint.
 func BenchmarkAnalyze1M(b *testing.B) {
 	text := requireScaleBench(b)
 	cc, err := engine.CompileStream(bytes.NewReader(text), "scale1m")

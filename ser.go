@@ -64,8 +64,8 @@ type Circuit = ckt.Circuit
 
 // Compiled is a reusable analysis handle: the circuit plus every
 // artifact derivable from the netlist alone (topological orders,
-// levelization, fanout-cone arenas, PO/flop column maps and — lazily,
-// keyed by vector count and seed — the sensitization statistics).
+// levelization, PO/flop column maps and — lazily, keyed by vector
+// count and seed — the sensitization statistics).
 // Compile once, then run any number of Analyze/AnalyzeSequential/
 // Optimize calls against the handle, concurrently if desired: the
 // expensive netlist-only precomputation is paid once and shared, and
@@ -373,11 +373,12 @@ type AnalysisOptions struct {
 	// Size sizes every gate uniformly when Cells is nil (default:
 	// speed-driven baseline sizing).
 	Cells aserta.Assignment
-	// Lean runs the analysis in pooled scratch: U and the per-gate
-	// report are bit-identical, but the report's Raw() analysis
-	// retains no WS/Wij tables (SpectrumU is unavailable and
-	// RecomputeU is non-incremental). The serving tier's default —
-	// it cuts tens of MB of per-request allocation on large circuits.
+	// Lean runs the electrical pass in per-worker column scratch: U
+	// and the per-gate report are bit-identical, but the report's
+	// Raw() analysis retains no WS/Wij tables (SpectrumU is
+	// unavailable and RecomputeU is non-incremental). The serving
+	// tier's default — it cuts tens of MB of per-request allocation on
+	// large circuits.
 	Lean bool
 	// Approx, when non-nil, switches to the sampled analysis mode:
 	// U is estimated from independent vector batches with a Student-t

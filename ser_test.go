@@ -77,6 +77,54 @@ func TestAnalyzeC17(t *testing.T) {
 	}
 }
 
+// TestLeanMatchesFull pins the Lean analysis mode — the serving tier's
+// default, which keeps only per-worker column scratch in the
+// electrical pass — to the full mode that retains the WS/Wij tables:
+// U, every per-gate report and the susceptibility ranking must be
+// exactly equal, from a few hundred to a few thousand gates.
+func TestLeanMatchesFull(t *testing.T) {
+	for _, name := range []string{"c432", "c1355", "c2670", "c7552"} {
+		c, err := Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := Compile(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := AnalysisOptions{Vectors: 2000, Seed: 3}
+		full, err := sys().AnalyzeCompiled(h, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Lean = true
+		lean, err := sys().AnalyzeCompiled(h, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lean.Raw().WS != nil || lean.Raw().Wij != nil {
+			t.Fatalf("%s: Lean report retains its WS/Wij tables", name)
+		}
+		if lean.U != full.U {
+			t.Fatalf("%s: Lean U = %v, full %v", name, lean.U, full.U)
+		}
+		if len(lean.Gates) != len(full.Gates) {
+			t.Fatalf("%s: Lean has %d gate reports, full %d", name, len(lean.Gates), len(full.Gates))
+		}
+		for i := range full.Gates {
+			if lean.Gates[i] != full.Gates[i] {
+				t.Fatalf("%s: gate %d: Lean %+v, full %+v", name, i, lean.Gates[i], full.Gates[i])
+			}
+		}
+		ls, fs := lean.Susceptibility(), full.Susceptibility()
+		for i := range fs {
+			if ls[i] != fs[i] {
+				t.Fatalf("%s: rank %d: Lean %+v, full %+v", name, i, ls[i], fs[i])
+			}
+		}
+	}
+}
+
 func TestOptimizeC17(t *testing.T) {
 	c, _ := Benchmark("c17")
 	res, err := sys().Optimize(c, OptimizeOptions{
