@@ -38,8 +38,9 @@
 // previously-seen netlist from disk (mmap'd read-only where the
 // platform allows) without recompiling. Corrupt artifacts are
 // detected, removed and recompiled. -sens-mem-budget bounds the
-// transient memory of one sensitization analysis; larger jobs run in
-// chunks with bit-identical results.
+// transient memory of one sensitization analysis and sizes the fault
+// groups of the sequential fault chase; larger jobs run in chunks or
+// groups with bit-identical results.
 //
 // With -route, the process runs as a multi-node coordinator instead of
 // an analysis shard: it speaks the same wire protocol but
@@ -91,7 +92,7 @@ func main() {
 		libcache    = flag.String("libcache", "", "JSON library cache (loaded if present, saved on shutdown)")
 		ckktCache   = flag.Int64("compiled-cache-gates", 500000, "compiled-circuit cache budget (total gate records; 0 = default)")
 		artifactDir = flag.String("artifact-dir", "", "persistent compiled-circuit artifact directory (empty = compile from scratch after every restart)")
-		sensBudget  = flag.Int64("sens-mem-budget", 0, "sensitization transient-memory budget in bytes (0 = default 2 GiB; oversized analyses run chunked)")
+		sensBudget  = flag.Int64("sens-mem-budget", 0, "transient-memory budget in bytes for sensitization and the sequential fault chase (0 = default 2 GiB; oversized sensitization runs chunked, the chase in fault groups)")
 		journalDir  = flag.String("journal", "", "durable job journal directory (empty = async jobs are lost on restart)")
 		jobTimeout  = flag.Duration("job-timeout", 15*time.Minute, "async job deadline across all attempts (negative = none)")
 		maxAttempts = flag.Int("max-attempts", 3, "execution attempts per async job before it fails terminally")

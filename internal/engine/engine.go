@@ -58,8 +58,8 @@ import (
 // oldest completed entry is evicted, so new keys are still memoized
 // (no silent recompute cliff) while retained derived memory stays at
 // most maxMemoEntries results per handle. The legitimate steady-state
-// population is tiny: one or two sensitization keys plus the cone
-// arena, the frame and depth-from-PO.
+// population is tiny: one or two sensitization keys plus the logic
+// levels, the frame and depth-from-PO.
 const maxMemoEntries = 16
 
 // CompiledCircuit is the immutable analysis artifact for one netlist.

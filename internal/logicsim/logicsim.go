@@ -40,6 +40,11 @@ const DefaultVectors = engine.DefaultVectors
 // change. The default (2 GiB) keeps every ISCAS-class workload in a
 // single chunk; serd exposes it as -sens-mem-budget. It does not
 // count the returned Result (the Pij matrix is the analysis' output).
+//
+// The sequential fault chase (strike.LogicalPropagate) sizes its
+// fault groups by the same budget: the worst case of a group, every
+// live fault differing in every flop, must fit it across the chase's
+// workers. At the default every ISCAS-89 circuit runs as one group.
 var DefaultSensBudgetBytes = int64(2) << 30
 
 // minChunkWords is the smallest chunk width worth paying a cone
@@ -53,7 +58,7 @@ func Evaluate(c *ckt.Circuit, inputs []bool) ([]bool, error) {
 		return nil, fmt.Errorf("logicsim: %d inputs for %d PIs", len(inputs), len(c.Inputs()))
 	}
 	if c.Sequential() {
-		return nil, fmt.Errorf("logicsim: circuit %q has flip-flops; use SimulateFrames", c.Name)
+		return nil, fmt.Errorf("logicsim: circuit %q has flip-flops; use the sequential analysis (seq.Analyze, ser.AnalyzeSequential)", c.Name)
 	}
 	val := make([]bool, len(c.Gates))
 	for i, id := range c.Inputs() {
@@ -186,7 +191,7 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 		nVectors = DefaultVectors
 	}
 	if c.Sequential() {
-		return nil, fmt.Errorf("logicsim: circuit %q has flip-flops; analyze its combinational frame (seq.BuildFrame) or use SimulateFrames", c.Name)
+		return nil, fmt.Errorf("logicsim: circuit %q has flip-flops; analyze its combinational frame (seq.BuildFrame) or use the sequential analysis (seq.Analyze, ser.AnalyzeSequential)", c.Name)
 	}
 	order := cc.TopoOrder()
 	nGates := len(c.Gates)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ckt"
+	"repro/internal/gen"
 	"repro/internal/stats"
 )
 
@@ -266,5 +267,15 @@ func BenchmarkAnalyzeC17(b *testing.B) {
 		if _, err := Analyze(c, 10000, stats.NewRNG(1)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestAnalyzeRejectsSequential(t *testing.T) {
+	c := gen.S27()
+	if _, err := Analyze(c, 100, stats.NewRNG(1)); err == nil {
+		t.Fatal("Analyze accepted a sequential circuit")
+	}
+	if _, err := Evaluate(c, make([]bool, len(c.Inputs()))); err == nil {
+		t.Fatal("Evaluate accepted a sequential circuit")
 	}
 }

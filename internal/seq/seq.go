@@ -14,10 +14,11 @@
 //     pin the glitch is captured into state with probability
 //     min(W_if, Tclk)/Tclk;
 //  3. once captured, propagated as a full-cycle logical fault through
-//     subsequent frames — bit-parallel fault simulation against the
-//     fault-free trace (logicsim.SimulateFrames) — until it reaches a
-//     primary output or dies, each wrong latched PO value counting as
-//     one full clock period of error width.
+//     subsequent frames — event-driven, bit-parallel fault simulation
+//     against the fault-free run (strike.LogicalPropagate), which
+//     re-evaluates only the gates the fault disturbs — until it
+//     reaches a primary output or dies, each wrong latched PO value
+//     counting as one full clock period of error width.
 //
 // The per-cycle unreliability is therefore
 //
@@ -30,8 +31,8 @@
 //
 // Determinism: for a fixed seed the result is bit-identical between
 // the serial and worker-pool paths — the sensitization statistics
-// reuse logicsim's order-stable arenas and the per-flop fault
-// propagation writes disjoint slots.
+// reuse logicsim's order-stable arenas, and the fault chase sums
+// integer per-flop error counts over vector chunks.
 package seq
 
 import (
@@ -85,9 +86,10 @@ type Options struct {
 	// means all zeros.
 	InitState []bool
 	// Workers bounds the fault-propagation worker pool (<= 0: one per
-	// CPU); the sensitization simulation runs through the compiled
-	// handle's memo at full parallelism either way. Results are
-	// bit-identical for any count.
+	// CPU), whose workers split the vector set into chunks of at most
+	// 1,024 vectors; the sensitization simulation runs through the
+	// compiled handle's memo at full parallelism either way. Results
+	// are bit-identical for any count.
 	Workers int
 	// Cells overrides the per-gate cell assignment (indexed by gate
 	// ID, which the frame preserves). Nil selects the speed-driven
@@ -192,7 +194,7 @@ func AnalyzeCompiledContext(ctx context.Context, cc *engine.CompiledCircuit, lib
 	opts = opts.withDefaults()
 	c := cc.Circuit()
 	if opts.InitState != nil && len(opts.InitState) != len(c.DFFs()) {
-		// SimulateFrames checks this too, but only when flops exist;
+		// LogicalPropagate checks this too, but only when flops exist;
 		// validating here keeps a bogus InitState from being silently
 		// ignored on combinational circuits.
 		return nil, fmt.Errorf("seq: initState has %d bits for %d flops", len(opts.InitState), len(c.DFFs()))

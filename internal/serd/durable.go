@@ -494,7 +494,7 @@ func (s *Server) rebuildRun(js *journal.JobState) (func(ctx context.Context) (an
 			return nil, err
 		}
 		req.Netlist = netlist
-		ld, err := s.loadCompiled(req.Circuit, req.Netlist, req.Name)
+		ld, err := s.loadCombinational(req.Circuit, req.Netlist, req.Name)
 		if err != nil {
 			return nil, err
 		}

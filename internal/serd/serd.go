@@ -91,13 +91,14 @@ type Config struct {
 	// MaxVectors caps a request's random-vector count (default 200000).
 	MaxVectors int
 	// MaxCycles caps a sequential request's multi-cycle horizon
-	// (default 1024) — fault propagation costs one frame evaluation
-	// per flop per cycle.
+	// (default 1024) — in the worst case, a fault that never dies,
+	// fault propagation costs one frame evaluation per flop per cycle.
 	MaxCycles int
-	// MaxSeqFrames caps a sequential request's total fault-propagation
-	// work, cycles × flops frame evaluations (default 65536). The
-	// per-axis limits alone would let one request multiply MaxGates ×
-	// MaxVectors work by another factor of millions.
+	// MaxSeqFrames caps a sequential request's worst-case
+	// fault-propagation work, cycles × flops frame evaluations
+	// (default 65536). The per-axis limits alone would let one request
+	// multiply MaxGates × MaxVectors work by another factor of
+	// millions.
 	MaxSeqFrames int
 	// MaxBatchItems caps the total item count of one batch request
 	// (default 64).
@@ -546,14 +547,19 @@ func (s *Server) checkApprox(approx *serclient.ApproxRequest, cycles int) error 
 }
 
 // checkSequentialShape enforces the limits that need the resolved
-// circuit: the init_state length and the joint cycles × flops work
-// budget (fault propagation costs one frame evaluation per flop per
-// cycle, so the per-axis caps alone would not bound a request's work).
+// circuit: a circuit with flops needs the sequential flow (cycles >=
+// 1), the init_state length must match, and the joint cycles × flops
+// work budget holds (fault propagation costs at most one frame
+// evaluation per flop per cycle, so the per-axis caps alone would not
+// bound a request's work).
 func (s *Server) checkSequentialShape(c *ser.Circuit, cycles int, initState []bool) error {
+	flops := len(c.DFFs())
 	if cycles == 0 {
+		if flops > 0 {
+			return fmt.Errorf("circuit %q has %d flip-flops; set cycles >= 1 to run the sequential analysis", c.Name, flops)
+		}
 		return nil
 	}
-	flops := len(c.DFFs())
 	if n := len(initState); n > 0 && n != flops {
 		return fmt.Errorf("init_state has %d bits for %d flops", n, flops)
 	}
@@ -939,6 +945,22 @@ func (s *Server) loadChecked(circuit, netlist, name string, cycles int, initStat
 	return ld, nil
 }
 
+// loadCombinational resolves an optimize request's circuit like
+// loadCompiled and rejects a netlist with flops: SERTOPT sizes
+// combinational logic only, so flops are a client error, not a failed
+// job. Sync, async, batch and journal replay all resolve through it.
+func (s *Server) loadCombinational(circuit, netlist, name string) (loaded, error) {
+	ld, err := s.loadCompiled(circuit, netlist, name)
+	if err != nil {
+		return ld, err
+	}
+	c := ld.h.Circuit()
+	if flops := len(c.DFFs()); flops > 0 {
+		return ld, fmt.Errorf("circuit %q has %d flip-flops; optimize supports combinational circuits only", c.Name, flops)
+	}
+	return ld, nil
+}
+
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req serclient.OptimizeRequest
 	if !s.decode(w, r, &req) {
@@ -948,7 +970,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ld, err := s.loadCompiled(req.Circuit, req.Netlist, req.Name)
+	ld, err := s.loadCombinational(req.Circuit, req.Netlist, req.Name)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1030,7 +1052,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Optimize[i].Error = err.Error()
 			continue
 		}
-		ld, err := s.loadCompiled(or.Circuit, or.Netlist, or.Name)
+		ld, err := s.loadCombinational(or.Circuit, or.Netlist, or.Name)
 		if err != nil {
 			resp.Optimize[i].Error = err.Error()
 			continue

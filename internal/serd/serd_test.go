@@ -572,7 +572,7 @@ func TestSequentialRoundTrip(t *testing.T) {
 // init_state without cycles, and the combinational flow rejecting
 // sequential netlists with a 4xx (not a 5xx).
 func TestSequentialValidation(t *testing.T) {
-	_, _, cl, done := newTestServer(t, Config{Workers: 1, MaxCycles: 8, MaxSeqFrames: 12})
+	_, srv, cl, done := newTestServer(t, Config{Workers: 1, MaxCycles: 8, MaxSeqFrames: 12})
 	defer done()
 	ctx := context.Background()
 
@@ -595,16 +595,52 @@ func TestSequentialValidation(t *testing.T) {
 	if _, err := cl.Analyze(ctx, serclient.AnalyzeRequest{Circuit: "c17", InitState: []bool{true}}); !serclient.IsStatus(err, http.StatusBadRequest) {
 		t.Errorf("init_state without cycles: got %v, want 400", err)
 	}
-	// A sequential netlist through the combinational flow fails the
-	// job (500 with the AnalyzeSequential hint), not the transport.
-	_, err := cl.Analyze(ctx, serclient.AnalyzeRequest{Circuit: "s27", Vectors: 200})
-	if err == nil || !strings.Contains(err.Error(), "AnalyzeSequential") {
-		t.Errorf("sequential circuit in combinational flow: got %v", err)
+	// A sequential netlist through a combinational flow (cycles 0, or
+	// optimize) is a client error: 400 naming the flops, sync or async.
+	wantFlops := func(what string, err error) {
+		t.Helper()
+		if !serclient.IsStatus(err, http.StatusBadRequest) || !strings.Contains(err.Error(), "3 flip-flops") {
+			t.Errorf("%s: got %v, want 400 naming the 3 flip-flops", what, err)
+		}
 	}
-	// Optimize must reject flops outright.
+	_, err := cl.Analyze(ctx, serclient.AnalyzeRequest{Circuit: "s27", Vectors: 200})
+	wantFlops("analyze", err)
+	_, err = cl.Susceptibility(ctx, serclient.SusceptibilityRequest{Circuit: "s27", Vectors: 200})
+	wantFlops("susceptibility", err)
 	_, err = cl.Optimize(ctx, serclient.OptimizeRequest{Circuit: "s27", Vectors: 200})
-	if err == nil {
-		t.Error("optimize accepted a sequential circuit")
+	wantFlops("optimize", err)
+	_, err = cl.AnalyzeAsync(ctx, serclient.AnalyzeRequest{Circuit: "s27", Vectors: 200})
+	wantFlops("async analyze", err)
+	_, err = cl.SusceptibilityAsync(ctx, serclient.SusceptibilityRequest{Circuit: "s27", Vectors: 200})
+	wantFlops("async susceptibility", err)
+	_, err = cl.OptimizeAsync(ctx, serclient.OptimizeRequest{Circuit: "s27", Vectors: 200})
+	wantFlops("async optimize", err)
+	srv.jobs.mu.Lock()
+	jobs := len(srv.jobs.order)
+	srv.jobs.mu.Unlock()
+	if jobs != 0 {
+		t.Errorf("rejected submissions created %d jobs", jobs)
+	}
+	// In a batch, each such item fails on its own.
+	resp, err := cl.Batch(ctx, serclient.BatchRequest{
+		Analyze:        []serclient.AnalyzeRequest{{Circuit: "s27", Vectors: 200}, {Circuit: "c17", Vectors: 200}},
+		Optimize:       []serclient.OptimizeRequest{{Circuit: "s27", Vectors: 200}},
+		Susceptibility: []serclient.SusceptibilityRequest{{Circuit: "s27", Vectors: 200}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, msg := range map[string]string{
+		"batch analyze":        resp.Analyze[0].Error,
+		"batch optimize":       resp.Optimize[0].Error,
+		"batch susceptibility": resp.Susceptibility[0].Error,
+	} {
+		if !strings.Contains(msg, "3 flip-flops") {
+			t.Errorf("%s: item error %q, want one naming the 3 flip-flops", what, msg)
+		}
+	}
+	if resp.Analyze[1].Error != "" || resp.Analyze[1].Result == nil {
+		t.Errorf("combinational batch item failed: %q", resp.Analyze[1].Error)
 	}
 }
 

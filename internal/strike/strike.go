@@ -21,9 +21,10 @@
 //	                  the clock period is certainly latched. Clamp,
 //	                  GateU and the Reduce/ReduceSequential reducers.
 //	LogicalPropagate  the sequential multi-cycle fault chase: a fault
-//	                  captured into a flop is simulated against a
-//	                  fault-free trace until it reaches a primary
-//	                  output or dies.
+//	                  captured into a flop is simulated against the
+//	                  fault-free run, event-driven over the gates it
+//	                  disturbs, until it reaches a primary output or
+//	                  dies.
 //	Reduce            deterministic accumulation into per-gate U
 //	                  contributions — a first-class output, ranked into
 //	                  the per-gate susceptibility product by Rank.
@@ -37,8 +38,8 @@
 // Determinism: for a fixed seed every stage is bit-identical between
 // its serial and parallel paths — the electrical pass partitions PO
 // columns (each worker owns all rows of its columns), the fault chase
-// writes disjoint per-flop slots, and the reducers accumulate in
-// netlist order.
+// sums integer per-flop error counts over vector chunks, and the
+// reducers accumulate in netlist order.
 package strike
 
 import (
