@@ -203,15 +203,9 @@ func Analyze(c *ckt.Circuit, lib *charlib.Library, cells Assignment, cfg Config)
 // handle.
 func AnalyzeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells Assignment, cfg Config) (*Analysis, error) {
 	cfg = cfg.withDefaults()
-	c := cc.Circuit()
-	if c.Sequential() {
-		return nil, fmt.Errorf("aserta: circuit %q has flip-flops; analyze its combinational frame (internal/seq)", c.Name)
+	if err := checkShape(cc.Circuit(), len(cells)); err != nil {
+		return nil, err
 	}
-	if len(cells) != len(c.Gates) {
-		return nil, fmt.Errorf("aserta: %d cells for %d gates", len(cells), len(c.Gates))
-	}
-	a := &Analysis{Circuit: c, cc: cc, Cells: cells, Config: cfg}
-
 	// Stage 1: EnumerateSources — loads, delays, generated widths and
 	// flux weights from the cell assignment.
 	endSources := trace.StartStage(cfg.Spans, "strike.sources")
@@ -219,8 +213,42 @@ func AnalyzeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells Ass
 	if err != nil {
 		return nil, err
 	}
-	a.Loads, a.Delays, a.GenWidth, a.Flux = src.Loads, src.Delays, src.GenWidth, src.Flux
 	endSources()
+	return AnalyzeSources(cc, cells, src, cfg)
+}
+
+// checkShape rejects sequential circuits and assignments of the wrong
+// length.
+func checkShape(c *ckt.Circuit, nCells int) error {
+	if c.Sequential() {
+		return fmt.Errorf("aserta: circuit %q has flip-flops; analyze its combinational frame (internal/seq)", c.Name)
+	}
+	if nCells != len(c.Gates) {
+		return fmt.Errorf("aserta: %d cells for %d gates", nCells, len(c.Gates))
+	}
+	return nil
+}
+
+// AnalyzeSources runs the flow after its first stage: src must be what
+// strike.EnumerateSources derives from cells at cfg.POLoad. It lets a
+// caller that already knows every gate's load, delay, generated width
+// and flux weight — SERTOPT's matcher computes them while choosing the
+// cells — skip re-deriving them; AnalyzeCompiled is EnumerateSources
+// followed by this. The analysis keeps src's slices as its Loads,
+// Delays, GenWidth and Flux.
+func AnalyzeSources(cc *engine.CompiledCircuit, cells Assignment, src *strike.Sources, cfg Config) (*Analysis, error) {
+	cfg = cfg.withDefaults()
+	c := cc.Circuit()
+	if err := checkShape(c, len(cells)); err != nil {
+		return nil, err
+	}
+	for _, s := range [][]float64{src.Loads, src.Delays, src.GenWidth, src.Flux} {
+		if len(s) != len(c.Gates) {
+			return nil, fmt.Errorf("aserta: source slice of %d entries for %d gates", len(s), len(c.Gates))
+		}
+	}
+	a := &Analysis{Circuit: c, cc: cc, Cells: cells, Config: cfg}
+	a.Loads, a.Delays, a.GenWidth, a.Flux = src.Loads, src.Delays, src.GenWidth, src.Flux
 
 	if cfg.PrecomputedSens != nil {
 		a.Sens = cfg.PrecomputedSens
@@ -230,11 +258,12 @@ func AnalyzeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells Ass
 		// the sequential engine's frames) run the simulation once per
 		// (vectors, seed) pair.
 		endSens := trace.StartStage(cfg.Spans, "logicsim.sensitization")
-		a.Sens, err = logicsim.Sensitization(cc, cfg.Vectors, cfg.Seed)
+		sens, err := logicsim.Sensitization(cc, cfg.Vectors, cfg.Seed)
 		endSens()
 		if err != nil {
 			return nil, err
 		}
+		a.Sens = sens
 	}
 
 	// Stage 2: ElectricalFilter — the §3.2 reverse-topological pass

@@ -1,7 +1,5 @@
 package ckt
 
-import "sort"
-
 // Path is a sequence of gate IDs from a primary-input pseudo-gate (or
 // the first logic gate after it) to a primary-output gate, in circuit
 // order. Paths contain logic gates only; the PI pseudo-gate is
@@ -16,13 +14,23 @@ type Path []int
 //
 // The traversal itself is bounded: a depth-first walk that aborts
 // branch expansion once maxPaths*overscan candidates are collected,
-// then sorts by length and truncates.
+// then keeps the longest maxPaths of them.
 func (c *Circuit) EnumeratePaths(maxPaths int) []Path {
 	const overscan = 4
 	budget := -1
 	if maxPaths > 0 {
 		budget = maxPaths * overscan
 	}
+	out := c.walkPaths(budget)
+	if maxPaths > 0 && len(out) > maxPaths {
+		out = longestFirst(out, maxPaths)
+	}
+	return out
+}
+
+// walkPaths lists PI-to-PO paths depth-first, in primary-input order,
+// stopping once budget of them are collected (budget <= 0: no limit).
+func (c *Circuit) walkPaths(budget int) []Path {
 	var out []Path
 	var walk func(id int, cur []int) bool
 	walk = func(id int, cur []int) bool {
@@ -56,9 +64,34 @@ func (c *Circuit) EnumeratePaths(maxPaths int) []Path {
 			break
 		}
 	}
-	if maxPaths > 0 && len(out) > maxPaths {
-		sort.SliceStable(out, func(i, j int) bool { return len(out[i]) > len(out[j]) })
-		out = out[:maxPaths]
+	return out
+}
+
+// longestFirst returns the n longest paths, longest first, with equal
+// lengths kept in enumeration order: a stable bucket sort by length,
+// the order sort.SliceStable on descending length gives.
+func longestFirst(paths []Path, n int) []Path {
+	maxLen := 0
+	for _, p := range paths {
+		if len(p) > maxLen {
+			maxLen = len(p)
+		}
+	}
+	// next[l] is the output slot of the next path of length l.
+	next := make([]int, maxLen+1)
+	for _, p := range paths {
+		next[len(p)]++
+	}
+	slot := 0
+	for l := maxLen; l >= 0; l-- {
+		next[l], slot = slot, slot+next[l]
+	}
+	out := make([]Path, n)
+	for _, p := range paths {
+		if i := next[len(p)]; i < n {
+			out[i] = p
+		}
+		next[len(p)]++
 	}
 	return out
 }

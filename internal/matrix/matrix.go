@@ -131,9 +131,15 @@ func (m *Dense) swapRows(a, b int) {
 // RREF free variables. The result has one []float64 per basis vector,
 // each of length Cols(). An empty result means the nullspace is {0}.
 func (m *Dense) Nullspace() [][]float64 {
+	return m.Clone().NullspaceInPlace()
+}
+
+// NullspaceInPlace is Nullspace without the working copy: it reduces m
+// itself to reduced row echelon form, overwriting it, which saves one
+// rows×cols allocation when the caller has no further use for m.
+func (m *Dense) NullspaceInPlace() [][]float64 {
 	const eps = 1e-10
-	r := m.Clone()
-	pivots := r.rref(eps)
+	pivots := m.rref(eps)
 	isPivot := make(map[int]int) // col -> pivot row
 	for row, c := range pivots {
 		isPivot[c] = row
@@ -146,7 +152,7 @@ func (m *Dense) Nullspace() [][]float64 {
 		v := make([]float64, m.cols)
 		v[c] = 1
 		for pc, row := range isPivot {
-			v[pc] = -r.At(row, c)
+			v[pc] = -m.At(row, c)
 		}
 		// Normalize for numerical hygiene.
 		norm := 0.0

@@ -193,3 +193,36 @@ func TestNewDensePanics(t *testing.T) {
 	}()
 	NewDense(0, 3)
 }
+
+// NullspaceInPlace must return Nullspace's basis bit for bit, and
+// Nullspace must leave its receiver untouched.
+func TestNullspaceInPlaceMatchesNullspace(t *testing.T) {
+	rng := stats.NewRNG(11)
+	for trial := 0; trial < 50; trial++ {
+		rows, cols := 1+rng.Intn(12), 1+rng.Intn(12)
+		m := NewDense(rows, cols)
+		for i := range m.data {
+			if rng.Float64() < 0.4 {
+				m.data[i] = 1
+			}
+		}
+		orig := m.Clone()
+		want := m.Nullspace()
+		for i := range m.data {
+			if math.Float64bits(m.data[i]) != math.Float64bits(orig.data[i]) {
+				t.Fatalf("trial %d: Nullspace modified its receiver", trial)
+			}
+		}
+		got := m.NullspaceInPlace()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d vectors, want %d", trial, len(got), len(want))
+		}
+		for k := range want {
+			for j := range want[k] {
+				if math.Float64bits(got[k][j]) != math.Float64bits(want[k][j]) {
+					t.Fatalf("trial %d: vector %d differs at %d: %g vs %g", trial, k, j, got[k][j], want[k][j])
+				}
+			}
+		}
+	}
+}

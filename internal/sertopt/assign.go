@@ -2,11 +2,13 @@ package sertopt
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/aserta"
 	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/engine"
+	"repro/internal/strike"
 )
 
 // MatchConfig bounds the discrete cell search during delay matching.
@@ -48,80 +50,274 @@ func MatchDelays(c *ckt.Circuit, lib *charlib.Library, desired []float64, cfg Ma
 }
 
 // MatchDelaysCompiled is MatchDelays over a pre-compiled circuit,
-// reusing the handle's reverse topological order — the optimizer calls
-// it once per cost evaluation.
+// reusing the handle's reverse topological order.
 func MatchDelaysCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, desired []float64, cfg MatchConfig) (aserta.Assignment, error) {
-	c := cc.Circuit()
-	if len(desired) != len(c.Gates) {
-		return nil, fmt.Errorf("sertopt: %d desired delays for %d gates", len(desired), len(c.Gates))
+	if len(desired) != len(cc.Circuit().Gates) {
+		return nil, fmt.Errorf("sertopt: %d desired delays for %d gates", len(desired), len(cc.Circuit().Gates))
 	}
+	m := newMatcher(cc, lib, cfg)
+	if err := m.match(desired); err != nil {
+		return nil, err
+	}
+	return m.cells, nil
+}
+
+// cellTable interns every cell one optimization run can assign to a
+// dense ID: each gate class's menu, built once per class, and each
+// gate's hint. A cell's load-independent properties are read once per
+// run, through the library's own methods, when the cell is first
+// assigned, so every value carries the library's bits.
+type cellTable struct {
+	cells []charlib.Cell
+	props []cellProps
+	// loaded[id] reports whether props[id] has been read.
+	loaded []bool
+	// hint[g] is gate g's hint cell (-1 for none) and menu[g] its class
+	// menu: the candidates of gate g, in the order they are considered.
+	hint []int32
+	menu [][]int32
+}
+
+// cellProps are the load-independent properties of one cell.
+type cellProps struct {
+	inCap, selfCap, power, area, flux, vdd float64
+}
+
+func newCellTable(c *ckt.Circuit, lib *charlib.Library, cfg MatchConfig) *cellTable {
+	t := &cellTable{hint: make([]int32, len(c.Gates)), menu: make([][]int32, len(c.Gates))}
+	index := make(map[charlib.Cell]int32)
+	intern := func(cell charlib.Cell) int32 {
+		id, ok := index[cell]
+		if !ok {
+			id = int32(len(t.cells))
+			index[cell] = id
+			t.cells = append(t.cells, cell)
+		}
+		return id
+	}
+	menus := make(map[charlib.Class][]int32)
+	for _, g := range c.Gates {
+		t.hint[g.ID] = -1
+		if g.Type == ckt.Input {
+			continue
+		}
+		if cfg.Hints != nil && cfg.Hints[g.ID].Size > 0 {
+			t.hint[g.ID] = intern(cfg.Hints[g.ID])
+		}
+		cl := charlib.Class{Type: g.Type, Fanin: len(g.Fanin)}
+		menu, ok := menus[cl]
+		if !ok {
+			for _, cell := range lib.Menu(cl, cfg.VDDs, cfg.Vths, cfg.MaxSize) {
+				menu = append(menu, intern(cell))
+			}
+			menus[cl] = menu
+		}
+		t.menu[g.ID] = menu
+	}
+	t.props = make([]cellProps, len(t.cells))
+	t.loaded = make([]bool, len(t.cells))
+	return t
+}
+
+// use returns cell id's properties, reading them on first use.
+func (t *cellTable) use(lib *charlib.Library, id int32) (*cellProps, error) {
+	p := &t.props[id]
+	if t.loaded[id] {
+		return p, nil
+	}
+	cell := t.cells[id]
+	var err error
+	if p.inCap, err = lib.InputCap(cell); err != nil {
+		return nil, err
+	}
+	if p.selfCap, err = lib.SelfCap(cell); err != nil {
+		return nil, err
+	}
+	if p.power, err = lib.StaticPower(cell); err != nil {
+		return nil, err
+	}
+	p.area = lib.Area(cell)
+	p.flux = cell.FluxWeight()
+	p.vdd = cell.VDD
+	t.loaded[id] = true
+	return p, nil
+}
+
+// assignment expands a cell-ID vector (-1 for primary inputs) into
+// cells.
+func (t *cellTable) assignment(ids []int32) aserta.Assignment {
+	cells := make(aserta.Assignment, len(ids))
+	for g, id := range ids {
+		if id >= 0 {
+			cells[g] = t.cells[id]
+		}
+	}
+	return cells
+}
+
+// matcher is the §4 delay matcher over one run's cell table. It keeps
+// each gate's decision together with the inputs that fixed it — the
+// desired delay, the load and the highest successor VDD, by their bits
+// — and on the next call re-decides only the gates where one of them
+// changed: the chosen cell, its delay and its generated glitch width
+// depend on nothing else.
+type matcher struct {
+	cc     *engine.CompiledCircuit
+	lib    *charlib.Library
+	t      *cellTable
+	poLoad float64
+	// ids[g] is gate g's cell ID (-1 for primary inputs, and before
+	// the gate's first decision); cells spells the same assignment out.
+	ids   []int32
+	cells aserta.Assignment
+	// src holds what strike.EnumerateSources derives from cells.
+	src strike.Sources
+	// key[g] holds the inputs ids[g] was decided under, once ids[g] is
+	// set.
+	key      []matchKey
+	assigned []bool
+}
+
+// matchKey is the bits of one gate's decision inputs.
+type matchKey struct{ desired, load, succVDD uint64 }
+
+func newMatcher(cc *engine.CompiledCircuit, lib *charlib.Library, cfg MatchConfig) *matcher {
 	if len(cfg.VDDs) == 0 {
 		cfg.VDDs = []float64{lib.Tech.VDDnom}
 	}
 	if len(cfg.Vths) == 0 {
 		cfg.Vths = []float64{lib.Tech.Vthnom}
 	}
-	order := cc.ReverseTopoOrder()
-	cells := make(aserta.Assignment, len(c.Gates))
-	assigned := make([]bool, len(c.Gates))
-	for _, id := range order {
+	c := cc.Circuit()
+	n := len(c.Gates)
+	m := &matcher{
+		cc:     cc,
+		lib:    lib,
+		t:      newCellTable(c, lib, cfg),
+		poLoad: cfg.POLoad,
+		ids:    make([]int32, n),
+		cells:  make(aserta.Assignment, n),
+		src: strike.Sources{
+			Loads:    make([]float64, n),
+			Delays:   make([]float64, n),
+			GenWidth: make([]float64, n),
+			Flux:     make([]float64, n),
+		},
+		key:      make([]matchKey, n),
+		assigned: make([]bool, n),
+	}
+	for i := range m.ids {
+		m.ids[i] = -1
+	}
+	return m
+}
+
+// match assigns every gate the cell whose delay under its load comes
+// closest to desired (indexed by gate ID, PI entries ignored), walking
+// from the POs to the PIs. Afterwards src matches what
+// strike.EnumerateSources derives from the cells, primary-input loads
+// included.
+func (m *matcher) match(desired []float64) error {
+	c := m.cc.Circuit()
+	clear(m.assigned)
+	for _, id := range m.cc.ReverseTopoOrder() {
 		g := c.Gates[id]
 		if g.Type == ckt.Input {
 			continue
 		}
-		// Load: every fanout gate is later in topological order, hence
-		// already assigned in this reverse walk.
-		load := 0.0
-		minSuccVDD := 0.0
-		for _, s := range g.Fanout {
-			if !assigned[s] {
-				return nil, fmt.Errorf("sertopt: fanout %s of %s not yet assigned (netlist not a DAG?)", c.Gates[s].Name, g.Name)
-			}
-			cap, err := lib.InputCap(cells[s])
-			if err != nil {
-				return nil, err
-			}
-			load += cap
-			if cells[s].VDD > minSuccVDD {
-				minSuccVDD = cells[s].VDD
-			}
+		load, succVDD, err := m.load(g)
+		if err != nil {
+			return err
 		}
-		if g.PO {
-			load += cfg.POLoad
-		}
-		menu := lib.Menu(charlib.Class{Type: g.Type, Fanin: len(g.Fanin)}, cfg.VDDs, cfg.Vths, cfg.MaxSize)
-		var best charlib.Cell
-		bestErr := -1.0
-		consider := func(cell charlib.Cell) error {
-			if cell.VDD < minSuccVDD {
-				return nil // no low-VDD gate may drive a high-VDD gate
-			}
-			d, err := lib.Delay(cell, load)
-			if err != nil {
+		m.src.Loads[id] = load
+		k := matchKey{math.Float64bits(desired[id]), math.Float64bits(load), math.Float64bits(succVDD)}
+		if m.ids[id] < 0 || m.key[id] != k {
+			if err := m.decide(g, desired[id], load, succVDD); err != nil {
 				return err
 			}
-			e := absf(d - desired[id])
-			if bestErr < 0 || e < bestErr {
-				bestErr = e
-				best = cell
-			}
-			return nil
+			m.key[id] = k
 		}
-		if cfg.Hints != nil && cfg.Hints[id].Size > 0 {
-			if err := consider(cfg.Hints[id]); err != nil {
-				return nil, err
-			}
-		}
-		for _, cell := range menu {
-			if err := consider(cell); err != nil {
-				return nil, err
-			}
-		}
-		if bestErr < 0 {
-			return nil, fmt.Errorf("sertopt: no feasible cell for gate %s (succ VDD %g exceeds menu)", g.Name, minSuccVDD)
-		}
-		cells[id] = best
-		assigned[id] = true
+		m.assigned[id] = true
 	}
-	return cells, nil
+	for _, id := range c.Inputs() {
+		load, _, err := m.load(c.Gates[id])
+		if err != nil {
+			return err
+		}
+		m.src.Loads[id] = load
+	}
+	return nil
+}
+
+// load returns gate g's output load and the highest VDD among its
+// fanout cells. The load is the fanout cells' input capacitance summed
+// in fanout order, plus the latch load on a PO: strike.GateLoads'
+// summation. Every fanout gate is later in topological order, hence
+// already assigned in the reverse walk.
+func (m *matcher) load(g *ckt.Gate) (load, succVDD float64, err error) {
+	for _, s := range g.Fanout {
+		if !m.assigned[s] {
+			return 0, 0, fmt.Errorf("sertopt: fanout %s of %s not yet assigned (netlist not a DAG?)", m.cc.Circuit().Gates[s].Name, g.Name)
+		}
+		p := &m.t.props[m.ids[s]]
+		load += p.inCap
+		if p.vdd > succVDD {
+			succVDD = p.vdd
+		}
+	}
+	if g.PO {
+		load += m.poLoad
+	}
+	return load, succVDD, nil
+}
+
+// decide picks gate g's cell: its hint first, then its class menu,
+// keeping the first candidate with the smallest delay error, so a hint
+// wins ties. No cell may have a lower VDD than a successor (no level
+// shifters).
+func (m *matcher) decide(g *ckt.Gate, desired, load, succVDD float64) error {
+	best := int32(-1)
+	bestErr, bestDelay := -1.0, 0.0
+	consider := func(id int32) error {
+		cell := m.t.cells[id]
+		if cell.VDD < succVDD {
+			return nil // no low-VDD gate may drive a high-VDD gate
+		}
+		d, err := m.lib.Delay(cell, load)
+		if err != nil {
+			return err
+		}
+		e := absf(d - desired)
+		if bestErr < 0 || e < bestErr {
+			best, bestErr, bestDelay = id, e, d
+		}
+		return nil
+	}
+	if h := m.t.hint[g.ID]; h >= 0 {
+		if err := consider(h); err != nil {
+			return err
+		}
+	}
+	for _, id := range m.t.menu[g.ID] {
+		if err := consider(id); err != nil {
+			return err
+		}
+	}
+	if bestErr < 0 {
+		return fmt.Errorf("sertopt: no feasible cell for gate %s (succ VDD %g exceeds menu)", g.Name, succVDD)
+	}
+	p, err := m.t.use(m.lib, best)
+	if err != nil {
+		return err
+	}
+	w, err := m.lib.GlitchGen(m.t.cells[best], load)
+	if err != nil {
+		return fmt.Errorf("sertopt: glitch gen of %s: %v", g.Name, err)
+	}
+	m.ids[g.ID] = best
+	m.cells[g.ID] = m.t.cells[best]
+	m.src.Delays[g.ID] = bestDelay
+	m.src.GenWidth[g.ID] = w
+	m.src.Flux[g.ID] = p.flux
+	return nil
 }

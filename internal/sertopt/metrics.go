@@ -38,26 +38,54 @@ func EvaluateMetrics(c *ckt.Circuit, lib *charlib.Library, cells aserta.Assignme
 }
 
 // EvaluateMetricsCompiled is EvaluateMetrics over a pre-compiled
-// circuit, reusing the handle's topological order — the optimizer
-// calls it once per cost evaluation.
+// circuit, reusing the handle's topological order.
 func EvaluateMetricsCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells aserta.Assignment, sens *logicsim.Result, poLoad float64) (Metrics, error) {
 	c := cc.Circuit()
-	var m Metrics
 	loads, err := aserta.GateLoads(c, lib, cells, poLoad)
 	if err != nil {
-		return m, err
+		return Metrics{}, err
 	}
-	// Critical path: longest arrival over the DAG.
-	arrival := make([]float64, len(c.Gates))
-	order := cc.TopoOrder()
-	for _, id := range order {
+	delays := make([]float64, len(c.Gates))
+	for _, id := range cc.TopoOrder() {
 		g := c.Gates[id]
 		if g.Type == ckt.Input {
 			continue
 		}
-		d, err := lib.Delay(cells[id], loads[id])
-		if err != nil {
-			return m, fmt.Errorf("sertopt: delay of %s: %v", g.Name, err)
+		if delays[id], err = lib.Delay(cells[id], loads[id]); err != nil {
+			return Metrics{}, fmt.Errorf("sertopt: delay of %s: %v", g.Name, err)
+		}
+	}
+	props := make([]cellProps, len(c.Gates))
+	for _, g := range c.Gates {
+		if g.Type == ckt.Input {
+			continue
+		}
+		p := &props[g.ID]
+		if p.selfCap, err = lib.SelfCap(cells[g.ID]); err != nil {
+			return Metrics{}, err
+		}
+		if p.power, err = lib.StaticPower(cells[g.ID]); err != nil {
+			return Metrics{}, err
+		}
+		p.area = lib.Area(cells[g.ID])
+		p.vdd = cells[g.ID].VDD
+	}
+	return metricsOf(cc, sens, loads, delays, func(id int) *cellProps { return &props[id] }), nil
+}
+
+// metricsOf is the one metrics core: the critical-path delay, energy
+// and area of an assignment from every gate's load, delay and cell
+// properties (cell(id) for each non-input gate). Sums run in netlist
+// order.
+func metricsOf(cc *engine.CompiledCircuit, sens *logicsim.Result, loads, delays []float64, cell func(id int) *cellProps) Metrics {
+	c := cc.Circuit()
+	var m Metrics
+	// Critical path: longest arrival over the DAG.
+	arrival := make([]float64, len(c.Gates))
+	for _, id := range cc.TopoOrder() {
+		g := c.Gates[id]
+		if g.Type == ckt.Input {
+			continue
 		}
 		in := 0.0
 		for _, f := range g.Fanin {
@@ -65,12 +93,13 @@ func EvaluateMetricsCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, c
 				in = arrival[f]
 			}
 		}
-		arrival[id] = in + d
+		arrival[id] = in + delays[id]
 		if g.PO && arrival[id] > m.Delay {
 			m.Delay = arrival[id]
 		}
 	}
-	// Energy and area.
+	// Energy and area: activity-weighted CV² switching energy (the
+	// library's DynEnergyPerTransition) plus leakage over one period.
 	period := ClockPeriodFactor * m.Delay
 	var dyn, leakP float64
 	for _, g := range c.Gates {
@@ -81,20 +110,14 @@ func EvaluateMetricsCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, c
 		if sens != nil {
 			act = sens.Activity[g.ID]
 		}
-		e, err := lib.DynEnergyPerTransition(cells[g.ID], loads[g.ID])
-		if err != nil {
-			return m, err
-		}
+		p := cell(g.ID)
+		e := (p.selfCap + loads[g.ID]) * p.vdd * p.vdd
 		dyn += act * e
-		p, err := lib.StaticPower(cells[g.ID])
-		if err != nil {
-			return m, err
-		}
-		leakP += p
-		m.Area += lib.Area(cells[g.ID])
+		leakP += p.power
+		m.Area += p.area
 	}
 	m.Energy = dyn + leakP*period
-	return m, nil
+	return m
 }
 
 // GateDelays returns the per-gate delay vector (indexed by gate ID)

@@ -1,6 +1,7 @@
 package sertopt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -41,9 +42,11 @@ type Options struct {
 	// Method selects "sqp" (projected gradient SQP-lite, default) or
 	// "anneal" (simulated annealing).
 	Method string
-	// StepInit is the initial delay perturbation scale (s); default 4 ps.
+	// StepInit is the initial delay perturbation scale (s); default
+	// 20 ps.
 	StepInit float64
-	// ASERTAConfig tunes the embedded analyses.
+	// SampleWidths is the sample-width count of the embedded ASERTA
+	// analyses (aserta.Config.SampleWidths; 0 = its default).
 	SampleWidths int
 }
 
@@ -66,7 +69,7 @@ func (o Options) withDefaults() Options {
 	if o.StepInit == 0 {
 		// Must be comparable to the delay spacing of adjacent menu
 		// cells, or the quantized cost landscape looks flat (see the
-		// step-size ablation in EXPERIMENTS.md).
+		// CALIBRATE=1 runs in calibration_test.go).
 		o.StepInit = 20e-12
 	}
 	if o.Match.POLoad == 0 {
@@ -89,7 +92,8 @@ type Result struct {
 	Cost float64
 	// History records the accepted cost after each iteration.
 	History []float64
-	// Evaluations counts cost-function evaluations.
+	// Evaluations counts cost-function evaluations, including those
+	// answered from the run's memo of already scored assignments.
 	Evaluations int
 }
 
@@ -128,6 +132,14 @@ func Optimize(c *ckt.Circuit, lib *charlib.Library, opts Options) (*Result, erro
 // the same vectors/seed), and every inner cost evaluation reuses the
 // compiled topological orders instead of re-deriving them. Results
 // are bit-identical to Optimize.
+//
+// A cost evaluation matches cells to the candidate delays through one
+// per-run cell table, re-deciding only the gates whose matching inputs
+// changed since the previous evaluation; hands the matcher's loads,
+// delays, glitch widths and flux weights to a Lean analysis, of which
+// it keeps only U, and to the metrics core; and memoizes the cost by
+// the assignment, so a repeated assignment costs only its matching.
+// The winning assignment alone is analyzed in full.
 func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Options) (*Result, error) {
 	c := cc.Circuit()
 	if c.Sequential() {
@@ -228,6 +240,16 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 			w.A*m.Area/res.BaseMetrics.Area
 	}
 
+	// Candidate analyses keep only U, in which a Lean analysis is
+	// bit-identical to a full one (TestLeanMatchesFull); the winner is
+	// analyzed in full after the search.
+	lean := acfg
+	lean.Lean = true
+	match := newMatcher(cc, lib, opts.Match)
+	cellOf := func(id int) *cellProps { return &match.t.props[match.ids[id]] }
+	memo := make(map[string]*evalOut)
+	var key []byte
+
 	// evalTheta matches cells for d = d0 + Z·θ and scores them.
 	evalTheta := func(theta []float64) (*evalOut, error) {
 		res.Evaluations++
@@ -245,19 +267,24 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 				perGate[i] = minDelay
 			}
 		}
-		cells, err := MatchDelaysCompiled(cc, lib, perGate, opts.Match)
+		if err := match.match(perGate); err != nil {
+			return nil, err
+		}
+		key = key[:0]
+		for _, id := range match.ids {
+			key = binary.LittleEndian.AppendUint32(key, uint32(id))
+		}
+		if out, ok := memo[string(key)]; ok {
+			return out, nil
+		}
+		an, err := aserta.AnalyzeSources(cc, match.cells, &match.src, lean)
 		if err != nil {
 			return nil, err
 		}
-		an, err := aserta.AnalyzeCompiled(cc, lib, cells, acfg)
-		if err != nil {
-			return nil, err
-		}
-		m, err := EvaluateMetricsCompiled(cc, lib, cells, sens, opts.Match.POLoad)
-		if err != nil {
-			return nil, err
-		}
-		return &evalOut{cells: cells, an: an, m: m, c: cost(m, an.U)}, nil
+		m := metricsOf(cc, sens, match.src.Loads, match.src.Delays, cellOf)
+		out := &evalOut{ids: append([]int32(nil), match.ids...), m: m, c: cost(m, an.U)}
+		memo[string(key)] = out
+		return out, nil
 	}
 
 	theta := make([]float64, len(basis))
@@ -297,22 +324,23 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		}
 	}
 
-	var bestTheta = append([]float64(nil), theta...)
 	rng := stats.NewRNG(opts.Seed + 0x5e27097)
 	switch opts.Method {
 	case "sqp":
-		best, bestTheta, err = optimizeSQP(bestTheta, best, evalTheta, opts, &res.History)
+		best, err = optimizeSQP(theta, best, evalTheta, opts, &res.History)
 	case "anneal":
-		best, bestTheta, err = optimizeAnneal(bestTheta, best, evalTheta, opts, rng, &res.History)
+		best, err = optimizeAnneal(theta, best, evalTheta, opts, rng, &res.History)
 	default:
 		return nil, fmt.Errorf("sertopt: unknown method %q", opts.Method)
 	}
 	if err != nil {
 		return nil, err
 	}
-	_ = bestTheta
-	res.Optimized = best.cells
-	res.OptAnalysis = best.an
+	res.Optimized = match.t.assignment(best.ids)
+	res.OptAnalysis, err = aserta.AnalyzeCompiled(cc, lib, res.Optimized, acfg)
+	if err != nil {
+		return nil, err
+	}
 	res.OptMetrics = best.m
 	res.Cost = best.c
 	return res, nil
@@ -385,12 +413,12 @@ func gradientSeed(cc *engine.CompiledCircuit, lib *charlib.Library, topo *Topolo
 	return theta, nil
 }
 
-// evalOut bundles one cost evaluation's artifacts.
+// evalOut is one scored assignment as the memo keeps it: its cell IDs,
+// its metrics and its Eq. 5 cost.
 type evalOut struct {
-	cells aserta.Assignment
-	an    *aserta.Analysis
-	m     Metrics
-	c     float64
+	ids []int32
+	m   Metrics
+	c   float64
 }
 
 type evalFn func([]float64) (*evalOut, error)
@@ -400,7 +428,7 @@ type evalFn func([]float64) (*evalOut, error)
 // respect the timing constraint by construction, and a backtracking
 // line search provides the damping an SQP trust region would. The
 // paper used MATLAB's SQP; §4 explicitly allows other optimizers.
-func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, history *[]float64) (*evalOut, []float64, error) {
+func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, history *[]float64) (*evalOut, error) {
 	step := opts.StepInit
 	// The discrete cell menu makes the cost piecewise constant, so the
 	// difference step must be large enough to flip at least some cell
@@ -418,7 +446,7 @@ func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, hist
 			out, err := eval(theta)
 			theta[k] -= h
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			grad[k] = (out.c - best.c) / h
 			gnorm += grad[k] * grad[k]
@@ -432,7 +460,7 @@ func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, hist
 				matrix.AddScaled(cand, -step/gnorm, grad)
 				out, err := eval(cand)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				if out.c < best.c {
 					best = out
@@ -456,7 +484,7 @@ func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, hist
 					cand[k] += sign * 2 * sweep
 					out, err := eval(cand)
 					if err != nil {
-						return nil, nil, err
+						return nil, err
 					}
 					if out.c < best.c {
 						best = out
@@ -480,16 +508,15 @@ func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, hist
 			break
 		}
 	}
-	return best, theta, nil
+	return best, nil
 }
 
 // optimizeAnneal is the simulated-annealing alternative mentioned in
 // §4: coordinate-wise Gaussian perturbations accepted by the
 // Metropolis criterion under a geometric cooling schedule.
-func optimizeAnneal(theta []float64, best *evalOut, eval evalFn, opts Options, rng *stats.RNG, history *[]float64) (*evalOut, []float64, error) {
+func optimizeAnneal(theta []float64, best *evalOut, eval evalFn, opts Options, rng *stats.RNG, history *[]float64) (*evalOut, error) {
 	cur := best
 	curTheta := append([]float64(nil), theta...)
-	bestTheta := append([]float64(nil), theta...)
 	// Temperature scaled to the size of cost improvements actually
 	// seen on the quantized landscape (~1% of cost), not to the cost
 	// itself — a hotter schedule random-walks without ever locking in.
@@ -497,7 +524,7 @@ func optimizeAnneal(theta []float64, best *evalOut, eval evalFn, opts Options, r
 	cooling := 0.75
 	movesPerIter := 2 * len(theta)
 	if movesPerIter == 0 {
-		return best, theta, nil
+		return best, nil
 	}
 	for iter := 0; iter < opts.Iterations; iter++ {
 		for mv := 0; mv < movesPerIter; mv++ {
@@ -506,7 +533,7 @@ func optimizeAnneal(theta []float64, best *evalOut, eval evalFn, opts Options, r
 			cand[k] += rng.NormFloat64() * opts.StepInit
 			out, err := eval(cand)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			accept := out.c < cur.c
 			if !accept && temp > 0 {
@@ -517,14 +544,13 @@ func optimizeAnneal(theta []float64, best *evalOut, eval evalFn, opts Options, r
 				curTheta = cand
 				if out.c < best.c {
 					best = out
-					bestTheta = append([]float64(nil), cand...)
 					*history = append(*history, out.c)
 				}
 			}
 		}
 		temp *= cooling
 	}
-	return best, bestTheta, nil
+	return best, nil
 }
 
 func sqrtf(x float64) float64 { return math.Sqrt(x) }

@@ -1,0 +1,648 @@
+package sertopt
+
+// The reference optimizer: OptimizeCompiled's evaluation path before
+// the per-run cell table, kept verbatim as the oracle the production
+// optimizer must match bit for bit. Every cost evaluation matches
+// cells afresh (referenceMatch), analyzes them in full
+// (aserta.AnalyzeCompiled) and recomputes the metrics from the library
+// (referenceMetrics): no cell table, decision cache or assignment memo.
+// The SQP and annealing loops are its own copies.
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/aserta"
+	"repro/internal/charlib"
+	"repro/internal/ckt"
+	"repro/internal/engine"
+	"repro/internal/gen"
+	"repro/internal/logicsim"
+	"repro/internal/matrix"
+	"repro/internal/stats"
+)
+
+// referenceOptimize is OptimizeCompiled with the reference evaluation
+// path.
+func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Options) (*Result, error) {
+	c := cc.Circuit()
+	if c.Sequential() {
+		return nil, fmt.Errorf("sertopt: circuit %q has flip-flops; SERTOPT optimizes combinational logic only", c.Name)
+	}
+	opts = opts.withDefaults()
+	res := &Result{}
+
+	// Baseline: speed-oriented sizing at nominal L/VDD/Vth.
+	baseline, err := InitialSizing(c, lib, opts.Match.MaxSize, opts.Match.POLoad)
+	if err != nil {
+		return nil, err
+	}
+	res.Baseline = baseline
+	if opts.Match.MaxSize == 0 {
+		// Paper: "The maximum gate size used was the same as that for
+		// the baseline circuits."
+		maxSize := 1.0
+		for _, g := range c.Gates {
+			if g.Type != ckt.Input && baseline[g.ID].Size > maxSize {
+				maxSize = baseline[g.ID].Size
+			}
+		}
+		opts.Match.MaxSize = maxSize
+	}
+
+	// One-time logic analysis, shared by every cost evaluation: the
+	// handle's memo replaces the old private PrecomputedSens plumbing —
+	// the embedded ASERTA analyses below resolve the same (vectors,
+	// seed) entry. The optimizer is the incremental configuration of
+	// the shared strike pipeline: gradient seeding re-enters it through
+	// RecomputeU (strike.Delta), re-reducing only affected fanin cones.
+	sens, err := logicsim.Sensitization(cc, opts.Vectors, opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	acfg := aserta.Config{
+		Vectors:      opts.Vectors,
+		Seed:         opts.Seed,
+		SampleWidths: opts.SampleWidths,
+		POLoad:       opts.Match.POLoad,
+	}
+
+	res.BaseMetrics, err = referenceMetrics(cc, lib, baseline, sens, opts.Match.POLoad)
+	if err != nil {
+		return nil, err
+	}
+	// Latch-capture saturation at the circuit's own clock (1.2x the
+	// baseline critical path), for both baseline and candidates.
+	acfg.ClockPeriod = ClockPeriodFactor * res.BaseMetrics.Delay
+	res.BaseAnalysis, err = aserta.AnalyzeCompiled(cc, lib, baseline, acfg)
+	if err != nil {
+		return nil, err
+	}
+	if res.BaseAnalysis.U == 0 {
+		return nil, fmt.Errorf("sertopt: baseline unreliability is zero; nothing to optimize")
+	}
+
+	// Topology matrix and nullspace basis.
+	topo, err := BuildTopology(c, opts.MaxPaths)
+	if err != nil {
+		return nil, err
+	}
+	basis := topo.Nullspace(opts.MaxBasis)
+	// Rescale each direction to max-component 1 so a step of StepInit
+	// moves its most-affected gate by a full StepInit — unit L2 norm
+	// spread over hundreds of gates would stay below the cell menu's
+	// delay quantization and the search would see a flat landscape.
+	for _, z := range basis {
+		m := 0.0
+		for _, v := range z {
+			if a := absf(v); a > m {
+				m = a
+			}
+		}
+		if m > 0 {
+			for i := range z {
+				z[i] /= m
+			}
+		}
+	}
+
+	d0, err := GateDelays(c, lib, baseline, opts.Match.POLoad)
+	if err != nil {
+		return nil, err
+	}
+	d0cols := topo.ColumnDelays(d0)
+	// Anchor matching so θ=0 reproduces the baseline exactly.
+	if opts.Match.Hints == nil {
+		opts.Match.Hints = baseline
+	}
+
+	w := opts.Weights
+	cost := func(m Metrics, u float64) float64 {
+		return w.U*u/res.BaseAnalysis.U +
+			w.T*m.Delay/res.BaseMetrics.Delay +
+			w.E*m.Energy/res.BaseMetrics.Energy +
+			w.A*m.Area/res.BaseMetrics.Area
+	}
+
+	// evalTheta matches cells for d = d0 + Z·θ and scores them.
+	evalTheta := func(theta []float64) (*refEvalOut, error) {
+		res.Evaluations++
+		d := append([]float64(nil), d0cols...)
+		for bi, z := range basis {
+			if theta[bi] == 0 {
+				continue
+			}
+			matrix.AddScaled(d, theta[bi], z)
+		}
+		const minDelay = 0.5e-12
+		perGate := topo.PerGate(d, len(c.Gates))
+		for i := range perGate {
+			if perGate[i] < minDelay {
+				perGate[i] = minDelay
+			}
+		}
+		cells, err := referenceMatch(cc, lib, perGate, opts.Match)
+		if err != nil {
+			return nil, err
+		}
+		an, err := aserta.AnalyzeCompiled(cc, lib, cells, acfg)
+		if err != nil {
+			return nil, err
+		}
+		m, err := referenceMetrics(cc, lib, cells, sens, opts.Match.POLoad)
+		if err != nil {
+			return nil, err
+		}
+		return &refEvalOut{cells: cells, an: an, m: m, c: cost(m, an.U)}, nil
+	}
+
+	theta := make([]float64, len(basis))
+	best, err := evalTheta(theta)
+	if err != nil {
+		return nil, err
+	}
+	res.History = append(res.History, best.c)
+
+	// Gradient seeding: the coordinate basis explores arbitrary
+	// nullspace directions, but the physically right move is known —
+	// speed up the gates whose delay increase raises U (PO gates
+	// generating wide glitches) and slow the ones whose delay increase
+	// lowers U (attenuators in front of the latches). Estimate dU/dd
+	// per gate with the cheap electrical-only re-pass, project the
+	// descent direction onto the nullspace, and line-search it before
+	// the main loop.
+	if len(basis) > 0 {
+		seed, err := gradientSeed(cc, lib, topo, basis, res.BaseAnalysis, d0, opts)
+		if err != nil {
+			return nil, err
+		}
+		if seed != nil {
+			for _, alpha := range []float64{0.5, 1, 2, 4, 8, 16} {
+				cand := make([]float64, len(basis))
+				matrix.AddScaled(cand, alpha, seed)
+				out, err := evalTheta(cand)
+				if err != nil {
+					return nil, err
+				}
+				if out.c < best.c {
+					best = out
+					theta = cand
+					res.History = append(res.History, out.c)
+				}
+			}
+		}
+	}
+
+	var bestTheta = append([]float64(nil), theta...)
+	rng := stats.NewRNG(opts.Seed + 0x5e27097)
+	switch opts.Method {
+	case "sqp":
+		best, bestTheta, err = referenceSQP(bestTheta, best, evalTheta, opts, &res.History)
+	case "anneal":
+		best, bestTheta, err = referenceAnneal(bestTheta, best, evalTheta, opts, rng, &res.History)
+	default:
+		return nil, fmt.Errorf("sertopt: unknown method %q", opts.Method)
+	}
+	if err != nil {
+		return nil, err
+	}
+	_ = bestTheta
+	res.Optimized = best.cells
+	res.OptAnalysis = best.an
+	res.OptMetrics = best.m
+	res.Cost = best.c
+	return res, nil
+}
+
+// referenceMatch is the table-free MatchDelaysCompiled.
+func referenceMatch(cc *engine.CompiledCircuit, lib *charlib.Library, desired []float64, cfg MatchConfig) (aserta.Assignment, error) {
+	c := cc.Circuit()
+	if len(desired) != len(c.Gates) {
+		return nil, fmt.Errorf("sertopt: %d desired delays for %d gates", len(desired), len(c.Gates))
+	}
+	if len(cfg.VDDs) == 0 {
+		cfg.VDDs = []float64{lib.Tech.VDDnom}
+	}
+	if len(cfg.Vths) == 0 {
+		cfg.Vths = []float64{lib.Tech.Vthnom}
+	}
+	order := cc.ReverseTopoOrder()
+	cells := make(aserta.Assignment, len(c.Gates))
+	assigned := make([]bool, len(c.Gates))
+	for _, id := range order {
+		g := c.Gates[id]
+		if g.Type == ckt.Input {
+			continue
+		}
+		// Load: every fanout gate is later in topological order, hence
+		// already assigned in this reverse walk.
+		load := 0.0
+		minSuccVDD := 0.0
+		for _, s := range g.Fanout {
+			if !assigned[s] {
+				return nil, fmt.Errorf("sertopt: fanout %s of %s not yet assigned (netlist not a DAG?)", c.Gates[s].Name, g.Name)
+			}
+			cap, err := lib.InputCap(cells[s])
+			if err != nil {
+				return nil, err
+			}
+			load += cap
+			if cells[s].VDD > minSuccVDD {
+				minSuccVDD = cells[s].VDD
+			}
+		}
+		if g.PO {
+			load += cfg.POLoad
+		}
+		menu := lib.Menu(charlib.Class{Type: g.Type, Fanin: len(g.Fanin)}, cfg.VDDs, cfg.Vths, cfg.MaxSize)
+		var best charlib.Cell
+		bestErr := -1.0
+		consider := func(cell charlib.Cell) error {
+			if cell.VDD < minSuccVDD {
+				return nil // no low-VDD gate may drive a high-VDD gate
+			}
+			d, err := lib.Delay(cell, load)
+			if err != nil {
+				return err
+			}
+			e := absf(d - desired[id])
+			if bestErr < 0 || e < bestErr {
+				bestErr = e
+				best = cell
+			}
+			return nil
+		}
+		if cfg.Hints != nil && cfg.Hints[id].Size > 0 {
+			if err := consider(cfg.Hints[id]); err != nil {
+				return nil, err
+			}
+		}
+		for _, cell := range menu {
+			if err := consider(cell); err != nil {
+				return nil, err
+			}
+		}
+		if bestErr < 0 {
+			return nil, fmt.Errorf("sertopt: no feasible cell for gate %s (succ VDD %g exceeds menu)", g.Name, minSuccVDD)
+		}
+		cells[id] = best
+		assigned[id] = true
+	}
+	return cells, nil
+}
+
+// referenceMetrics is EvaluateMetricsCompiled straight from the
+// library.
+func referenceMetrics(cc *engine.CompiledCircuit, lib *charlib.Library, cells aserta.Assignment, sens *logicsim.Result, poLoad float64) (Metrics, error) {
+	c := cc.Circuit()
+	var m Metrics
+	loads, err := aserta.GateLoads(c, lib, cells, poLoad)
+	if err != nil {
+		return m, err
+	}
+	// Critical path: longest arrival over the DAG.
+	arrival := make([]float64, len(c.Gates))
+	order := cc.TopoOrder()
+	for _, id := range order {
+		g := c.Gates[id]
+		if g.Type == ckt.Input {
+			continue
+		}
+		d, err := lib.Delay(cells[id], loads[id])
+		if err != nil {
+			return m, fmt.Errorf("sertopt: delay of %s: %v", g.Name, err)
+		}
+		in := 0.0
+		for _, f := range g.Fanin {
+			if arrival[f] > in {
+				in = arrival[f]
+			}
+		}
+		arrival[id] = in + d
+		if g.PO && arrival[id] > m.Delay {
+			m.Delay = arrival[id]
+		}
+	}
+	// Energy and area.
+	period := ClockPeriodFactor * m.Delay
+	var dyn, leakP float64
+	for _, g := range c.Gates {
+		if g.Type == ckt.Input {
+			continue
+		}
+		act := 0.2
+		if sens != nil {
+			act = sens.Activity[g.ID]
+		}
+		e, err := lib.DynEnergyPerTransition(cells[g.ID], loads[g.ID])
+		if err != nil {
+			return m, err
+		}
+		dyn += act * e
+		p, err := lib.StaticPower(cells[g.ID])
+		if err != nil {
+			return m, err
+		}
+		leakP += p
+		m.Area += lib.Area(cells[g.ID])
+	}
+	m.Energy = dyn + leakP*period
+	return m, nil
+}
+
+// refEvalOut bundles one reference cost evaluation's artifacts.
+type refEvalOut struct {
+	cells aserta.Assignment
+	an    *aserta.Analysis
+	m     Metrics
+	c     float64
+}
+
+type refEvalFn func([]float64) (*refEvalOut, error)
+
+// referenceSQP is the SQP-lite search over reference evaluations.
+func referenceSQP(theta []float64, best *refEvalOut, eval refEvalFn, opts Options, history *[]float64) (*refEvalOut, []float64, error) {
+	step := opts.StepInit
+	// The discrete cell menu makes the cost piecewise constant, so the
+	// difference step must be large enough to flip at least some cell
+	// choices; probing at the full step scale keeps the "gradient"
+	// informative. sweep is the coordinate-probe scale, refined when an
+	// iteration is flat.
+	h := opts.StepInit
+	sweep := opts.StepInit
+	grad := make([]float64, len(theta))
+	for iter := 0; iter < opts.Iterations; iter++ {
+		// Forward-difference gradient at menu scale.
+		gnorm := 0.0
+		for k := range theta {
+			theta[k] += h
+			out, err := eval(theta)
+			theta[k] -= h
+			if err != nil {
+				return nil, nil, err
+			}
+			grad[k] = (out.c - best.c) / h
+			gnorm += grad[k] * grad[k]
+		}
+		gnorm = sqrtf(gnorm)
+		improved := false
+		if gnorm > 0 {
+			// Backtracking line search along -grad.
+			for try := 0; try < 5; try++ {
+				cand := append([]float64(nil), theta...)
+				matrix.AddScaled(cand, -step/gnorm, grad)
+				out, err := eval(cand)
+				if err != nil {
+					return nil, nil, err
+				}
+				if out.c < best.c {
+					best = out
+					theta = cand
+					*history = append(*history, out.c)
+					improved = true
+					step *= 1.5
+					break
+				}
+				step /= 2
+			}
+		}
+		if !improved {
+			// Greedy coordinate sweep: the quantized landscape is flat
+			// at this scale in every smoothed direction; probe each
+			// basis coordinate at double scale in both signs and keep
+			// every strict improvement as we go.
+			for k := range theta {
+				for _, sign := range []float64{1, -1} {
+					cand := append([]float64(nil), theta...)
+					cand[k] += sign * 2 * sweep
+					out, err := eval(cand)
+					if err != nil {
+						return nil, nil, err
+					}
+					if out.c < best.c {
+						best = out
+						theta = cand
+						*history = append(*history, out.c)
+						improved = true
+						break // next coordinate
+					}
+				}
+			}
+		}
+		if !improved {
+			// The cell menu's delay spacing is grid-dependent; when a
+			// whole iteration is flat at this scale, refine and retry
+			// before giving up (multi-scale pattern search).
+			if sweep > opts.StepInit/8 {
+				sweep /= 2
+				h /= 2
+				continue
+			}
+			break
+		}
+	}
+	return best, theta, nil
+}
+
+// referenceAnneal is the annealing search over reference evaluations.
+func referenceAnneal(theta []float64, best *refEvalOut, eval refEvalFn, opts Options, rng *stats.RNG, history *[]float64) (*refEvalOut, []float64, error) {
+	cur := best
+	curTheta := append([]float64(nil), theta...)
+	bestTheta := append([]float64(nil), theta...)
+	// Temperature scaled to the size of cost improvements actually
+	// seen on the quantized landscape (~1% of cost), not to the cost
+	// itself — a hotter schedule random-walks without ever locking in.
+	temp := 0.01 * best.c
+	cooling := 0.75
+	movesPerIter := 2 * len(theta)
+	if movesPerIter == 0 {
+		return best, theta, nil
+	}
+	for iter := 0; iter < opts.Iterations; iter++ {
+		for mv := 0; mv < movesPerIter; mv++ {
+			k := rng.Intn(len(curTheta))
+			cand := append([]float64(nil), curTheta...)
+			cand[k] += rng.NormFloat64() * opts.StepInit
+			out, err := eval(cand)
+			if err != nil {
+				return nil, nil, err
+			}
+			accept := out.c < cur.c
+			if !accept && temp > 0 {
+				accept = rng.Float64() < expf(-(out.c-cur.c)/temp)
+			}
+			if accept {
+				cur = out
+				curTheta = cand
+				if out.c < best.c {
+					best = out
+					bestTheta = append([]float64(nil), cand...)
+					*history = append(*history, out.c)
+				}
+			}
+		}
+		temp *= cooling
+	}
+	return best, bestTheta, nil
+}
+
+// TestOptimizeMatchesReference holds OptimizeCompiled to the reference
+// optimizer bit for bit: every cell, metric, cost and History entry,
+// the evaluation count (memo hits included), and both analyses' U, Ui,
+// WS, Wij and sources. The grid covers both searches, two seeds and a
+// long SQP run whose polls revisit many assignments.
+func TestOptimizeMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the reference optimizer on six circuits")
+	}
+	type run struct {
+		method       string
+		basis, iters int
+		seed         uint64
+	}
+	grid := []run{{"sqp", 8, 4, 1}, {"sqp", 8, 4, 2}, {"anneal", 16, 4, 1}}
+	cases := map[string][]run{}
+	for _, name := range []string{"c17", "c432", "c499", "c880", "c1355", "c1908"} {
+		cases[name] = grid
+	}
+	cases["c432"] = append(cases["c432"], run{"sqp", 40, 8, 1})
+	for _, name := range []string{"c17", "c432", "c499", "c880", "c1355", "c1908"} {
+		c, err := benchCircuit(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc, err := engine.Compile(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range cases[name] {
+			opts := Options{
+				Match:      MatchConfig{VDDs: []float64{0.8, 1.0}, Vths: []float64{0.2, 0.3}},
+				Vectors:    2000,
+				Iterations: r.iters,
+				MaxBasis:   r.basis,
+				Seed:       r.seed,
+				Method:     r.method,
+			}
+			label := fmt.Sprintf("%s/%s/basis%d/iters%d/seed%d", name, r.method, r.basis, r.iters, r.seed)
+			want, err := referenceOptimize(cc, lib(), opts)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+			got, err := OptimizeCompiled(cc, lib(), opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if msg := diffResults(got, want); msg != "" {
+				t.Errorf("%s: %s", label, msg)
+			}
+			t.Logf("%s: %d evaluations, U decrease %.4f", label, got.Evaluations, got.UDecrease())
+		}
+	}
+}
+
+// benchCircuit returns c17 or an ISCAS-85 profile circuit.
+func benchCircuit(name string) (*ckt.Circuit, error) {
+	if name == "c17" {
+		return gen.C17(), nil
+	}
+	return gen.ISCAS85(name)
+}
+
+// diffResults describes the first difference between two optimizer
+// results, comparing floats by their bits ("" when identical).
+func diffResults(got, want *Result) string {
+	if msg := diffCells("Baseline", got.Baseline, want.Baseline); msg != "" {
+		return msg
+	}
+	if msg := diffCells("Optimized", got.Optimized, want.Optimized); msg != "" {
+		return msg
+	}
+	for _, m := range []struct {
+		name      string
+		got, want Metrics
+	}{{"BaseMetrics", got.BaseMetrics, want.BaseMetrics}, {"OptMetrics", got.OptMetrics, want.OptMetrics}} {
+		if msg := diffFloats(m.name, []float64{m.got.Delay, m.got.Energy, m.got.Area}, []float64{m.want.Delay, m.want.Energy, m.want.Area}); msg != "" {
+			return msg
+		}
+	}
+	if msg := diffFloats("Cost", []float64{got.Cost}, []float64{want.Cost}); msg != "" {
+		return msg
+	}
+	if msg := diffFloats("History", got.History, want.History); msg != "" {
+		return msg
+	}
+	if got.Evaluations != want.Evaluations {
+		return fmt.Sprintf("Evaluations %d, want %d", got.Evaluations, want.Evaluations)
+	}
+	if msg := diffAnalyses("BaseAnalysis", got.BaseAnalysis, want.BaseAnalysis); msg != "" {
+		return msg
+	}
+	return diffAnalyses("OptAnalysis", got.OptAnalysis, want.OptAnalysis)
+}
+
+// diffAnalyses compares two analyses' totals, tables and sources.
+func diffAnalyses(name string, got, want *aserta.Analysis) string {
+	if msg := diffCells(name+".Cells", got.Cells, want.Cells); msg != "" {
+		return msg
+	}
+	if msg := diffFloats(name+".U", []float64{got.U}, []float64{want.U}); msg != "" {
+		return msg
+	}
+	for _, f := range []struct {
+		field     string
+		got, want []float64
+	}{
+		{"Ui", got.Ui, want.Ui},
+		{"Loads", got.Loads, want.Loads},
+		{"Delays", got.Delays, want.Delays},
+		{"GenWidth", got.GenWidth, want.GenWidth},
+		{"Flux", got.Flux, want.Flux},
+	} {
+		if msg := diffFloats(name+"."+f.field, f.got, f.want); msg != "" {
+			return msg
+		}
+	}
+	if len(got.Wij) != len(want.Wij) || len(got.WS) != len(want.WS) {
+		return fmt.Sprintf("%s: %d Wij / %d WS rows, want %d / %d", name, len(got.Wij), len(got.WS), len(want.Wij), len(want.WS))
+	}
+	for i := range want.Wij {
+		if msg := diffFloats(fmt.Sprintf("%s.Wij[%d]", name, i), got.Wij[i], want.Wij[i]); msg != "" {
+			return msg
+		}
+		if len(got.WS[i]) != len(want.WS[i]) {
+			return fmt.Sprintf("%s.WS[%d]: %d columns, want %d", name, i, len(got.WS[i]), len(want.WS[i]))
+		}
+		for j := range want.WS[i] {
+			if msg := diffFloats(fmt.Sprintf("%s.WS[%d][%d]", name, i, j), got.WS[i][j], want.WS[i][j]); msg != "" {
+				return msg
+			}
+		}
+	}
+	return ""
+}
+
+func diffCells(name string, got, want aserta.Assignment) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%s: %d cells, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Sprintf("%s[%d] = %+v, want %+v", name, i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+func diffFloats(name string, got, want []float64) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%s: %d values, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Sprintf("%s[%d] = %.17g, want %.17g", name, i, got[i], want[i])
+		}
+	}
+	return ""
+}

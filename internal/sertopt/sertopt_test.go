@@ -41,17 +41,17 @@ func TestBuildTopologyC17(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.T.Rows() != 11 {
-		t.Fatalf("c17 topology has %d paths, want 11", tp.T.Rows())
+	if tp.T().Rows() != 11 {
+		t.Fatalf("c17 topology has %d paths, want 11", tp.T().Rows())
 	}
-	if tp.T.Cols() != 6 {
-		t.Fatalf("c17 topology has %d columns, want 6 gates", tp.T.Cols())
+	if tp.T().Cols() != 6 {
+		t.Fatalf("c17 topology has %d columns, want 6 gates", tp.T().Cols())
 	}
 	// Every row must have at least one gate and at most the depth.
-	for j := 0; j < tp.T.Rows(); j++ {
+	for j := 0; j < tp.T().Rows(); j++ {
 		ones := 0
-		for col := 0; col < tp.T.Cols(); col++ {
-			if tp.T.At(j, col) == 1 {
+		for col := 0; col < tp.T().Cols(); col++ {
+			if tp.T().At(j, col) == 1 {
 				ones++
 			}
 		}
@@ -73,7 +73,7 @@ func TestNullspacePreservesPathDelays(t *testing.T) {
 	if len(basis) == 0 {
 		t.Skip("c17 has full-rank topology; use a bigger circuit")
 	}
-	d0 := make([]float64, tp.T.Cols())
+	d0 := make([]float64, tp.T().Cols())
 	for i := range d0 {
 		d0[i] = 10e-12
 	}
@@ -107,7 +107,7 @@ func TestNullspaceExistsOnLargerCircuit(t *testing.T) {
 	}
 	// Verify T·z = 0 for each kept vector.
 	for _, z := range basis {
-		y, err := tp.T.MulVec(z)
+		y, err := tp.T().MulVec(z)
 		if err != nil {
 			t.Fatal(err)
 		}

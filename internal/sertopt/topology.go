@@ -21,15 +21,16 @@ import (
 
 // DefaultMaxPaths caps topology-matrix path enumeration. Path counts
 // grow exponentially; the longest paths are kept because they carry
-// the timing wall (see DESIGN.md §5 and the path-cap ablation bench).
+// the timing wall (BenchmarkAblationPathCap sweeps the cap).
 const DefaultMaxPaths = 4096
 
-// Topology holds the binary path topology matrix T of the paper:
-// T[j][col] = 1 iff gate (column col) lies on path j, together with
-// the gate-ID ↔ column mapping (primary-input pseudo-gates have no
-// column).
+// Topology describes the binary path topology matrix T of the paper —
+// T[j][col] = 1 iff gate (column col) lies on path j — through its
+// paths and the gate-ID ↔ column mapping (primary-input pseudo-gates
+// have no column). The dense matrix is materialized only on demand
+// (T, Nullspace): at the default path cap it is thousands of rows by
+// one column per gate.
 type Topology struct {
-	T *matrix.Dense
 	// Col maps gate ID -> column (or -1).
 	Col []int
 	// GateOf maps column -> gate ID.
@@ -39,7 +40,7 @@ type Topology struct {
 }
 
 // BuildTopology enumerates up to maxPaths PI→PO paths (0 = the
-// package default) and assembles T.
+// package default) and indexes their gates by column.
 func BuildTopology(c *ckt.Circuit, maxPaths int) (*Topology, error) {
 	if maxPaths == 0 {
 		maxPaths = DefaultMaxPaths
@@ -62,20 +63,27 @@ func BuildTopology(c *ckt.Circuit, maxPaths int) (*Topology, error) {
 		tp.Col[g.ID] = len(tp.GateOf)
 		tp.GateOf = append(tp.GateOf, g.ID)
 	}
-	tp.T = matrix.NewDense(len(paths), len(tp.GateOf))
-	for j, p := range paths {
+	return tp, nil
+}
+
+// T materializes the dense path topology matrix, one row per path and
+// one column per gate.
+func (tp *Topology) T() *matrix.Dense {
+	t := matrix.NewDense(len(tp.Paths), len(tp.GateOf))
+	for j, p := range tp.Paths {
 		for _, id := range p {
-			tp.T.Set(j, tp.Col[id], 1)
+			t.Set(j, tp.Col[id], 1)
 		}
 	}
-	return tp, nil
+	return t
 }
 
 // Nullspace returns a basis of delay perturbations Δ with T·Δ = 0,
 // truncated to at most maxBasis vectors (0 = no cap). Each vector is
-// indexed by column (use Col/GateOf to translate).
+// indexed by column (use Col/GateOf to translate). The freshly
+// materialized T is the row reduction's only working copy.
 func (tp *Topology) Nullspace(maxBasis int) [][]float64 {
-	basis := tp.T.Nullspace()
+	basis := tp.T().NullspaceInPlace()
 	if maxBasis > 0 && len(basis) > maxBasis {
 		basis = basis[:maxBasis]
 	}
@@ -84,7 +92,7 @@ func (tp *Topology) Nullspace(maxBasis int) [][]float64 {
 
 // PathDelays returns T·d for a per-column delay vector.
 func (tp *Topology) PathDelays(d []float64) ([]float64, error) {
-	return tp.T.MulVec(d)
+	return tp.T().MulVec(d)
 }
 
 // ColumnDelays converts a per-gate-ID slice into the column order of T.
