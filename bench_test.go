@@ -1,13 +1,14 @@
 package ser
 
 // Benchmark harness: one testing.B benchmark per paper figure/table,
-// plus the ablation benches called out in DESIGN.md §5. Each benchmark
-// regenerates the corresponding experiment (at CI-friendly parameter
-// scale — cmd/figures runs the full-scale versions) and reports the
-// headline quantity through b.ReportMetric, so `go test -bench=.`
-// doubles as a results table.
+// plus the ablation benches listed in docs/reproduction.md. Each
+// benchmark regenerates the corresponding experiment (at CI-friendly
+// parameter scale — cmd/figures runs the full-scale versions) and
+// reports the headline quantity through b.ReportMetric, so
+// `go test -bench=.` doubles as a results table.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/aserta"
@@ -135,7 +136,8 @@ func BenchmarkAblationSampleWidths(b *testing.B) {
 }
 
 // BenchmarkAblationPathCap sweeps the topology-matrix path cap
-// (DESIGN.md §5): nullspace size available to the optimizer.
+// (docs/reproduction.md, Ablations): nullspace size available to the
+// optimizer.
 func BenchmarkAblationPathCap(b *testing.B) {
 	c, err := gen.ISCAS85("c432")
 	if err != nil {
@@ -329,13 +331,13 @@ func BenchmarkSusceptibilityC7552(b *testing.B) {
 	opts := AnalysisOptions{Vectors: 10000, Seed: 1}
 	// Warm the library and the handle's memoized sensitization outside
 	// the timed loop.
-	if _, err := s.AnalyzeCompiled(h, opts); err != nil {
+	if _, err := s.AnalyzeCompiledContext(context.Background(), h, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var top10 float64
 	for i := 0; i < b.N; i++ {
-		rep, err := s.AnalyzeCompiled(h, opts)
+		rep, err := s.AnalyzeCompiledContext(context.Background(), h, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -364,13 +366,13 @@ func BenchmarkSusceptibilityC7552Lean(b *testing.B) {
 	opts := AnalysisOptions{Vectors: 10000, Seed: 1, Lean: true}
 	// Warm the library and the handle's memoized sensitization outside
 	// the timed loop.
-	if _, err := s.AnalyzeCompiled(h, opts); err != nil {
+	if _, err := s.AnalyzeCompiledContext(context.Background(), h, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var top10 float64
 	for i := 0; i < b.N; i++ {
-		rep, err := s.AnalyzeCompiled(h, opts)
+		rep, err := s.AnalyzeCompiledContext(context.Background(), h, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

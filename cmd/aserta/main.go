@@ -40,11 +40,6 @@ func main() {
 		susc     = flag.Bool("susceptibility", false, "print the ranked per-gate susceptibility report (share + cumulative share) instead of the default tables")
 		coarse   = flag.Bool("coarse", false, "use the coarse characterization grid (faster)")
 		libcache = flag.String("libcache", "", "path to a JSON library cache (loaded if present, saved after)")
-		approx   = flag.Bool("approx", false, "bounded-error sampled analysis instead of the exact run (combinational only); reports a confidence interval on U")
-		relerr   = flag.Float64("approx-relerr", 0.05, "approx: target relative half-width of the confidence interval")
-		conf     = flag.Float64("approx-confidence", 0.95, "approx: interval coverage (0.90, 0.95 or 0.99)")
-		batchVec = flag.Int("approx-batch-vectors", 1000, "approx: random vectors per Monte-Carlo batch")
-		maxBatch = flag.Int("approx-max-batches", 32, "approx: batch cap regardless of convergence")
 	)
 	flag.Parse()
 
@@ -81,9 +76,6 @@ func main() {
 		if *cycles <= 0 {
 			log.Fatalf("circuit %s has flip-flops; pass -cycles N (>= 1) for the sequential analysis", c.Name)
 		}
-		if *approx {
-			log.Fatal("-approx supports the combinational flow only (omit -cycles)")
-		}
 		rep, err := sys.AnalyzeSequential(c, ser.SequentialOptions{
 			Cycles: *cycles, Vectors: *vectors, Seed: *seed,
 		})
@@ -105,24 +97,11 @@ func main() {
 			}
 		}
 	} else {
-		opts := ser.AnalysisOptions{Vectors: *vectors, Seed: *seed}
-		if *approx {
-			opts.Approx = &ser.ApproxOptions{
-				RelErr:       *relerr,
-				Confidence:   *conf,
-				BatchVectors: *batchVec,
-				MaxBatches:   *maxBatch,
-			}
-		}
-		rep, err := sys.Analyze(c, opts)
+		rep, err := sys.Analyze(c, ser.AnalysisOptions{Vectors: *vectors, Seed: *seed})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("circuit unreliability U = %.2f (Eq. 4; area-weighted expected PO glitch width, ps scale)\n", rep.U)
-		if rep.Approx {
-			fmt.Printf("approx: %.0f%% CI [%.2f, %.2f] after %d batches (%d vectors)\n",
-				rep.Confidence*100, rep.UCILow, rep.UCIHigh, rep.Batches, rep.VectorsUsed)
-		}
 		if *susc {
 			printSusceptibility(rep.Susceptibility(), *top)
 		} else {

@@ -1,6 +1,7 @@
 package ser
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -25,12 +26,12 @@ func TestCompiledMatchesOnTheFly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := sys.AnalyzeCompiled(h, aop)
+	warm, err := sys.AnalyzeCompiledContext(context.Background(), h, aop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.U != cold.U {
-		t.Errorf("AnalyzeCompiled U = %v, Analyze U = %v", warm.U, cold.U)
+		t.Errorf("AnalyzeCompiledContext U = %v, Analyze U = %v", warm.U, cold.U)
 	}
 	for i := range cold.Gates {
 		if warm.Gates[i] != cold.Gates[i] {
@@ -43,12 +44,12 @@ func TestCompiledMatchesOnTheFly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oWarm, err := sys.OptimizeCompiled(h, oop)
+	oWarm, err := sys.OptimizeCompiledContext(context.Background(), h, oop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if oWarm.UDecrease != oCold.UDecrease || oWarm.BaselineU != oCold.BaselineU || oWarm.OptimizedU != oCold.OptimizedU {
-		t.Errorf("OptimizeCompiled differs: %+v vs %+v", oWarm, oCold)
+		t.Errorf("OptimizeCompiledContext differs: %+v vs %+v", oWarm, oCold)
 	}
 
 	s, err := Benchmark("s27")
@@ -64,12 +65,12 @@ func TestCompiledMatchesOnTheFly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sWarm, err := sys.AnalyzeSequentialCompiled(hs, sop)
+	sWarm, err := sys.AnalyzeSequentialCompiledContext(context.Background(), hs, sop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sWarm.U != sCold.U || sWarm.DirectU != sCold.DirectU || sWarm.LatchedU != sCold.LatchedU || sWarm.FIT != sCold.FIT {
-		t.Errorf("AnalyzeSequentialCompiled differs: %+v vs %+v", sWarm, sCold)
+		t.Errorf("AnalyzeSequentialCompiledContext differs: %+v vs %+v", sWarm, sCold)
 	}
 }
 
@@ -95,15 +96,15 @@ func TestCompiledHandleConcurrentSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aRef, err := sys.AnalyzeCompiled(ref, aop)
+	aRef, err := sys.AnalyzeCompiledContext(context.Background(), ref, aop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sRef, err := sys.AnalyzeSequentialCompiled(ref, sop)
+	sRef, err := sys.AnalyzeSequentialCompiledContext(context.Background(), ref, sop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oRef, err := sys.OptimizeCompiled(ref, oop)
+	oRef, err := sys.OptimizeCompiledContext(context.Background(), ref, oop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestCompiledHandleConcurrentSharing(t *testing.T) {
 			defer wg.Done()
 			switch i % 3 {
 			case 0:
-				rep, err := sys.AnalyzeCompiled(h, aop)
+				rep, err := sys.AnalyzeCompiledContext(context.Background(), h, aop)
 				if err != nil {
 					errs[i] = err
 					return
@@ -131,7 +132,7 @@ func TestCompiledHandleConcurrentSharing(t *testing.T) {
 					t.Errorf("goroutine %d: Analyze U = %v, serial %v", i, rep.U, aRef.U)
 				}
 			case 1:
-				rep, err := sys.AnalyzeSequentialCompiled(h, sop)
+				rep, err := sys.AnalyzeSequentialCompiledContext(context.Background(), h, sop)
 				if err != nil {
 					errs[i] = err
 					return
@@ -141,7 +142,7 @@ func TestCompiledHandleConcurrentSharing(t *testing.T) {
 						i, rep.U, rep.DirectU, rep.LatchedU, sRef.U, sRef.DirectU, sRef.LatchedU)
 				}
 			case 2:
-				res, err := sys.OptimizeCompiled(h, oop)
+				res, err := sys.OptimizeCompiledContext(context.Background(), h, oop)
 				if err != nil {
 					errs[i] = err
 					return
@@ -184,7 +185,7 @@ func TestTMRHandle(t *testing.T) {
 	if h.Circuit().NumGates() != c.NumGates() {
 		t.Fatal("TMR mutated the input handle")
 	}
-	rep, err := sys.AnalyzeCompiled(th, AnalysisOptions{Vectors: 800, Seed: 1})
+	rep, err := sys.AnalyzeCompiledContext(context.Background(), th, AnalysisOptions{Vectors: 800, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,11 +58,6 @@ type Config struct {
 	// latched). Default 300 ps; set from the circuit's own clock when
 	// known (SERTOPT uses 1.2x the baseline critical path).
 	ClockPeriod float64
-	// PrecomputedSens, when non-nil, is reused instead of re-running
-	// logic simulation. Sensitization statistics depend only on the
-	// netlist, not on the cell assignment, so SERTOPT computes them
-	// once per circuit and shares them across every cost evaluation.
-	PrecomputedSens *logicsim.Result
 	// FullRecomputeEvery bounds incremental drift: every N-th
 	// RecomputeU call performs an exact full re-evaluation instead of
 	// the delta propagation (default 64; negative disables the
@@ -198,9 +193,8 @@ func Analyze(c *ckt.Circuit, lib *charlib.Library, cells Assignment, cfg Config)
 
 // AnalyzeCompiled runs the full ASERTA flow against a compiled
 // circuit. Results are bit-identical to Analyze; the netlist-derived
-// work (topological orders, levels, and — unless cfg.PrecomputedSens
-// overrides it — the sensitization simulation) is served from the
-// handle.
+// work (topological orders, levels and the sensitization simulation)
+// is served from the handle.
 func AnalyzeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells Assignment, cfg Config) (*Analysis, error) {
 	cfg = cfg.withDefaults()
 	if err := checkShape(cc.Circuit(), len(cells)); err != nil {
@@ -250,21 +244,17 @@ func AnalyzeSources(cc *engine.CompiledCircuit, cells Assignment, src *strike.So
 	a := &Analysis{Circuit: c, cc: cc, Cells: cells, Config: cfg}
 	a.Loads, a.Delays, a.GenWidth, a.Flux = src.Loads, src.Delays, src.GenWidth, src.Flux
 
-	if cfg.PrecomputedSens != nil {
-		a.Sens = cfg.PrecomputedSens
-	} else {
-		// Memoized on the handle: repeated analyses of one compiled
-		// circuit (the serving tier's warm path, SERTOPT's cost loop,
-		// the sequential engine's frames) run the simulation once per
-		// (vectors, seed) pair.
-		endSens := trace.StartStage(cfg.Spans, "logicsim.sensitization")
-		sens, err := logicsim.Sensitization(cc, cfg.Vectors, cfg.Seed)
-		endSens()
-		if err != nil {
-			return nil, err
-		}
-		a.Sens = sens
+	// Memoized on the handle: repeated analyses of one compiled circuit
+	// (the serving tier's warm path, SERTOPT's cost loop, the
+	// sequential engine's frames) run the simulation once per
+	// (vectors, seed) pair.
+	endSens := trace.StartStage(cfg.Spans, "logicsim.sensitization")
+	sens, err := logicsim.Sensitization(cc, cfg.Vectors, cfg.Seed)
+	endSens()
+	if err != nil {
+		return nil, err
 	}
+	a.Sens = sens
 
 	// Stage 2: ElectricalFilter — the §3.2 reverse-topological pass
 	// for the baseline delays, publishing the WS/Wij views.

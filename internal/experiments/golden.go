@@ -4,7 +4,7 @@
 // golden-simulator unreliability correlation on c432) and Table 1
 // (SERTOPT optimization results across ISCAS-85). The golden reference
 // is the internal/spice transient simulator, standing in for the
-// paper's HSPICE runs (see DESIGN.md §2).
+// paper's HSPICE runs (see docs/reproduction.md).
 package experiments
 
 import (

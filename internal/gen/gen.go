@@ -8,10 +8,10 @@
 // The genuine ISCAS netlists are not redistributable inside this
 // offline reproduction, and the analysis/optimization algorithms under
 // test consume only the gate-level graph; a profile-matched graph with
-// reconvergence exercises exactly the same code paths (see DESIGN.md
-// §2). The genuine c17 and s27 netlists are included verbatim; the
-// .bench parser (internal/bench) accepts real netlists for drop-in
-// use.
+// reconvergence exercises exactly the same code paths (see
+// docs/reproduction.md). The genuine c17 and s27 netlists are included
+// verbatim; the .bench parser (internal/bench) accepts real netlists
+// for drop-in use.
 package gen
 
 import (

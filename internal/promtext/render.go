@@ -39,7 +39,6 @@ func WriteShardMetrics(w *Writer, m *serclient.MetricsResponse) {
 	w.Counter("serd_jobs_recovered_total", "Jobs re-enqueued from the journal at startup.", base, float64(m.JobsRecovered))
 	w.Counter("serd_requests_shed_total", "Submissions bounced with 429 (queue full).", base, float64(m.RequestsShed))
 	w.Counter("serd_journal_errors_total", "Journal appends that failed after job acceptance.", base, float64(m.JournalErrors))
-	w.Counter("serd_approx_jobs_total", "Accepted jobs that opted into the sampled Approx mode.", base, float64(m.ApproxJobs))
 	w.Counter("serd_characterizations_total", "Cell-class characterizations executed (library cache misses).", base, float64(m.Characterizations))
 	w.Counter("serd_lib_cache_hits_total", "Jobs served entirely from characterized tables.", base, float64(m.LibCacheHits))
 	cc := m.CompiledCache

@@ -452,7 +452,9 @@ func (s *Server) rebuildJob(js *journal.JobState) *job {
 // rebuildRun reconstructs a pending job's body from its journaled
 // request. The journaled netlist is canonical text, so re-resolving it
 // through loadChecked is a fixed point: same content address, identity
-// init-state remap, bit-identical analysis.
+// init-state remap, bit-identical analysis. Each kind re-applies its
+// submission checks first, so a request journaled under looser limits
+// (or damaged on disk) fails at recovery instead of running.
 func (s *Server) rebuildRun(js *journal.JobState) (func(ctx context.Context) (any, error), error) {
 	netlist := js.Netlist
 	if js.NetlistRef != "" {
@@ -468,6 +470,9 @@ func (s *Server) rebuildRun(js *journal.JobState) (func(ctx context.Context) (an
 		if err := json.Unmarshal(js.Request, &req); err != nil {
 			return nil, fmt.Errorf("decode request: %v", err)
 		}
+		if err := s.checkAnalyze(req.Vectors, req.Cycles, req.InitState); err != nil {
+			return nil, err
+		}
 		req.Netlist = netlist
 		ld, err := s.loadChecked(req.Circuit, req.Netlist, req.Name, req.Cycles, &req.InitState)
 		if err != nil {
@@ -478,6 +483,9 @@ func (s *Server) rebuildRun(js *journal.JobState) (func(ctx context.Context) (an
 		var req serclient.SusceptibilityRequest
 		if err := json.Unmarshal(js.Request, &req); err != nil {
 			return nil, fmt.Errorf("decode request: %v", err)
+		}
+		if err := s.checkSusceptibility(&req); err != nil {
+			return nil, err
 		}
 		req.Netlist = netlist
 		ld, err := s.loadChecked(req.Circuit, req.Netlist, req.Name, req.Cycles, &req.InitState)

@@ -1,8 +1,6 @@
-// Wire-level tests for the simulation-mode request fields: the
-// deprecated lane_words field must be accepted and ignored on every
-// flow and request path, the Approx block must round-trip with a sane
-// interval, invalid combinations must be rejected, and Approx jobs
-// must surface on /metrics (JSON and Prometheus exposition alike).
+// Wire-level tests for the deprecated simulation-mode request fields:
+// lane_words and the approx block must be accepted and ignored on
+// every flow and request path that ever took them.
 package serd
 
 import (
@@ -10,13 +8,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"testing"
 	"time"
-
-	"repro/internal/promtext"
-	"repro/serclient"
 )
 
 // postJSON posts a raw JSON body and returns the status and the
@@ -66,119 +60,66 @@ func decoded(t *testing.T, v any) map[string]any {
 	return m
 }
 
-// TestAnalyzeLaneWordsWire checks that lane_words is accepted and
-// ignored: on analyze, susceptibility and optimize, over the sync,
-// async and batch paths, a request carrying it answers exactly what
-// the same request without it answers.
+// TestAnalyzeLaneWordsWire checks that the deprecated fields are
+// accepted and ignored: lane_words on analyze, susceptibility and
+// optimize, and the approx block on analyze, over the sync, async and
+// batch paths. A request carrying one answers exactly what the same
+// request without it answers — including approx blocks that used to be
+// refused (negative fields, an over-cap batch size, a sequential
+// analysis).
 func TestAnalyzeLaneWordsWire(t *testing.T) {
-	url, cl := rawTestServer(t, Config{Workers: 2})
+	url, cl := rawTestServer(t, Config{Workers: 2, MaxVectors: 20000})
+	lanes := []string{`"lane_words":3`, `"lane_words":4`, `"lane_words":8`}
 	for _, tc := range []struct {
 		kind, fields string
+		deprecated   []string
 	}{
-		{"analyze", `"circuit":"c432","vectors":800,"seed":3`},
-		{"susceptibility", `"circuit":"c432","vectors":800,"seed":3,"top":5`},
-		{"optimize", `"circuit":"c17","vectors":500,"seed":2,"iterations":1,"max_basis":4`},
+		{"analyze", `"circuit":"c432","vectors":800,"seed":3`, []string{
+			`"lane_words":3`, `"lane_words":4`, `"lane_words":8`,
+			`"approx":{"rel_err":0.05,"batch_vectors":1000}`,
+			`"approx":{"rel_err":-1,"confidence":-0.5,"batch_vectors":-3,"max_batches":-2}`,
+			`"approx":{"batch_vectors":50000}`,
+		}},
+		{"analyze", `"circuit":"s27","vectors":600,"seed":3,"cycles":4`, []string{`"approx":{}`}},
+		{"susceptibility", `"circuit":"c432","vectors":800,"seed":3,"top":5`, lanes},
+		{"optimize", `"circuit":"c17","vectors":500,"seed":2,"iterations":1,"max_basis":4`, lanes},
 	} {
 		status, body := postJSON(t, url+"/v1/"+tc.kind, "{"+tc.fields+"}")
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d: %v", tc.kind, status, body)
 		}
 		want := canonicalBody(t, body)
-		for _, w := range []int{3, 4, 8} {
-			fields := fmt.Sprintf(`%s,"lane_words":%d`, tc.fields, w)
+		for _, dep := range tc.deprecated {
+			fields := tc.fields + "," + dep
 
 			status, body := postJSON(t, url+"/v1/"+tc.kind, "{"+fields+"}")
 			if status != http.StatusOK {
-				t.Fatalf("%s lane_words=%d: status %d: %v", tc.kind, w, status, body)
+				t.Fatalf("%s %s: status %d: %v", tc.kind, dep, status, body)
 			}
 			if got := canonicalBody(t, body); got != want {
-				t.Fatalf("%s lane_words=%d sync:\n got %s\nwant %s", tc.kind, w, got, want)
+				t.Fatalf("%s %s sync:\n got %s\nwant %s", tc.kind, dep, got, want)
 			}
 
 			status, body = postJSON(t, url+"/v1/"+tc.kind, "{"+fields+`,"async":true}`)
 			if status != http.StatusAccepted {
-				t.Fatalf("%s lane_words=%d async: status %d: %v", tc.kind, w, status, body)
+				t.Fatalf("%s %s async: status %d: %v", tc.kind, dep, status, body)
 			}
 			jr, err := cl.WaitJob(context.Background(), body["id"].(string), 5*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := canonicalBody(t, decoded(t, jr)[tc.kind]); got != want {
-				t.Fatalf("%s lane_words=%d async:\n got %s\nwant %s", tc.kind, w, got, want)
+				t.Fatalf("%s %s async:\n got %s\nwant %s", tc.kind, dep, got, want)
 			}
 
 			status, body = postJSON(t, url+"/v1/batch", fmt.Sprintf(`{%q:[{%s}]}`, tc.kind, fields))
 			if status != http.StatusOK {
-				t.Fatalf("%s lane_words=%d batch: status %d: %v", tc.kind, w, status, body)
+				t.Fatalf("%s %s batch: status %d: %v", tc.kind, dep, status, body)
 			}
 			items := body[tc.kind].([]any)
 			if got := canonicalBody(t, items[0].(map[string]any)["result"]); got != want {
-				t.Fatalf("%s lane_words=%d batch:\n got %s\nwant %s", tc.kind, w, got, want)
+				t.Fatalf("%s %s batch:\n got %s\nwant %s", tc.kind, dep, got, want)
 			}
 		}
-	}
-}
-
-func TestAnalyzeApproxWire(t *testing.T) {
-	url, cl := rawTestServer(t, Config{Workers: 2})
-	ctx := context.Background()
-
-	exact, err := cl.Analyze(ctx, serclient.AnalyzeRequest{Circuit: "c432", Vectors: 10000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := cl.Analyze(ctx, serclient.AnalyzeRequest{
-		Circuit: "c432", Seed: 3,
-		Approx: &serclient.ApproxRequest{RelErr: 0.05, BatchVectors: 1000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := resp.Approx
-	if a == nil {
-		t.Fatal("approx response missing approx block")
-	}
-	if a.Batches < 4 || a.VectorsUsed != a.Batches*1000 || a.Confidence != 0.95 {
-		t.Fatalf("approx block malformed: %+v", a)
-	}
-	if !(a.UCILow < resp.U && resp.U < a.UCIHigh) {
-		t.Fatalf("interval [%v, %v] does not contain mean %v", a.UCILow, a.UCIHigh, resp.U)
-	}
-	if exact.U < a.UCILow || exact.U > a.UCIHigh {
-		t.Fatalf("exact U %v outside CI [%v, %v]", exact.U, a.UCILow, a.UCIHigh)
-	}
-
-	// Approx is combinational-only: the sequential flow must reject it
-	// at validation time, not fall back silently.
-	_, err = cl.Analyze(ctx, serclient.AnalyzeRequest{
-		Circuit: "s27", Cycles: 4, Vectors: 600,
-		Approx: &serclient.ApproxRequest{},
-	})
-	if err == nil {
-		t.Fatal("sequential approx request accepted")
-	}
-
-	// The non-default mode must be visible to operators: the JSON
-	// snapshot and the Prometheus exposition.
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.ApproxJobs == 0 {
-		t.Fatal("approx_jobs counter not incremented")
-	}
-	hr, err := http.Get(url + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, _ := io.ReadAll(hr.Body)
-	hr.Body.Close()
-	fams, err := promtext.Parse(string(doc))
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v", err)
-	}
-	fam := fams["serd_approx_jobs_total"]
-	if fam == nil || len(fam.Samples) == 0 || fam.Samples[0].Value == 0 {
-		t.Fatal(`family "serd_approx_jobs_total" missing or zero in exposition`)
 	}
 }

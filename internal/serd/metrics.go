@@ -69,7 +69,6 @@ type metrics struct {
 	recovered     atomic.Int64
 	shed          atomic.Int64
 	journalErrors atomic.Int64
-	approxJobs    atomic.Int64
 
 	mu       sync.Mutex
 	requests map[string]int64
@@ -81,14 +80,6 @@ func newMetrics() *metrics {
 		start:    time.Now(),
 		requests: make(map[string]int64),
 		lat:      make(map[string]*latWindow),
-	}
-}
-
-// countModes tallies a job's simulation-path selection once it has
-// passed validation: the sampled Approx mode.
-func (m *metrics) countModes(approx bool) {
-	if approx {
-		m.approxJobs.Add(1)
 	}
 }
 
@@ -120,7 +111,6 @@ func (m *metrics) snapshot(queueDepth, jobsRunning, workers int, characterizatio
 		JobsRecovered:     m.recovered.Load(),
 		RequestsShed:      m.shed.Load(),
 		JournalErrors:     m.journalErrors.Load(),
-		ApproxJobs:        m.approxJobs.Load(),
 		LibCacheHits:      m.cacheHits.Load(),
 		Characterizations: characterizations,
 		CompiledCache: serclient.CompiledCacheMetrics{

@@ -532,6 +532,76 @@ func TestOptimizeValidation(t *testing.T) {
 	}
 }
 
+// TestReplayAppliesAnalysisLimits: journal replay applies the analyze
+// and susceptibility limits the submission paths apply, so a request
+// journaled under looser limits (or damaged on disk) fails at recovery
+// with no attempt instead of running. A journaled analyze carrying the
+// deprecated approx block recovers to the exact answer.
+func TestReplayAppliesAnalysisLimits(t *testing.T) {
+	rows := []struct {
+		name, kind, want, req string
+	}{
+		{"analyze vectors", "analyze", "vectors 5000 exceeds limit 2000", `{"circuit":"c17","vectors":5000,"seed":1}`},
+		{"analyze cycles over limit", "analyze", "cycles 5 exceeds limit 4", `{"circuit":"s27","vectors":200,"cycles":5}`},
+		{"analyze negative cycles", "analyze", "cycles must be >= 0", `{"circuit":"c17","vectors":200,"cycles":-1}`},
+		{"analyze init_state without cycles", "analyze", "init_state requires cycles >= 1", `{"circuit":"c17","vectors":200,"init_state":[true]}`},
+		{"susceptibility vectors", "susceptibility", "vectors 5000 exceeds limit 2000", `{"circuit":"c17","vectors":5000,"top":3}`},
+		{"susceptibility cycles over limit", "susceptibility", "cycles 5 exceeds limit 4", `{"circuit":"s27","vectors":200,"cycles":5}`},
+		{"susceptibility negative top", "susceptibility", "top must be >= 0", `{"circuit":"c17","vectors":200,"top":-1}`},
+	}
+	const approxReq = `{"circuit":"c17","vectors":600,"seed":4,"approx":{"rel_err":-1,"batch_vectors":1}}`
+
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(rows))
+	for i, row := range rows {
+		ids[i] = newJobID()
+		if err := jnl.Append(journal.Record{Job: ids[i], Event: journal.EventSubmitted, Kind: row.kind, Request: json.RawMessage(row.req)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	approxID := newJobID()
+	if err := jnl.Append(journal.Record{Job: approxID, Event: journal.EventSubmitted, Kind: "analyze", Request: json.RawMessage(approxReq)}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, cl, _, done := newDurableServer(t, fastRetry(Config{Workers: 1, Journal: jnl, MaxVectors: 2000, MaxCycles: 4}))
+	defer func() {
+		done()
+		jnl.Close()
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	for i, row := range rows {
+		final, err := cl.WaitJob(ctx, ids[i], 5*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.Status != serclient.JobFailed || final.Attempts != 0 || !strings.Contains(final.Error, row.want) {
+			t.Errorf("%s replay: status %s, attempts %d, error %q; want failed at recovery with no attempt, naming %q",
+				row.name, final.Status, final.Attempts, final.Error, row.want)
+		}
+	}
+
+	final, err := cl.WaitJob(ctx, approxID, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != serclient.JobDone || final.Analyze == nil {
+		t.Fatalf("approx-carrying replay finished %s (%s), want done", final.Status, final.Error)
+	}
+	exact, err := cl.Analyze(ctx, serclient.AnalyzeRequest{Circuit: "c17", Vectors: 600, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canonicalBody(t, decoded(t, final.Analyze)), canonicalBody(t, decoded(t, exact)); got != want {
+		t.Errorf("approx-carrying replay:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestGracefulDrainKeepsQueuedJobsDurable: Shutdown lets the running
 // job finish (journaled done), skips the queued one without running it
 // (journaled queued — not lost, not started), refuses new submissions,

@@ -526,26 +526,6 @@ func (s *Server) checkOptimize(req *serclient.OptimizeRequest) error {
 	return s.checkVectors(req.Vectors)
 }
 
-// checkApprox enforces the sampled-mode limits: combinational flow
-// only, non-negative tuning fields, and the per-batch vector count
-// under the same MaxVectors cap the exact mode honors. The worst-case
-// total work is then bounded by MaxBatches batches of a legal size.
-func (s *Server) checkApprox(approx *serclient.ApproxRequest, cycles int) error {
-	if approx == nil {
-		return nil
-	}
-	if cycles > 0 {
-		return fmt.Errorf("approx is not supported with the sequential flow (cycles >= 1)")
-	}
-	if approx.RelErr < 0 || approx.Confidence < 0 || approx.BatchVectors < 0 || approx.MaxBatches < 0 {
-		return fmt.Errorf("approx fields must be >= 0")
-	}
-	if err := s.checkVectors(approx.BatchVectors); err != nil {
-		return fmt.Errorf("approx batch_vectors: %v", err)
-	}
-	return nil
-}
-
 // checkSequentialShape enforces the limits that need the resolved
 // circuit: a circuit with flops needs the sequential flow (cycles >=
 // 1), the init_state length must match, and the joint cycles × flops
@@ -660,30 +640,15 @@ func sequentialOptions(vectors int, seed uint64, poLoad float64, cycles int, ini
 	}
 }
 
-// Exact analyses run Lean: the wire carries U and per-gate rows only,
-// never the WS/Wij tables, so the per-request nGates·nPOs·K arena is
-// pure garbage (the sampled mode is Lean already).
-func analysisOptions(vectors int, seed uint64, poLoad float64, approx *serclient.ApproxRequest) ser.AnalysisOptions {
+// Analyses run Lean: the wire carries U and per-gate rows only, never
+// the WS/Wij tables, so the per-request nGates·nPOs·K arena is pure
+// garbage.
+func analysisOptions(vectors int, seed uint64, poLoad float64) ser.AnalysisOptions {
 	return ser.AnalysisOptions{
 		Vectors: vectors,
 		Seed:    seed,
 		POLoad:  poLoad,
 		Lean:    true,
-		Approx:  approxOptions(approx),
-	}
-}
-
-// approxOptions maps the wire Approx block to the flow options; nil —
-// the exact mode — passes through untouched.
-func approxOptions(req *serclient.ApproxRequest) *ser.ApproxOptions {
-	if req == nil {
-		return nil
-	}
-	return &ser.ApproxOptions{
-		RelErr:       req.RelErr,
-		Confidence:   req.Confidence,
-		BatchVectors: req.BatchVectors,
-		MaxBatches:   req.MaxBatches,
 	}
 }
 
@@ -720,20 +685,11 @@ func (s *Server) runAnalyze(h *ser.Compiled, name string, req serclient.AnalyzeR
 			})
 		} else {
 			rep, err := s.sys.AnalyzeCompiledContext(ctx, h,
-				analysisOptions(req.Vectors, req.Seed, req.POLoad, req.Approx))
+				analysisOptions(req.Vectors, req.Seed, req.POLoad))
 			if err != nil {
 				return nil, nil, err
 			}
 			resp.Gates, resp.U = len(rep.Gates), rep.U
-			if rep.Approx {
-				resp.Approx = &serclient.ApproxResult{
-					UCILow:      rep.UCILow,
-					UCIHigh:     rep.UCIHigh,
-					Confidence:  rep.Confidence,
-					Batches:     rep.Batches,
-					VectorsUsed: rep.VectorsUsed,
-				}
-			}
 			resp.GateReports = gateRows(req.Top, rep.Gates, rep.Softest, func(g ser.GateReport) serclient.GateResult {
 				return serclient.GateResult{Name: g.Name, U: g.U, GenWidth: g.GenWidth, Delay: g.Delay}
 			})
@@ -776,7 +732,7 @@ func (s *Server) runSusceptibility(h *ser.Compiled, name string, req serclient.S
 			resp.Sequential = sequentialResult(rep)
 		} else {
 			rep, err := s.sys.AnalyzeCompiledContext(ctx, h,
-				analysisOptions(req.Vectors, req.Seed, req.POLoad, nil))
+				analysisOptions(req.Vectors, req.Seed, req.POLoad))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -870,16 +826,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := s.checkApprox(req.Approx, req.Cycles); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	ld, err := s.loadChecked(req.Circuit, req.Netlist, req.Name, req.Cycles, &req.InitState)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.met.countModes(req.Approx != nil)
 	var meta asyncMeta
 	if req.Async {
 		// Journal the request in canonical form: the netlist body is
@@ -1026,16 +977,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Analyze[i].Error = err.Error()
 			continue
 		}
-		if err := s.checkApprox(ar.Approx, ar.Cycles); err != nil {
-			resp.Analyze[i].Error = err.Error()
-			continue
-		}
 		ld, err := s.loadChecked(ar.Circuit, ar.Netlist, ar.Name, ar.Cycles, &ar.InitState)
 		if err != nil {
 			resp.Analyze[i].Error = err.Error()
 			continue
 		}
-		s.met.countModes(ar.Approx != nil)
 		j, err := s.submit("analyze", r.Context(), true, s.runAnalyze(ld.h, ld.display, ar))
 		if err != nil {
 			resp.Analyze[i].Error = err.Error()

@@ -9,8 +9,6 @@ import (
 	"repro/internal/ckt"
 	"repro/internal/devmodel"
 	"repro/internal/gen"
-	"repro/internal/logicsim"
-	"repro/internal/stats"
 )
 
 // TestGradientProbeIncrementalMatchesFull exercises RecomputeU exactly
@@ -27,14 +25,9 @@ func TestGradientProbeIncrementalMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sens, err := logicsim.Analyze(c, 2000, stats.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
 	base, err := aserta.Analyze(c, lib, baseline, aserta.Config{
-		Vectors:         2000,
-		Seed:            5,
-		PrecomputedSens: sens,
+		Vectors: 2000,
+		Seed:    5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -167,11 +167,11 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	}
 
 	// One-time logic analysis, shared by every cost evaluation: the
-	// handle's memo replaces the old private PrecomputedSens plumbing —
-	// the embedded ASERTA analyses below resolve the same (vectors,
-	// seed) entry. The optimizer is the incremental configuration of
-	// the shared strike pipeline: gradient seeding re-enters it through
-	// RecomputeU (strike.Delta), re-reducing only affected fanin cones.
+	// embedded ASERTA analyses below resolve the same (vectors, seed)
+	// entry of the handle's memo. The optimizer is the incremental
+	// configuration of the shared strike pipeline: gradient seeding
+	// re-enters it through RecomputeU (strike.Delta), re-reducing only
+	// affected fanin cones.
 	sens, err := logicsim.Sensitization(cc, opts.Vectors, opts.Seed)
 	if err != nil {
 		return nil, err

@@ -32,8 +32,8 @@
 // across concurrent Analyze/AnalyzeSequential/Optimize calls:
 //
 //	h, _ := ser.Compile(c)
-//	rep, _ = sys.AnalyzeCompiled(h, ser.AnalysisOptions{})
-//	opt, _ := sys.OptimizeCompiled(h, ser.OptimizeOptions{})
+//	rep, _ = sys.AnalyzeCompiledContext(ctx, h, ser.AnalysisOptions{})
+//	opt, _ := sys.OptimizeCompiledContext(ctx, h, ser.OptimizeOptions{})
 package ser
 
 import (
@@ -216,7 +216,7 @@ func (s *System) LoadLibrary(path string) error {
 // ("c17" ... "c7552", combinational) or an ISCAS-89 member ("s27" ...
 // "s38417", sequential). The genuine c17 and s27 netlists are included
 // verbatim; the larger suite members are profile-matched synthetic
-// circuits (see DESIGN.md §2 for the substitution rationale).
+// circuits (see docs/reproduction.md for the substitution rationale).
 func Benchmark(name string) (*Circuit, error) {
 	if len(name) > 0 && name[0] == 's' {
 		return gen.ISCAS89(name)
@@ -380,13 +380,6 @@ type AnalysisOptions struct {
 	// tier's default — it cuts tens of MB of per-request allocation on
 	// large circuits.
 	Lean bool
-	// Approx, when non-nil, switches to the sampled analysis mode:
-	// U is estimated from independent vector batches with a Student-t
-	// confidence interval and early termination (see ApproxOptions).
-	// Nil — the default everywhere — runs the exact fixed-Vectors
-	// analysis. Approximate reports are NOT bit-identical to exact
-	// ones; regression gates and the serving tier default to exact.
-	Approx *ApproxOptions
 }
 
 // GateReport is one gate's analysis summary.
@@ -402,22 +395,10 @@ type GateReport struct {
 
 // Report is the public ASERTA result.
 type Report struct {
-	// U is the circuit unreliability (Eq. 4). In approximate mode it
-	// is the mean over sampled batches.
+	// U is the circuit unreliability (Eq. 4).
 	U float64
 	// Gates lists per-gate results in netlist order.
 	Gates []GateReport
-
-	// Approx reports whether the sampled mode produced this report.
-	// When true, [UCILow, UCIHigh] brackets U at the requested
-	// Confidence, Batches counts the sampled batches and VectorsUsed
-	// the total vectors actually simulated; exact reports leave all of
-	// them zero.
-	Approx          bool
-	UCILow, UCIHigh float64
-	Confidence      float64
-	Batches         int
-	VectorsUsed     int
 
 	analysis *aserta.Analysis
 }
@@ -489,36 +470,27 @@ func (r *Report) SpectrumU(sys *System, spectrum []ChargeWeight) (float64, []flo
 // Analyze runs ASERTA on the circuit with a speed-sized baseline
 // assignment (or opts.Cells when provided), compiling the circuit on
 // the fly. Callers analyzing one netlist repeatedly should Compile
-// once and use AnalyzeCompiled.
+// once and use AnalyzeCompiledContext.
 func (s *System) Analyze(c *Circuit, opts AnalysisOptions) (*Report, error) {
-	return s.AnalyzeContext(context.Background(), c, opts)
-}
-
-// AnalyzeContext is Analyze with cooperative cancellation: ctx is
-// checked before each pipeline stage (characterization — per class —
-// baseline sizing, and the analysis itself). A stage already running
-// is not interrupted, so cancellation latency is bounded by the
-// longest single stage, and a cancelled call leaves the shared
-// library in a fully consistent state for concurrent callers.
-func (s *System) AnalyzeContext(ctx context.Context, c *Circuit, opts AnalysisOptions) (*Report, error) {
 	h, err := Compile(c)
 	if err != nil {
 		return nil, err
 	}
-	return s.AnalyzeCompiledContext(ctx, h, opts)
+	return s.AnalyzeCompiledContext(context.Background(), h, opts)
 }
 
-// AnalyzeCompiled runs ASERTA against a compiled handle: the
+// AnalyzeCompiledContext runs ASERTA against a compiled handle: the
 // netlist-derived precomputation (orders, cones, the sensitization
 // simulation at the requested vectors/seed) is served from the handle,
 // so warm analyses skip it entirely. Results are bit-identical to
 // Analyze.
-func (s *System) AnalyzeCompiled(h *Compiled, opts AnalysisOptions) (*Report, error) {
-	return s.AnalyzeCompiledContext(context.Background(), h, opts)
-}
-
-// AnalyzeCompiledContext is AnalyzeCompiled with cooperative
-// cancellation (same stage boundaries as AnalyzeContext).
+//
+// Cancellation is cooperative: ctx is checked before each pipeline
+// stage (characterization — per class — baseline sizing, and the
+// analysis itself). A stage already running is not interrupted, so
+// cancellation latency is bounded by the longest single stage, and a
+// cancelled call leaves the shared library in a fully consistent
+// state for concurrent callers.
 func (s *System) AnalyzeCompiledContext(ctx context.Context, h *Compiled, opts AnalysisOptions) (*Report, error) {
 	c := h.c
 	if c.Sequential() {
@@ -545,9 +517,6 @@ func (s *System) AnalyzeCompiledContext(ctx context.Context, h *Compiled, opts A
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if opts.Approx != nil {
-		return s.analyzeApprox(ctx, h, opts, cells)
 	}
 	an, err := aserta.AnalyzeCompiled(h.cc, s.Lib, cells, aserta.Config{
 		Vectors: opts.Vectors,
@@ -650,31 +619,19 @@ func (r *SequentialReport) Susceptibility() []SusceptibilityEntry {
 // the result then has no latched component and U equals the
 // combinational Eq. 4 unreliability.
 func (s *System) AnalyzeSequential(c *Circuit, opts SequentialOptions) (*SequentialReport, error) {
-	return s.AnalyzeSequentialContext(context.Background(), c, opts)
-}
-
-// AnalyzeSequentialContext is AnalyzeSequential with cooperative
-// cancellation at the characterization boundary and between analysis
-// stages.
-func (s *System) AnalyzeSequentialContext(ctx context.Context, c *Circuit, opts SequentialOptions) (*SequentialReport, error) {
 	h, err := Compile(c)
 	if err != nil {
 		return nil, err
 	}
-	return s.AnalyzeSequentialCompiledContext(ctx, h, opts)
-}
-
-// AnalyzeSequentialCompiled runs the sequential analysis against a
-// compiled handle: the combinational frame is built and compiled once
-// per handle and its sensitization statistics are memoized per
-// (vectors, seed), so warm analyses skip both. Results are
-// bit-identical to AnalyzeSequential.
-func (s *System) AnalyzeSequentialCompiled(h *Compiled, opts SequentialOptions) (*SequentialReport, error) {
 	return s.AnalyzeSequentialCompiledContext(context.Background(), h, opts)
 }
 
-// AnalyzeSequentialCompiledContext is AnalyzeSequentialCompiled with
-// cooperative cancellation.
+// AnalyzeSequentialCompiledContext runs the sequential analysis
+// against a compiled handle: the combinational frame is built and
+// compiled once per handle and its sensitization statistics are
+// memoized per (vectors, seed), so warm analyses skip both. Results
+// are bit-identical to AnalyzeSequential. Cancellation is cooperative,
+// at the characterization boundary and between analysis stages.
 func (s *System) AnalyzeSequentialCompiledContext(ctx context.Context, h *Compiled, opts SequentialOptions) (*SequentialReport, error) {
 	c := h.c
 	endChar := trace.StartStage(trace.RecorderFrom(ctx), "charlib.precharacterize")
@@ -759,31 +716,20 @@ func (r *OptimizeResult) Susceptibility() (baseline, optimized []SusceptibilityE
 }
 
 // Optimize runs SERTOPT on the circuit, compiling it on the fly.
-// Callers holding a compiled handle should use OptimizeCompiled.
+// Callers holding a compiled handle should use OptimizeCompiledContext.
 func (s *System) Optimize(c *Circuit, opts OptimizeOptions) (*OptimizeResult, error) {
-	return s.OptimizeContext(context.Background(), c, opts)
-}
-
-// OptimizeContext is Optimize with cooperative cancellation at the
-// characterization boundary (the dominant cost on a cold library) and
-// before the optimizer starts.
-func (s *System) OptimizeContext(ctx context.Context, c *Circuit, opts OptimizeOptions) (*OptimizeResult, error) {
 	h, err := Compile(c)
 	if err != nil {
 		return nil, err
 	}
-	return s.OptimizeCompiledContext(ctx, h, opts)
-}
-
-// OptimizeCompiled runs SERTOPT against a compiled handle, sharing the
-// handle's memoized sensitization with every other analysis of the
-// same netlist. Results are bit-identical to Optimize.
-func (s *System) OptimizeCompiled(h *Compiled, opts OptimizeOptions) (*OptimizeResult, error) {
 	return s.OptimizeCompiledContext(context.Background(), h, opts)
 }
 
-// OptimizeCompiledContext is OptimizeCompiled with cooperative
-// cancellation.
+// OptimizeCompiledContext runs SERTOPT against a compiled handle,
+// sharing the handle's memoized sensitization with every other
+// analysis of the same netlist. Results are bit-identical to Optimize.
+// Cancellation is cooperative, at the characterization boundary (the
+// dominant cost on a cold library) and before the optimizer starts.
 func (s *System) OptimizeCompiledContext(ctx context.Context, h *Compiled, opts OptimizeOptions) (*OptimizeResult, error) {
 	c := h.c
 	if c.Sequential() {

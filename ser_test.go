@@ -93,12 +93,12 @@ func TestLeanMatchesFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := AnalysisOptions{Vectors: 2000, Seed: 3}
-		full, err := sys().AnalyzeCompiled(h, opts)
+		full, err := sys().AnalyzeCompiledContext(context.Background(), h, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts.Lean = true
-		lean, err := sys().AnalyzeCompiled(h, opts)
+		lean, err := sys().AnalyzeCompiledContext(context.Background(), h, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,16 +225,20 @@ func TestSaveLibraryCreatesParentAtomically(t *testing.T) {
 
 func TestAnalyzeContextCancellation(t *testing.T) {
 	c, _ := Benchmark("c17")
+	h, err := Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sys().AnalyzeContext(ctx, c, AnalysisOptions{Vectors: 500}); err == nil {
+	if _, err := sys().AnalyzeCompiledContext(ctx, h, AnalysisOptions{Vectors: 500}); err == nil {
 		t.Fatal("cancelled context accepted")
 	}
-	if _, err := sys().OptimizeContext(ctx, c, OptimizeOptions{Vectors: 500}); err == nil {
+	if _, err := sys().OptimizeCompiledContext(ctx, h, OptimizeOptions{Vectors: 500}); err == nil {
 		t.Fatal("cancelled context accepted by optimizer")
 	}
 	// A live context must behave exactly like the plain calls.
-	rep, err := sys().AnalyzeContext(context.Background(), c, AnalysisOptions{Vectors: 500, Seed: 3})
+	rep, err := sys().AnalyzeCompiledContext(context.Background(), h, AnalysisOptions{Vectors: 500, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +247,7 @@ func TestAnalyzeContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.U != plain.U {
-		t.Fatalf("AnalyzeContext U = %v, Analyze U = %v (must be bit-identical)", rep.U, plain.U)
+		t.Fatalf("AnalyzeCompiledContext U = %v, Analyze U = %v (must be bit-identical)", rep.U, plain.U)
 	}
 }
 

@@ -5,6 +5,8 @@
 // source of truth without exposing server internals.
 package serclient
 
+import "encoding/json"
+
 // AnalyzeRequest asks for one ASERTA analysis. Exactly one of Circuit
 // (a built-in benchmark name, e.g. "c432") or Netlist (an inline
 // ISCAS-85 ".bench" body) must be set.
@@ -44,45 +46,12 @@ type AnalyzeRequest struct {
 	//
 	// Deprecated: accepted and ignored.
 	LaneWords int `json:"lane_words,omitempty"`
-	// Approx opts into the bounded-error sampled analysis instead of
-	// the exact fixed-vector run (combinational only; rejected when
-	// Cycles > 0). The response then carries an ApproxResult with the
-	// confidence interval. nil keeps the exact mode — the default, and
-	// the only mode whose results are bit-identical across runs.
-	Approx *ApproxRequest `json:"approx,omitempty"`
-}
-
-// ApproxRequest tunes the sampled analysis mode. Every zero field
-// takes the server default; the mode itself is selected by the
-// field's presence on the request, never by its contents.
-type ApproxRequest struct {
-	// RelErr is the target relative half-width of the confidence
-	// interval (default 0.05): sampling stops once half-width ≤
-	// RelErr·U.
-	RelErr float64 `json:"rel_err,omitempty"`
-	// Confidence is the interval coverage: 0.90, 0.95 (default) or
-	// 0.99; other values snap to the nearest.
-	Confidence float64 `json:"confidence,omitempty"`
-	// BatchVectors is the vector count per Monte-Carlo batch (default
-	// 1,000; capped by the server's MaxVectors limit).
-	BatchVectors int `json:"batch_vectors,omitempty"`
-	// MaxBatches bounds the sampling loop regardless of convergence
-	// (default 32).
-	MaxBatches int `json:"max_batches,omitempty"`
-}
-
-// ApproxResult reports the sampled mode's convergence: the response's
-// top-level U is the batch-mean estimate and [UCILow, UCIHigh] its
-// two-sided Student-t confidence interval at Confidence coverage.
-type ApproxResult struct {
-	UCILow     float64 `json:"u_ci_low"`
-	UCIHigh    float64 `json:"u_ci_high"`
-	Confidence float64 `json:"confidence"`
-	// Batches is the number of Monte-Carlo batches run before the
-	// interval converged (or MaxBatches stopped it); VectorsUsed the
-	// total random vectors across them.
-	Batches     int `json:"batches"`
-	VectorsUsed int `json:"vectors_used"`
+	// Approx selected a sampled analysis mode that has been removed.
+	// The field stays so that older clients and journaled requests that
+	// carry it still decode; its content is not inspected.
+	//
+	// Deprecated: accepted and ignored.
+	Approx json.RawMessage `json:"approx,omitempty"`
 }
 
 // GateResult is one gate's analysis summary (all times in seconds).
@@ -119,10 +88,7 @@ type AnalyzeResponse struct {
 	// Sequential is set when the request asked for a multi-cycle
 	// sequential analysis (Cycles > 0).
 	Sequential *SequentialResult `json:"sequential,omitempty"`
-	// Approx carries the confidence interval when the request opted
-	// into the sampled mode; nil for exact analyses.
-	Approx    *ApproxResult `json:"approx,omitempty"`
-	ElapsedMS float64       `json:"elapsed_ms"`
+	ElapsedMS  float64           `json:"elapsed_ms"`
 	// Timings is the per-stage breakdown of ElapsedMS, present only
 	// when the request set Timings.
 	Timings *TimingsReport `json:"timings,omitempty"`
@@ -438,11 +404,6 @@ type MetricsResponse struct {
 	// was already accepted (submission-time failures reject the
 	// request instead).
 	JournalErrors int64 `json:"journal_errors"`
-	// ApproxJobs counts accepted analysis submissions that opted into
-	// the sampled Approx mode. It counts requests, not batches, so
-	// operators can see how much traffic exercises the non-default
-	// simulation path.
-	ApproxJobs int64 `json:"approx_jobs"`
 	// Characterizations counts cell-class characterizations executed by
 	// the shared library (cache misses); LibCacheHits counts jobs that
 	// ran entirely against already-characterized tables.

@@ -1,6 +1,7 @@
 package ser
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -42,11 +43,11 @@ func TestTracingOverheadBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := AnalysisOptions{Vectors: 10000, Seed: 1}
-	if _, err := s.AnalyzeCompiled(h, opts); err != nil {
+	if _, err := s.AnalyzeCompiledContext(context.Background(), h, opts); err != nil {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	if _, err := s.AnalyzeCompiled(h, opts); err != nil {
+	if _, err := s.AnalyzeCompiledContext(context.Background(), h, opts); err != nil {
 		t.Fatal(err)
 	}
 	warmNS := float64(time.Since(t0).Nanoseconds())
