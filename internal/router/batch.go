@@ -5,6 +5,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -35,7 +36,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req serclient.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := serclient.DecodeRequest(bytes.NewReader(body), &req); err != nil {
 		rt.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -450,11 +450,9 @@ func (s *Server) rebuildJob(js *journal.JobState) *job {
 }
 
 // rebuildRun reconstructs a pending job's body from its journaled
-// request. The journaled netlist is canonical text, so re-resolving it
-// through loadChecked is a fixed point: same content address, identity
-// init-state remap, bit-identical analysis. Each kind re-applies its
-// submission checks first, so a request journaled under looser limits
-// (or damaged on disk) fails at recovery instead of running.
+// request: the netlist body (inline or from its blob), then the kind's
+// flow, whose replay decodes the request and runs the same prepare step
+// as a submission.
 func (s *Server) rebuildRun(js *journal.JobState) (func(ctx context.Context) (any, error), error) {
 	netlist := js.Netlist
 	if js.NetlistRef != "" {
@@ -464,71 +462,21 @@ func (s *Server) rebuildRun(js *journal.JobState) (func(ctx context.Context) (an
 		}
 		netlist = string(b)
 	}
-	switch js.Kind {
-	case "analyze":
-		var req serclient.AnalyzeRequest
-		if err := json.Unmarshal(js.Request, &req); err != nil {
-			return nil, fmt.Errorf("decode request: %v", err)
-		}
-		if err := s.checkAnalyze(req.Vectors, req.Cycles, req.InitState); err != nil {
-			return nil, err
-		}
-		req.Netlist = netlist
-		ld, err := s.loadChecked(req.Circuit, req.Netlist, req.Name, req.Cycles, &req.InitState)
-		if err != nil {
-			return nil, err
-		}
-		return s.runAnalyze(ld.h, ld.display, req), nil
-	case "susceptibility":
-		var req serclient.SusceptibilityRequest
-		if err := json.Unmarshal(js.Request, &req); err != nil {
-			return nil, fmt.Errorf("decode request: %v", err)
-		}
-		if err := s.checkSusceptibility(&req); err != nil {
-			return nil, err
-		}
-		req.Netlist = netlist
-		ld, err := s.loadChecked(req.Circuit, req.Netlist, req.Name, req.Cycles, &req.InitState)
-		if err != nil {
-			return nil, err
-		}
-		return s.runSusceptibility(ld.h, ld.display, req), nil
-	case "optimize":
-		var req serclient.OptimizeRequest
-		if err := json.Unmarshal(js.Request, &req); err != nil {
-			return nil, fmt.Errorf("decode request: %v", err)
-		}
-		if err := s.checkOptimize(&req); err != nil {
-			return nil, err
-		}
-		req.Netlist = netlist
-		ld, err := s.loadCombinational(req.Circuit, req.Netlist, req.Name)
-		if err != nil {
-			return nil, err
-		}
-		return s.runOptimize(ld.h, ld.display, req), nil
+	f := flowFor(js.Kind)
+	if f == nil {
+		return nil, fmt.Errorf("unknown job kind %q", js.Kind)
 	}
-	return nil, fmt.Errorf("unknown job kind %q", js.Kind)
+	return f.replay(s, js.Request, netlist)
 }
 
 // decodeResult deserializes a journaled terminal result into its typed
 // response, by job kind.
 func decodeResult(kind string, raw json.RawMessage) (any, error) {
-	var res any
-	switch kind {
-	case "analyze":
-		res = &serclient.AnalyzeResponse{}
-	case "susceptibility":
-		res = &serclient.SusceptibilityResponse{}
-	case "optimize":
-		res = &serclient.OptimizeResponse{}
-	default:
+	f := flowFor(kind)
+	if f == nil {
 		return nil, fmt.Errorf("unknown job kind %q", kind)
 	}
-	if err := json.Unmarshal(raw, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return f.decodeResult(raw)
 }
 
 // jobStateResponse shapes a journaled state as the wire job response —
@@ -540,14 +488,7 @@ func jobStateResponse(js *journal.JobState) (serclient.JobResponse, error) {
 		if err != nil {
 			return resp, err
 		}
-		switch r := res.(type) {
-		case *serclient.AnalyzeResponse:
-			resp.Analyze = r
-		case *serclient.SusceptibilityResponse:
-			resp.Susceptibility = r
-		case *serclient.OptimizeResponse:
-			resp.Optimize = r
-		}
+		placeResult(&resp, res)
 	}
 	return resp, nil
 }

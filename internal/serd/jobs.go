@@ -209,13 +209,25 @@ func (st *jobStore) response(j *job) serclient.JobResponse {
 	if j.err != nil {
 		resp.Error = j.err.Error()
 	}
-	switch res := j.result.(type) {
-	case *serclient.AnalyzeResponse:
-		resp.Analyze = res
-	case *serclient.OptimizeResponse:
-		resp.Optimize = res
-	case *serclient.SusceptibilityResponse:
-		resp.Susceptibility = res
-	}
+	placeResult(&resp, j.result)
 	return resp
+}
+
+// outcome snapshots a job's status, result and error message.
+func (st *jobStore) outcome(j *job) (status string, result any, errMsg string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if j.err != nil {
+		errMsg = j.err.Error()
+	}
+	return j.status, j.result, errMsg
+}
+
+// placeResult sets a finished job's result on its wire form, in the
+// field its kind's flow names. The in-memory store and the journal
+// fallback of GET /v1/jobs/{id} both place through it.
+func placeResult(jr *serclient.JobResponse, res any) {
+	if f := flowFor(jr.Kind); f != nil {
+		f.place(jr, res)
+	}
 }

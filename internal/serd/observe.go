@@ -100,19 +100,6 @@ func timingsReport(spans []trace.Span, totalMS float64) *serclient.TimingsReport
 	return tr
 }
 
-// setTimings attaches the timings block to whichever response type the
-// job produced.
-func setTimings(res any, tr *serclient.TimingsReport) {
-	switch r := res.(type) {
-	case *serclient.AnalyzeResponse:
-		r.Timings = tr
-	case *serclient.SusceptibilityResponse:
-		r.Timings = tr
-	case *serclient.OptimizeResponse:
-		r.Timings = tr
-	}
-}
-
 // counted wraps a handler with the shell every endpoint shares: the
 // per-endpoint request counter, request-ID generation and propagation
 // (header in, context through, header out), a span recorder feeding

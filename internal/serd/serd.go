@@ -21,6 +21,9 @@
 // is still queued (it then never runs) or already running (it stops at
 // the next pipeline stage); asynchronous jobs inherit the server
 // lifetime context and are polled via GET /v1/jobs/{id}.
+// Each analysis endpoint is one descriptor in a flow table (see flow):
+// a sync or async POST, a batch item and a job replayed from the
+// journal all run the same checks, circuit resolution and job body.
 //
 // Endpoints:
 //
@@ -267,9 +270,9 @@ func New(cfg Config) *Server {
 		idem:   make(map[string]*job),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.mux.HandleFunc("POST /v1/analyze", s.counted("analyze", s.handleAnalyze))
-	s.mux.HandleFunc("POST /v1/optimize", s.counted("optimize", s.handleOptimize))
-	s.mux.HandleFunc("POST /v1/susceptibility", s.counted("susceptibility", s.handleSusceptibility))
+	for _, f := range flows {
+		s.mux.HandleFunc("POST /v1/"+f.name(), s.counted(f.name(), func(w http.ResponseWriter, r *http.Request) { f.serve(s, w, r) }))
+	}
 	s.mux.HandleFunc("POST /v1/batch", s.counted("batch", s.handleBatch))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.counted("jobs", s.handleJob))
 	s.mux.HandleFunc("GET /healthz", s.counted("healthz", s.handleHealthz))
@@ -336,13 +339,12 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 	})
 }
 
-// decode reads a JSON request body under the size limit. On failure it
-// has already written the HTTP error.
+// decode reads a JSON request body under the size limit, by the
+// rules of serclient.DecodeRequest. On failure it has already written
+// the HTTP error.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := serclient.DecodeRequest(r.Body, v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
@@ -592,24 +594,84 @@ func (s *Server) finishJob(j *job, res any, err error) {
 	j.cancel()
 }
 
-// instrumented wraps a job body with the shell every analysis flow
-// shares: elapsed timing, the characterization counter delta feeding
-// the library cache-hit metric, and per-stage span collection. run
-// returns the response plus a pointer to its ElapsedMS field for the
-// shell to fill. Each job gets its own span recorder — batch items
-// sharing one request must not interleave their stage lists — and the
-// spans are merged into the request-level recorder (when the job
-// context carries one) for the /debug/requests ring. When timings is
-// set the spans are also attached to the response as its opt-in
-// timings block.
-func (s *Server) instrumented(timings bool, run func(ctx context.Context) (any, *float64, error)) func(ctx context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) {
+// flow is the descriptor of one analysis endpoint: analyze,
+// susceptibility or optimize. Every path a request takes goes through
+// its kind's entry in flows — a sync or async POST (serve), a batch item
+// (batch) and a job replayed from the journal (replay) all run the same
+// prepare step and job body — and journaled results decode and place
+// through it too. Shared code looks a kind up in the table instead of
+// branching on it.
+type flow interface {
+	name() string
+	serve(s *Server, w http.ResponseWriter, r *http.Request)
+	batch(s *Server, req *serclient.BatchRequest, out *serclient.BatchResponse) []batchItem
+	replay(s *Server, request json.RawMessage, netlist string) (func(ctx context.Context) (any, error), error)
+	decodeResult(raw json.RawMessage) (any, error)
+	place(jr *serclient.JobResponse, res any)
+}
+
+// flows is the flow table, in batch wire order.
+var flows = []flow{analyzeFlow, optimizeFlow, susceptibilityFlow}
+
+// flowFor looks a job kind up in the flow table; nil when unknown.
+func flowFor(kind string) flow {
+	for _, f := range flows {
+		if f.name() == kind {
+			return f
+		}
+	}
+	return nil
+}
+
+// common holds what every flow's request carries besides its own
+// fields. netlist points into the request: the journaled copy clears
+// it, and replay restores it from the journal.
+type common struct {
+	async, timings bool
+	netlist        *string
+}
+
+// flowOf implements flow for one wire request type Req and response
+// type Resp. Its fields hold everything specific to the kind.
+type flowOf[Req, Resp any] struct {
+	kind   string
+	common func(req *Req) common
+	// prepare applies the request checks, then resolves the circuit,
+	// remapping init_state in place to canonical flop order.
+	prepare func(s *Server, req *Req) (loaded, error)
+	// run is the job body: the engine call, shaped as the response.
+	run func(ctx context.Context, s *Server, ld loaded, req *Req) (*Resp, error)
+	// stamp fills the response's elapsed time and timings block.
+	stamp func(resp *Resp, elapsedMS float64, tr *serclient.TimingsReport)
+	// setJob sets a result on the job wire form.
+	setJob func(jr *serclient.JobResponse, resp *Resp)
+	// section returns the flow's batch items, after sizing their
+	// outcomes in out, and the setter of one item's outcome.
+	section func(req *serclient.BatchRequest, out *serclient.BatchResponse) ([]Req, func(i int, res *Resp, err string))
+}
+
+func (f *flowOf[Req, Resp]) name() string { return f.kind }
+
+// job runs the prepare step and wraps the job body in the shell every
+// flow shares: elapsed timing, the characterization counter delta
+// feeding the library cache-hit metric, and per-stage span collection.
+// Each job gets its own span recorder — batch items sharing one request
+// must not interleave their stage lists — and the spans are merged into
+// the request-level recorder (when the job context carries one) for the
+// /debug/requests ring. When the request sets timings the spans are
+// also attached to the response as its opt-in timings block.
+func (f *flowOf[Req, Resp]) job(s *Server, req *Req) (loaded, func(ctx context.Context) (any, error), error) {
+	ld, err := f.prepare(s, req)
+	if err != nil {
+		return ld, nil, err
+	}
+	return ld, func(ctx context.Context) (any, error) {
 		parent := trace.RecorderFrom(ctx)
 		rec := &trace.Recorder{}
 		ctx = trace.WithRecorder(ctx, rec)
 		t0 := time.Now()
 		before := s.sys.Characterizations()
-		res, elapsed, err := run(ctx)
+		res, err := f.run(ctx, s, ld, req)
 		for _, sp := range rec.Spans() {
 			parent.Add(sp) // nil-safe
 		}
@@ -619,83 +681,306 @@ func (s *Server) instrumented(timings bool, run func(ctx context.Context) (any, 
 		if s.sys.Characterizations() == before {
 			s.met.cacheHits.Add(1)
 		}
-		*elapsed = float64(time.Since(t0)) / float64(time.Millisecond)
-		if timings {
-			setTimings(res, timingsReport(rec.Spans(), *elapsed))
+		elapsed := float64(time.Since(t0)) / float64(time.Millisecond)
+		var tr *serclient.TimingsReport
+		if f.common(req).timings {
+			tr = timingsReport(rec.Spans(), elapsed)
 		}
+		f.stamp(res, elapsed, tr)
 		return res, nil
+	}, nil
+}
+
+// serve answers one POST of the flow's kind: an async request enters
+// the durability pipeline (journaling, idempotency, retries, shedding)
+// behind a 202; otherwise the job runs while the client waits.
+func (f *flowOf[Req, Resp]) serve(s *Server, w http.ResponseWriter, r *http.Request) {
+	var req Req
+	if !s.decode(w, r, &req) {
+		return
+	}
+	ld, run, err := f.job(s, &req)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if f.common(&req).async {
+		// Journal the request in canonical form: the netlist body is
+		// stored once (inline or content-addressed blob), and prepare
+		// already remapped init_state to canonical flop order, so replay
+		// needs no further translation.
+		jreq := req
+		*f.common(&jreq).netlist = ""
+		s.dispatchAsync(w, f.kind, s.newAsyncMeta(r, jreq, ld), run)
+		return
+	}
+	j, err := s.submit(f.kind, r.Context(), false, run)
+	if err != nil {
+		s.submitError(w, err)
+		return
+	}
+	select {
+	case <-j.done:
+	case <-r.Context().Done():
+		// Client gone; the job context is derived from the request
+		// context, so the job unwinds on its own. Nothing to write.
+		return
+	}
+	status, res, msg := s.jobs.outcome(j)
+	switch status {
+	case serclient.JobDone:
+		s.writeJSON(w, http.StatusOK, res)
+	case serclient.JobCanceled:
+		s.writeError(w, http.StatusServiceUnavailable, "job canceled: %s", msg)
+	default:
+		s.writeError(w, http.StatusInternalServerError, "%s", msg)
 	}
 }
 
-// sequentialOptions and analysisOptions assemble the flow options the
-// analyze and susceptibility endpoints share, so a new knob cannot be
-// wired into one endpoint and silently missed in the other.
-func sequentialOptions(vectors int, seed uint64, poLoad float64, cycles int, initState []bool) ser.SequentialOptions {
-	return ser.SequentialOptions{
-		Cycles:    cycles,
-		Vectors:   vectors,
-		Seed:      seed,
-		POLoad:    poLoad,
-		InitState: initState,
+// batchItem is one item of a batch request, bound to its flow.
+type batchItem struct {
+	kind    string
+	async   bool
+	prepare func() (func(ctx context.Context) (any, error), error)
+	set     func(res any, err string)
+}
+
+func (f *flowOf[Req, Resp]) batch(s *Server, req *serclient.BatchRequest, out *serclient.BatchResponse) []batchItem {
+	reqs, set := f.section(req, out)
+	items := make([]batchItem, len(reqs))
+	for i := range reqs {
+		items[i] = batchItem{
+			kind:  f.kind,
+			async: f.common(&reqs[i]).async,
+			prepare: func() (func(ctx context.Context) (any, error), error) {
+				_, run, err := f.job(s, &reqs[i])
+				return run, err
+			},
+			set: func(res any, err string) {
+				r, _ := res.(*Resp)
+				set(i, r, err)
+			},
+		}
+	}
+	return items
+}
+
+// replay rebuilds a journaled job's body. The journaled netlist is
+// canonical text, so re-resolving it is a fixed point: same content
+// address, identity init-state remap, bit-identical analysis. The
+// prepare step re-applies the submission checks, so a request journaled
+// under looser limits (or damaged on disk) fails at recovery instead of
+// running.
+func (f *flowOf[Req, Resp]) replay(s *Server, request json.RawMessage, netlist string) (func(ctx context.Context) (any, error), error) {
+	var req Req
+	if err := json.Unmarshal(request, &req); err != nil {
+		return nil, fmt.Errorf("decode request: %v", err)
+	}
+	*f.common(&req).netlist = netlist
+	_, run, err := f.job(s, &req)
+	return run, err
+}
+
+func (f *flowOf[Req, Resp]) decodeResult(raw json.RawMessage) (any, error) {
+	res := new(Resp)
+	if err := json.Unmarshal(raw, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+func (f *flowOf[Req, Resp]) place(jr *serclient.JobResponse, res any) {
+	if r, ok := res.(*Resp); ok {
+		f.setJob(jr, r)
 	}
 }
 
-// Analyses run Lean: the wire carries U and per-gate rows only, never
-// the WS/Wij tables, so the per-request nGates·nPOs·K arena is pure
-// garbage.
-func analysisOptions(vectors int, seed uint64, poLoad float64) ser.AnalysisOptions {
-	return ser.AnalysisOptions{
+// analyzeFlow serves /v1/analyze: U plus the per-gate rows, the Top
+// softest or every gate in netlist order.
+var analyzeFlow = &flowOf[serclient.AnalyzeRequest, serclient.AnalyzeResponse]{
+	kind:   "analyze",
+	common: func(r *serclient.AnalyzeRequest) common { return common{r.Async, r.Timings, &r.Netlist} },
+	prepare: func(s *Server, r *serclient.AnalyzeRequest) (loaded, error) {
+		if err := s.checkAnalyze(r.Vectors, r.Cycles, r.InitState); err != nil {
+			return loaded{}, err
+		}
+		return s.loadChecked(r.Circuit, r.Netlist, r.Name, r.Cycles, &r.InitState)
+	},
+	run: func(ctx context.Context, s *Server, ld loaded, r *serclient.AnalyzeRequest) (*serclient.AnalyzeResponse, error) {
+		a, err := s.analyze(ctx, ld.h, r.Vectors, r.Seed, r.POLoad, r.Cycles, r.InitState)
+		if err != nil {
+			return nil, err
+		}
+		return &serclient.AnalyzeResponse{Circuit: ld.display, Gates: a.gates, U: a.u, GateReports: a.rows(r.Top), Sequential: a.seq}, nil
+	},
+	stamp: func(resp *serclient.AnalyzeResponse, ms float64, tr *serclient.TimingsReport) {
+		resp.ElapsedMS, resp.Timings = ms, tr
+	},
+	setJob: func(jr *serclient.JobResponse, resp *serclient.AnalyzeResponse) { jr.Analyze = resp },
+	section: func(b *serclient.BatchRequest, out *serclient.BatchResponse) ([]serclient.AnalyzeRequest, func(int, *serclient.AnalyzeResponse, string)) {
+		out.Analyze = make([]serclient.AnalyzeBatchItem, len(b.Analyze))
+		return b.Analyze, func(i int, res *serclient.AnalyzeResponse, err string) {
+			out.Analyze[i] = serclient.AnalyzeBatchItem{Error: err, Result: res}
+		}
+	},
+}
+
+// susceptibilityFlow serves /v1/susceptibility: the analysis reduced
+// to the ranked per-gate contribution product via
+// Report.Susceptibility, so the wire result is exactly the in-process
+// ranking.
+var susceptibilityFlow = &flowOf[serclient.SusceptibilityRequest, serclient.SusceptibilityResponse]{
+	kind:   "susceptibility",
+	common: func(r *serclient.SusceptibilityRequest) common { return common{r.Async, r.Timings, &r.Netlist} },
+	prepare: func(s *Server, r *serclient.SusceptibilityRequest) (loaded, error) {
+		if r.Top < 0 {
+			return loaded{}, fmt.Errorf("top must be >= 0")
+		}
+		if err := s.checkAnalyze(r.Vectors, r.Cycles, r.InitState); err != nil {
+			return loaded{}, err
+		}
+		return s.loadChecked(r.Circuit, r.Netlist, r.Name, r.Cycles, &r.InitState)
+	},
+	run: func(ctx context.Context, s *Server, ld loaded, r *serclient.SusceptibilityRequest) (*serclient.SusceptibilityResponse, error) {
+		a, err := s.analyze(ctx, ld.h, r.Vectors, r.Seed, r.POLoad, r.Cycles, r.InitState)
+		if err != nil {
+			return nil, err
+		}
+		entries := a.ranking()
+		if r.Top > 0 && r.Top < len(entries) {
+			entries = entries[:r.Top]
+		}
+		resp := &serclient.SusceptibilityResponse{Circuit: ld.display, Gates: a.gates, U: a.u, Sequential: a.seq}
+		resp.Entries = make([]serclient.SusceptibilityEntry, len(entries))
+		for i, e := range entries {
+			resp.Entries[i] = serclient.SusceptibilityEntry{Name: e.Name, U: e.U, Share: e.Share, CumShare: e.CumShare}
+		}
+		return resp, nil
+	},
+	stamp: func(resp *serclient.SusceptibilityResponse, ms float64, tr *serclient.TimingsReport) {
+		resp.ElapsedMS, resp.Timings = ms, tr
+	},
+	setJob: func(jr *serclient.JobResponse, resp *serclient.SusceptibilityResponse) { jr.Susceptibility = resp },
+	section: func(b *serclient.BatchRequest, out *serclient.BatchResponse) ([]serclient.SusceptibilityRequest, func(int, *serclient.SusceptibilityResponse, string)) {
+		out.Susceptibility = make([]serclient.SusceptibilityBatchItem, len(b.Susceptibility))
+		return b.Susceptibility, func(i int, res *serclient.SusceptibilityResponse, err string) {
+			out.Susceptibility[i] = serclient.SusceptibilityBatchItem{Error: err, Result: res}
+		}
+	},
+}
+
+// optimizeFlow serves /v1/optimize: one SERTOPT run over a
+// combinational circuit.
+var optimizeFlow = &flowOf[serclient.OptimizeRequest, serclient.OptimizeResponse]{
+	kind:   "optimize",
+	common: func(r *serclient.OptimizeRequest) common { return common{r.Async, r.Timings, &r.Netlist} },
+	prepare: func(s *Server, r *serclient.OptimizeRequest) (loaded, error) {
+		if err := s.checkOptimize(r); err != nil {
+			return loaded{}, err
+		}
+		return s.loadCombinational(r.Circuit, r.Netlist, r.Name)
+	},
+	run: func(ctx context.Context, s *Server, ld loaded, r *serclient.OptimizeRequest) (*serclient.OptimizeResponse, error) {
+		res, err := s.sys.OptimizeCompiledContext(ctx, ld.h, ser.OptimizeOptions{
+			VDDs:       r.VDDs,
+			Vths:       r.Vths,
+			Iterations: r.Iterations,
+			MaxBasis:   r.MaxBasis,
+			Vectors:    r.Vectors,
+			Seed:       r.Seed,
+			Method:     r.Method,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &serclient.OptimizeResponse{
+			Circuit:     ld.display,
+			UDecrease:   res.UDecrease,
+			AreaRatio:   res.AreaRatio,
+			EnergyRatio: res.EnergyRatio,
+			DelayRatio:  res.DelayRatio,
+			BaselineU:   res.BaselineU,
+			OptimizedU:  res.OptimizedU,
+		}, nil
+	},
+	stamp: func(resp *serclient.OptimizeResponse, ms float64, tr *serclient.TimingsReport) {
+		resp.ElapsedMS, resp.Timings = ms, tr
+	},
+	setJob: func(jr *serclient.JobResponse, resp *serclient.OptimizeResponse) { jr.Optimize = resp },
+	section: func(b *serclient.BatchRequest, out *serclient.BatchResponse) ([]serclient.OptimizeRequest, func(int, *serclient.OptimizeResponse, string)) {
+		out.Optimize = make([]serclient.OptimizeBatchItem, len(b.Optimize))
+		return b.Optimize, func(i int, res *serclient.OptimizeResponse, err string) {
+			out.Optimize[i] = serclient.OptimizeBatchItem{Error: err, Result: res}
+		}
+	},
+}
+
+// analysis is the result of the analysis call the analyze and
+// susceptibility flows share; each shapes its own response from it.
+// rows and ranking build their per-gate views on demand, so a flow pays
+// only for the view it serves.
+type analysis struct {
+	gates   int
+	u       float64
+	seq     *serclient.SequentialResult
+	rows    func(top int) []serclient.GateResult
+	ranking func() []ser.SusceptibilityEntry
+}
+
+// analyze runs the combinational ASERTA flow, or the multi-cycle
+// sequential flow when cycles > 0.
+func (s *Server) analyze(ctx context.Context, h *ser.Compiled, vectors int, seed uint64, poLoad float64, cycles int, initState []bool) (analysis, error) {
+	if cycles > 0 {
+		rep, err := s.sys.AnalyzeSequentialCompiledContext(ctx, h, ser.SequentialOptions{
+			Cycles:    cycles,
+			Vectors:   vectors,
+			Seed:      seed,
+			POLoad:    poLoad,
+			InitState: initState,
+		})
+		if err != nil {
+			return analysis{}, err
+		}
+		return analysis{
+			gates: len(rep.Gates),
+			u:     rep.U,
+			seq: &serclient.SequentialResult{
+				Cycles:   rep.Cycles,
+				Flops:    rep.Flops,
+				DirectU:  rep.DirectU,
+				LatchedU: rep.LatchedU,
+				FIT:      rep.FIT,
+			},
+			rows: func(top int) []serclient.GateResult {
+				return gateRows(top, rep.Gates, rep.Softest, func(g ser.SequentialGateReport) serclient.GateResult {
+					return serclient.GateResult{Name: g.Name, U: g.U, GenWidth: g.GenWidth, Delay: g.Delay}
+				})
+			},
+			ranking: rep.Susceptibility,
+		}, nil
+	}
+	// Analyses run Lean: the wire carries U and per-gate rows only, never
+	// the WS/Wij tables, so the per-request nGates·nPOs·K arena is pure
+	// garbage.
+	rep, err := s.sys.AnalyzeCompiledContext(ctx, h, ser.AnalysisOptions{
 		Vectors: vectors,
 		Seed:    seed,
 		POLoad:  poLoad,
 		Lean:    true,
-	}
-}
-
-// sequentialResult maps a sequential report's summary to its wire
-// block.
-func sequentialResult(rep *ser.SequentialReport) *serclient.SequentialResult {
-	return &serclient.SequentialResult{
-		Cycles:   rep.Cycles,
-		Flops:    rep.Flops,
-		DirectU:  rep.DirectU,
-		LatchedU: rep.LatchedU,
-		FIT:      rep.FIT,
-	}
-}
-
-// runAnalyze builds the job body for one analysis request — the
-// combinational ASERTA flow, or the multi-cycle sequential flow when
-// req.Cycles > 0. The flow only decides the U total, the per-gate
-// rows and the sequential block; the shared shell lives in
-// instrumented.
-func (s *Server) runAnalyze(h *ser.Compiled, name string, req serclient.AnalyzeRequest) func(ctx context.Context) (any, error) {
-	return s.instrumented(req.Timings, func(ctx context.Context) (any, *float64, error) {
-		resp := &serclient.AnalyzeResponse{Circuit: name}
-		if req.Cycles > 0 {
-			rep, err := s.sys.AnalyzeSequentialCompiledContext(ctx, h,
-				sequentialOptions(req.Vectors, req.Seed, req.POLoad, req.Cycles, req.InitState))
-			if err != nil {
-				return nil, nil, err
-			}
-			resp.Gates, resp.U = len(rep.Gates), rep.U
-			resp.Sequential = sequentialResult(rep)
-			resp.GateReports = gateRows(req.Top, rep.Gates, rep.Softest, func(g ser.SequentialGateReport) serclient.GateResult {
-				return serclient.GateResult{Name: g.Name, U: g.U, GenWidth: g.GenWidth, Delay: g.Delay}
-			})
-		} else {
-			rep, err := s.sys.AnalyzeCompiledContext(ctx, h,
-				analysisOptions(req.Vectors, req.Seed, req.POLoad))
-			if err != nil {
-				return nil, nil, err
-			}
-			resp.Gates, resp.U = len(rep.Gates), rep.U
-			resp.GateReports = gateRows(req.Top, rep.Gates, rep.Softest, func(g ser.GateReport) serclient.GateResult {
-				return serclient.GateResult{Name: g.Name, U: g.U, GenWidth: g.GenWidth, Delay: g.Delay}
-			})
-		}
-		return resp, &resp.ElapsedMS, nil
 	})
+	if err != nil {
+		return analysis{}, err
+	}
+	return analysis{
+		gates: len(rep.Gates),
+		u:     rep.U,
+		rows: func(top int) []serclient.GateResult {
+			return gateRows(top, rep.Gates, rep.Softest, func(g ser.GateReport) serclient.GateResult {
+				return serclient.GateResult{Name: g.Name, U: g.U, GenWidth: g.GenWidth, Delay: g.Delay}
+			})
+		},
+		ranking: rep.Susceptibility,
+	}, nil
 }
 
 // gateRows applies the shared per-gate report shaping — Top-softest
@@ -710,169 +995,6 @@ func gateRows[T any](top int, all []T, softest func(int) []T, row func(T) sercli
 		out = append(out, row(g))
 	}
 	return out
-}
-
-// runSusceptibility builds the job body for one susceptibility
-// request: the same analysis flows as runAnalyze (compiled-cache warm
-// path included), reduced to the ranked per-gate contribution product
-// via Report.Susceptibility, so the wire result is exactly the
-// in-process ranking.
-func (s *Server) runSusceptibility(h *ser.Compiled, name string, req serclient.SusceptibilityRequest) func(ctx context.Context) (any, error) {
-	return s.instrumented(req.Timings, func(ctx context.Context) (any, *float64, error) {
-		resp := &serclient.SusceptibilityResponse{Circuit: name}
-		var entries []ser.SusceptibilityEntry
-		if req.Cycles > 0 {
-			rep, err := s.sys.AnalyzeSequentialCompiledContext(ctx, h,
-				sequentialOptions(req.Vectors, req.Seed, req.POLoad, req.Cycles, req.InitState))
-			if err != nil {
-				return nil, nil, err
-			}
-			entries = rep.Susceptibility()
-			resp.Gates, resp.U = len(rep.Gates), rep.U
-			resp.Sequential = sequentialResult(rep)
-		} else {
-			rep, err := s.sys.AnalyzeCompiledContext(ctx, h,
-				analysisOptions(req.Vectors, req.Seed, req.POLoad))
-			if err != nil {
-				return nil, nil, err
-			}
-			entries = rep.Susceptibility()
-			resp.Gates, resp.U = len(rep.Gates), rep.U
-		}
-		if req.Top > 0 && req.Top < len(entries) {
-			entries = entries[:req.Top]
-		}
-		resp.Entries = make([]serclient.SusceptibilityEntry, len(entries))
-		for i, e := range entries {
-			resp.Entries[i] = serclient.SusceptibilityEntry{Name: e.Name, U: e.U, Share: e.Share, CumShare: e.CumShare}
-		}
-		return resp, &resp.ElapsedMS, nil
-	})
-}
-
-// runOptimize builds the job body for one optimization request; it
-// shares the instrumented shell with the analysis flows.
-func (s *Server) runOptimize(h *ser.Compiled, name string, req serclient.OptimizeRequest) func(ctx context.Context) (any, error) {
-	return s.instrumented(req.Timings, func(ctx context.Context) (any, *float64, error) {
-		res, err := s.sys.OptimizeCompiledContext(ctx, h, ser.OptimizeOptions{
-			VDDs:       req.VDDs,
-			Vths:       req.Vths,
-			Iterations: req.Iterations,
-			MaxBasis:   req.MaxBasis,
-			Vectors:    req.Vectors,
-			Seed:       req.Seed,
-			Method:     req.Method,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		resp := &serclient.OptimizeResponse{
-			Circuit:     name,
-			UDecrease:   res.UDecrease,
-			AreaRatio:   res.AreaRatio,
-			EnergyRatio: res.EnergyRatio,
-			DelayRatio:  res.DelayRatio,
-			BaselineU:   res.BaselineU,
-			OptimizedU:  res.OptimizedU,
-		}
-		return resp, &resp.ElapsedMS, nil
-	})
-}
-
-// dispatch runs one request either synchronously (waiting for the job
-// and writing its result) or asynchronously (202 + job id, with the
-// durability pipeline: journaling, idempotency, retries, shedding).
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind string, async bool, meta asyncMeta, run func(ctx context.Context) (any, error)) {
-	if async {
-		s.dispatchAsync(w, kind, meta, run)
-		return
-	}
-	j, err := s.submit(kind, r.Context(), false, run)
-	if err != nil {
-		s.submitError(w, err)
-		return
-	}
-	select {
-	case <-j.done:
-	case <-r.Context().Done():
-		// Client gone; the job context is derived from the request
-		// context, so the job unwinds on its own. Nothing to write.
-		return
-	}
-	resp := s.jobs.response(j)
-	switch resp.Status {
-	case serclient.JobDone:
-		switch {
-		case resp.Analyze != nil:
-			s.writeJSON(w, http.StatusOK, resp.Analyze)
-		case resp.Susceptibility != nil:
-			s.writeJSON(w, http.StatusOK, resp.Susceptibility)
-		default:
-			s.writeJSON(w, http.StatusOK, resp.Optimize)
-		}
-	case serclient.JobCanceled:
-		s.writeError(w, http.StatusServiceUnavailable, "job canceled: %s", resp.Error)
-	default:
-		s.writeError(w, http.StatusInternalServerError, "%s", resp.Error)
-	}
-}
-
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req serclient.AnalyzeRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if err := s.checkAnalyze(req.Vectors, req.Cycles, req.InitState); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ld, err := s.loadChecked(req.Circuit, req.Netlist, req.Name, req.Cycles, &req.InitState)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var meta asyncMeta
-	if req.Async {
-		// Journal the request in canonical form: the netlist body is
-		// stored once (inline or content-addressed blob), and InitState
-		// was already remapped to canonical flop order by loadChecked,
-		// so replay needs no further translation.
-		jreq := req
-		jreq.Netlist = ""
-		meta = s.newAsyncMeta(r, jreq, ld)
-	}
-	s.dispatch(w, r, "analyze", req.Async, meta, s.runAnalyze(ld.h, ld.display, req))
-}
-
-func (s *Server) handleSusceptibility(w http.ResponseWriter, r *http.Request) {
-	var req serclient.SusceptibilityRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if err := s.checkSusceptibility(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ld, err := s.loadChecked(req.Circuit, req.Netlist, req.Name, req.Cycles, &req.InitState)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var meta asyncMeta
-	if req.Async {
-		jreq := req
-		jreq.Netlist = ""
-		meta = s.newAsyncMeta(r, jreq, ld)
-	}
-	s.dispatch(w, r, "susceptibility", req.Async, meta, s.runSusceptibility(ld.h, ld.display, req))
-}
-
-// checkSusceptibility enforces the request-only susceptibility limits.
-func (s *Server) checkSusceptibility(req *serclient.SusceptibilityRequest) error {
-	if req.Top < 0 {
-		return fmt.Errorf("top must be >= 0")
-	}
-	return s.checkAnalyze(req.Vectors, req.Cycles, req.InitState)
 }
 
 // loadChecked is the one place a request's circuit reference is
@@ -912,29 +1034,6 @@ func (s *Server) loadCombinational(circuit, netlist, name string) (loaded, error
 	return ld, nil
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var req serclient.OptimizeRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if err := s.checkOptimize(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ld, err := s.loadCombinational(req.Circuit, req.Netlist, req.Name)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var meta asyncMeta
-	if req.Async {
-		jreq := req
-		jreq.Netlist = ""
-		meta = s.newAsyncMeta(r, jreq, ld)
-	}
-	s.dispatch(w, r, "optimize", req.Async, meta, s.runOptimize(ld.h, ld.display, req))
-}
-
 // handleBatch fans a batch's items onto the worker pool and reports
 // every item's outcome in one response. Invalid items fail
 // individually without poisoning the rest; submissions block (rather
@@ -945,136 +1044,49 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	total := len(req.Analyze) + len(req.Optimize) + len(req.Susceptibility)
-	if total == 0 {
+	var resp serclient.BatchResponse
+	var items []batchItem
+	for _, f := range flows {
+		items = append(items, f.batch(s, &req, &resp)...)
+	}
+	if len(items) == 0 {
 		s.writeError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if total > s.cfg.MaxBatchItems {
-		s.writeError(w, http.StatusBadRequest, "batch has %d items, limit is %d", total, s.cfg.MaxBatchItems)
+	if len(items) > s.cfg.MaxBatchItems {
+		s.writeError(w, http.StatusBadRequest, "batch has %d items, limit is %d", len(items), s.cfg.MaxBatchItems)
 		return
 	}
 
-	resp := serclient.BatchResponse{
-		Analyze:        make([]serclient.AnalyzeBatchItem, len(req.Analyze)),
-		Optimize:       make([]serclient.OptimizeBatchItem, len(req.Optimize)),
-		Susceptibility: make([]serclient.SusceptibilityBatchItem, len(req.Susceptibility)),
+	jobs := make([]*job, len(items))
+	for i, it := range items {
+		if it.async {
+			it.set(nil, "async is not supported inside a batch; submit the item to /v1/"+it.kind+" instead")
+			continue
+		}
+		run, err := it.prepare()
+		if err == nil {
+			jobs[i], err = s.submit(it.kind, r.Context(), true, run)
+		}
+		if err != nil {
+			it.set(nil, err.Error())
+		}
 	}
-	type pending struct {
-		j       *job
-		analyze int // index into resp.Analyze, or -1
-		opt     int // index into resp.Optimize, or -1
-		susc    int // index into resp.Susceptibility, or -1
-	}
-	var jobs []pending
-
-	for i, ar := range req.Analyze {
-		if ar.Async {
-			resp.Analyze[i].Error = "async is not supported inside a batch; submit the item to /v1/analyze instead"
+	for i, j := range jobs {
+		if j == nil {
+			resp.Failed++
 			continue
 		}
-		if err := s.checkAnalyze(ar.Vectors, ar.Cycles, ar.InitState); err != nil {
-			resp.Analyze[i].Error = err.Error()
-			continue
-		}
-		ld, err := s.loadChecked(ar.Circuit, ar.Netlist, ar.Name, ar.Cycles, &ar.InitState)
-		if err != nil {
-			resp.Analyze[i].Error = err.Error()
-			continue
-		}
-		j, err := s.submit("analyze", r.Context(), true, s.runAnalyze(ld.h, ld.display, ar))
-		if err != nil {
-			resp.Analyze[i].Error = err.Error()
-			continue
-		}
-		jobs = append(jobs, pending{j: j, analyze: i, opt: -1, susc: -1})
-	}
-	for i, or := range req.Optimize {
-		if or.Async {
-			resp.Optimize[i].Error = "async is not supported inside a batch; submit the item to /v1/optimize instead"
-			continue
-		}
-		if err := s.checkOptimize(&or); err != nil {
-			resp.Optimize[i].Error = err.Error()
-			continue
-		}
-		ld, err := s.loadCombinational(or.Circuit, or.Netlist, or.Name)
-		if err != nil {
-			resp.Optimize[i].Error = err.Error()
-			continue
-		}
-		j, err := s.submit("optimize", r.Context(), true, s.runOptimize(ld.h, ld.display, or))
-		if err != nil {
-			resp.Optimize[i].Error = err.Error()
-			continue
-		}
-		jobs = append(jobs, pending{j: j, analyze: -1, opt: i, susc: -1})
-	}
-	for i := range req.Susceptibility {
-		sr := req.Susceptibility[i]
-		if sr.Async {
-			resp.Susceptibility[i].Error = "async is not supported inside a batch; submit the item to /v1/susceptibility instead"
-			continue
-		}
-		if err := s.checkSusceptibility(&sr); err != nil {
-			resp.Susceptibility[i].Error = err.Error()
-			continue
-		}
-		ld, err := s.loadChecked(sr.Circuit, sr.Netlist, sr.Name, sr.Cycles, &sr.InitState)
-		if err != nil {
-			resp.Susceptibility[i].Error = err.Error()
-			continue
-		}
-		j, err := s.submit("susceptibility", r.Context(), true, s.runSusceptibility(ld.h, ld.display, sr))
-		if err != nil {
-			resp.Susceptibility[i].Error = err.Error()
-			continue
-		}
-		jobs = append(jobs, pending{j: j, analyze: -1, opt: -1, susc: i})
-	}
-
-	for _, p := range jobs {
 		select {
-		case <-p.j.done:
+		case <-j.done:
 		case <-r.Context().Done():
 			return // client gone; jobs unwind via their derived contexts
 		}
-		jr := s.jobs.response(p.j)
-		switch {
-		case p.analyze >= 0:
-			if jr.Status == serclient.JobDone {
-				resp.Analyze[p.analyze].Result = jr.Analyze
-			} else {
-				resp.Analyze[p.analyze].Error = jr.Error
-			}
-		case p.opt >= 0:
-			if jr.Status == serclient.JobDone {
-				resp.Optimize[p.opt].Result = jr.Optimize
-			} else {
-				resp.Optimize[p.opt].Error = jr.Error
-			}
-		case p.susc >= 0:
-			if jr.Status == serclient.JobDone {
-				resp.Susceptibility[p.susc].Result = jr.Susceptibility
-			} else {
-				resp.Susceptibility[p.susc].Error = jr.Error
-			}
-		}
-	}
-	for _, it := range resp.Analyze {
-		if it.Result == nil {
+		status, res, msg := s.jobs.outcome(j)
+		if status != serclient.JobDone {
 			resp.Failed++
 		}
-	}
-	for _, it := range resp.Optimize {
-		if it.Result == nil {
-			resp.Failed++
-		}
-	}
-	for _, it := range resp.Susceptibility {
-		if it.Result == nil {
-			resp.Failed++
-		}
+		items[i].set(res, msg)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

@@ -5,7 +5,35 @@
 // source of truth without exposing server internals.
 package serclient
 
-import "encoding/json"
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+)
+
+// DecodeRequest decodes one request body the way serd and its router
+// both do: exactly one JSON value, no field the target type lacks, and
+// nothing after the value but whitespace. Strictness is the point — a
+// mistyped field or a second value must be refused with 400, never
+// silently ignored into a default analysis. Errors from r (such as a
+// body-size limit) are returned unwrapped.
+func DecodeRequest(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	rest, err := io.ReadAll(io.MultiReader(dec.Buffered(), r))
+	if err != nil {
+		return err
+	}
+	// Worded as encoding/json words the same fault in json.Unmarshal.
+	if rest = bytes.TrimLeft(rest, " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("invalid character %q after top-level value", rest[0])
+	}
+	return nil
+}
 
 // AnalyzeRequest asks for one ASERTA analysis. Exactly one of Circuit
 // (a built-in benchmark name, e.g. "c432") or Netlist (an inline
@@ -414,8 +442,8 @@ type MetricsResponse struct {
 	// ArtifactCache reports the persistent artifact store behind the
 	// compiled-circuit cache (all-zero unless -artifact-dir is set).
 	ArtifactCache ArtifactCacheMetrics `json:"artifact_cache"`
-	// LatencyMS maps job kind ("analyze", "optimize") to a latency
-	// summary over recent jobs.
+	// LatencyMS maps job kind ("analyze", "optimize",
+	// "susceptibility") to a latency summary over recent jobs.
 	LatencyMS map[string]LatencySummary `json:"latency_ms"`
 }
 
