@@ -175,7 +175,9 @@ func (t GateType) Eval(in []bool) bool {
 }
 
 // EvalWord computes the gate function bitwise over 64-way packed input
-// words, enabling 64 parallel random-vector simulations per call.
+// words, enabling 64 parallel random-vector simulations per call. The
+// simulators evaluate whole rows with EvalRows; EvalWord is the
+// word-at-a-time reference their tests are built on.
 func (t GateType) EvalWord(in []uint64) uint64 {
 	switch t {
 	case Input:
@@ -215,6 +217,53 @@ func (t GateType) EvalWord(in []uint64) uint64 {
 		return v
 	}
 	panic(fmt.Sprintf("ckt: EvalWord on invalid gate type %d", t))
+}
+
+// EvalRows computes the gate function over whole rows of 64-way packed
+// words: dst[w] is EvalWord over the w-th word of every row in in. It
+// copies the first row, folds in the rest with one AND, OR or XOR pass
+// each, and inverts once for NOT, NAND, NOR and XNOR. in holds one row
+// per pin, at least one; every row must hold at least len(dst) words
+// and may appear on several pins, but must not alias dst.
+func (t GateType) EvalRows(dst []uint64, in [][]uint64) {
+	switch t {
+	case Input:
+		panic("ckt: EvalRows on INPUT gate")
+	case DFF:
+		panic("ckt: EvalRows on DFF gate (state is supplied by frame simulation, not computed from D)")
+	}
+	copy(dst, in[0][:len(dst)])
+	switch t {
+	case Buf, Not:
+	case And, Nand:
+		for _, r := range in[1:] {
+			r = r[:len(dst)]
+			for w := range dst {
+				dst[w] &= r[w]
+			}
+		}
+	case Or, Nor:
+		for _, r := range in[1:] {
+			r = r[:len(dst)]
+			for w := range dst {
+				dst[w] |= r[w]
+			}
+		}
+	case Xor, Xnor:
+		for _, r := range in[1:] {
+			r = r[:len(dst)]
+			for w := range dst {
+				dst[w] ^= r[w]
+			}
+		}
+	default:
+		panic(fmt.Sprintf("ckt: EvalRows on invalid gate type %d", t))
+	}
+	if t.Inverting() {
+		for w := range dst {
+			dst[w] = ^dst[w]
+		}
+	}
 }
 
 // Gate is one node of the netlist DAG. Fanin and fanout are gate IDs

@@ -1,6 +1,7 @@
 package ckt
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +113,65 @@ func TestEvalWordMatchesEval(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: EvalRows agrees with EvalWord on every word of the row for
+// every logic gate type, fanin 1-9 and row length, including one row
+// passed on several pins and fanin rows longer than dst; it panics on
+// the frame sources exactly as EvalWord does.
+func TestEvalRowsMatchesEvalWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, gt := range []GateType{Buf, Not, And, Nand, Or, Nor, Xor, Xnor} {
+		maxIn := 9
+		if gt == Buf || gt == Not {
+			maxIn = 1
+		}
+		for n := 1; n <= maxIn; n++ {
+			for _, k := range []int{1, 2, 7, 16, 65} {
+				for _, shared := range []bool{false, true} {
+					in := make([][]uint64, n)
+					for p := range in {
+						in[p] = make([]uint64, k+p%3)
+						for w := range in[p] {
+							in[p][w] = rng.Uint64()
+						}
+					}
+					if shared {
+						in[n/2], in[n-1] = in[0], in[0]
+					}
+					dst := make([]uint64, k)
+					for w := range dst {
+						dst[w] = rng.Uint64()
+					}
+					gt.EvalRows(dst, in)
+					words := make([]uint64, n)
+					for w, got := range dst {
+						for p := range in {
+							words[p] = in[p][w]
+						}
+						if want := gt.EvalWord(words); got != want {
+							t.Fatalf("%v fanin=%d k=%d shared=%v: word %d = %#x, EvalWord %#x", gt, n, k, shared, w, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, gt := range []GateType{Input, DFF} {
+		for name, eval := range map[string]func(){
+			"EvalWord": func() { gt.EvalWord([]uint64{1}) },
+			"EvalRows": func() { gt.EvalRows(make([]uint64, 2), [][]uint64{{1, 2}}) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s on %v did not panic", name, gt)
+					}
+				}()
+				eval()
+			}()
+		}
 	}
 }
 

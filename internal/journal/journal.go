@@ -103,8 +103,10 @@ type JobState struct {
 	// Status is the job's journal-derived state: "queued", "running",
 	// "done", "failed" or "canceled". attempt_failed maps back to
 	// "queued".
-	Status   string
-	Attempts int // failed attempts recorded so far
+	Status string
+	// Attempts is the attempt count recorded so far: the failed
+	// attempts of a queued job, every attempt of a finished one.
+	Attempts int
 	Error    string
 	Result   json.RawMessage
 
@@ -232,6 +234,12 @@ func (j *Journal) apply(rec *Record) {
 		st = &JobState{ID: rec.Job, Status: "queued", seq: rec.Seq}
 		j.jobs[rec.Job] = st
 	}
+	// A started record's attempt has not ended; failure and terminal
+	// records carry the count.
+	switch rec.Event {
+	case EventAttemptFailed, EventDone, EventFailed, EventCanceled:
+		st.Attempts = max(st.Attempts, rec.Attempt)
+	}
 	switch rec.Event {
 	case EventSubmitted:
 		st.Kind = rec.Kind
@@ -250,9 +258,6 @@ func (j *Journal) apply(rec *Record) {
 		st.Status = "running"
 	case EventAttemptFailed:
 		st.Status = "queued"
-		if rec.Attempt > st.Attempts {
-			st.Attempts = rec.Attempt
-		}
 		st.Error = rec.Error
 	case EventDone:
 		st.Status = "done"
@@ -411,11 +416,11 @@ func (j *Journal) compactLocked() error {
 		var follow *Record
 		switch st.Status {
 		case "done":
-			follow = &Record{Job: st.ID, Event: EventDone, Result: st.Result}
+			follow = &Record{Job: st.ID, Event: EventDone, Result: st.Result, Attempt: st.Attempts}
 		case "failed":
 			follow = &Record{Job: st.ID, Event: EventFailed, Error: st.Error, Attempt: st.Attempts}
 		case "canceled":
-			follow = &Record{Job: st.ID, Event: EventCanceled, Error: st.Error}
+			follow = &Record{Job: st.ID, Event: EventCanceled, Error: st.Error, Attempt: st.Attempts}
 		default:
 			if st.Attempts > 0 {
 				follow = &Record{Job: st.ID, Event: EventAttemptFailed, Attempt: st.Attempts, Error: st.Error}

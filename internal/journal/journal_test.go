@@ -176,6 +176,46 @@ func TestCompactionPreservesStateAndPrunes(t *testing.T) {
 	}
 }
 
+// TestTerminalAttemptsSurviveRestart: the attempt count a terminal
+// record carries replays after a restart and survives compaction, for
+// done, failed and canceled jobs alike.
+func TestTerminalAttemptsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	j := open(t, dir, 0)
+	terminal := map[string]Record{
+		"job-done":     {Event: EventDone, Result: json.RawMessage(`{"u":1}`)},
+		"job-failed":   {Event: EventFailed, Error: "boom"},
+		"job-canceled": {Event: EventCanceled, Error: "context canceled"},
+	}
+	for id, rec := range terminal {
+		for _, r := range []Record{{Event: EventSubmitted, Kind: "analyze"}, {Event: EventStarted, Attempt: 1}, rec} {
+			r.Job = id
+			if r.Event != EventSubmitted && r.Event != EventStarted {
+				r.Attempt = 1
+			}
+			if err := j.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(when string, j *Journal) {
+		t.Helper()
+		for id := range terminal {
+			if st := j.Lookup(id); st == nil || !st.Terminal() || st.Attempts != 1 {
+				t.Errorf("%s: %s replayed as %+v, want terminal with 1 attempt", when, id, st)
+			}
+		}
+	}
+	j.Close()
+	j = open(t, dir, 0)
+	check("after reopen", j)
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	check("after compaction and reopen", open(t, dir, 0))
+}
+
 func TestAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j := open(t, dir, 2)

@@ -110,6 +110,56 @@ func literalSensitization(t *testing.T, c *ckt.Circuit, n int, simSeed uint64) *
 	return want
 }
 
+// wideBlock adds to c, over nine source signals, a block of 5-, 7- and
+// 9-input AND, NAND, OR, NOR and XOR gates, which generated netlists
+// (fanin at most 4) never hold, and returns their names. AND-class
+// pins come from two-input ORs and OR-class pins from two-input ANDs,
+// so most side inputs are non-controlling; each XOR also takes the
+// AND, NAND, OR and NOR gates of its width, so wide gates sit inside
+// paths as well as at their ends; nor9 takes one signal on three pins.
+func wideBlock(t *testing.T, c *ckt.Circuit, srcs [9]string) []string {
+	t.Helper()
+	add := func(name string, typ ckt.GateType, ins ...string) string {
+		id := c.MustAddGate(name, typ)
+		for _, in := range ins {
+			src, ok := c.GateByName(in)
+			if !ok {
+				t.Fatalf("unknown fanin %q", in)
+			}
+			c.MustConnect(src, id)
+		}
+		return name
+	}
+	var hi, lo [9]string
+	for j := range srcs {
+		hi[j] = add(fmt.Sprintf("hi%d", j), ckt.Or, srcs[j], srcs[(j+4)%9])
+		lo[j] = add(fmt.Sprintf("lo%d", j), ckt.And, srcs[j], srcs[(j+2)%9])
+	}
+	var wide []string
+	xorIn := []string{hi[0], lo[1], hi[2], lo[3], hi[4], lo[5], hi[6]}
+	prev := ""
+	for _, n := range []int{5, 7, 9} {
+		nor := lo[9-n:]
+		if n == 9 {
+			nor = []string{lo[0], lo[1], lo[2], lo[3], lo[0], lo[4], lo[5], lo[6], lo[0]}
+		}
+		xor := []string{
+			add(fmt.Sprintf("and%d", n), ckt.And, hi[:n]...),
+			add(fmt.Sprintf("nand%d", n), ckt.Nand, hi[9-n:]...),
+			add(fmt.Sprintf("or%d", n), ckt.Or, lo[:n]...),
+			add(fmt.Sprintf("nor%d", n), ckt.Nor, nor...),
+		}
+		wide = append(wide, xor...)
+		if prev != "" {
+			xor = append(xor, prev)
+		}
+		xor = append(xor, xorIn[:n-len(xor)]...)
+		prev = add(fmt.Sprintf("xor%d", n), ckt.Xor, xor...)
+		wide = append(wide, prev)
+	}
+	return wide
+}
+
 // TestSensitizationEdgeCases pins the kernel to the literal oracle on
 // a hand-written netlist holding every shape the PO-rooted DP must
 // get right: a primary input that is also a PO (its column stays
@@ -117,7 +167,9 @@ func literalSensitization(t *testing.T, c *ckt.Circuit, n int, simSeed uint64) *
 // drivers do), one signal on two pins of a gate (one edge per pin,
 // ORed), and logic that reaches no PO (zero rows). Vector counts
 // straddle the 64-lane word boundary, and the budgets force one-word
-// chunks.
+// chunks. A second netlist, wideBlock over nine primary inputs with
+// every wide gate a PO, holds the side-input fill of wide gates to the
+// oracle at vector counts that span two 64-word chunks.
 func TestSensitizationEdgeCases(t *testing.T) {
 	c := ckt.New("edges")
 	add := func(name string, typ ckt.GateType, ins ...string) int {
@@ -181,5 +233,53 @@ func TestSensitizationEdgeCases(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	w := ckt.New("wide")
+	var srcs [9]string
+	for j := range srcs {
+		srcs[j] = fmt.Sprintf("i%d", j)
+		w.MustAddGate(srcs[j], ckt.Input)
+	}
+	for _, name := range wideBlock(t, w, srcs) {
+		id, _ := w.GateByName(name)
+		w.MarkPO(id)
+	}
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	wcc := engine.MustCompile(w)
+	for _, n := range []int{1, 64, 65, 4097} {
+		want := literalSensitization(t, w, n, 5)
+		for workers := 1; workers <= 4; workers++ {
+			for _, budget := range []int64{0, 1, 30000} {
+				got, err := AnalyzeCompiledBudget(wcc, n, stats.NewRNG(5), workers, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, want, got, fmt.Sprintf("wide N=%d workers=%d budget=%d", n, workers, budget))
+			}
+		}
+	}
+}
+
+// TestSensitizationOnePinGates: an AND, NOR or NAND with one pin, which
+// Validate refuses but the kernel is not guarded by, has no side input;
+// the kernel matches the literal oracle on a chain of them.
+func TestSensitizationOnePinGates(t *testing.T) {
+	c := ckt.New("onepin")
+	prev := c.MustAddGate("a", ckt.Input)
+	for i, typ := range []ckt.GateType{ckt.And, ckt.Nor, ckt.Nand} {
+		id := c.MustAddGate(fmt.Sprintf("g%d", i), typ)
+		c.MustConnect(prev, id)
+		prev = id
+	}
+	c.MarkPO(prev)
+	for _, n := range []int{1, 100} {
+		got, err := AnalyzeCompiledBudget(engine.MustCompile(c), n, stats.NewRNG(1), 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, literalSensitization(t, c, n, 1), got, fmt.Sprintf("N=%d", n))
 	}
 }

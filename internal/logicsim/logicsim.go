@@ -32,13 +32,14 @@ const DefaultVectors = engine.DefaultVectors
 
 // DefaultSensBudgetBytes bounds the transient working set of one
 // scalar sensitization analysis: the base-value arena, the per-edge
-// side-input arena and every DP worker's scratch arena together. When
-// a circuit × vector-count combination would exceed it, the analysis
-// processes the vector set in chunks of 64-vector words through
-// recycled arenas — results are bit-identical (popcounts are summed
-// across chunks), only peak memory and a per-chunk cone re-walk
-// change. The default (2 GiB) keeps every ISCAS-class workload in a
-// single chunk; serd exposes it as -sens-mem-budget. It does not
+// side-input arena and every DP worker's scratch arena together. The
+// analysis processes the vector set in chunks of at most maxChunkWords
+// words (64 vectors each) through recycled arenas; when a circuit's
+// arenas at that width would exceed the budget, the chunks narrow
+// further. Results are bit-identical at any width (popcounts are
+// summed across chunks), only peak memory and a per-chunk cone re-walk
+// change. At the default (2 GiB) no ISCAS-class workload narrows below
+// the 64-word cap; serd exposes it as -sens-mem-budget. It does not
 // count the returned Result (the Pij matrix is the analysis' output).
 //
 // The sequential fault chase (strike.LogicalPropagate) sizes its
@@ -50,6 +51,12 @@ var DefaultSensBudgetBytes = int64(2) << 30
 // minChunkWords is the smallest chunk width worth paying a cone
 // re-walk for; below it the policy sheds DP workers first.
 const minChunkWords = 8
+
+// maxChunkWords caps a chunk at 64 words (4,096 vectors). A chunk
+// re-walks every cone, but 64 words amortize the walk, and the arenas
+// stay a few MB even on c7552, where one 10,000-vector chunk would
+// make every call zero and stream about 24 MB.
+const maxChunkWords = 64
 
 // Evaluate computes all gate values for one input vector (indexed by
 // ckt.Circuit.Inputs order). The result is indexed by gate ID.
@@ -177,10 +184,11 @@ func AnalyzeCompiled(cc *engine.CompiledCircuit, nVectors int, rng *stats.RNG, w
 }
 
 // AnalyzeCompiledBudget is AnalyzeCompiled with an explicit transient
-// memory budget in bytes (<= 0 means unbounded). The budget covers the
-// base-value arena, the per-edge side-input arena and all DP worker
-// scratch arenas; when they would exceed it, the vector set is
-// processed in chunks of 64-vector words through recycled arenas.
+// memory budget in bytes (<= 0 means no bound beyond the 64-word chunk
+// cap). The budget covers the base-value arena, the per-edge side-input
+// arena and all DP worker scratch arenas; the vector set is processed
+// in chunks of at most 64 words through recycled arenas, narrower when
+// the arenas would exceed it.
 // Because the bit-parallel DP is independent per 64-bit word and the
 // per-PO popcounts are integers summed exactly, results are
 // bit-identical to the unbounded run for every budget, worker count
@@ -231,7 +239,7 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 	if nw < 1 {
 		nw = 1
 	}
-	cw := nWords
+	cw := min(nWords, maxChunkWords)
 	if budgetBytes > 0 {
 		perWord := int64(nGates+nEdges) * 8
 		perWorkerWord := int64(nGates) * 8
@@ -268,13 +276,20 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 	}
 	p1cnt := make([]int64, nGates)
 
+	// fanin[e] is the source gate of fanin edge e, or -1 for a primary
+	// input, which no strike hits and the DP never pushes to.
+	fanin := make([]int32, nEdges)
 	maxFanin := 0
-	for _, g := range c.Gates {
-		if len(g.Fanin) > maxFanin {
-			maxFanin = len(g.Fanin)
+	for id, g := range c.Gates {
+		maxFanin = max(maxFanin, len(g.Fanin))
+		for p, f := range g.Fanin {
+			if c.Gates[f].Type == ckt.Input {
+				f = -1
+			}
+			fanin[edgeOff[id]+p] = int32(f)
 		}
 	}
-	in := make([]uint64, maxFanin)
+	rows := make([][]uint64, maxFanin)
 
 	// Recycled chunk arenas, indexed gateID*cwk (cwk = current chunk
 	// width): base values, per-fanin-edge side-input conditions, and
@@ -305,10 +320,11 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 		cwk := w1 - w0
 		final := w1 == nWords
 
-		// Base simulation for this chunk's vector words. The PI words
-		// are copies of the pre-drawn stream, already masked, and in a
-		// non-final chunk every bit of every word is a real vector, so
-		// masking is only needed on the final chunk's last word.
+		// Base simulation for this chunk's vector words, one gate row
+		// at a time. The PI words are copies of the pre-drawn stream,
+		// already masked, and in a non-final chunk every bit of every
+		// word is a real vector, so masking is only needed on the final
+		// chunk's last word.
 		for i, id := range inputs {
 			copy(base[id*cwk:(id+1)*cwk], piW[i*nWords+w0:i*nWords+w1])
 		}
@@ -317,14 +333,12 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 			if g.Type == ckt.Input {
 				continue
 			}
-			w := base[id*cwk : (id+1)*cwk]
-			fin := in[:len(g.Fanin)]
-			for k := 0; k < cwk; k++ {
-				for fi, f := range g.Fanin {
-					fin[fi] = base[f*cwk+k]
-				}
-				w[k] = g.Type.EvalWord(fin)
+			in := rows[:len(g.Fanin)]
+			for p, f := range g.Fanin {
+				in[p] = base[f*cwk : (f+1)*cwk]
 			}
+			w := base[id*cwk : (id+1)*cwk]
+			g.Type.EvalRows(w, in)
 			if final {
 				w[cwk-1] &= lastMask
 			}
@@ -350,36 +364,16 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 		// non-controlling — depends only on base values, so it is
 		// precomputed per fanin edge into a flat edge arena (gates are
 		// independent — the fill is parallel and in place, costing no
-		// extra memory per worker).
+		// extra memory per worker). Only gates with a controlling value
+		// get rows: for BUF, NOT, XOR and XNOR the condition is all
+		// ones, and the DP passes obs through them unmasked. Padding
+		// lanes of a side row may be set; the DP only ever ANDs them
+		// with obs rows, which are masked at the PO.
 		par.ForChunks(nGates, workers, 0, func(lo, hi int) {
 			for id := lo; id < hi; id++ {
 				g := c.Gates[id]
-				if g.Type == ckt.Input {
-					continue
-				}
-				cv, hasCV := g.Type.ControllingValue()
-				for fi := range g.Fanin {
-					w := sideOK[(edgeOff[id]+fi)*cwk : (edgeOff[id]+fi+1)*cwk]
-					for k := range w {
-						ok := ^uint64(0)
-						if hasCV {
-							for oi, f := range g.Fanin {
-								if oi == fi {
-									continue
-								}
-								if cv {
-									// Controlling value 1: others must be 0.
-									ok &= ^base[f*cwk+k]
-								} else {
-									ok &= base[f*cwk+k]
-								}
-							}
-						}
-						w[k] = ok
-					}
-					if final {
-						w[cwk-1] &= lastMask
-					}
+				if cv, ok := g.Type.ControllingValue(); ok {
+					fillSide(sideOK[edgeOff[id]*cwk:edgeOff[id+1]*cwk], g.Fanin, base, cwk, cv)
 				}
 			}
 		})
@@ -436,28 +430,31 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 							}
 							res.Pij[id][k] += float64(cnt) // P_jj set after the chunk loop
 						}
-						for fi, f := range c.Gates[id].Fanin {
-							if c.Gates[f].Type == ckt.Input {
+						masked := c.Gates[id].Type.HasControllingValue()
+						for e := edgeOff[id]; e < edgeOff[id+1]; e++ {
+							f := int(fanin[e])
+							if f < 0 {
 								continue // strikes hit gate outputs only
 							}
-							side := sideOK[(edgeOff[id]+fi)*cwk : (edgeOff[id]+fi+1)*cwk]
 							dst := sc.obs[f*cwk : (f+1)*cwk]
-							if sc.mark[f] == sc.epoch {
-								for w := range dst {
-									dst[w] |= o[w] & side[w]
+							first := sc.mark[f] != sc.epoch
+							switch {
+							case !masked && first:
+								// o is non-zero, or id would not be queued.
+								copy(dst, o)
+							case !masked:
+								orRow(dst, o)
+							case first:
+								// First push: assign, so the arena never needs
+								// clearing between walks, and queue f only if
+								// some vector reaches it.
+								if !andRow(dst, o, sideOK[e*cwk:(e+1)*cwk]) {
+									continue
 								}
-								continue
+							default:
+								orAndRow(dst, o, sideOK[e*cwk:(e+1)*cwk])
 							}
-							// First push: assign, so the arena never needs
-							// clearing between walks, and queue f only if
-							// some vector reaches it.
-							live := uint64(0)
-							for w := range dst {
-								v := o[w] & side[w]
-								dst[w] = v
-								live |= v
-							}
-							if live != 0 {
+							if first {
 								sc.mark[f] = sc.epoch
 								sc.level[lv[f]] = append(sc.level[lv[f]], int32(f))
 							}
@@ -485,6 +482,94 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 		}
 	}
 	return res, nil
+}
+
+// fillSide writes the side-input rows of one gate with a controlling
+// value: row p of side (k words each) is the AND, over every pin q
+// other than p, of pin q's non-controlling condition: its base row
+// when the controlling value cv is 0, the complement when cv is 1.
+// Prefix ANDs run forward into rows 1..n-1, then a running suffix AND,
+// kept in row 0 (whose answer is that suffix alone), folds back into
+// them, so the fill costs O(fanin) row passes rather than O(fanin²).
+func fillSide(side []uint64, fanin []int, base []uint64, k int, cv bool) {
+	n := len(fanin)
+	row := func(p int) []uint64 { return side[p*k : (p+1)*k] }
+	pin := func(p int) []uint64 { return base[fanin[p]*k : (fanin[p]+1)*k] }
+	if n == 1 {
+		// A one-pin AND or OR (Validate refuses them, but the kernel
+		// does not require validation) has no side input.
+		r := row(0)
+		for w := range r {
+			r[w] = ^uint64(0)
+		}
+		return
+	}
+	ncRow(row(1), nil, pin(0), cv)
+	for p := 2; p < n; p++ {
+		ncRow(row(p), row(p-1), pin(p-1), cv)
+	}
+	suffix := row(0)
+	ncRow(suffix, nil, pin(n-1), cv)
+	for p := n - 2; p >= 1; p-- {
+		r := row(p)
+		for w := range r {
+			r[w] &= suffix[w]
+		}
+		ncRow(suffix, suffix, pin(p), cv)
+	}
+}
+
+// ncRow sets dst to acc AND the non-controlling condition of pin (pin
+// for controlling value 0, its complement for 1); a nil acc is all
+// ones. dst may be acc.
+func ncRow(dst, acc, pin []uint64, cv bool) {
+	pin = pin[:len(dst)]
+	switch {
+	case acc == nil && cv:
+		for w := range dst {
+			dst[w] = ^pin[w]
+		}
+	case acc == nil:
+		copy(dst, pin)
+	case cv:
+		acc = acc[:len(dst)]
+		for w := range dst {
+			dst[w] = acc[w] &^ pin[w]
+		}
+	default:
+		acc = acc[:len(dst)]
+		for w := range dst {
+			dst[w] = acc[w] & pin[w]
+		}
+	}
+}
+
+// orRow folds o into dst.
+func orRow(dst, o []uint64) {
+	o = o[:len(dst)]
+	for w := range dst {
+		dst[w] |= o[w]
+	}
+}
+
+// orAndRow folds o AND side into dst.
+func orAndRow(dst, o, side []uint64) {
+	o, side = o[:len(dst)], side[:len(dst)]
+	for w := range dst {
+		dst[w] |= o[w] & side[w]
+	}
+}
+
+// andRow sets dst to o AND side and reports whether any lane is set.
+func andRow(dst, o, side []uint64) bool {
+	o, side = o[:len(dst)], side[:len(dst)]
+	live := uint64(0)
+	for w := range dst {
+		v := o[w] & side[w]
+		dst[w] = v
+		live |= v
+	}
+	return live != 0
 }
 
 // dpScratch is one DP worker's private state, reused across POs so

@@ -532,6 +532,62 @@ func TestOptimizeValidation(t *testing.T) {
 	}
 }
 
+// TestAnalyzeNegativeTop: analyze refuses a negative top as
+// susceptibility does, on every path: 400 on a sync submission, 400 and
+// no job on an async one, a per-item error in a batch, and, for a
+// submission journaled before the check existed, a recovery failure
+// with no attempt.
+func TestAnalyzeNegativeTop(t *testing.T) {
+	const want = "top must be >= 0"
+	req := serclient.AnalyzeRequest{Circuit: "c17", Vectors: 200, Top: -1}
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl, err := journal.Open(t.TempDir(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := newJobID()
+	if err := jnl.Append(journal.Record{Job: id, Event: journal.EventSubmitted, Kind: "analyze", Request: raw}); err != nil {
+		t.Fatal(err)
+	}
+	_, srv, cl, _, done := newDurableServer(t, fastRetry(Config{Workers: 1, Journal: jnl}))
+	defer func() {
+		done()
+		jnl.Close()
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	final, err := cl.WaitJob(ctx, id, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != serclient.JobFailed || final.Attempts != 0 || !strings.Contains(final.Error, want) {
+		t.Errorf("replay: status %s, attempts %d, error %q; want failed at recovery with no attempt", final.Status, final.Attempts, final.Error)
+	}
+	if _, err := cl.Analyze(ctx, req); !serclient.IsStatus(err, http.StatusBadRequest) || !strings.Contains(err.Error(), want) {
+		t.Errorf("sync: got %v, want 400 naming top", err)
+	}
+	if _, err := cl.AnalyzeAsync(ctx, req); !serclient.IsStatus(err, http.StatusBadRequest) || !strings.Contains(err.Error(), want) {
+		t.Errorf("async: got %v, want 400 naming top", err)
+	}
+	srv.jobs.mu.Lock()
+	jobs := len(srv.jobs.order)
+	srv.jobs.mu.Unlock()
+	if jobs != 1 {
+		t.Errorf("%d jobs after the rejected async submission, want only the replayed one", jobs)
+	}
+	br, err := cl.Batch(ctx, serclient.BatchRequest{Analyze: []serclient.AnalyzeRequest{req}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := br.Analyze[0]; it.Result != nil || !strings.Contains(it.Error, want) {
+		t.Errorf("batch: item error %q, want one naming top", it.Error)
+	}
+}
+
 // TestReplayAppliesAnalysisLimits: journal replay applies the analyze
 // and susceptibility limits the submission paths apply, so a request
 // journaled under looser limits (or damaged on disk) fails at recovery

@@ -488,10 +488,13 @@ func (s *Server) checkVectors(vectors int) error {
 	return nil
 }
 
-// checkAnalyze enforces the shared analysis limits (vectors plus the
-// sequential cycle horizon) for both the analyze and susceptibility
-// flows.
-func (s *Server) checkAnalyze(vectors, cycles int, initState []bool) error {
+// checkAnalyze enforces the shared analysis limits (the row count top,
+// vectors and the sequential cycle horizon) for both the analyze and
+// susceptibility flows.
+func (s *Server) checkAnalyze(top, vectors, cycles int, initState []bool) error {
+	if top < 0 {
+		return fmt.Errorf("top must be >= 0")
+	}
 	if err := s.checkVectors(vectors); err != nil {
 		return err
 	}
@@ -801,7 +804,7 @@ var analyzeFlow = &flowOf[serclient.AnalyzeRequest, serclient.AnalyzeResponse]{
 	kind:   "analyze",
 	common: func(r *serclient.AnalyzeRequest) common { return common{r.Async, r.Timings, &r.Netlist} },
 	prepare: func(s *Server, r *serclient.AnalyzeRequest) (loaded, error) {
-		if err := s.checkAnalyze(r.Vectors, r.Cycles, r.InitState); err != nil {
+		if err := s.checkAnalyze(r.Top, r.Vectors, r.Cycles, r.InitState); err != nil {
 			return loaded{}, err
 		}
 		return s.loadChecked(r.Circuit, r.Netlist, r.Name, r.Cycles, &r.InitState)
@@ -833,10 +836,7 @@ var susceptibilityFlow = &flowOf[serclient.SusceptibilityRequest, serclient.Susc
 	kind:   "susceptibility",
 	common: func(r *serclient.SusceptibilityRequest) common { return common{r.Async, r.Timings, &r.Netlist} },
 	prepare: func(s *Server, r *serclient.SusceptibilityRequest) (loaded, error) {
-		if r.Top < 0 {
-			return loaded{}, fmt.Errorf("top must be >= 0")
-		}
-		if err := s.checkAnalyze(r.Vectors, r.Cycles, r.InitState); err != nil {
+		if err := s.checkAnalyze(r.Top, r.Vectors, r.Cycles, r.InitState); err != nil {
 			return loaded{}, err
 		}
 		return s.loadChecked(r.Circuit, r.Netlist, r.Name, r.Cycles, &r.InitState)

@@ -191,7 +191,6 @@ type chaseWorker struct {
 	frontier [][]int32
 	// changed lists the gates diff marks in the current epoch.
 	changed   []int32
-	fin       []uint64
 	src       [][]uint64
 	cur, next faultArena
 	// errs counts wrong latched PO values per flop over this worker's
@@ -228,7 +227,6 @@ func (ch *chase) newWorker(cw int) *chaseWorker {
 		diff:     make([]int, nGates),
 		queued:   make([]int, nGates),
 		frontier: make([][]int32, maxLv+1),
-		fin:      make([]uint64, ch.maxFanin),
 		src:      make([][]uint64, ch.maxFanin),
 		errs:     make([]int64, len(ch.flops)),
 	}
@@ -302,14 +300,12 @@ func (w *chaseWorker) frame(ch *chase, t, w0, w1 int) {
 	}
 	for _, id := range ch.logic {
 		g := ch.c.Gates[id]
-		row := w.ff[id*k : (id+1)*k]
-		fin := w.fin[:len(g.Fanin)]
-		for j := range row {
-			for p, f := range g.Fanin {
-				fin[p] = w.ff[f*k+j]
-			}
-			row[j] = g.Type.EvalWord(fin)
+		src := w.src[:len(g.Fanin)]
+		for p, f := range g.Fanin {
+			src[p] = w.ff[f*k : (f+1)*k]
 		}
+		row := w.ff[id*k : (id+1)*k]
+		g.Type.EvalRows(row, src)
 		if final {
 			row[k-1] &= ch.lastMask
 		}
@@ -360,19 +356,14 @@ func (w *chaseWorker) advance(ch *chase, f liveFault, k int, final bool) {
 					src[p] = w.ff[fid*k : (fid+1)*k]
 				}
 			}
-			fin := w.fin[:len(g.Fanin)]
 			row := w.fv[id*k : (id+1)*k]
+			g.Type.EvalRows(row, src)
+			if final {
+				row[k-1] &= ch.lastMask
+			}
 			ref := w.ff[id*k : (id+1)*k]
 			delta := uint64(0)
-			for j := range row {
-				for p, s := range src {
-					fin[p] = s[j]
-				}
-				v := g.Type.EvalWord(fin)
-				if final && j == k-1 {
-					v &= ch.lastMask
-				}
-				row[j] = v
+			for j, v := range row {
 				delta |= v ^ ref[j]
 			}
 			if delta != 0 {

@@ -122,12 +122,76 @@ func edgeNetlist(t *testing.T) *ckt.Circuit {
 	return c
 }
 
+// wideNetlist holds what generated netlists (fanin at most 4) never
+// do: 5-, 7- and 9-input AND, NAND, OR, NOR and XOR gates, over the
+// primary inputs a, b, c and the flops q0..q5. AND-class pins come
+// from two-input ORs and OR-class pins from two-input ANDs, so most
+// side inputs are non-controlling; each XOR also takes the AND, NAND,
+// OR and NOR gates of its width; nor9 takes one signal on three pins.
+// The flops capture xor9, and9, nor9, nand7, or5 and xor7, and the
+// 9-input gates are the POs.
+func wideNetlist(t *testing.T) *ckt.Circuit {
+	t.Helper()
+	c := ckt.New("wide")
+	ids := map[string]int{}
+	srcs := []string{"a", "q0", "q1", "b", "q2", "q3", "c", "q4", "q5"}
+	for _, name := range srcs {
+		typ := ckt.DFF
+		if len(name) == 1 {
+			typ = ckt.Input
+		}
+		ids[name] = c.MustAddGate(name, typ)
+	}
+	add := func(name string, typ ckt.GateType, ins ...string) string {
+		ids[name] = c.MustAddGate(name, typ)
+		for _, in := range ins {
+			c.MustConnect(ids[in], ids[name])
+		}
+		return name
+	}
+	var hi, lo [9]string
+	for j := range srcs {
+		hi[j] = add(fmt.Sprintf("hi%d", j), ckt.Or, srcs[j], srcs[(j+4)%9])
+		lo[j] = add(fmt.Sprintf("lo%d", j), ckt.And, srcs[j], srcs[(j+2)%9])
+	}
+	xorIn := []string{hi[0], lo[1], hi[2], lo[3], hi[4], lo[5], hi[6]}
+	prev := ""
+	for _, n := range []int{5, 7, 9} {
+		nor := lo[9-n:]
+		if n == 9 {
+			nor = []string{lo[0], lo[1], lo[2], lo[3], lo[0], lo[4], lo[5], lo[6], lo[0]}
+		}
+		xor := []string{
+			add(fmt.Sprintf("and%d", n), ckt.And, hi[:n]...),
+			add(fmt.Sprintf("nand%d", n), ckt.Nand, hi[9-n:]...),
+			add(fmt.Sprintf("or%d", n), ckt.Or, lo[:n]...),
+			add(fmt.Sprintf("nor%d", n), ckt.Nor, nor...),
+		}
+		if prev != "" {
+			xor = append(xor, prev)
+		}
+		xor = append(xor, xorIn[:n-len(xor)]...)
+		prev = add(fmt.Sprintf("xor%d", n), ckt.Xor, xor...)
+	}
+	for _, e := range [][2]string{{"xor9", "q0"}, {"and9", "q1"}, {"nor9", "q2"}, {"nand7", "q3"}, {"or5", "q4"}, {"xor7", "q5"}} {
+		c.MustConnect(ids[e[0]], ids[e[1]])
+	}
+	for _, po := range []string{"and9", "nand9", "or9", "nor9", "xor9"} {
+		c.MarkPO(ids[po])
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestLogicalPropagateEdgeCases pins the chase to the reference on
 // edgeNetlist at vector counts straddling the word and chunk
 // boundaries, and checks the shift register's E_f by hand: a fault in
 // q1, q2 or q3 reaches the PO q3 in every lane exactly once, after
 // 2, 1 and 0 cycles. A padding lane that leaked would push those
-// counts above N.
+// counts above N. It then pins the chase to the reference on
+// wideNetlist, up to 4097 vectors.
 func TestLogicalPropagateEdgeCases(t *testing.T) {
 	c := edgeNetlist(t)
 	cc := engine.MustCompile(c)
@@ -155,6 +219,22 @@ func TestLogicalPropagateEdgeCases(t *testing.T) {
 						t.Fatal(err)
 					}
 					requireSameEpf(t, want, got, fmt.Sprintf("N=%d K=%d reset=%s workers=%d", n, cycles, rname, workers))
+				}
+			}
+		}
+	}
+
+	wcc := engine.MustCompile(wideNetlist(t))
+	for _, n := range []int{1, 64, 65, 4097} {
+		for _, cycles := range []int{1, 4} {
+			for _, init := range [][]bool{nil, {true, false, true, true, false, false}} {
+				want := reference(t, wcc, cycles, n, 13, init)
+				for workers := 1; workers <= 4; workers++ {
+					got, err := LogicalPropagate(context.Background(), wcc, cycles, n, stats.NewRNG(13), init, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameEpf(t, want, got, fmt.Sprintf("wide N=%d K=%d reset=%v workers=%d", n, cycles, init != nil, workers))
 				}
 			}
 		}
