@@ -23,6 +23,7 @@ package aserta
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/charlib"
 	"repro/internal/ckt"
@@ -63,16 +64,6 @@ type Config struct {
 	// the delta propagation (default 64; negative disables the
 	// cadence).
 	FullRecomputeEvery int
-	// Lean skips retaining the per-analysis WS/Wij arenas: each
-	// electrical-pass worker evaluates its PO-column chunks in
-	// nGates·chunk·K scratch and only the nGates·nPOs Wij table the
-	// reduce reads is materialized, so a serving tier's warm path
-	// stops paying a ~nGates·nPOs·K allocation (tens of MB on c7552)
-	// per request. U and Ui are bit-identical to a full analysis;
-	// Analysis.WS and Analysis.Wij are nil, SpectrumU is unavailable,
-	// and RecomputeU falls back to an exact full re-evaluation per
-	// call (no incremental delta baseline is retained).
-	Lean bool
 	// Spans, when non-nil, receives one span per pipeline stage
 	// (sources, sensitization, electrical, reduce). Timing is
 	// observational only — it never alters numerics or RNG streams —
@@ -151,21 +142,20 @@ type Analysis struct {
 	// U is the circuit unreliability (Eq. 4).
 	U float64
 
-	// Samples is the sample-width ladder ws_k of the §3.2 pass and WS
-	// the full WS_ijk table (WS[i][j][k]); exposed for the Lemma-1
-	// property test and for ablation experiments. Rows are views into
-	// one flat arena.
+	// Samples is the sample-width ladder ws_k of the §3.2 pass (the
+	// columns of WSTable's rows).
 	Samples []float64
-	WS      [][][]float64
 
 	// prop is the shared pipeline's ElectricalFilter stage; delta its
-	// incremental re-reduce configuration. RecomputeU shares the
-	// delta's scratch arenas and is therefore not safe for concurrent
-	// use on one Analysis.
+	// incremental re-reduce configuration, which also holds the
+	// baseline WS table once something asks for it. RecomputeU shares
+	// the delta's scratch arenas and is therefore not safe for
+	// concurrent use on one Analysis.
 	prop  *strike.Propagator
 	delta *strike.Delta
-	// wsFlat/wijFlat back the exposed WS/Wij views.
-	wsFlat, wijFlat []float64
+	// ws holds WSTable's views, built once under wsOnce.
+	ws     [][][]float64
+	wsOnce sync.Once
 }
 
 // Attenuate applies the paper's Equation 1: a glitch of width wi
@@ -257,50 +247,55 @@ func AnalyzeSources(cc *engine.CompiledCircuit, cells Assignment, src *strike.So
 	a.Sens = sens
 
 	// Stage 2: ElectricalFilter — the §3.2 reverse-topological pass
-	// for the baseline delays, publishing the WS/Wij views.
+	// for the baseline delays. Only Wij, which the reduce reads, is
+	// kept; the pass works in recycled per-worker column scratch, and
+	// WSTable builds the full WS table if something asks for it.
 	endElec := trace.StartStage(cfg.Spans, "strike.electrical")
 	a.Samples = cfg.sampleWidths()
 	a.prop = strike.NewPropagator(cc, a.Sens, a.GenWidth, a.Samples)
 	nGates := len(c.Gates)
 	nPOs := len(c.Outputs())
-	K := len(a.Samples)
-	if cfg.Lean {
-		// No WS table: each worker keeps its own column-chunk scratch
-		// and only Wij, which the reduce needs, is materialized.
-		wij := make([]float64, nGates*nPOs)
-		a.prop.Run(a.Delays, nil, wij)
-		endElec()
-		endReduce := trace.StartStage(cfg.Spans, "strike.reduce")
-		a.Ui, a.U = strike.ReduceFlat(c, a.Flux, wij, nPOs, cfg.ClockPeriod)
-		a.delta = a.prop.NewDelta(a.Delays, nil, nil, a.Ui, a.U, a.uiOf)
-		endReduce()
-		return a, nil
-	}
-	a.wsFlat = make([]float64, nGates*nPOs*K)
-	a.wijFlat = make([]float64, nGates*nPOs)
-	a.prop.Run(a.Delays, a.wsFlat, a.wijFlat)
-	endElec()
-
-	// Publish the arena through the historical slice-of-slices views.
-	rows := make([][]float64, nGates*nPOs)
-	for r := range rows {
-		rows[r] = a.wsFlat[r*K : (r+1)*K]
-	}
-	a.WS = make([][][]float64, nGates)
+	wij := make([]float64, nGates*nPOs)
+	a.prop.Run(a.Delays, nil, wij)
 	a.Wij = make([][]float64, nGates)
-	for i := 0; i < nGates; i++ {
-		a.WS[i] = rows[i*nPOs : (i+1)*nPOs]
-		a.Wij[i] = a.wijFlat[i*nPOs : (i+1)*nPOs]
+	for i := range a.Wij {
+		a.Wij[i] = wij[i*nPOs : (i+1)*nPOs]
 	}
+	endElec()
 
 	// Stage 3: LatchingWindow + Reduce — Eq. 3 per-gate contributions
 	// and the Eq. 4 circuit total, with the incremental delta
 	// configuration armed for RecomputeU.
 	endReduce := trace.StartStage(cfg.Spans, "strike.reduce")
 	a.Ui, a.U = strike.Reduce(c, a.Flux, a.Wij, cfg.ClockPeriod)
-	a.delta = a.prop.NewDelta(a.Delays, a.wsFlat, a.wijFlat, a.Ui, a.U, a.uiOf)
+	a.delta = a.prop.NewDelta(a.Delays, a.Ui, a.U, a.uiOf)
 	endReduce()
 	return a, nil
+}
+
+// WSTable returns the §3.2 sample-width table of the baseline pass:
+// WS[i][j][k] is the expected glitch width at the j-th PO for a glitch
+// of width Samples[k] at gate i's output (zero where no path is
+// sensitized). An analysis does not keep the table: the first call
+// builds it, by re-running the pass into a full nGates·nPOs·K arena,
+// and every later call, SpectrumU and the incremental RecomputeU share
+// it. Safe for concurrent callers, but not concurrently with
+// RecomputeU or RecomputeUFull.
+func (a *Analysis) WSTable() [][][]float64 {
+	a.wsOnce.Do(func() {
+		flat := a.delta.BaseWS()
+		K := len(a.Samples)
+		rows := make([][]float64, len(flat)/K)
+		for r := range rows {
+			rows[r] = flat[r*K : (r+1)*K]
+		}
+		nPOs := len(a.Circuit.Outputs())
+		a.ws = make([][][]float64, len(a.Circuit.Gates))
+		for i := range a.ws {
+			a.ws[i] = rows[i*nPOs : (i+1)*nPOs]
+		}
+	})
+	return a.ws
 }
 
 // sampleWidths returns the geometric ladder of sample glitch widths
@@ -336,12 +331,13 @@ func (a *Analysis) uiOf(i int, wij []float64) float64 {
 // unreliability. This is the cheap delay-sensitivity oracle SERTOPT's
 // gradient seeding uses, and it is incremental: only the fanin cones
 // of gates whose delays differ from the analysis baseline are
-// re-propagated, with unaffected rows served from the baseline arena
-// (strike.Delta). The delta evaluation always starts from the pristine
-// Analyze baseline, so error cannot accumulate across calls; as a
-// belt-and-braces bound, every Config.FullRecomputeEvery-th call
-// performs an exact full re-evaluation (RecomputeUFull) instead. Not
-// safe for concurrent use on one Analysis (shared scratch arenas).
+// re-propagated, with unaffected rows served from the baseline
+// WSTable, which the first incremental call builds (strike.Delta). The
+// delta evaluation always starts from the pristine Analyze baseline,
+// so error cannot accumulate across calls; as a belt-and-braces bound,
+// every Config.FullRecomputeEvery-th call performs an exact full
+// re-evaluation (RecomputeUFull) instead. Not safe for concurrent use
+// on one Analysis (shared scratch arenas).
 func (a *Analysis) RecomputeU(lib *charlib.Library, delays []float64) (float64, error) {
 	return a.delta.Recompute(delays, a.Config.FullRecomputeEvery)
 }

@@ -101,12 +101,13 @@ func TestLemma1WideGlitch(t *testing.T) {
 	c := a.Circuit
 	K := len(a.Samples)
 	ww := a.Samples[K-1]
+	ws := a.WSTable()
 	for _, g := range c.Gates {
 		if g.Type == ckt.Input {
 			continue
 		}
-		for j := range a.WS[g.ID] {
-			got := a.WS[g.ID][j][K-1]
+		for j := range ws[g.ID] {
+			got := ws[g.ID][j][K-1]
 			want := ww * a.Sens.Pij[g.ID][j]
 			if math.Abs(got-want) > 1e-9*math.Max(1, want) && math.Abs(got-want) > ww*1e-6 {
 				t.Errorf("Lemma 1 violated at gate %s PO %d: WS=%g, ww*Pij=%g",
@@ -132,12 +133,13 @@ func TestLemma1RandomCircuits(t *testing.T) {
 		}
 		K := len(a.Samples)
 		ww := a.Samples[K-1]
+		ws := a.WSTable()
 		for _, g := range c.Gates {
 			if g.Type == ckt.Input {
 				continue
 			}
-			for j := range a.WS[g.ID] {
-				got := a.WS[g.ID][j][K-1]
+			for j := range ws[g.ID] {
+				got := ws[g.ID][j][K-1]
 				want := ww * a.Sens.Pij[g.ID][j]
 				if math.Abs(got-want) > ww*1e-6 {
 					t.Fatalf("seed %d: Lemma 1 violated at %s PO %d: %g vs %g",

@@ -2,6 +2,7 @@ package aserta
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/charlib"
@@ -225,6 +226,90 @@ func TestRecomputeUConsecutiveIncremental(t *testing.T) {
 		if math.Abs(inc-want) > 1e-12*math.Max(math.Abs(want), 1) {
 			t.Fatalf("probe %d (gate %s): incremental U = %.17g after consecutive calls, full U = %.17g",
 				probe, c.Gates[id].Name, inc, want)
+		}
+	}
+}
+
+// TestWSTableOnDemand: an analysis builds its WS table only when asked,
+// at the baseline delays whatever the shared attenuation table holds.
+// After a full pass at foreign delays, several goroutines ask at once
+// and must all get one table, equal bit for bit to a fresh analysis'
+// table; the incremental RecomputeU that follows, which serves
+// unaffected rows from that table, must equal the fresh analysis' own
+// incremental answer bit for bit and the exact full pass to 1e-12.
+func TestWSTableOnDemand(t *testing.T) {
+	c, err := gen.ISCAS85("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
+	cells := NominalAssignment(c, lib, 2)
+	cfg := Config{Vectors: 1500, Seed: 5, FullRecomputeEvery: -1}
+	an, err := Analyze(c, lib, cells, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Analyze(c, lib, cells, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := make([]float64, len(an.Delays))
+	for i, d := range an.Delays {
+		slow[i] = 3 * d
+	}
+	if _, err := an.RecomputeUFull(slow); err != nil {
+		t.Fatal(err)
+	}
+
+	const callers = 4
+	tables := make([][][][]float64, callers)
+	var wg sync.WaitGroup
+	for g := range tables {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			tables[g] = an.WSTable()
+		}(g)
+	}
+	wg.Wait()
+	want := fresh.WSTable()
+	for g, ws := range tables {
+		if &ws[0] != &tables[0][0] {
+			t.Fatalf("caller %d got a second table", g)
+		}
+	}
+	ws := tables[0]
+	for i := range want {
+		for j := range want[i] {
+			for k := range want[i][j] {
+				if ws[i][j][k] != want[i][j][k] {
+					t.Fatalf("WS[%d][%d][%d] = %v after a foreign-delay pass, fresh analysis %v", i, j, k, ws[i][j][k], want[i][j][k])
+				}
+			}
+		}
+	}
+
+	for _, g := range c.Gates {
+		if g.Type == ckt.Input || g.ID%50 != 0 {
+			continue
+		}
+		id := g.ID
+		d := append([]float64(nil), an.Delays...)
+		d[id] *= 1.2
+		inc, err := an.RecomputeU(lib, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := fresh.RecomputeU(lib, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := fresh.RecomputeUFull(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inc != ref || math.Abs(inc-full) > 1e-12*math.Max(math.Abs(full), 1) {
+			t.Fatalf("gate %d: incremental U = %.17g, fresh analysis %.17g, full %.17g", id, inc, ref, full)
 		}
 	}
 }

@@ -46,8 +46,9 @@ func ExponentialSpectrum(qMin, qMax, q0 float64, n int) []ChargeWeight {
 // WS depend only on the netlist and cell assignment — not on the
 // strike charge — so each charge point costs a single table lookup per
 // (gate, PO) pair: the generated width w_i(q) comes from the library's
-// charge-axis table and is pushed through the precomputed WS by linear
-// interpolation (step iv), then Eqs. 3–4 are re-summed.
+// charge-axis table and is pushed through the analysis' WSTable (built
+// on first use) by linear interpolation (step iv), then Eqs. 3–4 are
+// re-summed.
 //
 // The returned total is Σ_q weight_q · U(q); perCharge holds each U(q).
 func (a *Analysis) SpectrumU(lib *charlib.Library, spectrum []ChargeWeight) (total float64, perCharge []float64, err error) {
@@ -57,9 +58,10 @@ func (a *Analysis) SpectrumU(lib *charlib.Library, spectrum []ChargeWeight) (tot
 	if !lib.HasChargeAxis() {
 		return 0, nil, fmt.Errorf("aserta: library lacks a charge axis (set charlib.Grid.Charges)")
 	}
-	if a.WS == nil {
+	if a.delta == nil {
 		return 0, nil, fmt.Errorf("aserta: analysis has no WS tables (run Analyze first)")
 	}
+	ws := a.WSTable()
 	c := a.Circuit
 	clock := a.Config.withDefaults().ClockPeriod
 	perCharge = make([]float64, len(spectrum))
@@ -74,8 +76,8 @@ func (a *Analysis) SpectrumU(lib *charlib.Library, spectrum []ChargeWeight) (tot
 				return 0, nil, err
 			}
 			sum := 0.0
-			for j := range a.WS[g.ID] {
-				wj := lut.Interp1D(a.Samples, a.WS[g.ID][j], w)
+			for _, row := range ws[g.ID] {
+				wj := lut.Interp1D(a.Samples, row, w)
 				if wj > clock {
 					wj = clock
 				}

@@ -19,6 +19,7 @@ package logicsim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/ckt"
 	"repro/internal/engine"
@@ -31,16 +32,19 @@ import (
 const DefaultVectors = engine.DefaultVectors
 
 // DefaultSensBudgetBytes bounds the transient working set of one
-// scalar sensitization analysis: the base-value arena, the per-edge
-// side-input arena and every DP worker's scratch arena together. The
-// analysis processes the vector set in chunks of at most maxChunkWords
-// words (64 vectors each) through recycled arenas; when a circuit's
-// arenas at that width would exceed the budget, the chunks narrow
-// further. Results are bit-identical at any width (popcounts are
-// summed across chunks), only peak memory and a per-chunk cone re-walk
-// change. At the default (2 GiB) no ISCAS-class workload narrows below
-// the 64-word cap; serd exposes it as -sens-mem-budget. It does not
-// count the returned Result (the Pij matrix is the analysis' output).
+// scalar sensitization analysis: the base-value arena, the side-input
+// arena (one row per pin of each AND, NAND, OR and NOR gate) and every
+// DP worker's scratch arena together. The analysis processes the
+// vector set in chunks of at most maxChunkWords words (64 vectors
+// each) through recycled arenas; when a circuit's arenas at that width
+// would exceed the budget, the chunks narrow further. Results are
+// bit-identical at any width (popcounts are summed across chunks),
+// only peak memory and a per-chunk cone re-walk change. At the default
+// (2 GiB) no ISCAS-class workload narrows below the 64-word cap; serd
+// exposes it as -sens-mem-budget. It does not count the returned
+// Result (the Pij matrix is the analysis' output) or the popcount
+// arena of the same shape, neither of which depends on the chunk
+// width.
 //
 // The sequential fault chase (strike.LogicalPropagate) sizes its
 // fault groups by the same budget: the worst case of a group, every
@@ -55,7 +59,7 @@ const minChunkWords = 8
 // maxChunkWords caps a chunk at 64 words (4,096 vectors). A chunk
 // re-walks every cone, but 64 words amortize the walk, and the arenas
 // stay a few MB even on c7552, where one 10,000-vector chunk would
-// make every call zero and stream about 24 MB.
+// stream about 24 MB through every call.
 const maxChunkWords = 64
 
 // Evaluate computes all gate values for one input vector (indexed by
@@ -185,15 +189,28 @@ func AnalyzeCompiled(cc *engine.CompiledCircuit, nVectors int, rng *stats.RNG, w
 
 // AnalyzeCompiledBudget is AnalyzeCompiled with an explicit transient
 // memory budget in bytes (<= 0 means no bound beyond the 64-word chunk
-// cap). The budget covers the base-value arena, the per-edge side-input
-// arena and all DP worker scratch arenas; the vector set is processed
-// in chunks of at most 64 words through recycled arenas, narrower when
-// the arenas would exceed it.
+// cap). The budget covers the base-value arena, the side-input arena
+// (rows for the pins of AND, NAND, OR and NOR gates only) and all DP
+// worker scratch arenas; the vector set is processed in chunks of at
+// most 64 words, narrower when the arenas would exceed it. The arenas
+// are recycled from one call to the next, whatever the circuit, one
+// set per concurrent call.
 // Because the bit-parallel DP is independent per 64-bit word and the
 // per-PO popcounts are integers summed exactly, results are
 // bit-identical to the unbounded run for every budget, worker count
 // and chunk width — only peak memory and speed change.
 func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.RNG, workers int, budgetBytes int64) (*Result, error) {
+	ar := arenas.Get()
+	res, err := ar.analyze(cc, nVectors, rng, workers, budgetBytes)
+	// Not deferred: a panic mid-walk leaves frontier entries queued, so
+	// that set is dropped rather than recycled.
+	arenas.Put(ar)
+	return res, err
+}
+
+// analyze is AnalyzeCompiledBudget in the arena set ar, which it
+// leaves ready for the next call.
+func (ar *sensArena) analyze(cc *engine.CompiledCircuit, nVectors int, rng *stats.RNG, workers int, budgetBytes int64) (*Result, error) {
 	c := cc.Circuit()
 	if nVectors <= 0 {
 		nVectors = DefaultVectors
@@ -216,7 +233,8 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 	// the RNG stream is consumed exactly as the single-chunk
 	// implementation consumed it, so the vector set — and therefore
 	// every downstream statistic — is independent of the chunking.
-	piW := make([]uint64, len(inputs)*nWords)
+	ar.piW = reuse(ar.piW, len(inputs)*nWords)
+	piW := ar.piW
 	for i := range inputs {
 		w := piW[i*nWords : (i+1)*nWords]
 		for k := range w {
@@ -225,11 +243,36 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 		w[nWords-1] &= lastMask
 	}
 
-	// Chunk policy: the recycled arenas cost (nGates+nEdges)*8 bytes
-	// per vector word plus nGates*8 per word for each DP worker's
-	// scratch. Shed workers first (a narrow chunk re-walks every cone
-	// per chunk, which is the more expensive regression), then narrow
-	// the chunk to fit.
+	// fanin[e] is the source gate of fanin edge e, or -1 for a primary
+	// input, which no strike hits and the DP never pushes to. Only the
+	// pins of gates with a controlling value get side-input rows (see
+	// the fill below): pin p of gate id has row sideOff[id]+p.
+	ar.fanin = reuse(ar.fanin, nEdges)
+	ar.sideOff = reuse(ar.sideOff, nGates+1)
+	fanin, sideOff := ar.fanin, ar.sideOff
+	maxFanin := 0
+	sideOff[0] = 0
+	for id, g := range c.Gates {
+		maxFanin = max(maxFanin, len(g.Fanin))
+		for p, f := range g.Fanin {
+			if c.Gates[f].Type == ckt.Input {
+				f = -1
+			}
+			fanin[edgeOff[id]+p] = int32(f)
+		}
+		sideOff[id+1] = sideOff[id]
+		if g.Type.HasControllingValue() {
+			sideOff[id+1] += int32(len(g.Fanin))
+		}
+	}
+	nSide := int(sideOff[nGates])
+	rows := make([][]uint64, maxFanin)
+
+	// Chunk policy: the chunk arenas cost (nGates+nSide)*8 bytes per
+	// vector word plus nGates*8 per word for each DP worker's scratch.
+	// Shed workers first (a narrow chunk re-walks every cone per chunk,
+	// which is the more expensive regression), then narrow the chunk
+	// to fit.
 	pos := c.Outputs()
 	nPOs := len(pos)
 	nw := par.Workers(workers)
@@ -241,7 +284,7 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 	}
 	cw := min(nWords, maxChunkWords)
 	if budgetBytes > 0 {
-		perWord := int64(nGates+nEdges) * 8
+		perWord := int64(nGates+nSide) * 8
 		perWorkerWord := int64(nGates) * 8
 		capFor := func(nw int) int64 {
 			if d := perWord + int64(nw)*perWorkerWord; d > 0 {
@@ -276,26 +319,14 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 	}
 	p1cnt := make([]int64, nGates)
 
-	// fanin[e] is the source gate of fanin edge e, or -1 for a primary
-	// input, which no strike hits and the DP never pushes to.
-	fanin := make([]int32, nEdges)
-	maxFanin := 0
-	for id, g := range c.Gates {
-		maxFanin = max(maxFanin, len(g.Fanin))
-		for p, f := range g.Fanin {
-			if c.Gates[f].Type == ckt.Input {
-				f = -1
-			}
-			fanin[edgeOff[id]+p] = int32(f)
-		}
-	}
-	rows := make([][]uint64, maxFanin)
-
-	// Recycled chunk arenas, indexed gateID*cwk (cwk = current chunk
-	// width): base values, per-fanin-edge side-input conditions, and
-	// one observability arena per DP worker.
-	base := make([]uint64, nGates*cw)
-	sideOK := make([]uint64, nEdges*cw)
+	// Chunk arenas, indexed row*cwk (cwk = current chunk width): base
+	// values, side-input conditions and one observability arena per DP
+	// worker; and the exact popcounts, PO-major (cnt[k*nGates+id]), so
+	// each PO worker adds into rows of its own.
+	ar.base = reuse(ar.base, nGates*cw)
+	ar.side = reuse(ar.side, nSide*cw)
+	ar.cnt = reuse(ar.cnt, nPOs*nGates)
+	base, side, cnt := ar.base, ar.side, ar.cnt
 	lv := cc.Levels()
 	maxLv := 0
 	for _, l := range lv {
@@ -303,13 +334,13 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 			maxLv = l
 		}
 	}
-	scratches := make([]*dpScratch, nw)
-	for i := range scratches {
-		scratches[i] = &dpScratch{
-			obs:   make([]uint64, nGates*cw),
-			mark:  make([]int, nGates),
-			level: make([][]int32, maxLv+1),
-		}
+	for len(ar.dp) < nw {
+		ar.dp = append(ar.dp, new(dpScratch))
+	}
+	for _, sc := range ar.dp[:nw] {
+		sc.obs = reuse(sc.obs, nGates*cw)
+		sc.mark = reuse(sc.mark, nGates)
+		sc.level = reuse(sc.level, maxLv+1)
 	}
 
 	for w0 := 0; w0 < nWords; w0 += cw {
@@ -362,18 +393,19 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 		//
 		// sideOK(g, f) — all inputs of g other than fanin slot f
 		// non-controlling — depends only on base values, so it is
-		// precomputed per fanin edge into a flat edge arena (gates are
+		// precomputed per fanin edge into a flat side arena (gates are
 		// independent — the fill is parallel and in place, costing no
 		// extra memory per worker). Only gates with a controlling value
-		// get rows: for BUF, NOT, XOR and XNOR the condition is all
+		// have rows: for BUF, NOT, XOR and XNOR the condition is all
 		// ones, and the DP passes obs through them unmasked. Padding
 		// lanes of a side row may be set; the DP only ever ANDs them
 		// with obs rows, which are masked at the PO.
 		par.ForChunks(nGates, workers, 0, func(lo, hi int) {
 			for id := lo; id < hi; id++ {
-				g := c.Gates[id]
-				if cv, ok := g.Type.ControllingValue(); ok {
-					fillSide(sideOK[edgeOff[id]*cwk:edgeOff[id+1]*cwk], g.Fanin, base, cwk, cv)
+				if s0, s1 := int(sideOff[id]), int(sideOff[id+1]); s1 > s0 {
+					g := c.Gates[id]
+					cv, _ := g.Type.ControllingValue()
+					fillSide(side[s0*cwk:s1*cwk], g.Fanin, base, cwk, cv)
 				}
 			}
 		})
@@ -396,14 +428,18 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 		// so a gate's row is complete when its level comes up. Only
 		// gates that some vector reaches are ever queued.
 		//
-		// Popcounts accumulate into the Pij entries as exact float64
-		// integers (≤ nVectors < 2^53); the division happens once,
-		// after the last chunk, so the result equals the whole-run
-		// popcount divided once — bit-identical to the single-chunk
-		// computation. Workers own disjoint Pij columns.
+		// Popcounts accumulate as exact integers in PO k's count row,
+		// which its worker clears before the first chunk; Pij is
+		// written once, after the last chunk, so the result equals the
+		// whole-run popcount divided once — bit-identical to the
+		// single-chunk computation.
 		par.Each(nPOs, nw, 1, func(worker, lo, hi int) {
-			sc := scratches[worker]
+			sc := ar.dp[worker]
 			for k := lo; k < hi; k++ {
+				kc := cnt[k*nGates : (k+1)*nGates]
+				if w0 == 0 {
+					clear(kc)
+				}
 				poID := pos[k]
 				if c.Gates[poID].Type == ckt.Input {
 					continue // a PI marked as PO: nothing upstream
@@ -424,13 +460,14 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 						id := int(id32)
 						o := sc.obs[id*cwk : (id+1)*cwk]
 						if id != poID {
-							cnt := 0
+							n := 0
 							for _, w := range o {
-								cnt += bits.OnesCount64(w)
+								n += bits.OnesCount64(w)
 							}
-							res.Pij[id][k] += float64(cnt) // P_jj set after the chunk loop
+							kc[id] += int64(n) // P_jj set after the chunk loop
 						}
 						masked := c.Gates[id].Type.HasControllingValue()
+						sb := int(sideOff[id]) - edgeOff[id] // edge e's side row, if masked
 						for e := edgeOff[id]; e < edgeOff[id+1]; e++ {
 							f := int(fanin[e])
 							if f < 0 {
@@ -448,11 +485,11 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 								// First push: assign, so the arena never needs
 								// clearing between walks, and queue f only if
 								// some vector reaches it.
-								if !andRow(dst, o, sideOK[e*cwk:(e+1)*cwk]) {
+								if !andRow(dst, o, side[(sb+e)*cwk:(sb+e+1)*cwk]) {
 									continue
 								}
 							default:
-								orAndRow(dst, o, sideOK[e*cwk:(e+1)*cwk])
+								orAndRow(dst, o, side[(sb+e)*cwk:(sb+e+1)*cwk])
 							}
 							if first {
 								sc.mark[f] = sc.epoch
@@ -472,9 +509,14 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 		res.Activity[id] = 2 * p * (1 - p)
 	}
 	nv := float64(nVectors)
-	for i := range pijFlat {
-		pijFlat[i] /= nv
-	}
+	par.ForChunks(nGates, workers, 0, func(lo, hi int) {
+		for id := lo; id < hi; id++ {
+			row := res.Pij[id]
+			for k := range row {
+				row[k] = float64(cnt[k*nGates+id]) / nv
+			}
+		}
+	})
 	for _, id := range pos {
 		if c.Gates[id].Type != ckt.Input {
 			// Paper: "For primary output j, Pjj is 1."
@@ -575,13 +617,41 @@ func andRow(dst, o, side []uint64) bool {
 // dpScratch is one DP worker's private state, reused across POs so
 // the inner loop never allocates: the observability arena, the epoch
 // marks of the gates holding a valid row in the current walk, and the
-// walk's frontier bucketed by logic level.
+// walk's frontier bucketed by logic level. The epoch only grows, also
+// from one analysis to the next, so marks left by earlier walks never
+// match the current one.
 type dpScratch struct {
 	obs   []uint64
 	mark  []int
 	epoch int
 	level [][]int32
 }
+
+// sensArena is one analysis' working set, recycled through arenas
+// across analyses of any circuit, so the kernel stops allocating (and
+// the runtime stops zeroing) it on every call; an analysis holds one
+// set. Nothing in it is cleared on reuse: every buffer is written
+// before it is read, except the popcount rows, which their PO worker
+// clears before the first chunk, the marks, which the epoch outgrows,
+// and the level buckets, which every walk leaves empty. The buffers
+// grow to the largest circuit and chunk a set has served.
+type sensArena struct {
+	piW        []uint64
+	fanin      []int32
+	sideOff    []int32
+	base, side []uint64
+	cnt        []int64
+	dp         []*dpScratch
+}
+
+// arenas recycles the kernel's arena sets: at most one per analysis
+// running at once, given up when no analysis ran through a whole
+// garbage-collection cycle.
+var arenas par.FreeList[sensArena]
+
+// reuse returns s resliced to n elements, reallocating only when its
+// capacity falls short; the contents are not cleared.
+func reuse[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // SideSensitization returns S_is: the probability that gate s is
 // sensitized to its input from gate i, i.e. all *other* inputs of s

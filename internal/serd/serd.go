@@ -959,14 +959,10 @@ func (s *Server) analyze(ctx context.Context, h *ser.Compiled, vectors int, seed
 			ranking: rep.Susceptibility,
 		}, nil
 	}
-	// Analyses run Lean: the wire carries U and per-gate rows only, never
-	// the WS/Wij tables, so the per-request nGates·nPOs·K arena is pure
-	// garbage.
 	rep, err := s.sys.AnalyzeCompiledContext(ctx, h, ser.AnalysisOptions{
 		Vectors: vectors,
 		Seed:    seed,
 		POLoad:  poLoad,
-		Lean:    true,
 	})
 	if err != nil {
 		return analysis{}, err

@@ -136,10 +136,10 @@ func Optimize(c *ckt.Circuit, lib *charlib.Library, opts Options) (*Result, erro
 // A cost evaluation matches cells to the candidate delays through one
 // per-run cell table, re-deciding only the gates whose matching inputs
 // changed since the previous evaluation; hands the matcher's loads,
-// delays, glitch widths and flux weights to a Lean analysis, of which
-// it keeps only U, and to the metrics core; and memoizes the cost by
+// delays, glitch widths and flux weights to an analysis, of which it
+// keeps only U, and to the metrics core; and memoizes the cost by
 // the assignment, so a repeated assignment costs only its matching.
-// The winning assignment alone is analyzed in full.
+// The winning assignment alone is kept as an analysis (OptAnalysis).
 func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Options) (*Result, error) {
 	c := cc.Circuit()
 	if c.Sequential() {
@@ -240,11 +240,6 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 			w.A*m.Area/res.BaseMetrics.Area
 	}
 
-	// Candidate analyses keep only U, in which a Lean analysis is
-	// bit-identical to a full one (TestLeanMatchesFull); the winner is
-	// analyzed in full after the search.
-	lean := acfg
-	lean.Lean = true
 	match := newMatcher(cc, lib, opts.Match)
 	cellOf := func(id int) *cellProps { return &match.t.props[match.ids[id]] }
 	memo := make(map[string]*evalOut)
@@ -277,7 +272,7 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		if out, ok := memo[string(key)]; ok {
 			return out, nil
 		}
-		an, err := aserta.AnalyzeSources(cc, match.cells, &match.src, lean)
+		an, err := aserta.AnalyzeSources(cc, match.cells, &match.src, acfg)
 		if err != nil {
 			return nil, err
 		}

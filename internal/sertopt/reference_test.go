@@ -604,18 +604,19 @@ func diffAnalyses(name string, got, want *aserta.Analysis) string {
 			return msg
 		}
 	}
-	if len(got.Wij) != len(want.Wij) || len(got.WS) != len(want.WS) {
-		return fmt.Sprintf("%s: %d Wij / %d WS rows, want %d / %d", name, len(got.Wij), len(got.WS), len(want.Wij), len(want.WS))
+	gotWS, wantWS := got.WSTable(), want.WSTable()
+	if len(got.Wij) != len(want.Wij) || len(gotWS) != len(wantWS) {
+		return fmt.Sprintf("%s: %d Wij / %d WS rows, want %d / %d", name, len(got.Wij), len(gotWS), len(want.Wij), len(wantWS))
 	}
 	for i := range want.Wij {
 		if msg := diffFloats(fmt.Sprintf("%s.Wij[%d]", name, i), got.Wij[i], want.Wij[i]); msg != "" {
 			return msg
 		}
-		if len(got.WS[i]) != len(want.WS[i]) {
-			return fmt.Sprintf("%s.WS[%d]: %d columns, want %d", name, i, len(got.WS[i]), len(want.WS[i]))
+		if len(gotWS[i]) != len(wantWS[i]) {
+			return fmt.Sprintf("%s.WS[%d]: %d columns, want %d", name, i, len(gotWS[i]), len(wantWS[i]))
 		}
-		for j := range want.WS[i] {
-			if msg := diffFloats(fmt.Sprintf("%s.WS[%d][%d]", name, i, j), got.WS[i][j], want.WS[i][j]); msg != "" {
+		for j := range wantWS[i] {
+			if msg := diffFloats(fmt.Sprintf("%s.WS[%d][%d]", name, i, j), gotWS[i][j], wantWS[i][j]); msg != "" {
 				return msg
 			}
 		}

@@ -1,6 +1,9 @@
 package strike
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/ckt"
 	"repro/internal/engine"
 	"repro/internal/logicsim"
@@ -318,8 +321,9 @@ func (p *Propagator) computeGateColumns(i, jLo, jHi, stride int, accK []float64,
 // untouched — callers exposing the WS table must supply a zeroed arena.
 // A nil wsDst retains no WS table at all: each worker evaluates its
 // column chunks in a private nGates×chunk×K scratch arena and only
-// wijDst (which IS fully zero-filled here) is written — the Lean
-// analysis path, bit-identical to the full one.
+// wijDst (which IS fully zero-filled here) is written, bit-identical
+// to a pass into a full table. The scratch is recycled across Runs of
+// any circuit, un-zeroed for the reason above; a Run holds one set.
 func (p *Propagator) Run(delays, wsDst, wijDst []float64) {
 	p.prepAtten(delays)
 	K := len(p.samples)
@@ -334,28 +338,48 @@ func (p *Propagator) Run(delays, wsDst, wijDst []float64) {
 	if nw > nPOs {
 		nw = nPOs
 	}
-	grain := (nPOs + 4*nw - 1) / (4 * nw) // ~4 chunks per worker
-	accs := make([][]float64, nw)
-	scratch := make([][]float64, nw)
-	for w := range accs {
-		accs[w] = make([]float64, K)
-		if wsDst == nil {
-			scratch[w] = make([]float64, len(p.c.Gates)*grain*K)
-		}
+	grain := min((nPOs+4*nw-1)/(4*nw), maxChunkCols) // ≥ 4 chunks per worker
+	per := 0
+	if wsDst == nil {
+		per = len(p.c.Gates) * grain * K
 	}
+	sc := colScratches.Get()
+	defer colScratches.Put(sc)
+	sc.ws = slices.Grow(sc.ws[:0], nw*per)[:nw*per]
+	sc.acc = slices.Grow(sc.acc[:0], nw*K)[:nw*K]
 	par.Each(nPOs, nw, grain, func(worker, jLo, jHi int) {
-		ws, stride := scratch[worker], grain
+		ws, stride := sc.ws[worker*per:(worker+1)*per], grain
 		if wsDst != nil {
 			ws, stride = wsDst[jLo*K:], nPOs
 		}
+		acc := sc.acc[worker*K : (worker+1)*K]
 		for _, i := range p.rorder {
 			if p.c.Gates[i].Type.IsSource() {
 				continue
 			}
-			p.computeGateColumns(i, jLo, jHi, stride, accs[worker], ws, wijDst, nil, nil)
+			p.computeGateColumns(i, jLo, jHi, stride, acc, ws, wijDst, nil, nil)
 		}
 	})
 }
+
+// maxChunkCols caps a worker's chunk of PO columns. Without a WS
+// destination each worker keeps an nGates×chunk×K scratch arena, and
+// the recycled sets stay resident: at four columns a c7552 worker's
+// arena is 1.2 MB, where a quarter of its columns made it 4 MB.
+const maxChunkCols = 4
+
+// colScratch is one Run's recycled working set: every worker's column
+// arena (a Run without wsDst) and its K-float accumulator, each laid
+// out worker after worker.
+type colScratch struct {
+	ws, acc []float64
+}
+
+// colScratches recycles colScratch sets across Runs of any circuit,
+// at most one per Run in flight at once, so the pass stops allocating
+// (and the runtime stops zeroing) its per-worker arenas on every
+// analysis.
+var colScratches par.FreeList[colScratch]
 
 // GateReducer maps one gate's W_ij row to its U contribution — the
 // LatchingWindow+Reduce step the Delta incremental path re-applies per
@@ -366,7 +390,7 @@ type GateReducer func(i int, wij []float64) float64
 // re-evaluating the electrical pass under an alternative delay vector,
 // re-propagating only the fanin cones of gates whose delays differ
 // from the analysis baseline, with unaffected rows served from the
-// pristine baseline arena. This is the optimizer's cheap
+// pristine baseline WS table. This is the optimizer's cheap
 // delay-sensitivity oracle. The delta evaluation always starts from
 // the baseline, so error cannot accumulate across calls; as a
 // belt-and-braces bound, every fullEvery-th call performs an exact
@@ -375,11 +399,13 @@ type GateReducer func(i int, wij []float64) float64
 type Delta struct {
 	p *Propagator
 	// Baseline state (owned by the caller, read-only here).
-	baseDelays      []float64
-	baseWS, baseWij []float64
-	baseUi          []float64
-	baseU           float64
-	reduce          GateReducer
+	baseDelays []float64
+	baseUi     []float64
+	baseU      float64
+	reduce     GateReducer
+	// baseWS is the baseline WS table, built once by BaseWS.
+	baseWS []float64
+	wsOnce sync.Once
 
 	// Per-call scratch: incremental WS/Wij arenas, the
 	// affected/changed sets and the attenuation dirty-row bookkeeping.
@@ -395,14 +421,13 @@ type Delta struct {
 }
 
 // NewDelta creates the incremental evaluator for a baseline that was
-// just produced by Run(baseDelays, baseWS, baseWij): the Propagator's
-// attenuation table is assumed to reflect baseDelays.
-func (p *Propagator) NewDelta(baseDelays, baseWS, baseWij, baseUi []float64, baseU float64, reduce GateReducer) *Delta {
+// just produced by Run(baseDelays, …): the Propagator's attenuation
+// table is assumed to reflect baseDelays, and baseUi/baseU are the
+// baseline's reduced contributions.
+func (p *Propagator) NewDelta(baseDelays, baseUi []float64, baseU float64, reduce GateReducer) *Delta {
 	return &Delta{
 		p:          p,
 		baseDelays: baseDelays,
-		baseWS:     baseWS,
-		baseWij:    baseWij,
 		baseUi:     baseUi,
 		baseU:      baseU,
 		reduce:     reduce,
@@ -410,14 +435,38 @@ func (p *Propagator) NewDelta(baseDelays, baseWS, baseWij, baseUi []float64, bas
 	}
 }
 
-// ensureScratch allocates the incremental arenas on first use.
-func (d *Delta) ensureScratch() {
-	if d.incrWS == nil {
-		nGates := len(d.p.c.Gates)
-		nPOs := d.p.nPOs
-		K := len(d.p.samples)
-		d.incrWS = make([]float64, nGates*nPOs*K)
+// BaseWS returns the baseline's full WS table (row (i, j) at
+// (i*nPOs+j)*K; unreachable rows zero). The first call builds it by
+// re-running the pass at the baseline delays into a zeroed arena;
+// later calls, and the incremental path, share that one table. Safe
+// for concurrent callers, but not concurrently with Recompute.
+func (d *Delta) BaseWS() []float64 {
+	d.wsOnce.Do(func() {
+		p := d.p
+		nGates := len(p.c.Gates)
+		ws := make([]float64, nGates*p.nPOs*len(p.samples))
+		p.Run(d.baseDelays, ws, make([]float64, nGates*p.nPOs))
+		// Run re-prepared the whole attenuation table at the baseline
+		// delays, so no row is dirty any more.
+		d.attIsBase = true
+		d.attDirty = d.attDirty[:0]
+		d.baseWS = ws
+	})
+	return d.baseWS
+}
+
+// ensureScratch allocates the re-evaluation arenas on first use: the
+// Wij arena always, the full WS arena only when ws is set (the
+// incremental path; a full re-evaluation runs in Run's recycled column
+// scratch).
+func (d *Delta) ensureScratch(ws bool) {
+	nGates := len(d.p.c.Gates)
+	nPOs := d.p.nPOs
+	if d.incrWij == nil {
 		d.incrWij = make([]float64, nGates*nPOs)
+	}
+	if ws && d.incrWS == nil {
+		d.incrWS = make([]float64, nGates*nPOs*len(d.p.samples))
 	}
 }
 
@@ -431,23 +480,6 @@ func (d *Delta) Recompute(delays []float64, fullEvery int) (float64, error) {
 	p := d.p
 	c := p.c
 	nGates := len(c.Gates)
-	if d.baseWS == nil {
-		// Lean baseline (the analysis did not retain its WS arena):
-		// there is nothing to serve unaffected rows from, so every
-		// re-evaluation is a full pass. Unchanged-delay calls still
-		// short-circuit to the baseline U.
-		same := true
-		for _, g := range c.Gates {
-			if !g.Type.IsSource() && delays[g.ID] != d.baseDelays[g.ID] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return d.baseU, nil
-		}
-		return d.RecomputeFull(delays)
-	}
 	if d.changed == nil {
 		d.changed = make([]bool, nGates)
 		d.affected = make([]bool, nGates)
@@ -497,9 +529,12 @@ func (d *Delta) Recompute(delays []float64, fullEvery int) (float64, error) {
 	if full {
 		return d.RecomputeFull(delays)
 	}
+	// The baseline table serves the rows of unaffected successors.
+	// Building it re-prepares the attenuation table, so it comes first.
+	baseWS := d.BaseWS()
 	nPOs := p.nPOs
 	K := len(p.samples)
-	d.ensureScratch()
+	d.ensureScratch(true)
 	// Refresh only the attenuation rows that differ from the baseline
 	// table: restore rows dirtied by the previous delta call, then
 	// prepare the rows of this call's changed gates. After a full pass
@@ -535,7 +570,7 @@ func (d *Delta) Recompute(delays []float64, fullEvery int) (float64, error) {
 		for j := range wij {
 			wij[j] = 0
 		}
-		p.computeGateColumns(i, 0, nPOs, nPOs, accK, d.incrWS, d.incrWij, d.baseWS, d.affected)
+		p.computeGateColumns(i, 0, nPOs, nPOs, accK, d.incrWS, d.incrWij, baseWS, d.affected)
 		u += d.reduce(i, wij) - d.baseUi[i]
 	}
 	return u, nil
@@ -549,8 +584,8 @@ func (d *Delta) RecomputeFull(delays []float64) (float64, error) {
 	p := d.p
 	c := p.c
 	nPOs := p.nPOs
-	d.ensureScratch()
-	p.Run(delays, d.incrWS, d.incrWij)
+	d.ensureScratch(false)
+	p.Run(delays, nil, d.incrWij)
 	d.attIsBase = false // the attenuation table now reflects foreign delays
 	u := 0.0
 	for _, g := range c.Gates {

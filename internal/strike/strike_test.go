@@ -99,30 +99,14 @@ func serialReference(cc *engine.CompiledCircuit, sens *logicsim.Result, genWidth
 // a real benchmark — every WS entry, every W_ij, every per-gate U
 // contribution and the total.
 func TestPipelineMatchesSerialReference(t *testing.T) {
-	c, err := gen.ISCAS85("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
-	cells := aserta.NominalAssignment(c, lib, 2)
-	cc := engine.MustCompile(c)
-	src, err := strike.EnumerateSources(cc, lib, cells, 2e-15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sens, err := logicsim.Sensitization(cc, 2000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := ladder(10, 2.56e-9)
-
+	p := newPipeline(t, charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid()), "c432")
+	c, cc, src, sens, samples := p.c, p.cc, p.src, p.sens, p.samples
 	nGates := len(c.Gates)
 	nPOs := len(c.Outputs())
 	K := len(samples)
-	prop := strike.NewPropagator(cc, sens, src.GenWidth, samples)
 	ws := make([]float64, nGates*nPOs*K)
 	wijFlat := make([]float64, nGates*nPOs)
-	prop.Run(src.Delays, ws, wijFlat)
+	p.prop.Run(src.Delays, ws, wijFlat)
 
 	refWS, refWij := serialReference(cc, sens, src.GenWidth, samples, src.Delays)
 	for i := range refWS {
@@ -167,6 +151,70 @@ func TestPipelineMatchesSerialReference(t *testing.T) {
 	}
 	if total <= 0 {
 		t.Fatal("degenerate reference: U must be positive")
+	}
+}
+
+// pipeline is the electrical stage of one ISCAS-85 circuit at the
+// reference tests' settings: size-2 nominal cells, a 2 fF PO load,
+// 2,000 sensitization vectors and the 10-width ladder.
+type pipeline struct {
+	c       *ckt.Circuit
+	cc      *engine.CompiledCircuit
+	src     *strike.Sources
+	sens    *logicsim.Result
+	samples []float64
+	prop    *strike.Propagator
+}
+
+func newPipeline(t *testing.T, lib *charlib.Library, name string) *pipeline {
+	t.Helper()
+	c, err := gen.ISCAS85(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := engine.MustCompile(c)
+	src, err := strike.EnumerateSources(cc, lib, aserta.NominalAssignment(c, lib, 2), 2e-15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sens, err := logicsim.Sensitization(cc, 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := ladder(10, 2.56e-9)
+	return &pipeline{c, cc, src, sens, samples, strike.NewPropagator(cc, sens, src.GenWidth, samples)}
+}
+
+// TestScratchPassMatchesSerialReference holds the pass that keeps no
+// WS table, Run(delays, nil, wij), to the serial reference's W_ij: on
+// c432, whose 9 POs leave chunks narrower than the four-column cap,
+// and on c2670, whose 140 POs fill every chunk to it. Each runs
+// twice on one Propagator and once more after a c5315 pass, so the
+// recycled column scratch comes back dirty, and wij starts as NaN
+// every time: the pass must zero what it does not write.
+func TestScratchPassMatchesSerialReference(t *testing.T) {
+	// One library for all three circuits: their common cells are
+	// characterized once.
+	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
+	big := newPipeline(t, lib, "c5315")
+	for _, name := range []string{"c432", "c2670"} {
+		p := newPipeline(t, lib, name)
+		_, refWij := serialReference(p.cc, p.sens, p.src.GenWidth, p.samples, p.src.Delays)
+		wij := make([]float64, len(refWij))
+		for _, when := range []string{"first run", "second run", "after a c5315 run"} {
+			if when == "after a c5315 run" {
+				big.prop.Run(big.src.Delays, nil, make([]float64, len(big.c.Gates)*len(big.c.Outputs())))
+			}
+			for i := range wij {
+				wij[i] = math.NaN()
+			}
+			p.prop.Run(p.src.Delays, nil, wij)
+			for i := range refWij {
+				if wij[i] != refWij[i] {
+					t.Fatalf("%s, %s: Wij[%d] = %v, serial reference %v", name, when, i, wij[i], refWij[i])
+				}
+			}
+		}
 	}
 }
 

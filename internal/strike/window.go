@@ -44,21 +44,6 @@ func Reduce(c *ckt.Circuit, flux []float64, wij [][]float64, clock float64) (ui 
 	return ui, total
 }
 
-// ReduceFlat is Reduce over a flat row-major W_ij arena (gate i's row
-// at wij[i*nPOs : (i+1)*nPOs]) — the Lean analysis path's reducer,
-// which never materializes per-gate row views.
-func ReduceFlat(c *ckt.Circuit, flux []float64, wij []float64, nPOs int, clock float64) (ui []float64, total float64) {
-	ui = make([]float64, len(c.Gates))
-	for _, g := range c.Gates {
-		if g.Type.IsSource() {
-			continue
-		}
-		ui[g.ID] = GateU(flux[g.ID], wij[g.ID*nPOs:(g.ID+1)*nPOs], clock)
-		total += ui[g.ID]
-	}
-	return ui, total
-}
-
 // SeqContribution is the sequential flow's reduction output: the
 // direct (strike cycle) and latched (captured-then-re-emitted) U
 // splits per gate, the per-flop capture pressure, and the two totals.

@@ -362,7 +362,10 @@ func lastIndexByte(s string, b byte) int {
 	return -1
 }
 
-// AnalysisOptions tune an ASERTA run.
+// AnalysisOptions tune an ASERTA run. The report's Raw() analysis
+// keeps the nGates·nPOs W_ij table; the nGates·nPOs·K sample-width
+// table WS_ijk is built only when something asks for it
+// (Raw().WSTable(), SpectrumU, an incremental RecomputeU).
 type AnalysisOptions struct {
 	// Vectors is the random-vector count for sensitization statistics
 	// (default 10,000, as in the paper).
@@ -373,13 +376,6 @@ type AnalysisOptions struct {
 	// Size sizes every gate uniformly when Cells is nil (default:
 	// speed-driven baseline sizing).
 	Cells aserta.Assignment
-	// Lean runs the electrical pass in per-worker column scratch: U
-	// and the per-gate report are bit-identical, but the report's
-	// Raw() analysis retains no WS/Wij tables (SpectrumU is
-	// unavailable and RecomputeU is non-incremental). The serving
-	// tier's default — it cuts tens of MB of per-request allocation on
-	// large circuits.
-	Lean bool
 }
 
 // GateReport is one gate's analysis summary.
@@ -523,7 +519,6 @@ func (s *System) AnalyzeCompiledContext(ctx context.Context, h *Compiled, opts A
 		Seed:    opts.Seed,
 		POLoad:  opts.POLoad,
 		Spans:   rec,
-		Lean:    opts.Lean,
 	})
 	if err != nil {
 		return nil, err

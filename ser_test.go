@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/ckt"
+	"repro/internal/lut"
 )
 
 var (
@@ -77,11 +80,14 @@ func TestAnalyzeC17(t *testing.T) {
 	}
 }
 
-// TestLeanMatchesFull pins the Lean analysis mode — the serving tier's
-// default, which keeps only per-worker column scratch in the
-// electrical pass — to the full mode that retains the WS/Wij tables:
-// U, every per-gate report and the susceptibility ranking must be
-// exactly equal, from a few hundred to a few thousand gates.
+// TestLeanMatchesFull pins the analysis' one electrical pass, which
+// keeps only W_ij and works in recycled per-worker column scratch (the
+// old lean mode, whose name the test keeps), to the full WS_ijk table
+// that WSTable builds on demand: interpolating every WSTable row at
+// the gate's generated width (§3.2 step iv) must give back every W_ij,
+// and re-reducing those W_ij must give back U, bit for bit, from a few
+// hundred to a few thousand gates. RecomputeU and RecomputeUFull at
+// the baseline delays must then return U too.
 func TestLeanMatchesFull(t *testing.T) {
 	for _, name := range []string{"c432", "c1355", "c2670", "c7552"} {
 		c, err := Benchmark(name)
@@ -92,34 +98,51 @@ func TestLeanMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := AnalysisOptions{Vectors: 2000, Seed: 3}
-		full, err := sys().AnalyzeCompiledContext(context.Background(), h, opts)
+		rep, err := sys().AnalyzeCompiledContext(context.Background(), h, AnalysisOptions{Vectors: 2000, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Lean = true
-		lean, err := sys().AnalyzeCompiledContext(context.Background(), h, opts)
-		if err != nil {
-			t.Fatal(err)
+		a := rep.Raw()
+		ws := a.WSTable()
+		if len(ws) != len(c.Gates) || len(a.Wij) != len(c.Gates) {
+			t.Fatalf("%s: %d WS rows, %d Wij rows for %d gates", name, len(ws), len(a.Wij), len(c.Gates))
 		}
-		if lean.Raw().WS != nil || lean.Raw().Wij != nil {
-			t.Fatalf("%s: Lean report retains its WS/Wij tables", name)
-		}
-		if lean.U != full.U {
-			t.Fatalf("%s: Lean U = %v, full %v", name, lean.U, full.U)
-		}
-		if len(lean.Gates) != len(full.Gates) {
-			t.Fatalf("%s: Lean has %d gate reports, full %d", name, len(lean.Gates), len(full.Gates))
-		}
-		for i := range full.Gates {
-			if lean.Gates[i] != full.Gates[i] {
-				t.Fatalf("%s: gate %d: Lean %+v, full %+v", name, i, lean.Gates[i], full.Gates[i])
+		clock := a.Config.ClockPeriod
+		u := 0.0
+		for _, g := range c.Gates {
+			if g.Type == ckt.Input {
+				continue
 			}
+			own := -1
+			if g.PO {
+				own, _ = a.Sens.POColumn(g.ID)
+			}
+			sum := 0.0
+			for j, row := range ws[g.ID] {
+				want := lut.Interp1D(a.Samples, row, a.GenWidth[g.ID])
+				if j == own {
+					want = a.GenWidth[g.ID] // step (ii): the glitch itself
+				}
+				if a.Wij[g.ID][j] != want {
+					t.Fatalf("%s: gate %s PO %d: Wij = %v, WSTable row gives %v", name, g.Name, j, a.Wij[g.ID][j], want)
+				}
+				sum += min(want, clock)
+			}
+			u += a.Flux[g.ID] * sum / 1e-12
 		}
-		ls, fs := lean.Susceptibility(), full.Susceptibility()
-		for i := range fs {
-			if ls[i] != fs[i] {
-				t.Fatalf("%s: rank %d: Lean %+v, full %+v", name, i, ls[i], fs[i])
+		if u != rep.U {
+			t.Fatalf("%s: U from the WSTable rows = %v, analysis %v", name, u, rep.U)
+		}
+		for _, recompute := range []func([]float64) (float64, error){
+			func(d []float64) (float64, error) { return a.RecomputeU(nil, d) },
+			a.RecomputeUFull,
+		} {
+			got, err := recompute(append([]float64(nil), a.Delays...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != rep.U {
+				t.Fatalf("%s: recomputed U at the baseline delays = %v, analysis %v", name, got, rep.U)
 			}
 		}
 	}
