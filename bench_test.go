@@ -122,7 +122,7 @@ func BenchmarkAblationSampleWidths(b *testing.B) {
 		b.Run(benchName("K", k), func(b *testing.B) {
 			var u float64
 			for i := 0; i < b.N; i++ {
-				an, err := aserta.Analyze(c, lib, cells, aserta.Config{
+				an, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, cells, aserta.Config{
 					Vectors: 4000, Seed: 1, SampleWidths: k,
 				})
 				if err != nil {
@@ -170,7 +170,7 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 		b.Run(method, func(b *testing.B) {
 			var dec float64
 			for i := 0; i < b.N; i++ {
-				res, err := sertopt.Optimize(c, lib, sertopt.Options{
+				res, err := sertopt.OptimizeCompiled(engine.MustCompile(c), lib, sertopt.Options{
 					Match:      sertopt.MatchConfig{VDDs: []float64{0.8, 1.0}, Vths: []float64{0.2, 0.3}},
 					Vectors:    2000,
 					Iterations: 3,
@@ -198,7 +198,7 @@ func BenchmarkAblationVectors(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(benchName("N", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := logicsim.Analyze(c, n, stats.NewRNG(1)); err != nil {
+				if _, err := logicsim.AnalyzeCompiledBudget(engine.MustCompile(c), n, stats.NewRNG(1), 0, logicsim.DefaultSensBudgetBytes); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -218,12 +218,12 @@ func BenchmarkASERTAScaling(b *testing.B) {
 		}
 		cells := aserta.NominalAssignment(c, lib, 2)
 		// Warm the library outside the timed loop.
-		if _, err := aserta.Analyze(c, lib, cells, aserta.Config{Vectors: 100, Seed: 1}); err != nil {
+		if _, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, cells, aserta.Config{Vectors: 100, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := aserta.Analyze(c, lib, cells, aserta.Config{Vectors: 10000, Seed: 1}); err != nil {
+				if _, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, cells, aserta.Config{Vectors: 10000, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -247,7 +247,7 @@ func BenchmarkCompileOnceAnalyzeMany(b *testing.B) {
 	cells := aserta.NominalAssignment(c, lib, 2)
 	cfg := aserta.Config{Vectors: 10000, Seed: 1}
 	// Warm the library outside the timed loops.
-	if _, err := aserta.Analyze(c, lib, cells, aserta.Config{Vectors: 100, Seed: 1}); err != nil {
+	if _, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, cells, aserta.Config{Vectors: 100, Seed: 1}); err != nil {
 		b.Fatal(err)
 	}
 	const analyses = 32
@@ -255,7 +255,7 @@ func BenchmarkCompileOnceAnalyzeMany(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for k := 0; k < analyses; k++ {
-				an, err := aserta.Analyze(c, lib, cells, cfg)
+				an, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, cells, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -297,12 +297,12 @@ func BenchmarkSeqS1196(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm the library outside the timed loop.
-	if _, err := seq.Analyze(c, lib, seq.Options{Cycles: 1, Vectors: 100, Seed: 1}); err != nil {
+	if _, err := seq.AnalyzeCompiledContext(context.Background(), engine.MustCompile(c), lib, seq.Options{Cycles: 1, Vectors: 100, Seed: 1}); err != nil {
 		b.Fatal(err)
 	}
 	var u float64
 	for i := 0; i < b.N; i++ {
-		res, err := seq.Analyze(c, lib, seq.Options{Cycles: 4, Vectors: 10000, Seed: 1})
+		res, err := seq.AnalyzeCompiledContext(context.Background(), engine.MustCompile(c), lib, seq.Options{Cycles: 4, Vectors: 10000, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -59,11 +59,6 @@ type Config struct {
 	// latched). Default 300 ps; set from the circuit's own clock when
 	// known (SERTOPT uses 1.2x the baseline critical path).
 	ClockPeriod float64
-	// FullRecomputeEvery bounds incremental drift: every N-th
-	// RecomputeU call performs an exact full re-evaluation instead of
-	// the delta propagation (default 64; negative disables the
-	// cadence).
-	FullRecomputeEvery int
 	// Spans, when non-nil, receives one span per pipeline stage
 	// (sources, sensitization, electrical, reduce). Timing is
 	// observational only — it never alters numerics or RNG streams —
@@ -88,9 +83,6 @@ func (cfg Config) withDefaults() Config {
 	cfg.POLoad = p.POLoad
 	cfg.ClockPeriod = p.ClockPeriod
 	cfg.WideWidth = p.WideWidth
-	if cfg.FullRecomputeEvery == 0 {
-		cfg.FullRecomputeEvery = 64
-	}
 	return cfg
 }
 
@@ -158,33 +150,11 @@ type Analysis struct {
 	wsOnce sync.Once
 }
 
-// Attenuate applies the paper's Equation 1: a glitch of width wi
-// passing a gate of delay d emerges with width 0 (wi < d),
-// 2(wi−d) (d ≤ wi ≤ 2d), or wi (wi > 2d).
-func Attenuate(wi, d float64) float64 { return strike.Attenuate(wi, d) }
-
-// GateLoads computes each gate's output load: the input capacitance of
-// every fanout pin plus the PO latch load where applicable.
-func GateLoads(c *ckt.Circuit, lib *charlib.Library, cells Assignment, poLoad float64) ([]float64, error) {
-	return strike.GateLoads(c, lib, cells, poLoad)
-}
-
-// Analyze runs the full ASERTA flow, compiling the circuit on the
-// fly. Callers analyzing one netlist repeatedly should compile once
-// (engine.Compile) and use AnalyzeCompiled, which additionally shares
-// the memoized sensitization statistics across analyses.
-func Analyze(c *ckt.Circuit, lib *charlib.Library, cells Assignment, cfg Config) (*Analysis, error) {
-	cc, err := engine.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeCompiled(cc, lib, cells, cfg)
-}
-
 // AnalyzeCompiled runs the full ASERTA flow against a compiled
-// circuit. Results are bit-identical to Analyze; the netlist-derived
-// work (topological orders, levels and the sensitization simulation)
-// is served from the handle.
+// circuit. The netlist-derived work (topological orders, levels and
+// the sensitization simulation) is served from the handle, so callers
+// analyzing one netlist repeatedly compile it once (engine.Compile)
+// and share the memoized sensitization statistics across analyses.
 func AnalyzeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells Assignment, cfg Config) (*Analysis, error) {
 	cfg = cfg.withDefaults()
 	if err := checkShape(cc.Circuit(), len(cells)); err != nil {
@@ -333,19 +303,17 @@ func (a *Analysis) uiOf(i int, wij []float64) float64 {
 // of gates whose delays differ from the analysis baseline are
 // re-propagated, with unaffected rows served from the baseline
 // WSTable, which the first incremental call builds (strike.Delta). The
-// delta evaluation always starts from the pristine Analyze baseline,
-// so error cannot accumulate across calls; as a belt-and-braces bound,
-// every Config.FullRecomputeEvery-th call performs an exact full
-// re-evaluation (RecomputeUFull) instead. Not safe for concurrent use
-// on one Analysis (shared scratch arenas).
+// delta evaluation always starts from the pristine baseline, so error
+// cannot accumulate across calls. Not safe for concurrent use on one
+// Analysis (shared scratch arenas).
 func (a *Analysis) RecomputeU(lib *charlib.Library, delays []float64) (float64, error) {
-	return a.delta.Recompute(delays, a.Config.FullRecomputeEvery)
+	return a.delta.Recompute(delays)
 }
 
 // RecomputeUFull is RecomputeU without the incremental shortcut: the
 // complete electrical pass runs against the given delays (into scratch
 // arenas — the analysis baseline is untouched). It is the exactness
-// reference for the incremental path and its periodic fallback.
+// reference for the incremental path.
 func (a *Analysis) RecomputeUFull(delays []float64) (float64, error) {
 	return a.delta.RecomputeFull(delays)
 }

@@ -8,7 +8,9 @@ import (
 	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/devmodel"
+	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/strike"
 )
 
 var (
@@ -27,7 +29,7 @@ func analyzeC17(t testing.TB, cfg Config) *Analysis {
 	t.Helper()
 	c := gen.C17()
 	cells := NominalAssignment(c, lib(), 2)
-	a, err := Analyze(c, lib(), cells, cfg)
+	a, err := AnalyzeCompiled(engine.MustCompile(c), lib(), cells, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestAttenuateEquation1(t *testing.T) {
 		{25, 25}, {100, 100}, // wi > 2d: unchanged
 	}
 	for _, c := range cases {
-		if got := Attenuate(c.wi, d); math.Abs(got-c.want) > 1e-12 {
+		if got := strike.Attenuate(c.wi, d); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("Attenuate(%g, %g) = %g, want %g", c.wi, d, got, c.want)
 		}
 	}
@@ -53,10 +55,10 @@ func TestAttenuateEquation1(t *testing.T) {
 func TestAttenuateContinuity(t *testing.T) {
 	// Eq. 1 is continuous at wi=d and wi=2d.
 	d := 7.0
-	if a, b := Attenuate(d-1e-9, d), Attenuate(d+1e-9, d); math.Abs(a-b) > 1e-6 {
+	if a, b := strike.Attenuate(d-1e-9, d), strike.Attenuate(d+1e-9, d); math.Abs(a-b) > 1e-6 {
 		t.Errorf("discontinuity at wi=d: %g vs %g", a, b)
 	}
-	if a, b := Attenuate(2*d-1e-9, d), Attenuate(2*d+1e-9, d); math.Abs(a-b) > 1e-6 {
+	if a, b := strike.Attenuate(2*d-1e-9, d), strike.Attenuate(2*d+1e-9, d); math.Abs(a-b) > 1e-6 {
 		t.Errorf("discontinuity at wi=2d: %g vs %g", a, b)
 	}
 }
@@ -127,7 +129,7 @@ func TestLemma1RandomCircuits(t *testing.T) {
 			t.Fatal(err)
 		}
 		cells := NominalAssignment(c, lib(), 2)
-		a, err := Analyze(c, lib(), cells, Config{Vectors: 4000, Seed: seed})
+		a, err := AnalyzeCompiled(engine.MustCompile(c), lib(), cells, Config{Vectors: 4000, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +158,7 @@ func TestPOGateDirectWidth(t *testing.T) {
 	a := analyzeC17(t, Config{Vectors: 2000, Seed: 3})
 	c := a.Circuit
 	for _, po := range c.Outputs() {
-		col, _ := a.Sens.POColumn(po)
+		col, _ := a.cc.POColumn(po)
 		if a.Wij[po][col] != a.GenWidth[po] {
 			t.Errorf("PO %s W_jj = %g, want generated width %g",
 				c.Gates[po].Name, a.Wij[po][col], a.GenWidth[po])
@@ -174,7 +176,7 @@ func TestNoPathMeansZeroWidth(t *testing.T) {
 	c := a.Circuit
 	id10, _ := c.GateByName("10")
 	id23, _ := c.GateByName("23")
-	col, _ := a.Sens.POColumn(id23)
+	col, _ := a.cc.POColumn(id23)
 	if a.Wij[id10][col] != 0 {
 		t.Errorf("gate 10 has no path to 23 but W = %g", a.Wij[id10][col])
 	}
@@ -206,7 +208,7 @@ func TestUnreliabilityScalesWithArea(t *testing.T) {
 
 func TestAnalyzeCellCountMismatch(t *testing.T) {
 	c := gen.C17()
-	if _, err := Analyze(c, lib(), nil, Config{}); err == nil {
+	if _, err := AnalyzeCompiled(engine.MustCompile(c), lib(), nil, Config{}); err == nil {
 		t.Fatal("cell count mismatch accepted")
 	}
 }
@@ -256,7 +258,7 @@ func BenchmarkAnalyzeC432(b *testing.B) {
 	cells := NominalAssignment(c, lib(), 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(c, lib(), cells, Config{Vectors: 10000, Seed: 1}); err != nil {
+		if _, err := AnalyzeCompiled(engine.MustCompile(c), lib(), cells, Config{Vectors: 10000, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

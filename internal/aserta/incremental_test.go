@@ -8,6 +8,7 @@ import (
 	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/devmodel"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/stats"
 )
@@ -22,7 +23,7 @@ func TestRecomputeUIncrementalMatchesFull(t *testing.T) {
 	}
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
 	cells := NominalAssignment(c, lib, 2)
-	an, err := Analyze(c, lib, cells, Config{Vectors: 2000, Seed: 1})
+	an, err := AnalyzeCompiled(engine.MustCompile(c), lib, cells, Config{Vectors: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,35 +89,6 @@ func TestRecomputeUIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
-// TestRecomputeUFullCadence forces the periodic exact-recompute path
-// and checks it agrees with the incremental result.
-func TestRecomputeUFullCadence(t *testing.T) {
-	c := gen.C17()
-	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
-	cells := NominalAssignment(c, lib, 2)
-	an, err := Analyze(c, lib, cells, Config{Vectors: 1000, Seed: 3, FullRecomputeEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := append([]float64(nil), an.Delays...)
-	for i := range d {
-		d[i] *= 1.1
-	}
-	// Cadence 1: every call takes the full path.
-	uFullPath, err := an.RecomputeU(lib, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an.Config.FullRecomputeEvery = -1 // cadence disabled: delta path
-	uIncPath, err := an.RecomputeU(lib, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(uFullPath-uIncPath) > 1e-12*math.Max(uFullPath, 1) {
-		t.Errorf("cadence full path U = %.17g, incremental U = %.17g", uFullPath, uIncPath)
-	}
-}
-
 // TestRecomputeUIncrementalPOWithFanout covers the unusual-netlist
 // case where a PO gate drives further logic: a PO's rows are the fixed
 // sample ladder regardless of delays, so a delay change downstream of
@@ -143,7 +115,7 @@ func TestRecomputeUIncrementalPOWithFanout(t *testing.T) {
 
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
 	cells := NominalAssignment(c, lib, 2)
-	an, err := Analyze(c, lib, cells, Config{Vectors: 1000, Seed: 11})
+	an, err := AnalyzeCompiled(engine.MustCompile(c), lib, cells, Config{Vectors: 1000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +157,8 @@ func TestRecomputeUIncrementalPOWithFanout(t *testing.T) {
 // pattern — many back-to-back incremental RecomputeU calls with
 // different single-gate perturbations and no interleaved full pass —
 // which relies on the attenuation table's dirty-row restore. Expected
-// values come from an independent Analysis whose incremental path is
-// disabled, so the delta machinery under test never produces its own
-// reference.
+// values come from the exact full pass of an independent Analysis, so
+// the delta machinery under test never produces its own reference.
 func TestRecomputeUConsecutiveIncremental(t *testing.T) {
 	c, err := gen.ISCAS85("c432")
 	if err != nil {
@@ -195,11 +166,11 @@ func TestRecomputeUConsecutiveIncremental(t *testing.T) {
 	}
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
 	cells := NominalAssignment(c, lib, 2)
-	an, err := Analyze(c, lib, cells, Config{Vectors: 1500, Seed: 21, FullRecomputeEvery: -1})
+	an, err := AnalyzeCompiled(engine.MustCompile(c), lib, cells, Config{Vectors: 1500, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Analyze(c, lib, cells, Config{Vectors: 1500, Seed: 21, FullRecomputeEvery: -1})
+	ref, err := AnalyzeCompiled(engine.MustCompile(c), lib, cells, Config{Vectors: 1500, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +215,12 @@ func TestWSTableOnDemand(t *testing.T) {
 	}
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
 	cells := NominalAssignment(c, lib, 2)
-	cfg := Config{Vectors: 1500, Seed: 5, FullRecomputeEvery: -1}
-	an, err := Analyze(c, lib, cells, cfg)
+	cfg := Config{Vectors: 1500, Seed: 5}
+	an, err := AnalyzeCompiled(engine.MustCompile(c), lib, cells, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Analyze(c, lib, cells, cfg)
+	fresh, err := AnalyzeCompiled(engine.MustCompile(c), lib, cells, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

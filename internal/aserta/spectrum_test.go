@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/charlib"
 	"repro/internal/devmodel"
+	"repro/internal/engine"
 	"repro/internal/gen"
 )
 
@@ -91,7 +92,7 @@ func TestSpectrumU(t *testing.T) {
 	l := qlib()
 	c := gen.C17()
 	cells := NominalAssignment(c, l, 2)
-	an, err := Analyze(c, l, cells, Config{Vectors: 3000, Seed: 1})
+	an, err := AnalyzeCompiled(engine.MustCompile(c), l, cells, Config{Vectors: 3000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSpectrumUErrors(t *testing.T) {
 	l := qlib()
 	c := gen.C17()
 	cells := NominalAssignment(c, l, 2)
-	an, err := Analyze(c, l, cells, Config{Vectors: 500, Seed: 1})
+	an, err := AnalyzeCompiled(engine.MustCompile(c), l, cells, Config{Vectors: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestRecomputeU(t *testing.T) {
 	l := qlib()
 	c := gen.C17()
 	cells := NominalAssignment(c, l, 2)
-	an, err := Analyze(c, l, cells, Config{Vectors: 3000, Seed: 1})
+	an, err := AnalyzeCompiled(engine.MustCompile(c), l, cells, Config{Vectors: 3000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

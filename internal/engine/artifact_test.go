@@ -70,9 +70,10 @@ func testCircuit(t *testing.T, name string) *ckt.Circuit {
 	return c
 }
 
-// TestCompileStreamArenaIdentity proves the streaming compile path
-// produces handles bit-identical to Parse+Compile on generated
-// ISCAS-shaped circuits and the committed corpus shapes.
+// TestCompileStreamArenaIdentity proves Compile over the streaming
+// parser (bench.ParseStream) produces handles bit-identical to
+// Compile over the legacy bench.Parse on generated ISCAS-shaped
+// circuits and the committed corpus shapes.
 func TestCompileStreamArenaIdentity(t *testing.T) {
 	check := func(name string, c *ckt.Circuit) {
 		t.Helper()
@@ -88,9 +89,13 @@ func TestCompileStreamArenaIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CompileStream(strings.NewReader(text), name)
+		streamed, err := bench.ParseStream(strings.NewReader(text), name)
 		if err != nil {
-			t.Fatalf("CompileStream(%s): %v", name, err)
+			t.Fatalf("ParseStream(%s): %v", name, err)
+		}
+		got, err := Compile(streamed)
+		if err != nil {
+			t.Fatal(err)
 		}
 		requireSameCompiled(t, want, got, name)
 	}

@@ -4,6 +4,7 @@ import (
 	"repro/internal/aserta"
 	"repro/internal/charlib"
 	"repro/internal/ckt"
+	"repro/internal/engine"
 	"repro/internal/sertopt"
 	"repro/internal/stats"
 )
@@ -48,7 +49,11 @@ func Fig3(c *ckt.Circuit, lib *charlib.Library, cfg Fig3Config) (*Fig3Result, er
 	if err != nil {
 		return nil, err
 	}
-	an, err := aserta.Analyze(c, lib, baseline, aserta.Config{
+	cc, err := engine.Compile(c)
+	if err != nil {
+		return nil, err
+	}
+	an, err := aserta.AnalyzeCompiled(cc, lib, baseline, aserta.Config{
 		Vectors: cfg.Vectors,
 		Seed:    cfg.Seed,
 		POLoad:  cfg.Golden.POLoad,

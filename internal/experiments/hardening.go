@@ -3,7 +3,7 @@ package experiments
 import (
 	"repro/internal/aserta"
 	"repro/internal/charlib"
-	"repro/internal/ckt"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/harden"
 	"repro/internal/sertopt"
@@ -35,29 +35,34 @@ func HardeningComparison(circuit string, lib *charlib.Library, opts sertopt.Opti
 	if err != nil {
 		return nil, err
 	}
+	// One handle serves the baseline analysis and the optimization.
+	cc, err := engine.Compile(c)
+	if err != nil {
+		return nil, err
+	}
 	poLoad := opts.Match.POLoad
 	if poLoad == 0 {
 		poLoad = 2e-15
 	}
 	acfg := aserta.Config{Vectors: opts.Vectors, Seed: opts.Seed, POLoad: poLoad}
 
-	analyzeSized := func(cc *ckt.Circuit) (*aserta.Analysis, sertopt.Metrics, error) {
-		cells, err := sertopt.InitialSizing(cc, lib, 0, poLoad)
+	analyzeSized := func(h *engine.CompiledCircuit) (*aserta.Analysis, sertopt.Metrics, error) {
+		cells, err := sertopt.InitialSizing(h.Circuit(), lib, 0, poLoad)
 		if err != nil {
 			return nil, sertopt.Metrics{}, err
 		}
-		an, err := aserta.Analyze(cc, lib, cells, acfg)
+		an, err := aserta.AnalyzeCompiled(h, lib, cells, acfg)
 		if err != nil {
 			return nil, sertopt.Metrics{}, err
 		}
-		m, err := sertopt.EvaluateMetrics(cc, lib, cells, an.Sens, poLoad)
+		m, err := sertopt.EvaluateMetricsCompiled(h, lib, cells, an.Sens, poLoad)
 		if err != nil {
 			return nil, sertopt.Metrics{}, err
 		}
 		return an, m, nil
 	}
 
-	anBase, mBase, err := analyzeSized(c)
+	anBase, mBase, err := analyzeSized(cc)
 	if err != nil {
 		return nil, err
 	}
@@ -85,11 +90,15 @@ func HardeningComparison(circuit string, lib *charlib.Library, opts sertopt.Opti
 		cellsTMR[id].VDD = lib.Tech.VDDnom
 		cellsTMR[id].Vth = lib.Tech.Vthnom
 	}
-	anTMR, err := aserta.Analyze(tmr.Circuit, lib, cellsTMR, acfg)
+	tmrCC, err := engine.Compile(tmr.Circuit)
 	if err != nil {
 		return nil, err
 	}
-	mTMR, err := sertopt.EvaluateMetrics(tmr.Circuit, lib, cellsTMR, anTMR.Sens, poLoad)
+	anTMR, err := aserta.AnalyzeCompiled(tmrCC, lib, cellsTMR, acfg)
+	if err != nil {
+		return nil, err
+	}
+	mTMR, err := sertopt.EvaluateMetricsCompiled(tmrCC, lib, cellsTMR, anTMR.Sens, poLoad)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +111,7 @@ func HardeningComparison(circuit string, lib *charlib.Library, opts sertopt.Opti
 		VoterShare:  tmr.VoterShare(anTMR.Ui),
 	})
 
-	res, err := sertopt.Optimize(c, lib, opts)
+	res, err := sertopt.OptimizeCompiled(cc, lib, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/aserta"
 	"repro/internal/charlib"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/sertopt"
 )
@@ -89,10 +90,15 @@ func Table1Run(spec Table1Spec, lib *charlib.Library, cfg Table1Config) (*Table1
 	if err != nil {
 		return nil, err
 	}
+	// One handle serves the optimization and both re-analyses.
+	cc, err := engine.Compile(c)
+	if err != nil {
+		return nil, err
+	}
 	opts := cfg.Options
 	opts.Match.VDDs = spec.VDDs
 	opts.Match.Vths = spec.Vths
-	res, err := sertopt.Optimize(c, lib, opts)
+	res, err := sertopt.OptimizeCompiled(cc, lib, opts)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: optimize %s: %v", spec.Circuit, err)
 	}
@@ -107,7 +113,7 @@ func Table1Run(spec Table1Spec, lib *charlib.Library, cfg Table1Config) (*Table1
 
 	// Column 7b: both circuits re-analyzed with 50 random vectors.
 	a50 := func(cells aserta.Assignment) (float64, error) {
-		an, err := aserta.Analyze(c, lib, cells, aserta.Config{
+		an, err := aserta.AnalyzeCompiled(cc, lib, cells, aserta.Config{
 			Vectors: 50, Seed: opts.Seed + 50, POLoad: opts.Match.POLoad,
 		})
 		if err != nil {

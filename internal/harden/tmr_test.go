@@ -8,9 +8,9 @@ import (
 	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/devmodel"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/logicsim"
-	"repro/internal/stats"
 )
 
 var (
@@ -83,7 +83,7 @@ func TestTMRMasksSingleCopyStrikes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sens, err := logicsim.Analyze(res.Circuit, 4000, stats.NewRNG(1))
+	sens, err := logicsim.Sensitization(engine.MustCompile(res.Circuit), 4000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTMRUnreliabilityVsOverheads(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := aserta.Config{Vectors: 4000, Seed: 1, POLoad: 2e-15}
-	anTMR, err := aserta.Analyze(res.Circuit, lib(), aserta.NominalAssignment(res.Circuit, lib(), 2), cfg)
+	anTMR, err := aserta.AnalyzeCompiled(engine.MustCompile(res.Circuit), lib(), aserta.NominalAssignment(res.Circuit, lib(), 2), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,9 +64,9 @@ func TestAnalyzeBudgetBitIdentity(t *testing.T) {
 				requireSameResult(t, want, got, name)
 			}
 		}
-		// The default entry point must agree too (its 2 GiB budget
-		// keeps this workload in a single chunk).
-		got, err := AnalyzeCompiled(cc, 1000, stats.NewRNG(11), 0)
+		// The memoized default entry point must agree too (its 2 GiB
+		// budget keeps this workload in a single chunk).
+		got, err := Sensitization(cc, 1000, 11)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,8 @@ func FuzzSensitization(f *testing.F) {
 // literalSensitization is the per-vector oracle of the kernel: it
 // redraws the primary-input words from the same RNG stream, evaluates
 // every vector one at a time with Evaluate, and runs the forward
-// path-sensitization DP (sensitizedFrom) from every source gate. P1,
+// path-sensitization DP (sensitizedFrom) from every source gate, each
+// walk starting at its source's topological position. P1,
 // Activity and Pij are the reference counts divided by N, so a correct
 // kernel matches them exactly.
 func literalSensitization(t *testing.T, c *ckt.Circuit, n int, simSeed uint64) *Result {
@@ -65,6 +66,7 @@ func literalSensitization(t *testing.T, c *ckt.Circuit, n int, simSeed uint64) *
 		pij[id] = make([]int, len(pos))
 	}
 	in := make([]bool, len(inputs))
+	sens := make([]bool, len(c.Gates))
 	for v := 0; v < n; v++ {
 		for i := range inputs {
 			in[i] = piW[i*nWords+v/64]>>(v%64)&1 == 1
@@ -78,14 +80,14 @@ func literalSensitization(t *testing.T, c *ckt.Circuit, n int, simSeed uint64) *
 				ones[id]++
 			}
 		}
-		for _, g := range c.Gates {
-			if g.Type == ckt.Input {
+		for at, id := range order {
+			if c.Gates[id].Type == ckt.Input {
 				continue // strikes hit gate outputs only
 			}
-			sens := sensitizedFrom(c, order, val, g.ID)
+			sensitizedFrom(c, order, val, at, sens)
 			for k, po := range pos {
 				if sens[po] {
-					pij[g.ID][k]++
+					pij[id][k]++
 				}
 			}
 		}

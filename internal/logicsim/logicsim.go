@@ -69,7 +69,7 @@ func Evaluate(c *ckt.Circuit, inputs []bool) ([]bool, error) {
 		return nil, fmt.Errorf("logicsim: %d inputs for %d PIs", len(inputs), len(c.Inputs()))
 	}
 	if c.Sequential() {
-		return nil, fmt.Errorf("logicsim: circuit %q has flip-flops; use the sequential analysis (seq.Analyze, ser.AnalyzeSequential)", c.Name)
+		return nil, fmt.Errorf("logicsim: circuit %q has flip-flops; use the sequential analysis (seq.AnalyzeCompiledContext, ser.AnalyzeSequential)", c.Name)
 	}
 	val := make([]bool, len(c.Gates))
 	for i, id := range c.Inputs() {
@@ -106,16 +106,9 @@ type Result struct {
 	// Pij[id][k] is the probability that at least one path from gate
 	// id is sensitized to the k-th primary output (k indexes
 	// Circuit.Outputs()). For a PO gate itself, P_jj = 1 per the paper.
-	// Rows are views into one flat backing array.
+	// Rows are views into one flat backing array; the column of a PO
+	// gate is engine.CompiledCircuit.POColumn.
 	Pij [][]float64
-
-	poCol map[int]int
-}
-
-// POColumn returns the Pij column index of a PO gate ID.
-func (r *Result) POColumn(poGate int) (int, bool) {
-	k, ok := r.poCol[poGate]
-	return k, ok
 }
 
 // MemoWeight reports the result's retained size in cache-weight units
@@ -131,26 +124,6 @@ func (r *Result) MemoWeight() int64 {
 	return bytes / 128
 }
 
-// Analyze runs nVectors random vectors (PI probability 0.5, as in the
-// paper) and estimates static probabilities and sensitization
-// probabilities for every gate, using one DP worker per available CPU.
-func Analyze(c *ckt.Circuit, nVectors int, rng *stats.RNG) (*Result, error) {
-	return AnalyzeWorkers(c, nVectors, rng, 0)
-}
-
-// AnalyzeWorkers is Analyze with an explicit worker count (<= 0 means
-// one per available CPU). Results are bit-identical for any count.
-// It compiles the circuit on the fly; callers analyzing one netlist
-// repeatedly should compile once and use AnalyzeCompiled (or the
-// memoized Sensitization).
-func AnalyzeWorkers(c *ckt.Circuit, nVectors int, rng *stats.RNG, workers int) (*Result, error) {
-	cc, err := engine.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeCompiled(cc, nVectors, rng, workers)
-}
-
 // sensKey memoizes Sensitization results on the compiled handle.
 type sensKey struct {
 	vectors int
@@ -162,14 +135,15 @@ type sensKey struct {
 // the 10,000-vector simulation — the dominant cost of a warm analysis —
 // runs once per (vectors, seed) pair no matter how many analyses share
 // the handle, and concurrent callers coalesce on one run. The result
-// is bit-identical to Analyze(cc.Circuit(), vectors,
-// stats.NewRNG(seed)) and must be treated as read-only.
+// is bit-identical to AnalyzeCompiledBudget(cc, vectors,
+// stats.NewRNG(seed), 0, DefaultSensBudgetBytes) and must be treated
+// as read-only.
 func Sensitization(cc *engine.CompiledCircuit, vectors int, seed uint64) (*Result, error) {
 	if vectors <= 0 {
 		vectors = DefaultVectors
 	}
 	v, err := cc.Memo(sensKey{vectors, seed}, func() (any, error) {
-		return AnalyzeCompiled(cc, vectors, stats.NewRNG(seed), 0)
+		return AnalyzeCompiledBudget(cc, vectors, stats.NewRNG(seed), 0, DefaultSensBudgetBytes)
 	})
 	if err != nil {
 		return nil, err
@@ -177,19 +151,17 @@ func Sensitization(cc *engine.CompiledCircuit, vectors int, seed uint64) (*Resul
 	return v.(*Result), nil
 }
 
-// AnalyzeCompiled is AnalyzeWorkers over a pre-compiled circuit: the
-// topological order, logic levels and fanin-edge offsets come from
-// the handle instead of being re-derived per call. Results are
-// bit-identical to AnalyzeWorkers for any worker count. Peak memory is
-// bounded by DefaultSensBudgetBytes; use AnalyzeCompiledBudget for an
-// explicit budget.
-func AnalyzeCompiled(cc *engine.CompiledCircuit, nVectors int, rng *stats.RNG, workers int) (*Result, error) {
-	return AnalyzeCompiledBudget(cc, nVectors, rng, workers, DefaultSensBudgetBytes)
-}
-
-// AnalyzeCompiledBudget is AnalyzeCompiled with an explicit transient
-// memory budget in bytes (<= 0 means no bound beyond the 64-word chunk
-// cap). The budget covers the base-value arena, the side-input arena
+// AnalyzeCompiledBudget runs nVectors random vectors (PI probability
+// 0.5, as in the paper) through the compiled circuit and estimates
+// static probabilities and sensitization probabilities for every gate,
+// with workers DP workers (<= 0 means one per available CPU). The
+// topological order, logic levels, PO columns and fanin-edge offsets
+// come from the handle. Analyses of one netlist at a fixed vector
+// count and seed should share the memoized Sensitization instead.
+//
+// budgetBytes bounds the transient memory (DefaultSensBudgetBytes is
+// the default; <= 0 means no bound beyond the 64-word chunk cap). The
+// budget covers the base-value arena, the side-input arena
 // (rows for the pins of AND, NAND, OR and NOR gates only) and all DP
 // worker scratch arenas; the vector set is processed in chunks of at
 // most 64 words, narrower when the arenas would exceed it. The arenas
@@ -216,7 +188,7 @@ func (ar *sensArena) analyze(cc *engine.CompiledCircuit, nVectors int, rng *stat
 		nVectors = DefaultVectors
 	}
 	if c.Sequential() {
-		return nil, fmt.Errorf("logicsim: circuit %q has flip-flops; analyze its combinational frame (seq.BuildFrame) or use the sequential analysis (seq.Analyze, ser.AnalyzeSequential)", c.Name)
+		return nil, fmt.Errorf("logicsim: circuit %q has flip-flops; analyze its combinational frame (seq.BuildFrame) or use the sequential analysis (seq.AnalyzeCompiledContext, ser.AnalyzeSequential)", c.Name)
 	}
 	order := cc.TopoOrder()
 	nGates := len(c.Gates)
@@ -308,10 +280,6 @@ func (ar *sensArena) analyze(cc *engine.CompiledCircuit, nVectors int, rng *stat
 		P1:       make([]float64, nGates),
 		Activity: make([]float64, nGates),
 		Pij:      make([][]float64, nGates),
-		poCol:    make(map[int]int),
-	}
-	for k, id := range pos {
-		res.poCol[id] = k
 	}
 	pijFlat := make([]float64, nGates*nPOs)
 	for id := 0; id < nGates; id++ {
@@ -520,7 +488,8 @@ func (ar *sensArena) analyze(cc *engine.CompiledCircuit, nVectors int, rng *stat
 	for _, id := range pos {
 		if c.Gates[id].Type != ckt.Input {
 			// Paper: "For primary output j, Pjj is 1."
-			res.Pij[id][res.poCol[id]] = 1
+			k, _ := cc.POColumn(id)
+			res.Pij[id][k] = 1
 		}
 	}
 	return res, nil

@@ -2,9 +2,11 @@ package logicsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/ckt"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/stats"
 )
@@ -74,7 +76,7 @@ func TestEvaluateBadInputLen(t *testing.T) {
 
 func TestAnalyzeStaticProbs(t *testing.T) {
 	c := buildC17(t)
-	res, err := Analyze(c, 20000, stats.NewRNG(1))
+	res, err := AnalyzeCompiledBudget(engine.MustCompile(c), 20000, stats.NewRNG(1), 0, DefaultSensBudgetBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestAnalyzeStaticProbs(t *testing.T) {
 
 func TestAnalyzePjjIsOne(t *testing.T) {
 	c := buildC17(t)
-	res, err := Analyze(c, 1000, stats.NewRNG(2))
+	res, err := AnalyzeCompiledBudget(engine.MustCompile(c), 1000, stats.NewRNG(2), 0, DefaultSensBudgetBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,8 @@ func TestAnalyzePjjIsOne(t *testing.T) {
 // non-controlling) reaches j. P_ij is the fraction of such vectors.
 func TestAnalyzePijMatchesBruteForce(t *testing.T) {
 	c := buildC17(t)
-	res, err := Analyze(c, 50000, stats.NewRNG(3))
+	cc := engine.MustCompile(c)
+	res, err := AnalyzeCompiledBudget(cc, 50000, stats.NewRNG(3), 0, DefaultSensBudgetBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +149,7 @@ func TestAnalyzePijMatchesBruteForce(t *testing.T) {
 		{id10, id23, "P(10->23)"},
 	} {
 		want := brute(tc.gate, tc.po)
-		col, ok := res.POColumn(tc.po)
+		col, ok := cc.POColumn(tc.po)
 		if !ok {
 			t.Fatal("PO column missing")
 		}
@@ -156,7 +159,7 @@ func TestAnalyzePijMatchesBruteForce(t *testing.T) {
 		}
 	}
 	// Gate 10 has no structural path to PO 23.
-	col23, _ := res.POColumn(id23)
+	col23, _ := cc.POColumn(id23)
 	if res.Pij[id10][col23] != 0 {
 		t.Errorf("P(10->23) = %g, want 0 (no path)", res.Pij[id10][col23])
 	}
@@ -170,18 +173,23 @@ func pathSensitized(t *testing.T, c *ckt.Circuit, inputs []bool, from, to int) b
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sensitizedFrom(c, c.MustTopoOrder(), val, from)[to]
+	order := c.MustTopoOrder()
+	sens := make([]bool, len(c.Gates))
+	sensitizedFrom(c, order, val, slices.Index(order, from), sens)
+	return sens[to]
 }
 
 // sensitizedFrom is pathSensitized's DP under already-evaluated gate
-// values: sens[g] reports whether some path from gate `from` to g has
-// every side input at a non-controlling value.
-func sensitizedFrom(c *ckt.Circuit, order []int, val []bool, from int) []bool {
-	sens := make([]bool, len(c.Gates))
-	sens[from] = true
-	for _, id := range order {
+// values, from the gate at position at of the topological order: it
+// overwrites sens so that sens[g] reports whether some path from that
+// gate to g has every side input at a non-controlling value. No gate
+// before position at can be reached, so the walk starts there.
+func sensitizedFrom(c *ckt.Circuit, order []int, val []bool, at int, sens []bool) {
+	clear(sens)
+	sens[order[at]] = true
+	for _, id := range order[at+1:] {
 		g := c.Gates[id]
-		if g.Type == ckt.Input || id == from {
+		if g.Type == ckt.Input {
 			continue
 		}
 		cv, hasCV := g.Type.ControllingValue()
@@ -204,12 +212,11 @@ func sensitizedFrom(c *ckt.Circuit, order []int, val []bool, from int) []bool {
 			}
 		}
 	}
-	return sens
 }
 
 func TestSideSensitization(t *testing.T) {
 	c := buildC17(t)
-	res, err := Analyze(c, 20000, stats.NewRNG(4))
+	res, err := AnalyzeCompiledBudget(engine.MustCompile(c), 20000, stats.NewRNG(4), 0, DefaultSensBudgetBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +236,7 @@ func TestSideSensitization(t *testing.T) {
 	cx.MustConnect(a, x)
 	cx.MustConnect(b, x)
 	cx.MarkPO(x)
-	resx, err := Analyze(cx, 1000, stats.NewRNG(5))
+	resx, err := AnalyzeCompiledBudget(engine.MustCompile(cx), 1000, stats.NewRNG(5), 0, DefaultSensBudgetBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +247,7 @@ func TestSideSensitization(t *testing.T) {
 
 func TestAnalyzeDefaultVectors(t *testing.T) {
 	c := buildC17(t)
-	res, err := Analyze(c, 0, stats.NewRNG(6))
+	res, err := AnalyzeCompiledBudget(engine.MustCompile(c), 0, stats.NewRNG(6), 0, DefaultSensBudgetBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +258,11 @@ func TestAnalyzeDefaultVectors(t *testing.T) {
 
 func TestAnalyzeDeterministic(t *testing.T) {
 	c := buildC17(t)
-	r1, _ := Analyze(c, 5000, stats.NewRNG(77))
-	r2, _ := Analyze(c, 5000, stats.NewRNG(77))
+	r1, _ := AnalyzeCompiledBudget(engine.MustCompile(c), 5000, stats.NewRNG(77), 0, DefaultSensBudgetBytes)
+	r2, _ := AnalyzeCompiledBudget(engine.MustCompile(c), 5000, stats.NewRNG(77), 0, DefaultSensBudgetBytes)
 	for id := range r1.P1 {
 		if r1.P1[id] != r2.P1[id] {
-			t.Fatal("Analyze must be deterministic for a fixed seed")
+			t.Fatal("the kernel must be deterministic for a fixed seed")
 		}
 	}
 }
@@ -264,7 +271,7 @@ func BenchmarkAnalyzeC17(b *testing.B) {
 	c := buildC17(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(c, 10000, stats.NewRNG(1)); err != nil {
+		if _, err := AnalyzeCompiledBudget(engine.MustCompile(c), 10000, stats.NewRNG(1), 0, DefaultSensBudgetBytes); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,8 +279,8 @@ func BenchmarkAnalyzeC17(b *testing.B) {
 
 func TestAnalyzeRejectsSequential(t *testing.T) {
 	c := gen.S27()
-	if _, err := Analyze(c, 100, stats.NewRNG(1)); err == nil {
-		t.Fatal("Analyze accepted a sequential circuit")
+	if _, err := AnalyzeCompiledBudget(engine.MustCompile(c), 100, stats.NewRNG(1), 0, DefaultSensBudgetBytes); err == nil {
+		t.Fatal("the kernel accepted a sequential circuit")
 	}
 	if _, err := Evaluate(c, make([]bool, len(c.Inputs()))); err == nil {
 		t.Fatal("Evaluate accepted a sequential circuit")

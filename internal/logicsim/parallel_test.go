@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/ckt"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/stats"
 )
 
-// analyzeReference is the historical serial implementation of Analyze
+// analyzeReference is the historical serial implementation of the kernel
 // (per-gate slices, single-threaded suffix-scan DP), kept verbatim as
 // the ground truth for the arena-backed parallel rewrite: for a fixed
 // seed the two must agree bit for bit.
@@ -60,12 +61,8 @@ func analyzeReference(c *ckt.Circuit, nVectors int, rng *stats.RNG) (*Result, er
 		P1:       make([]float64, nGates),
 		Activity: make([]float64, nGates),
 		Pij:      make([][]float64, nGates),
-		poCol:    make(map[int]int),
 	}
 	pos := c.Outputs()
-	for k, id := range pos {
-		res.poCol[id] = k
-	}
 	for id := 0; id < nGates; id++ {
 		ones := 0
 		for _, w := range base[id] {
@@ -179,13 +176,14 @@ func analyzeReference(c *ckt.Circuit, nVectors int, rng *stats.RNG) (*Result, er
 }
 
 // TestAnalyzeParallelMatchesSerialReference asserts the worker-pool
-// Analyze is bit-identical to the reference serial implementation on a
+// kernel is bit-identical to the reference serial implementation on a
 // c432-scale circuit for fixed RNG seeds, for several worker counts.
 func TestAnalyzeParallelMatchesSerialReference(t *testing.T) {
 	c, err := gen.ISCAS85("c432")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cc := engine.MustCompile(c)
 	for _, seed := range []uint64{1, 42} {
 		for _, nVec := range []int{1000, 4000} {
 			want, err := analyzeReference(c, nVec, stats.NewRNG(seed))
@@ -193,7 +191,7 @@ func TestAnalyzeParallelMatchesSerialReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				got, err := AnalyzeWorkers(c, nVec, stats.NewRNG(seed), workers)
+				got, err := AnalyzeCompiledBudget(cc, nVec, stats.NewRNG(seed), workers, DefaultSensBudgetBytes)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -227,7 +225,7 @@ func BenchmarkAnalyzeC432(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(c, 10000, stats.NewRNG(1)); err != nil {
+		if _, err := AnalyzeCompiledBudget(engine.MustCompile(c), 10000, stats.NewRNG(1), 0, DefaultSensBudgetBytes); err != nil {
 			b.Fatal(err)
 		}
 	}

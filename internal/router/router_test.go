@@ -332,10 +332,18 @@ func TestRouterAllSaturated(t *testing.T) {
 	defer faultinject.Disable()
 
 	// Fill each shard directly: one job running (asleep) + one queued.
+	// The second post waits until the worker has taken the first job
+	// off the queue; before that, the depth-1 queue would refuse it.
 	for _, sh := range f.shards {
 		for i := 0; i < 2; i++ {
 			if _, err := sh.cl.AnalyzeAsync(ctx, serclient.AnalyzeRequest{Circuit: "c17", Vectors: 100}); err != nil {
 				t.Fatalf("saturating %s: %v", sh.name, err)
+			}
+			if i == 0 {
+				waitForCond(t, 5*time.Second, sh.name+" to start its first job", func() bool {
+					m, err := sh.cl.Metrics(ctx)
+					return err == nil && m.JobsRunning == 1 && m.QueueDepth == 0
+				})
 			}
 		}
 	}

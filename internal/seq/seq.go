@@ -1,6 +1,8 @@
 // Package seq is the sequential-circuit soft-error engine: it extends
 // the paper's combinational ASERTA analysis across flip-flop
-// boundaries, opening the ISCAS-89 family as a workload.
+// boundaries, opening the ISCAS-89 family as a workload. Its one entry
+// point is AnalyzeCompiledContext over a compiled circuit;
+// ser.AnalyzeSequential wraps it for library users.
 //
 // The model follows the paper's masking chain, applied per clock
 // cycle. A particle strike at gate i in cycle t is
@@ -41,7 +43,6 @@ import (
 
 	"repro/internal/aserta"
 	"repro/internal/charlib"
-	"repro/internal/ckt"
 	"repro/internal/engine"
 	"repro/internal/serrate"
 	"repro/internal/sertopt"
@@ -160,36 +161,19 @@ type Result struct {
 	Frame *aserta.Analysis
 }
 
-// Analyze runs the sequential SER analysis. The library must already
-// cover (or lazily characterize) the frame's gate classes;
-// ser.AnalyzeSequential wraps this with context-aware
-// precharacterization.
-func Analyze(c *ckt.Circuit, lib *charlib.Library, opts Options) (*Result, error) {
-	return AnalyzeContext(context.Background(), c, lib, opts)
-}
-
-// AnalyzeContext is Analyze with cooperative cancellation; it compiles
-// the circuit on the fly. A serving tier analyzing one netlist
-// repeatedly should compile once and use AnalyzeCompiledContext.
-func AnalyzeContext(ctx context.Context, c *ckt.Circuit, lib *charlib.Library, opts Options) (*Result, error) {
-	cc, err := engine.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeCompiledContext(ctx, cc, lib, opts)
-}
-
-// AnalyzeCompiledContext runs the sequential analysis against a
+// AnalyzeCompiledContext runs the sequential SER analysis against a
 // compiled circuit with cooperative cancellation: ctx is checked
 // between pipeline stages (frame build, sizing, the frame analysis,
 // fault propagation). A stage already running is not interrupted, so
 // cancellation latency is bounded by the longest single stage. The
-// combinational frame is compiled once and memoized on the handle, so
-// repeat analyses (and every strike source across all K cycles within
-// one analysis) share one artifact; the frame's sensitization
-// statistics — flop Qs are frame sources drawing p=0.5 random words
-// exactly like PIs — are memoized per (vectors, seed) the same way.
-// Results are bit-identical to AnalyzeContext.
+// library must already cover (or lazily characterize) the frame's gate
+// classes; ser.AnalyzeSequential wraps this with context-aware
+// precharacterization. The combinational frame is compiled once and
+// memoized on the handle, so repeat analyses (and every strike source
+// across all K cycles within one analysis) share one artifact; the
+// frame's sensitization statistics — flop Qs are frame sources drawing
+// p=0.5 random words exactly like PIs — are memoized per (vectors,
+// seed) the same way.
 func AnalyzeCompiledContext(ctx context.Context, cc *engine.CompiledCircuit, lib *charlib.Library, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	c := cc.Circuit()

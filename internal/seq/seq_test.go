@@ -108,7 +108,7 @@ func TestBuildFrameS27(t *testing.T) {
 func TestKnownLatchingStrike(t *testing.T) {
 	c := miniSeq()
 	lib := coarseLib()
-	res, err := Analyze(c, lib, Options{Cycles: 4, Vectors: 512, Seed: 1})
+	res, err := AnalyzeCompiledContext(context.Background(), engine.MustCompile(c), lib, Options{Cycles: 4, Vectors: 512, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestMultiCycleChainPropagation(t *testing.T) {
 
 	// One-cycle horizon: a fault captured in q1 has not yet traversed
 	// q2, so it is invisible; a fault in q2 flips o immediately.
-	res1, err := Analyze(c, lib, Options{Cycles: 1, Vectors: 256, Seed: 1})
+	res1, err := AnalyzeCompiledContext(context.Background(), engine.MustCompile(c), lib, Options{Cycles: 1, Vectors: 256, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestMultiCycleChainPropagation(t *testing.T) {
 	// Two cycles suffice for the q1 fault to march through q2 to o,
 	// then die; longer horizons change nothing.
 	for _, k := range []int{2, 4, 8} {
-		res, err := Analyze(c, lib, Options{Cycles: k, Vectors: 256, Seed: 1})
+		res, err := AnalyzeCompiledContext(context.Background(), engine.MustCompile(c), lib, Options{Cycles: k, Vectors: 256, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestMultiCycleChainPropagation(t *testing.T) {
 func TestSerialWorkerPoolBitIdentical(t *testing.T) {
 	c := gen.S27()
 	lib := coarseLib()
-	base, err := Analyze(c, lib, Options{Cycles: 4, Vectors: 2048, Seed: 3, Workers: 1})
+	base, err := AnalyzeCompiledContext(context.Background(), engine.MustCompile(c), lib, Options{Cycles: 4, Vectors: 2048, Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSerialWorkerPoolBitIdentical(t *testing.T) {
 		t.Fatalf("degenerate s27 result: %+v", base)
 	}
 	for _, workers := range []int{0, 2, 8} {
-		got, err := Analyze(c, lib, Options{Cycles: 4, Vectors: 2048, Seed: 3, Workers: workers})
+		got, err := AnalyzeCompiledContext(context.Background(), engine.MustCompile(c), lib, Options{Cycles: 4, Vectors: 2048, Seed: 3, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestSerialWorkerPoolBitIdentical(t *testing.T) {
 func TestCombinationalEquivalence(t *testing.T) {
 	c := gen.C17()
 	lib := coarseLib()
-	res, err := Analyze(c, lib, Options{Cycles: 4, Vectors: 4096, Seed: 1})
+	res, err := AnalyzeCompiledContext(context.Background(), engine.MustCompile(c), lib, Options{Cycles: 4, Vectors: 4096, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestCombinationalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := aserta.Analyze(c, lib, cells, aserta.Config{Vectors: 4096, Seed: 1, POLoad: 2e-15})
+	an, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, cells, aserta.Config{Vectors: 4096, Seed: 1, POLoad: 2e-15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCombinationalEquivalence(t *testing.T) {
 func TestAnalyzeContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnalyzeContext(ctx, gen.S27(), coarseLib(), Options{Cycles: 2, Vectors: 128}); err == nil {
+	if _, err := AnalyzeCompiledContext(ctx, engine.MustCompile(gen.S27()), coarseLib(), Options{Cycles: 2, Vectors: 128}); err == nil {
 		t.Fatal("cancelled context accepted")
 	}
 }
@@ -265,18 +265,18 @@ func TestInitStateChangesTrace(t *testing.T) {
 	c := gen.S27()
 	lib := coarseLib()
 	init := []bool{true, true, true}
-	a, err := Analyze(c, lib, Options{Cycles: 4, Vectors: 1024, Seed: 3, InitState: init})
+	a, err := AnalyzeCompiledContext(context.Background(), engine.MustCompile(c), lib, Options{Cycles: 4, Vectors: 1024, Seed: 3, InitState: init})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Analyze(c, lib, Options{Cycles: 4, Vectors: 1024, Seed: 3, InitState: init})
+	b, err := AnalyzeCompiledContext(context.Background(), engine.MustCompile(c), lib, Options{Cycles: 4, Vectors: 1024, Seed: 3, InitState: init})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.U != b.U {
 		t.Fatal("init-state analysis not deterministic")
 	}
-	if _, err := Analyze(c, lib, Options{Cycles: 4, InitState: []bool{true}}); err == nil {
+	if _, err := AnalyzeCompiledContext(context.Background(), engine.MustCompile(c), lib, Options{Cycles: 4, InitState: []bool{true}}); err == nil {
 		t.Fatal("wrong-length init state accepted")
 	}
 }
@@ -299,7 +299,7 @@ func closeRel(a, b, eps float64) bool {
 func TestInitStateRejectedOnCombinational(t *testing.T) {
 	// A bogus reset state must be rejected, not silently ignored, even
 	// when the circuit has no flops to apply it to.
-	if _, err := Analyze(gen.C17(), coarseLib(), Options{Cycles: 2, Vectors: 64, InitState: []bool{true}}); err == nil {
+	if _, err := AnalyzeCompiledContext(context.Background(), engine.MustCompile(gen.C17()), coarseLib(), Options{Cycles: 2, Vectors: 64, InitState: []bool{true}}); err == nil {
 		t.Fatal("InitState on a flop-free circuit accepted")
 	}
 }
@@ -315,7 +315,7 @@ func TestFaultPropagationCancellable(t *testing.T) {
 	// cancellation against the run; either the error is ctx.Err() or
 	// (if the run won) the result is valid. Deterministic cancellation
 	// is exercised by the pre-cancelled case below.
-	if _, err := Analyze(c, lib, Options{Cycles: 1, Vectors: 64}); err != nil {
+	if _, err := AnalyzeCompiledContext(context.Background(), engine.MustCompile(c), lib, Options{Cycles: 1, Vectors: 64}); err != nil {
 		t.Fatal(err)
 	}
 	cancel()

@@ -29,28 +29,19 @@ type MatchConfig struct {
 	Hints aserta.Assignment
 }
 
-// MatchDelays implements the paper's §4 parameter determination: "To
-// find the circuit parameters ... SERTOPT traverses the circuit from
-// POs to PIs in reverse topological order. The capacitive loads of the
-// gates at the POs are known ... the best matching sizes, lengths,
-// VDDs, Vths available in the SPICE library that yield delays closest
-// to the assigned delays are found ... The only constraint is that
-// only VDD values greater than or equal to successor VDD values are
-// allowed" (avoiding level shifters).
+// MatchDelaysCompiled implements the paper's §4 parameter
+// determination over a compiled circuit, walking the handle's reverse
+// topological order: "To find the circuit parameters ... SERTOPT
+// traverses the circuit from POs to PIs in reverse topological order.
+// The capacitive loads of the gates at the POs are known ... the best
+// matching sizes, lengths, VDDs, Vths available in the SPICE library
+// that yield delays closest to the assigned delays are found ... The
+// only constraint is that only VDD values greater than or equal to
+// successor VDD values are allowed" (avoiding level shifters).
 //
 // desired is indexed by gate ID (PI entries ignored). The gate type
 // and fanin of each cell are fixed by the netlist; only the four
 // design variables change.
-func MatchDelays(c *ckt.Circuit, lib *charlib.Library, desired []float64, cfg MatchConfig) (aserta.Assignment, error) {
-	cc, err := engine.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	return MatchDelaysCompiled(cc, lib, desired, cfg)
-}
-
-// MatchDelaysCompiled is MatchDelays over a pre-compiled circuit,
-// reusing the handle's reverse topological order.
 func MatchDelaysCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, desired []float64, cfg MatchConfig) (aserta.Assignment, error) {
 	if len(desired) != len(cc.Circuit().Gates) {
 		return nil, fmt.Errorf("sertopt: %d desired delays for %d gates", len(desired), len(cc.Circuit().Gates))

@@ -11,6 +11,7 @@ import (
 	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/devmodel"
+	"repro/internal/engine"
 	"repro/internal/gen"
 )
 
@@ -19,7 +20,7 @@ func calibrationRun(t *testing.T, lib *charlib.Library, step float64, iters, bas
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(c, lib, Options{
+	res, err := OptimizeCompiled(engine.MustCompile(c), lib, Options{
 		Match:      MatchConfig{VDDs: []float64{0.8, 1.0}, Vths: []float64{0.2, 0.3}, POLoad: 2e-15},
 		Vectors:    10000,
 		Iterations: iters,

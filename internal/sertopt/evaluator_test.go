@@ -42,7 +42,7 @@ func newEvalSetup(t *testing.T, name string) *evalSetup {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0, err := GateDelays(c, lib(), base, poLoad)
+	d0, err := gateDelays(c, lib(), base, poLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestErrorsMatchReference(t *testing.T) {
 	for _, id := range c.Outputs() {
 		hints[id].VDD = 1.2
 	}
-	d0, err := GateDelays(c, lib(), base, 2e-15)
+	d0, err := gateDelays(c, lib(), base, 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestConcurrentOptimizeSharedLibrary(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return Optimize(c, lib(), opts)
+		return OptimizeCompiled(engine.MustCompile(c), lib(), opts)
 	}
 	serial := make([]*Result, len(names))
 	for i, name := range names {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ckt"
 	"repro/internal/engine"
 	"repro/internal/logicsim"
+	"repro/internal/strike"
 )
 
 // Metrics are the circuit-level figures entering the Eq. 5 cost
@@ -26,22 +27,13 @@ type Metrics struct {
 // multiple of the critical-path delay.
 const ClockPeriodFactor = 1.2
 
-// EvaluateMetrics computes delay/energy/area for a cell assignment.
-// act supplies per-gate toggle activities (from logicsim); sens may be
-// nil, in which case activity 0.2 is assumed for every gate.
-func EvaluateMetrics(c *ckt.Circuit, lib *charlib.Library, cells aserta.Assignment, sens *logicsim.Result, poLoad float64) (Metrics, error) {
-	cc, err := engine.Compile(c)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return EvaluateMetricsCompiled(cc, lib, cells, sens, poLoad)
-}
-
-// EvaluateMetricsCompiled is EvaluateMetrics over a pre-compiled
-// circuit, reusing the handle's topological order.
+// EvaluateMetricsCompiled computes delay/energy/area for a cell
+// assignment over a compiled circuit, reusing the handle's topological
+// order. sens supplies per-gate toggle activities (from logicsim); it
+// may be nil, in which case activity 0.2 is assumed for every gate.
 func EvaluateMetricsCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells aserta.Assignment, sens *logicsim.Result, poLoad float64) (Metrics, error) {
 	c := cc.Circuit()
-	loads, err := aserta.GateLoads(c, lib, cells, poLoad)
+	loads, err := strike.GateLoads(c, lib, cells, poLoad)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -120,27 +112,6 @@ func metricsOf(cc *engine.CompiledCircuit, sens *logicsim.Result, loads, delays 
 	return m
 }
 
-// GateDelays returns the per-gate delay vector (indexed by gate ID)
-// under the assignment's own loads.
-func GateDelays(c *ckt.Circuit, lib *charlib.Library, cells aserta.Assignment, poLoad float64) ([]float64, error) {
-	loads, err := aserta.GateLoads(c, lib, cells, poLoad)
-	if err != nil {
-		return nil, err
-	}
-	d := make([]float64, len(c.Gates))
-	for _, g := range c.Gates {
-		if g.Type == ckt.Input {
-			continue
-		}
-		dd, err := lib.Delay(cells[g.ID], loads[g.ID])
-		if err != nil {
-			return nil, err
-		}
-		d[g.ID] = dd
-	}
-	return d, nil
-}
-
 // InitialSizing produces the baseline "optimized for speed" assignment
 // standing in for the paper's Synopsys Design Compiler run: nominal
 // L/VDD/Vth cells sized by fanout-load pressure (a logical-effort
@@ -152,7 +123,7 @@ func InitialSizing(c *ckt.Circuit, lib *charlib.Library, maxSize, poLoad float64
 		maxSize = sizes[len(sizes)-1]
 	}
 	for pass := 0; pass < 3; pass++ {
-		loads, err := aserta.GateLoads(c, lib, cells, poLoad)
+		loads, err := strike.GateLoads(c, lib, cells, poLoad)
 		if err != nil {
 			return nil, err
 		}

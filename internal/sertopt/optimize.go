@@ -114,24 +114,11 @@ func (r *Result) Ratios() (area, energy, delay float64) {
 		r.OptMetrics.Delay / r.BaseMetrics.Delay
 }
 
-// Optimize runs the full SERTOPT flow on circuit c, compiling it on
-// the fly. Callers holding a compiled handle should use
-// OptimizeCompiled, which shares the handle's memoized sensitization
-// with every other analysis of the same netlist.
-func Optimize(c *ckt.Circuit, lib *charlib.Library, opts Options) (*Result, error) {
-	cc, err := engine.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	return OptimizeCompiled(cc, lib, opts)
-}
-
 // OptimizeCompiled runs the full SERTOPT flow against a compiled
 // circuit. The one-time sensitization statistics come from the
 // handle's memo (shared with ASERTA analyses of the same netlist at
 // the same vectors/seed), and every inner cost evaluation reuses the
-// compiled topological orders instead of re-deriving them. Results
-// are bit-identical to Optimize.
+// compiled topological orders instead of re-deriving them.
 //
 // A cost evaluation matches cells to the candidate delays through one
 // per-run cell table, re-deciding only the gates whose matching inputs
@@ -222,10 +209,9 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		}
 	}
 
-	d0, err := GateDelays(c, lib, baseline, opts.Match.POLoad)
-	if err != nil {
-		return nil, err
-	}
+	// The baseline analysis holds every gate's delay under its own
+	// loads; it is also the delta baseline, so it is never written.
+	d0 := res.BaseAnalysis.Delays
 	d0cols := topo.ColumnDelays(d0)
 	// Anchor matching so θ=0 reproduces the baseline exactly.
 	if opts.Match.Hints == nil {

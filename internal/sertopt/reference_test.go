@@ -21,6 +21,7 @@ import (
 	"repro/internal/logicsim"
 	"repro/internal/matrix"
 	"repro/internal/stats"
+	"repro/internal/strike"
 )
 
 // referenceOptimize is OptimizeCompiled with the reference evaluation
@@ -107,7 +108,7 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 		}
 	}
 
-	d0, err := GateDelays(c, lib, baseline, opts.Match.POLoad)
+	d0, err := gateDelays(c, lib, baseline, opts.Match.POLoad)
 	if err != nil {
 		return nil, err
 	}
@@ -292,12 +293,34 @@ func referenceMatch(cc *engine.CompiledCircuit, lib *charlib.Library, desired []
 	return cells, nil
 }
 
+// gateDelays returns the per-gate delay vector (indexed by gate ID)
+// under the assignment's own loads, straight from the library: the
+// reference path's d0, and the matcher tests' targets.
+func gateDelays(c *ckt.Circuit, lib *charlib.Library, cells aserta.Assignment, poLoad float64) ([]float64, error) {
+	loads, err := strike.GateLoads(c, lib, cells, poLoad)
+	if err != nil {
+		return nil, err
+	}
+	d := make([]float64, len(c.Gates))
+	for _, g := range c.Gates {
+		if g.Type == ckt.Input {
+			continue
+		}
+		dd, err := lib.Delay(cells[g.ID], loads[g.ID])
+		if err != nil {
+			return nil, err
+		}
+		d[g.ID] = dd
+	}
+	return d, nil
+}
+
 // referenceMetrics is EvaluateMetricsCompiled straight from the
 // library.
 func referenceMetrics(cc *engine.CompiledCircuit, lib *charlib.Library, cells aserta.Assignment, sens *logicsim.Result, poLoad float64) (Metrics, error) {
 	c := cc.Circuit()
 	var m Metrics
-	loads, err := aserta.GateLoads(c, lib, cells, poLoad)
+	loads, err := strike.GateLoads(c, lib, cells, poLoad)
 	if err != nil {
 		return m, err
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/devmodel"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/logicsim"
 	"repro/internal/stats"
@@ -146,15 +147,15 @@ func TestMatchDelaysRealizesTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0, err := GateDelays(c, lib(), base, 2e-15)
+	d0, err := gateDelays(c, lib(), base, 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := MatchDelays(c, lib(), d0, coarseMatch())
+	cells, err := MatchDelaysCompiled(engine.MustCompile(c), lib(), d0, coarseMatch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GateDelays(c, lib(), cells, 2e-15)
+	got, err := gateDelays(c, lib(), cells, 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestMatchDelaysVDDOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0, err := GateDelays(c, lib(), base, 2e-15)
+	d0, err := gateDelays(c, lib(), base, 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestMatchDelaysVDDOrdering(t *testing.T) {
 	for i := range d0 {
 		d0[i] *= 0.5 + rng.Float64()*2
 	}
-	cells, err := MatchDelays(c, lib(), d0, coarseMatch())
+	cells, err := MatchDelaysCompiled(engine.MustCompile(c), lib(), d0, coarseMatch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestMatchDelaysVDDOrdering(t *testing.T) {
 
 func TestMatchDelaysErrors(t *testing.T) {
 	c := gen.C17()
-	if _, err := MatchDelays(c, lib(), nil, coarseMatch()); err == nil {
+	if _, err := MatchDelaysCompiled(engine.MustCompile(c), lib(), nil, coarseMatch()); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -224,11 +225,12 @@ func TestEvaluateMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sens, err := logicsim.Analyze(c, 2000, stats.NewRNG(1))
+	cc := engine.MustCompile(c)
+	sens, err := logicsim.Sensitization(cc, 2000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := EvaluateMetrics(c, lib(), cells, sens, 2e-15)
+	m, err := EvaluateMetricsCompiled(cc, lib(), cells, sens, 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func TestEvaluateMetrics(t *testing.T) {
 
 func TestOptimizeC17SQP(t *testing.T) {
 	c := gen.C17()
-	res, err := Optimize(c, lib(), Options{
+	res, err := OptimizeCompiled(engine.MustCompile(c), lib(), Options{
 		Match:      coarseMatch(),
 		Vectors:    2000,
 		Iterations: 3,
@@ -273,7 +275,7 @@ func TestOptimizeC17SQP(t *testing.T) {
 
 func TestOptimizeC17Anneal(t *testing.T) {
 	c := gen.C17()
-	res, err := Optimize(c, lib(), Options{
+	res, err := OptimizeCompiled(engine.MustCompile(c), lib(), Options{
 		Match:      coarseMatch(),
 		Vectors:    2000,
 		Iterations: 2,
@@ -291,7 +293,7 @@ func TestOptimizeC17Anneal(t *testing.T) {
 
 func TestOptimizeUnknownMethod(t *testing.T) {
 	c := gen.C17()
-	if _, err := Optimize(c, lib(), Options{Method: "magic", Vectors: 500}); err == nil {
+	if _, err := OptimizeCompiled(engine.MustCompile(c), lib(), Options{Method: "magic", Vectors: 500}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 }
@@ -304,7 +306,7 @@ func TestOptimizeReducesUnreliabilityOnC432(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(c, lib(), Options{
+	res, err := OptimizeCompiled(engine.MustCompile(c), lib(), Options{
 		Match:      MatchConfig{VDDs: []float64{0.8, 1.2}, Vths: []float64{0.1, 0.3}, POLoad: 2e-15},
 		Vectors:    4000,
 		Iterations: 4,

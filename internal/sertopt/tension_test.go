@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/aserta"
 	"repro/internal/ckt"
+	"repro/internal/engine"
 	"repro/internal/gen"
 )
 
@@ -29,8 +30,9 @@ func TestDepthBandTension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cc := engine.MustCompile(c)
 	cfg := aserta.Config{Vectors: 4000, Seed: 1, POLoad: 2e-15}
-	an0, err := aserta.Analyze(c, lib(), base, cfg)
+	an0, err := aserta.AnalyzeCompiled(cc, lib(), base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestDepthBandTension(t *testing.T) {
 				mod(g.ID, d, cells)
 			}
 		}
-		an, err := aserta.Analyze(c, lib(), cells, cfg)
+		an, err := aserta.AnalyzeCompiled(cc, lib(), cells, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -392,10 +392,9 @@ type GateReducer func(i int, wij []float64) float64
 // from the analysis baseline, with unaffected rows served from the
 // pristine baseline WS table. This is the optimizer's cheap
 // delay-sensitivity oracle. The delta evaluation always starts from
-// the baseline, so error cannot accumulate across calls; as a
-// belt-and-braces bound, every fullEvery-th call performs an exact
-// full re-evaluation instead. Not safe for concurrent use (shared
-// scratch arenas, including the Propagator's attenuation table).
+// the baseline, so error cannot accumulate across calls. Not safe for
+// concurrent use (shared scratch arenas, including the Propagator's
+// attenuation table).
 type Delta struct {
 	p *Propagator
 	// Baseline state (owned by the caller, read-only here).
@@ -417,7 +416,6 @@ type Delta struct {
 	// the baseline delays, so delta calls refresh only changed rows.
 	attIsBase bool
 	attDirty  []int
-	evals     int
 }
 
 // NewDelta creates the incremental evaluator for a baseline that was
@@ -474,9 +472,9 @@ func (d *Delta) ensureScratch(ws bool) {
 // per-gate delay vector, keeping generated widths and sensitization
 // statistics fixed, and returns the resulting circuit unreliability.
 // Only the fanin cones of gates whose delays differ from the baseline
-// are re-propagated. fullEvery > 0 forces an exact full re-evaluation
-// every fullEvery-th call (negative disables the cadence).
-func (d *Delta) Recompute(delays []float64, fullEvery int) (float64, error) {
+// are re-propagated; when they hold more than half the gates, the
+// parallel full pass (RecomputeFull) runs instead.
+func (d *Delta) Recompute(delays []float64) (float64, error) {
 	p := d.p
 	c := p.c
 	nGates := len(c.Gates)
@@ -496,37 +494,29 @@ func (d *Delta) Recompute(delays []float64, fullEvery int) (float64, error) {
 	if len(changedIDs) == 0 {
 		return d.baseU, nil
 	}
-	d.evals++
-	full := fullEvery > 0 && d.evals%fullEvery == 0
+	// affected(i) = some successor's delay changed, or some successor
+	// is itself affected; one reverse-topological pass. Terminal PO
+	// gates are never affected (no successors): their only row is the
+	// fixed sample ladder regardless of delays, so they serve baseline
+	// reads. A fanout-bearing PO (a sequential frame's D-pin tap) has
+	// delay-dependent non-own columns and propagates normally.
 	nAffected := 0
-	if !full {
-		// affected(i) = some successor's delay changed, or some
-		// successor is itself affected; one reverse-topological pass.
-		// Terminal PO gates are never affected (no successors): their
-		// only row is the fixed sample ladder regardless of delays, so
-		// they serve baseline reads. A fanout-bearing PO (a sequential
-		// frame's D-pin tap) has delay-dependent non-own columns and
-		// propagates normally.
-		for _, i := range p.rorder {
-			aff := false
-			for _, s := range c.Gates[i].Fanout {
-				if d.changed[s] || d.affected[s] {
-					aff = true
-					break
-				}
-			}
-			d.affected[i] = aff
-			if aff {
-				nAffected++
+	for _, i := range p.rorder {
+		aff := false
+		for _, s := range c.Gates[i].Fanout {
+			if d.changed[s] || d.affected[s] {
+				aff = true
+				break
 			}
 		}
-		// When most of the circuit moved, the parallel full pass is
-		// cheaper than the serial delta walk.
-		if 2*nAffected > nGates {
-			full = true
+		d.affected[i] = aff
+		if aff {
+			nAffected++
 		}
 	}
-	if full {
+	// When most of the circuit moved, the parallel full pass is cheaper
+	// than the serial delta walk.
+	if 2*nAffected > nGates {
 		return d.RecomputeFull(delays)
 	}
 	// The baseline table serves the rows of unaffected successors.
@@ -579,7 +569,8 @@ func (d *Delta) Recompute(delays []float64, fullEvery int) (float64, error) {
 // RecomputeFull is Recompute without the incremental shortcut: the
 // complete electrical pass runs against the given delays (into scratch
 // arenas — the baseline is untouched). It is the exactness reference
-// for the incremental path and its periodic fallback.
+// for the incremental path and its fallback when most gates are
+// affected.
 func (d *Delta) RecomputeFull(delays []float64) (float64, error) {
 	p := d.p
 	c := p.c

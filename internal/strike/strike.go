@@ -1,15 +1,15 @@
 // Package strike is the composable strike-propagation pipeline every
-// analysis flow shares. The paper's three masking mechanisms used to be
-// re-implemented with local variations inside aserta (combinational
-// Eq. 1–4), seq (per-frame electrical filtering plus multi-cycle fault
-// chase) and the optimizer's incremental re-evaluation; this package
-// hosts each mechanism exactly once, as a pipeline stage over
+// analysis flow shares: the combinational ASERTA analysis (aserta, Eq.
+// 1–4), the sequential engine (seq: per-frame electrical filtering plus
+// the multi-cycle fault chase) and the optimizer's incremental
+// re-evaluation (sertopt). It hosts each of the paper's masking
+// mechanisms exactly once, as a pipeline stage over
 // engine.CompiledCircuit:
 //
-//	EnumerateSources  per-gate strike parameters: output loads, delays,
-//	                  generated glitch widths w_i, flux weights Z_i
-//	                  (Eq. 3) — everything derived from the cell
-//	                  assignment.
+//	EnumerateSources  per-gate strike parameters: output loads
+//	                  (GateLoads), delays, generated glitch widths w_i,
+//	                  flux weights Z_i (Eq. 3) — everything derived
+//	                  from the cell assignment.
 //	ElectricalFilter  the Propagator: Eq. 1 attenuation and the Eq. 2
 //	                  π-split applied in one reverse-topological pass
 //	                  over the §3.2 sample-width ladder, producing the

@@ -45,8 +45,8 @@ func requireScaleBench(b *testing.B) []byte {
 }
 
 // BenchmarkCompile1M measures netlist-to-handle cost on the 1M-gate
-// netlist: the streaming one-pass compiler against the legacy
-// Parse+Compile object-graph path. Both produce bit-identical handles
+// netlist: the streaming one-pass parser (bench.ParseStream) against
+// the legacy Parse object-graph path, each followed by engine.Compile. Both produce bit-identical handles
 // (asserted by the differential tests in internal/bench and
 // internal/engine); the B/op and allocs/op columns are the point —
 // the stream sub-benchmark's B/op carries the CI ceiling.
@@ -56,7 +56,11 @@ func BenchmarkCompile1M(b *testing.B) {
 	b.Run("stream", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cc, err := engine.CompileStream(bytes.NewReader(text), "scale1m")
+			c, err := bench.ParseStream(bytes.NewReader(text), "scale1m")
+			if err != nil {
+				b.Fatal(err)
+			}
+			cc, err := engine.Compile(c)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -89,7 +93,11 @@ func BenchmarkCompile1M(b *testing.B) {
 // count), so the scale job checks the result, not just the footprint.
 func BenchmarkAnalyze1M(b *testing.B) {
 	text := requireScaleBench(b)
-	cc, err := engine.CompileStream(bytes.NewReader(text), "scale1m")
+	c, err := bench.ParseStream(bytes.NewReader(text), "scale1m")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cc, err := engine.Compile(c)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,7 +105,7 @@ func BenchmarkAnalyze1M(b *testing.B) {
 	b.ResetTimer()
 	var mass float64
 	for i := 0; i < b.N; i++ {
-		res, err := logicsim.AnalyzeCompiled(cc, 2048, stats.NewRNG(1), 0)
+		res, err := logicsim.AnalyzeCompiledBudget(cc, 2048, stats.NewRNG(1), 0, logicsim.DefaultSensBudgetBytes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +122,7 @@ func BenchmarkAnalyze1M(b *testing.B) {
 // TestStreamCompileAllocAdvantage pins the streaming compiler's
 // allocation advantage at a CI-friendly scale: on a 60k-gate netlist
 // the legacy Parse+Compile path must allocate at least 4x as much as
-// CompileStream. (The 1M-gate wall-clock and byte numbers live in the
+// ParseStream+Compile. (The 1M-gate wall-clock and byte numbers live in the
 // scale benchmarks; allocation counts are scale-independent enough to
 // assert in a regular test.)
 func TestStreamCompileAllocAdvantage(t *testing.T) {
@@ -125,7 +133,12 @@ func TestStreamCompileAllocAdvantage(t *testing.T) {
 	text := buf.Bytes()
 	var cerr error
 	streamAllocs := testing.AllocsPerRun(1, func() {
-		if _, err := engine.CompileStream(bytes.NewReader(text), "s"); err != nil {
+		c, err := bench.ParseStream(bytes.NewReader(text), "s")
+		if err != nil {
+			cerr = err
+			return
+		}
+		if _, err := engine.Compile(c); err != nil {
 			cerr = err
 		}
 	})

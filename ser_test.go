@@ -115,7 +115,7 @@ func TestLeanMatchesFull(t *testing.T) {
 			}
 			own := -1
 			if g.PO {
-				own, _ = a.Sens.POColumn(g.ID)
+				own, _ = h.cc.POColumn(g.ID)
 			}
 			sum := 0.0
 			for j, row := range ws[g.ID] {
