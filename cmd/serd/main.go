@@ -35,12 +35,11 @@
 // With -artifact-dir, every compiled circuit is also persisted as a
 // versioned, checksummed on-disk artifact keyed by content hash; a
 // restart on the same directory serves the first request for any
-// previously-seen netlist from disk (mmap'd read-only where the
-// platform allows) without recompiling. Corrupt artifacts are
-// detected, removed and recompiled. -sens-mem-budget bounds the
-// transient memory of one sensitization analysis and sizes the fault
-// groups of the sequential fault chase; larger jobs run in chunks or
-// groups with bit-identical results.
+// previously-seen netlist from disk without recompiling. Corrupt
+// artifacts are detected, removed and recompiled. -sens-mem-budget
+// bounds the transient memory of one sensitization analysis and sizes
+// the fault groups of the sequential fault chase; larger jobs run in
+// chunks or groups with bit-identical results.
 //
 // With -route, the process runs as a multi-node coordinator instead of
 // an analysis shard: it speaks the same wire protocol but

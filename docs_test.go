@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -20,6 +21,13 @@ import (
 // or field the package declares. Lower-case names after a package
 // prefix are stage and fault-point labels (`strike.electrical`) and
 // are not checked, nor is anything inside fenced code blocks.
+//
+// A span naming an unqualified `Type.Member` (`Analysis.WSTable`,
+// `(*Analysis).WSTable`) is checked the same way when some scanned
+// package declares a type named Type: one such package must also
+// declare every further component. A first component that no package
+// declares as a type is a field path (`BaseAnalysis.Delays`) and is
+// not checked.
 func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 	dirs := map[string]string{"ser": ".", "serclient": "serclient"}
 	entries, err := os.ReadDir("internal")
@@ -40,8 +48,13 @@ func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 	fence := regexp.MustCompile("(?ms)^```.*?^```")
 	span := regexp.MustCompile("`([^`\n]+)`")
 	ref := regexp.MustCompile(`(?:^|[^\w./-])([a-z]\w*)((?:\.[A-Z]\w*)+)`)
+	unqualified := regexp.MustCompile(`(?:^|[^\w./*(-])(?:\(\*)?([A-Z]\w*)\)?((?:\.[A-Z]\w*)+)`)
 	declared := map[string]map[string]bool{}
-	checked := 0
+	types := map[string]map[string]bool{}
+	for pkg, dir := range dirs {
+		declared[pkg], types[pkg] = declaredNames(t, dir)
+	}
+	checked, checkedUnqualified := 0, 0
 	for _, path := range docs {
 		b, err := os.ReadFile(path)
 		if err != nil {
@@ -55,9 +68,6 @@ func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if declared[pkg] == nil {
-					declared[pkg] = declaredNames(t, dir)
-				}
 				for _, id := range strings.Split(m[2][1:], ".") {
 					if !declared[pkg][id] {
 						t.Errorf("%s: `%s` names %s.%s, which %s does not declare", path, sp[1], pkg, id, dir)
@@ -65,23 +75,46 @@ func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 				}
 				checked++
 			}
+			for _, m := range unqualified.FindAllStringSubmatch(sp[1], -1) {
+				var owners []string
+				for pkg := range dirs {
+					if types[pkg][m[1]] {
+						owners = append(owners, pkg)
+					}
+				}
+				if len(owners) == 0 {
+					continue
+				}
+				sort.Strings(owners)
+				for _, id := range strings.Split(m[2][1:], ".") {
+					found := false
+					for _, pkg := range owners {
+						found = found || declared[pkg][id]
+					}
+					if !found {
+						t.Errorf("%s: `%s` names %s.%s, which no package declaring type %s (%s) declares", path, sp[1], m[1], id, m[1], strings.Join(owners, ", "))
+					}
+				}
+				checkedUnqualified++
+			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no package-qualified identifier found in the docs; the scan is broken")
+	if checked == 0 || checkedUnqualified == 0 {
+		t.Fatalf("found %d package-qualified and %d unqualified identifiers in the docs; the scan is broken", checked, checkedUnqualified)
 	}
 }
 
 // declaredNames returns every name the non-test Go files of dir
 // declare at top level (funcs, methods, types, vars, consts) plus the
-// fields and interface methods of their types.
-func declaredNames(t *testing.T, dir string) map[string]bool {
+// fields and interface methods of their types, and the type names
+// alone.
+func declaredNames(t *testing.T, dir string) (names, types map[string]bool) {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
+	names, types = map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
 	for _, path := range files {
 		if strings.HasSuffix(path, "_test.go") {
@@ -104,6 +137,7 @@ func declaredNames(t *testing.T, dir string) map[string]bool {
 						}
 					case *ast.TypeSpec:
 						names[s.Name.Name] = true
+						types[s.Name.Name] = true
 						ast.Inspect(s.Type, func(n ast.Node) bool {
 							if fl, ok := n.(*ast.Field); ok {
 								for _, id := range fl.Names {
@@ -117,5 +151,5 @@ func declaredNames(t *testing.T, dir string) map[string]bool {
 			}
 		}
 	}
-	return names
+	return names, types
 }

@@ -49,9 +49,6 @@ type Config struct {
 	SampleWidths int
 	// POLoad is the latch input capacitance on each primary output (F).
 	POLoad float64
-	// WideWidth is the largest sample width, standing in for the
-	// Lemma-1 "very wide glitch". Default 2.56 ns.
-	WideWidth float64
 	// ClockPeriod caps each glitch width's latching contribution: the
 	// paper's latching-window masking makes capture probability
 	// proportional to glitch duration, which saturates at one clock
@@ -75,14 +72,12 @@ func (cfg Config) withDefaults() Config {
 		SampleWidths: cfg.SampleWidths,
 		POLoad:       cfg.POLoad,
 		ClockPeriod:  cfg.ClockPeriod,
-		WideWidth:    cfg.WideWidth,
 	}
 	p.Normalize()
 	cfg.Vectors = p.Vectors
 	cfg.SampleWidths = p.SampleWidths
 	cfg.POLoad = p.POLoad
 	cfg.ClockPeriod = p.ClockPeriod
-	cfg.WideWidth = p.WideWidth
 	return cfg
 }
 
@@ -269,22 +264,23 @@ func (a *Analysis) WSTable() [][][]float64 {
 }
 
 // sampleWidths returns the geometric ladder of sample glitch widths
-// used by the electrical-masking pass, ending at the wide width.
+// used by the electrical-masking pass, ending at the wide width
+// engine.DefaultWideWidth, the Lemma-1 "very wide glitch".
 func (cfg Config) sampleWidths() []float64 {
 	k := cfg.SampleWidths
 	ws := make([]float64, k)
-	// Geometric from 5 ps to WideWidth.
+	// Geometric from 5 ps to the wide width.
 	lo := 5e-12
 	ratio := 1.0
 	if k > 1 {
-		ratio = math.Pow(cfg.WideWidth/lo, 1/float64(k-1))
+		ratio = math.Pow(engine.DefaultWideWidth/lo, 1/float64(k-1))
 	}
 	w := lo
 	for i := 0; i < k; i++ {
 		ws[i] = w
 		w *= ratio
 	}
-	ws[k-1] = cfg.WideWidth
+	ws[k-1] = engine.DefaultWideWidth
 	return ws
 }
 

@@ -227,7 +227,7 @@ func TestConfigDefaults(t *testing.T) {
 			t.Fatal("sample widths must increase")
 		}
 	}
-	if ws[len(ws)-1] != cfg.WideWidth {
+	if ws[len(ws)-1] != engine.DefaultWideWidth {
 		t.Fatal("last sample width must be the wide width")
 	}
 }

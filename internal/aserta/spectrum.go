@@ -7,6 +7,7 @@ import (
 	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/lut"
+	"repro/internal/strike"
 )
 
 // ChargeWeight pairs an injected charge (C) with its relative flux
@@ -59,12 +60,13 @@ func (a *Analysis) SpectrumU(lib *charlib.Library, spectrum []ChargeWeight) (tot
 		return 0, nil, fmt.Errorf("aserta: library lacks a charge axis (set charlib.Grid.Charges)")
 	}
 	if a.delta == nil {
-		return 0, nil, fmt.Errorf("aserta: analysis has no WS tables (run Analyze first)")
+		return 0, nil, fmt.Errorf("aserta: analysis has no WS tables (run AnalyzeCompiled first)")
 	}
 	ws := a.WSTable()
 	c := a.Circuit
 	clock := a.Config.withDefaults().ClockPeriod
 	perCharge = make([]float64, len(spectrum))
+	row := make([]float64, len(c.Outputs()))
 	for qi, cw := range spectrum {
 		uq := 0.0
 		for _, g := range c.Gates {
@@ -75,16 +77,10 @@ func (a *Analysis) SpectrumU(lib *charlib.Library, spectrum []ChargeWeight) (tot
 			if err != nil {
 				return 0, nil, err
 			}
-			sum := 0.0
-			for _, row := range ws[g.ID] {
-				wj := lut.Interp1D(a.Samples, row, w)
-				if wj > clock {
-					wj = clock
-				}
-				sum += wj
+			for j, r := range ws[g.ID] {
+				row[j] = lut.Interp1D(a.Samples, r, w)
 			}
-			z := a.Cells[g.ID].FluxWeight()
-			uq += z * sum / 1e-12
+			uq += strike.GateU(a.Flux[g.ID], row, clock)
 		}
 		perCharge[qi] = uq
 		total += cw.Weight * uq

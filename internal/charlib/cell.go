@@ -8,7 +8,9 @@
 // Characterization drives the internal/spice transient simulator over
 // a parameter grid once, storing results in internal/lut tables that
 // are then interpolated during analysis and optimization. Libraries
-// can be cached to JSON.
+// can be cached to JSON. No analysis reads an output ramp, so none is
+// tabulated: characterization measures the ramp only to reject a delay
+// transient whose output never completes a swing.
 package charlib
 
 import (

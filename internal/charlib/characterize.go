@@ -53,12 +53,11 @@ func CoarseGrid() Grid {
 }
 
 // classTables holds the characterized lookup tables of one gate class.
-// Delay/Ramp/Glitch share the axes (size, L, VDD, Vth, load); GlitchQ,
+// Delay and Glitch share the axes (size, L, VDD, Vth, load); GlitchQ,
 // present only when the grid has a charge axis, adds injected charge
 // as a sixth dimension.
 type classTables struct {
 	Delay   *lut.Table `json:"delay"`              // propagation delay (s)
-	Ramp    *lut.Table `json:"ramp"`               // output 10-90% transition (s)
 	Glitch  *lut.Table `json:"glitch"`             // generated glitch width (s) for QInj
 	GlitchQ *lut.Table `json:"glitch_q,omitempty"` // width (s) vs injected charge
 }
@@ -106,7 +105,7 @@ func gridPoints(axes [][]float64) [][]int {
 	}
 }
 
-// characterizeClass fills the three tables for one gate class by
+// characterizeClass fills the tables for one gate class by
 // running the transient simulator at every grid point. Grid points are
 // independent SPICE runs writing disjoint table slots, so they are
 // fanned out over a worker pool; the tables that result are identical
@@ -115,7 +114,7 @@ func characterizeClass(tech *devmodel.Tech, cl Class, g Grid, qInj float64, cfg 
 	mk := func() *lut.Table {
 		return lut.MustNew(g.Sizes, g.Lengths, g.VDDs, g.Vths, g.Loads)
 	}
-	ct := &classTables{Delay: mk(), Ramp: mk(), Glitch: mk()}
+	ct := &classTables{Delay: mk(), Glitch: mk()}
 	axes := [][]float64{g.Sizes, g.Lengths, g.VDDs, g.Vths, g.Loads}
 	pts := gridPoints(axes)
 	errs := make([]error, len(pts))
@@ -123,7 +122,7 @@ func characterizeClass(tech *devmodel.Tech, cl Class, g Grid, qInj float64, cfg 
 		idx := pts[pi]
 		p := spice.Params{Size: axes[0][idx[0]], L: axes[1][idx[1]], VDD: axes[2][idx[2]], Vth: axes[3][idx[3]]}
 		load := axes[4][idx[4]]
-		d, r, err := measureDelay(tech, cl, p, load, cfg)
+		d, err := measureDelay(tech, cl, p, load, cfg)
 		if err != nil {
 			errs[pi] = err
 			return
@@ -134,7 +133,6 @@ func characterizeClass(tech *devmodel.Tech, cl Class, g Grid, qInj float64, cfg 
 			return
 		}
 		ct.Delay.Set(idx, d)
-		ct.Ramp.Set(idx, r)
 		ct.Glitch.Set(idx, w)
 	})
 	for _, err := range errs {
@@ -209,18 +207,20 @@ func nonControlling(t ckt.GateType, vdd float64) float64 {
 }
 
 // measureDelay runs two transients (input rising and falling) and
-// returns the mean propagation delay and mean output transition time.
-func measureDelay(tech *devmodel.Tech, cl Class, p spice.Params, load float64, cfg charConfig) (float64, float64, error) {
+// returns the mean propagation delay over the transients whose output
+// completes a swing: both the delay and the output 10–90% transition
+// time must be positive for a transient to count.
+func measureDelay(tech *devmodel.Tech, cl Class, p spice.Params, load float64, cfg charConfig) (float64, error) {
 	c, dut, err := dutCircuit(cl)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	var dSum, rSum float64
+	var dSum float64
 	n := 0
 	for _, rising := range []bool{true, false} {
 		sim, err := spice.FromCircuit(tech, c, uniformParams(c, p), load)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		v0, v1 := 0.0, p.VDD
 		if !rising {
@@ -237,16 +237,15 @@ func measureDelay(tech *devmodel.Tech, cl Class, p spice.Params, load float64, c
 		r := spice.TransitionTime(waves[1], cfg.dt, p.VDD)
 		if d > 0 && r > 0 {
 			dSum += d
-			rSum += r
 			n++
 		}
 	}
 	if n == 0 {
 		// Cell cannot complete a swing within the window (extremely
 		// weak corner); report the window as a saturated delay.
-		return cfg.delayWin, cfg.delayWin, nil
+		return cfg.delayWin, nil
 	}
-	return dSum / float64(n), rSum / float64(n), nil
+	return dSum / float64(n), nil
 }
 
 // measureGlitchGen injects the strike charge at the DUT output for

@@ -50,7 +50,6 @@ type Library struct {
 	// small read-mostly map.
 	evalMu  sync.RWMutex
 	delayC  map[lutKey]float64
-	rampC   map[lutKey]float64
 	glitchC map[lutKey]float64
 	// capC/selfC/leakC memoize the analytic cell properties
 	// (InputCap/SelfCap/StaticPower). Each is a pure function of the
@@ -95,7 +94,6 @@ func NewLibrary(tech *devmodel.Tech, g Grid) *Library {
 		classes: make(map[Class]*classEntry),
 		cfg:     defaultCharConfig(),
 		delayC:  make(map[lutKey]float64),
-		rampC:   make(map[lutKey]float64),
 		glitchC: make(map[lutKey]float64),
 		capC:    make(map[Cell]float64),
 		selfC:   make(map[Cell]float64),
@@ -149,14 +147,6 @@ func (l *Library) tables(cl Class) (*classTables, error) {
 // Characterizations reports how many class characterizations this
 // library has executed (coalesced concurrent requests count once).
 func (l *Library) Characterizations() int64 { return l.charCount.Load() }
-
-// CharacterizedClasses reports the number of classes whose tables are
-// resident (finished or in flight).
-func (l *Library) CharacterizedClasses() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.classes)
-}
 
 // memoEval serves a table interpolation through the given cache.
 func (l *Library) memoEval(cache map[lutKey]float64, pick func(*classTables) *lut.Table, c Cell, load float64) (float64, error) {
@@ -228,11 +218,6 @@ func CircuitClasses(c *ckt.Circuit) []Class {
 // Delay interpolates the cell's propagation delay under the given load.
 func (l *Library) Delay(c Cell, load float64) (float64, error) {
 	return l.memoEval(l.delayC, func(ct *classTables) *lut.Table { return ct.Delay }, c, load)
-}
-
-// OutputRamp interpolates the cell's output 10–90% transition time.
-func (l *Library) OutputRamp(c Cell, load float64) (float64, error) {
-	return l.memoEval(l.rampC, func(ct *classTables) *lut.Table { return ct.Ramp }, c, load)
 }
 
 // GlitchGen interpolates the glitch width generated at the cell output

@@ -277,6 +277,3 @@ type Gate struct {
 	// PO marks the gate as driving a primary output latch.
 	PO bool
 }
-
-// NumInputs returns the fanin count.
-func (g *Gate) NumInputs() int { return len(g.Fanin) }

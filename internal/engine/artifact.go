@@ -145,27 +145,15 @@ func appendArtifactPayload(buf []byte, key string, c *ckt.Circuit) []byte {
 	return buf
 }
 
-// Open reads an artifact, maps it read-only (mmap where the platform
-// supports it, a plain read otherwise), verifies header and checksum,
-// and recompiles the stored netlist into a fresh handle. It returns
-// the handle and the cache key the artifact was saved under. Every
-// decoded structure is copied out of the mapping before return.
+// Open reads an artifact, verifies header and checksum, and
+// recompiles the stored netlist into a fresh handle. It returns the
+// handle and the cache key the artifact was saved under. Every decoded
+// structure is copied out of the file's bytes before return.
 func Open(path string) (*CompiledCircuit, string, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, "", err
-	}
-	data, unmap, err := mapFile(f, st.Size())
-	if err != nil {
-		return nil, "", err
-	}
-	defer unmap()
-
 	key, spec, err := decodeArtifact(data)
 	if err != nil {
 		return nil, "", err
@@ -182,7 +170,7 @@ func Open(path string) (*CompiledCircuit, string, error) {
 }
 
 // decodeArtifact validates the framing and decodes the payload into a
-// BuildSpec. All strings and arrays are copies; data may be unmapped
+// BuildSpec. All strings and arrays are copies; data may be reused
 // after return.
 func decodeArtifact(data []byte) (string, ckt.BuildSpec, error) {
 	var spec ckt.BuildSpec
@@ -311,8 +299,8 @@ func decodeArtifact(data []byte) (string, ckt.BuildSpec, error) {
 }
 
 // ArtifactStats is a point-in-time snapshot of an ArtifactStore's
-// counters. BytesMapped accumulates the sizes of every artifact mapped
-// on a hit over the store's lifetime.
+// counters. BytesMapped accumulates the sizes of every artifact read
+// on a hit over the store's lifetime; the name is kept for the wire.
 type ArtifactStats struct {
 	Hits, Misses, Saves, Errors, BytesMapped int64
 }

@@ -16,7 +16,7 @@ const (
 	// DefaultClockPeriod is the Eq. 3 latching-window clock (s).
 	DefaultClockPeriod = 300e-12
 	// DefaultWideWidth is the largest sample width, standing in for the
-	// Lemma-1 "very wide glitch" (s).
+	// Lemma-1 "very wide glitch" (s). Every flow uses this one value.
 	DefaultWideWidth = 2.56e-9
 )
 
@@ -27,7 +27,6 @@ type Params struct {
 	SampleWidths int
 	POLoad       float64
 	ClockPeriod  float64
-	WideWidth    float64
 }
 
 // Normalize fills zero (or negative) fields with the paper defaults.
@@ -43,8 +42,5 @@ func (p *Params) Normalize() {
 	}
 	if p.ClockPeriod <= 0 {
 		p.ClockPeriod = DefaultClockPeriod
-	}
-	if p.WideWidth <= 0 {
-		p.WideWidth = DefaultWideWidth
 	}
 }

@@ -166,16 +166,3 @@ func Table1Run(spec Table1Spec, lib *charlib.Library, cfg Table1Config) (*Table1
 	}
 	return row, nil
 }
-
-// Table1 runs every spec and returns the rows in order.
-func Table1(specs []Table1Spec, lib *charlib.Library, cfg Table1Config) ([]*Table1Row, error) {
-	rows := make([]*Table1Row, 0, len(specs))
-	for _, spec := range specs {
-		row, err := Table1Run(spec, lib, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}

@@ -368,7 +368,7 @@ func (ar *sensArena) analyze(cc *engine.CompiledCircuit, nVectors int, rng *stat
 		// ones, and the DP passes obs through them unmasked. Padding
 		// lanes of a side row may be set; the DP only ever ANDs them
 		// with obs rows, which are masked at the PO.
-		par.ForChunks(nGates, workers, 0, func(lo, hi int) {
+		par.Each(nGates, workers, 0, func(_, lo, hi int) {
 			for id := lo; id < hi; id++ {
 				if s0, s1 := int(sideOff[id]), int(sideOff[id+1]); s1 > s0 {
 					g := c.Gates[id]
@@ -477,7 +477,7 @@ func (ar *sensArena) analyze(cc *engine.CompiledCircuit, nVectors int, rng *stat
 		res.Activity[id] = 2 * p * (1 - p)
 	}
 	nv := float64(nVectors)
-	par.ForChunks(nGates, workers, 0, func(lo, hi int) {
+	par.Each(nGates, workers, 0, func(_, lo, hi int) {
 		for id := lo; id < hi; id++ {
 			row := res.Pij[id]
 			for k := range row {

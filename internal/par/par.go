@@ -23,74 +23,25 @@ func Workers(n int) int {
 }
 
 // For runs fn(i) for every i in [0, n) on up to workers goroutines
-// (Workers semantics for workers <= 0). Items are handed out through an
-// atomic counter, so the schedule is dynamic but each index runs
-// exactly once. fn must confine its writes to slots owned by index i.
+// (Workers semantics for workers <= 0): Each with chunks of one index,
+// so each index runs exactly once. fn must confine its writes to slots
+// owned by index i.
 func For(n, workers int, fn func(i int)) {
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if n == 0 {
-		return
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
+	Each(n, workers, 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			fn(i)
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ForChunks splits [0, n) into contiguous chunks of at most grain items
-// and runs fn(lo, hi) for each chunk on up to workers goroutines.
-// Useful when per-item work is small and a worker should amortize setup
-// across a block (e.g. one reverse-topological sweep per block of PO
-// columns). grain <= 0 picks a chunk size that yields ~4 chunks per
-// worker for load balance.
-func ForChunks(n, workers, grain int, fn func(lo, hi int)) {
-	if n == 0 {
-		return
-	}
-	w := Workers(workers)
-	if grain <= 0 {
-		grain = (n + 4*w - 1) / (4 * w)
-		if grain < 1 {
-			grain = 1
-		}
-	}
-	chunks := (n + grain - 1) / grain
-	For(chunks, w, func(ci int) {
-		lo := ci * grain
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
 	})
 }
 
-// Each runs fn(w, lo, hi) with a persistent worker identity: the range
-// [0, n) is split dynamically as in ForChunks, but fn also receives the
-// worker index w in [0, workers), letting callers give each worker a
-// preallocated scratch arena. Scratch reuse is what keeps the hot DP
-// loops allocation-free.
+// Each splits [0, n) into contiguous chunks of at most grain items and
+// runs fn(w, lo, hi) for each chunk on up to workers goroutines (Workers
+// semantics for workers <= 0). Chunks are handed out through an atomic
+// counter, so the schedule is dynamic but each index runs exactly once.
+// fn also receives the worker index w in [0, workers), letting callers
+// give each worker a preallocated scratch arena; scratch reuse is what
+// keeps the hot DP loops allocation-free. grain <= 0 picks a chunk size
+// that yields about 4 chunks per worker for load balance.
 func Each(n, workers, grain int, fn func(worker, lo, hi int)) {
 	if n == 0 {
 		return

@@ -15,12 +15,15 @@ func TestForCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestForChunksCoversAllIndices(t *testing.T) {
+func TestEachWorkerIndexInRange(t *testing.T) {
 	for _, workers := range []int{0, 1, 4} {
 		for _, grain := range []int{0, 1, 7, 1000} {
 			n := 123
 			got := make([]int, n)
-			ForChunks(n, workers, grain, func(lo, hi int) {
+			Each(n, workers, grain, func(w, lo, hi int) {
+				if w < 0 || w >= Workers(workers) {
+					t.Errorf("workers=%d grain=%d: worker index %d out of range", workers, grain, w)
+				}
 				for i := lo; i < hi; i++ {
 					got[i]++
 				}
@@ -34,27 +37,7 @@ func TestForChunksCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestEachWorkerIndexInRange(t *testing.T) {
-	n := 500
-	workers := 4
-	got := make([]int, n)
-	Each(n, workers, 13, func(w, lo, hi int) {
-		if w < 0 || w >= workers {
-			t.Errorf("worker index %d out of range", w)
-		}
-		for i := lo; i < hi; i++ {
-			got[i]++
-		}
-	})
-	for i, c := range got {
-		if c != 1 {
-			t.Fatalf("index %d ran %d times", i, c)
-		}
-	}
-}
-
 func TestZeroItems(t *testing.T) {
 	For(0, 4, func(int) { t.Fatal("called") })
-	ForChunks(0, 4, 0, func(int, int) { t.Fatal("called") })
 	Each(0, 4, 0, func(int, int, int) { t.Fatal("called") })
 }

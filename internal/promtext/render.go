@@ -54,7 +54,7 @@ func WriteShardMetrics(w *Writer, m *serclient.MetricsResponse) {
 		w.Counter("serd_artifact_misses_total", "Artifact lookups that fell through to a fresh compile.", base, float64(ac.Misses))
 		w.Counter("serd_artifact_saves_total", "Compiled artifacts written to disk.", base, float64(ac.Saves))
 		w.Counter("serd_artifact_errors_total", "Corrupt or unwritable artifacts (each costs one recompile).", base, float64(ac.Errors))
-		w.Counter("serd_artifact_bytes_mapped_total", "Bytes of artifact data mapped on hits.", base, float64(ac.BytesMapped))
+		w.Counter("serd_artifact_bytes_mapped_total", "Bytes of artifact data read on hits.", base, float64(ac.BytesMapped))
 	}
 	for _, kind := range sortedLatKeys(m.LatencyMS) {
 		ls := m.LatencyMS[kind]

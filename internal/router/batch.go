@@ -5,7 +5,6 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -31,13 +30,8 @@ type batchItem struct {
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req serclient.BatchRequest
-	if err := serclient.DecodeRequest(bytes.NewReader(body), &req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !rt.decode(w, r, &req) {
 		return
 	}
 	total := len(req.Analyze) + len(req.Optimize) + len(req.Susceptibility)

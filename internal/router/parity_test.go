@@ -3,8 +3,10 @@ package router
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/serd"
 )
@@ -61,5 +63,40 @@ func TestShardRouterDecodeParity(t *testing.T) {
 		if r.sameDecode && sb != rb {
 			t.Errorf("%s: bodies differ\nshard:  %s\nrouter: %s", r.name, sb, rb)
 		}
+	}
+}
+
+// TestRouterAdminBodiesDecodeStrictly: the router's own endpoints,
+// POST /v1/shards and POST /v1/route, decode their bodies by the same
+// rules as every analysis endpoint: trailing bytes and unknown fields
+// get 400, an oversized body 413, and a refused registration leaves
+// the ring untouched.
+func TestRouterAdminBodiesDecodeStrictly(t *testing.T) {
+	const limit = 256
+	rt := New(Config{HealthInterval: time.Hour, ProbeTimeout: time.Second, MaxBodyBytes: limit})
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+
+	long := strings.Repeat("x", limit)
+	rows := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"route trailing bytes", "/v1/route", `{"circuit":"c17"} trailing`, http.StatusBadRequest},
+		{"route unknown field", "/v1/route", `{"circuit":"c17","vectorz":5000}`, http.StatusBadRequest},
+		{"route oversized", "/v1/route", `{"circuit":"c17","name":"` + long + `"}`, http.StatusRequestEntityTooLarge},
+		{"shards trailing bytes", "/v1/shards", `{"name":"s9","url":"http://127.0.0.1:1"} trailing`, http.StatusBadRequest},
+		{"shards unknown field", "/v1/shards", `{"name":"s9","url":"http://127.0.0.1:1","weight":2}`, http.StatusBadRequest},
+		{"shards oversized", "/v1/shards", `{"name":"s9","url":"http://127.0.0.1:1/` + long + `"}`, http.StatusRequestEntityTooLarge},
+		{"route well-formed", "/v1/route", `{"circuit":"c17"}`, http.StatusOK},
+	}
+	for _, r := range rows {
+		if code, body := postRaw(t, front.URL+r.path, r.body, "admin-"+strings.ReplaceAll(r.name, " ", "-")); code != r.want {
+			t.Errorf("%s: HTTP %d, want %d\n%s", r.name, code, r.want, body)
+		}
+	}
+	if n := len(rt.shardList()); n != 0 {
+		t.Fatalf("refused registrations left %d shards in the ring", n)
 	}
 }

@@ -327,6 +327,22 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return data, true
 }
 
+// decode reads a request body under the size limit and decodes it by
+// the rules of serclient.DecodeRequest, as a shard does. On failure it
+// has already written the HTTP error: 413 for an oversized body, 400
+// otherwise.
+func (rt *Router) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := rt.readBody(w, r)
+	if !ok {
+		return false
+	}
+	if err := serclient.DecodeRequest(bytes.NewReader(body), v); err != nil {
+		rt.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
 // routeProbe is the subset of every analysis request the router needs
 // for placement; the owning shard performs full validation.
 type routeProbe struct {
@@ -606,9 +622,7 @@ func (rt *Router) handleShardsList(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 	var req serclient.ShardRegisterRequest
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !rt.decode(w, r, &req) {
 		return
 	}
 	if err := rt.AddShard(req.Name, req.URL); err != nil {
@@ -636,9 +650,7 @@ func (rt *Router) handleShardRemove(w http.ResponseWriter, r *http.Request) {
 // pick a victim shard.
 func (rt *Router) handleRoute(w http.ResponseWriter, r *http.Request) {
 	var req serclient.RouteRequest
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !rt.decode(w, r, &req) {
 		return
 	}
 	if req.Circuit == "" && req.Netlist == "" {

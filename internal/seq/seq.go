@@ -55,8 +55,7 @@ import (
 const DefaultCycles = 4
 
 // DefaultFluxPerHour is the nominal particle-strike rate per
-// flux-weight unit per hour used for the FIT conversion when the
-// caller does not supply one.
+// flux-weight unit per hour used for the FIT conversion.
 const DefaultFluxPerHour = 1e-5
 
 // faultSeedOffset decorrelates the fault-propagation RNG stream from
@@ -80,9 +79,6 @@ type Options struct {
 	POLoad float64
 	// ClockPeriod is T in the Eq. 3 window clamp (default 300 ps).
 	ClockPeriod float64
-	// FluxPerHour scales the FIT conversion (default
-	// DefaultFluxPerHour).
-	FluxPerHour float64
 	// InitState is the flops' reset state in Circuit.DFFs() order; nil
 	// means all zeros.
 	InitState []bool
@@ -92,10 +88,6 @@ type Options struct {
 	// compiled handle's memo at full parallelism either way. Results
 	// are bit-identical for any count.
 	Workers int
-	// Cells overrides the per-gate cell assignment (indexed by gate
-	// ID, which the frame preserves). Nil selects the speed-driven
-	// baseline sizing, as ser.Analyze does.
-	Cells aserta.Assignment
 }
 
 func (o Options) withDefaults() Options {
@@ -106,9 +98,6 @@ func (o Options) withDefaults() Options {
 	o.ClockPeriod = p.ClockPeriod
 	if o.Cycles <= 0 {
 		o.Cycles = DefaultCycles
-	}
-	if o.FluxPerHour <= 0 {
-		o.FluxPerHour = DefaultFluxPerHour
 	}
 	return o
 }
@@ -190,14 +179,11 @@ func AnalyzeCompiledContext(ctx context.Context, cc *engine.CompiledCircuit, lib
 	if err != nil {
 		return nil, err
 	}
-	cells := opts.Cells
-	if cells == nil {
-		endSizing := trace.StartStage(rec, "sertopt.sizing")
-		cells, err = sertopt.InitialSizing(fr.Comb, lib, 0, opts.POLoad)
-		endSizing()
-		if err != nil {
-			return nil, err
-		}
+	endSizing := trace.StartStage(rec, "sertopt.sizing")
+	cells, err := sertopt.InitialSizing(fr.Comb, lib, 0, opts.POLoad)
+	endSizing()
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -264,7 +250,7 @@ func AnalyzeCompiledContext(ctx context.Context, cc *engine.CompiledCircuit, lib
 	res.DirectU = sc.DirectU
 	res.LatchedU = sc.LatchedU
 	res.U = res.DirectU + res.LatchedU
-	res.FIT = serrate.FIT(res.U, T, opts.FluxPerHour)
+	res.FIT = serrate.FIT(res.U, T, DefaultFluxPerHour)
 	return res, nil
 }
 

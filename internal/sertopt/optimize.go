@@ -28,9 +28,8 @@ func DefaultWeights() Weights { return Weights{U: 1.0, T: 0.5, E: 0.08, A: 0.08}
 
 // Options configures an optimization run.
 type Options struct {
-	Match    MatchConfig
-	Weights  Weights
-	MaxPaths int
+	Match   MatchConfig
+	Weights Weights
 	// MaxBasis caps the number of nullspace directions explored per
 	// iteration (gradient cost grows linearly with it).
 	MaxBasis int
@@ -45,9 +44,6 @@ type Options struct {
 	// StepInit is the initial delay perturbation scale (s); default
 	// 20 ps.
 	StepInit float64
-	// SampleWidths is the sample-width count of the embedded ASERTA
-	// analyses (aserta.Config.SampleWidths; 0 = its default).
-	SampleWidths int
 }
 
 func (o Options) withDefaults() Options {
@@ -164,10 +160,9 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		return nil, err
 	}
 	acfg := aserta.Config{
-		Vectors:      opts.Vectors,
-		Seed:         opts.Seed,
-		SampleWidths: opts.SampleWidths,
-		POLoad:       opts.Match.POLoad,
+		Vectors: opts.Vectors,
+		Seed:    opts.Seed,
+		POLoad:  opts.Match.POLoad,
 	}
 
 	res.BaseMetrics, err = EvaluateMetricsCompiled(cc, lib, baseline, sens, opts.Match.POLoad)
@@ -186,7 +181,7 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	}
 
 	// Topology matrix and nullspace basis.
-	topo, err := BuildTopology(c, opts.MaxPaths)
+	topo, err := BuildTopology(c, 0)
 	if err != nil {
 		return nil, err
 	}

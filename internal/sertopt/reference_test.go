@@ -63,10 +63,9 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 		return nil, err
 	}
 	acfg := aserta.Config{
-		Vectors:      opts.Vectors,
-		Seed:         opts.Seed,
-		SampleWidths: opts.SampleWidths,
-		POLoad:       opts.Match.POLoad,
+		Vectors: opts.Vectors,
+		Seed:    opts.Seed,
+		POLoad:  opts.Match.POLoad,
 	}
 
 	res.BaseMetrics, err = referenceMetrics(cc, lib, baseline, sens, opts.Match.POLoad)
@@ -85,7 +84,7 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 	}
 
 	// Topology matrix and nullspace basis.
-	topo, err := BuildTopology(c, opts.MaxPaths)
+	topo, err := BuildTopology(c, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -253,7 +253,7 @@ func (s *Sim) RunActive(tEnd, dt float64, probes []int, active []bool) [][]float
 		}
 	}
 	record()
-	s.integrateActive(0, tEnd, dt, record, active)
+	s.integrate(0, tEnd, dt, record, active)
 	return waves
 }
 
@@ -308,37 +308,20 @@ func (s *Sim) Settle() {
 		}
 	}
 	// Brief relaxation (no injections active before their T0).
-	s.integrate(0, 20e-12, 1e-12, nil)
+	s.integrate(0, 20e-12, 1e-12, nil, nil)
 }
 
 // Run integrates from t=0 to tEnd with step dt, recording the voltage
 // of each probe node at every step. The returned waveforms are indexed
 // as waves[probeIdx][stepIdx]; the time axis is i*dt.
 func (s *Sim) Run(tEnd, dt float64, probes []int) [][]float64 {
-	waves := make([][]float64, len(probes))
-	steps := int(tEnd/dt) + 1
-	for i := range waves {
-		waves[i] = make([]float64, 0, steps)
-	}
-	record := func() {
-		for i, n := range probes {
-			waves[i] = append(waves[i], s.v[n])
-		}
-	}
-	record()
-	s.integrate(0, tEnd, dt, record)
-	return waves
+	return s.RunActive(tEnd, dt, probes, nil)
 }
 
 // integrate advances the state from t0 to t1, calling record (if
-// non-nil) after each step.
-func (s *Sim) integrate(t0, t1, dt float64, record func()) {
-	s.integrateActive(t0, t1, dt, record, nil)
-}
-
-// integrateActive is integrate with an optional per-stage activity
+// non-nil) after each step. active is an optional per-stage activity
 // mask; nil means every stage steps.
-func (s *Sim) integrateActive(t0, t1, dt float64, record func(), active []bool) {
+func (s *Sim) integrate(t0, t1, dt float64, record func(), active []bool) {
 	for t := t0; t < t1-dt/2; t += dt {
 		tn := t + dt
 		for i, w := range s.src {

@@ -96,7 +96,7 @@ func staticsFor(cc *engine.CompiledCircuit, sens *logicsim.Result) *elecStatics 
 			sis: make([]float64, foutOff[nGates]),
 			den: make([]float64, nGates*nPOs),
 		}
-		par.ForChunks(nGates, 0, 0, func(lo, hi int) {
+		par.Each(nGates, 0, 0, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				g := c.Gates[i]
 				if g.Type.IsSource() {

@@ -77,17 +77,13 @@ func ReduceSequential(c *ckt.Circuit, flux []float64, wij [][]float64, clock flo
 		}
 		row := wij[g.ID]
 		f := flux[g.ID]
-		direct := 0.0
-		for k := 0; k < numRealPOs; k++ {
-			direct += Clamp(row[k], clock)
-		}
 		latched := 0.0
 		for fi, col := range flopCols {
 			w := Clamp(row[col], clock)
 			latched += w * epf[fi]
 			sc.CaptureU[fi] += f * w / 1e-12
 		}
-		sc.Direct[g.ID] = f * direct / 1e-12
+		sc.Direct[g.ID] = GateU(f, row[:numRealPOs], clock)
 		sc.Latched[g.ID] = f * latched / 1e-12
 		sc.DirectU += sc.Direct[g.ID]
 		sc.LatchedU += sc.Latched[g.ID]

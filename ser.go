@@ -43,7 +43,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"repro/internal/aserta"
 	"repro/internal/bench"
@@ -230,31 +229,25 @@ func BenchmarkNames() []string {
 	return append(gen.Names(), gen.SeqNames()...)
 }
 
-// Canonicalize returns the canonical structural form of a circuit:
-// inputs and outputs in sorted-name order, gates in name-tie-broken
-// topological order, operand order preserved. Netlists differing only
-// in whitespace, comments or line order canonicalize to byte-identical
-// circuits — and therefore to bit-identical analysis results.
-func Canonicalize(c *Circuit) (*Circuit, error) { return bench.Canonicalize(c) }
-
-// CanonicalKey returns a circuit's content address — "sha256:" plus
-// the hex SHA-256 of its canonical .bench bytes — the key a serving
-// tier uses to cache compiled circuits across requests.
-func CanonicalKey(c *Circuit) (string, error) { return bench.ContentHash(c) }
-
-// CanonicalContent returns the canonical form and the content address
-// together, canonicalizing once — the per-request path of a serving
-// tier (Canonicalize + CanonicalKey share one pass).
+// CanonicalContent returns the canonical structural form of a circuit
+// and its content address, canonicalizing once — the per-request path
+// of a serving tier. The canonical form has inputs and outputs in
+// sorted-name order, gates in name-tie-broken topological order and
+// operand order preserved, so netlists differing only in whitespace,
+// comments or line order canonicalize to byte-identical circuits — and
+// therefore to bit-identical analysis results. The content address is
+// "sha256:" plus the hex SHA-256 of the canonical .bench bytes, the key
+// a serving tier caches compiled circuits under.
 func CanonicalContent(c *Circuit) (*Circuit, string, error) { return bench.CanonicalContent(c) }
 
 // CompiledCacheStats snapshots a CompiledCache's counters.
 type CompiledCacheStats = engine.CacheStats
 
 // CompiledCache is a bounded content-addressed cache of compiled
-// circuits for a serving tier: keys are content addresses (CanonicalKey)
-// or stable names, values are Compiled handles, eviction is LRU
-// weighted by gate count, and concurrent misses for one key coalesce
-// on a single build. Safe for concurrent use.
+// circuits for a serving tier: keys are content addresses
+// (CanonicalContent) or stable names, values are Compiled handles,
+// eviction is LRU weighted by gate count, and concurrent misses for
+// one key coalesce on a single build. Safe for concurrent use.
 type CompiledCache struct {
 	cache *engine.Cache
 }
@@ -267,17 +260,17 @@ func NewCompiledCache(budgetGates int64) *CompiledCache {
 }
 
 // ArtifactCacheStats snapshots the persistent artifact store's
-// counters (hits, misses, saves, corruption errors, bytes mapped).
+// counters (hits, misses, saves, corruption errors, and the artifact
+// bytes read on hits, which keep the name BytesMapped).
 type ArtifactCacheStats = engine.ArtifactStats
 
 // NewCompiledCacheWithArtifacts creates a compiled-circuit cache
 // backed by a persistent artifact directory: in-memory misses first
-// try the on-disk compiled artifact for the key (mmap'd read-only
-// where the platform allows), and successful builds are written back.
-// A process restarting over a warm directory serves its first request
-// for a known circuit without recompiling. Corrupt or foreign files
-// are detected (checksummed, key-echoed), counted, removed and
-// recompiled — never served.
+// try the on-disk compiled artifact for the key, and successful builds
+// are written back. A process restarting over a warm directory serves
+// its first request for a known circuit without recompiling. Corrupt
+// or foreign files are detected (checksummed, key-echoed), counted,
+// removed and recompiled — never served.
 func NewCompiledCacheWithArtifacts(budgetGates int64, dir string) (*CompiledCache, error) {
 	store, err := engine.NewArtifactStore(dir)
 	if err != nil {
@@ -324,9 +317,9 @@ func (cc *CompiledCache) Stats() CompiledCacheStats { return cc.cache.Stats() }
 // flip-flops; the result is a sequential circuit when any are
 // present). It uses the streaming single-pass parser, which emits the
 // circuit's flat arenas directly — bit-identical to the legacy
-// object-graph parser (same gate IDs, same errors, same CanonicalKey)
-// at a fraction of the allocations, which is what makes million-gate
-// netlists loadable.
+// object-graph parser (same gate IDs, same errors, same content
+// address) at a fraction of the allocations, which is what makes
+// million-gate netlists loadable.
 func ParseBench(r io.Reader, name string) (*Circuit, error) { return bench.ParseStream(r, name) }
 
 // LoadBenchFile reads a ".bench" netlist from disk.
@@ -373,8 +366,8 @@ type AnalysisOptions struct {
 	Seed    uint64
 	// POLoad is the latch capacitance at each primary output (F).
 	POLoad float64
-	// Size sizes every gate uniformly when Cells is nil (default:
-	// speed-driven baseline sizing).
+	// Cells is the per-gate cell assignment, indexed by gate ID; nil
+	// selects the speed-driven baseline sizing.
 	Cells aserta.Assignment
 }
 
@@ -402,8 +395,14 @@ type Report struct {
 // Softest returns the n highest-contribution gates, most unreliable
 // first.
 func (r *Report) Softest(n int) []GateReport {
-	out := append([]GateReport(nil), r.Gates...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].U > out[j].U })
+	return softest(r.Gates, n, func(g GateReport) float64 { return g.U })
+}
+
+// softest returns the n gates with the highest u, most unreliable
+// first; ties keep netlist order.
+func softest[G any](gates []G, n int, u func(G) float64) []G {
+	out := append([]G(nil), gates...)
+	sort.SliceStable(out, func(i, j int) bool { return u(out[i]) > u(out[j]) })
 	if n < len(out) {
 		out = out[:n]
 	}
@@ -411,31 +410,22 @@ func (r *Report) Softest(n int) []GateReport {
 }
 
 // SusceptibilityEntry is one ranked per-gate susceptibility
-// contribution: the gate's absolute Eq. 3 contribution, its share of
-// the circuit total, and the cumulative share through its rank ("the
-// top N gates carry CumShare of the circuit's susceptibility") —
-// the selective-hardening shopping list.
-type SusceptibilityEntry struct {
-	Name string
-	// U is the gate's absolute unreliability contribution.
-	U float64
-	// Share is U divided by the circuit total (0 when the total is not
-	// positive).
-	Share float64
-	// CumShare is the cumulative share of this and every higher-ranked
-	// gate.
-	CumShare float64
-}
+// contribution: the gate's absolute Eq. 3 contribution U, its Share of
+// the circuit total (0 when the total is not positive), and the
+// cumulative share CumShare through its rank ("the top N gates carry
+// CumShare of the circuit's susceptibility") — the selective-hardening
+// shopping list.
+type SusceptibilityEntry = strike.Contribution
 
-// rankSusceptibility runs the strike pipeline's ranking over parallel
-// name/U slices.
-func rankSusceptibility(names []string, u []float64, total float64) []SusceptibilityEntry {
-	ranked := strike.Rank(names, u, total)
-	out := make([]SusceptibilityEntry, len(ranked))
-	for i, e := range ranked {
-		out[i] = SusceptibilityEntry{Name: e.Name, U: e.U, Share: e.Share, CumShare: e.CumShare}
+// rankGates ranks gates by their U contributions through the strike
+// pipeline's Rank; nameU reads one gate's name and contribution.
+func rankGates[G any](gates []G, total float64, nameU func(G) (string, float64)) []SusceptibilityEntry {
+	names := make([]string, len(gates))
+	u := make([]float64, len(gates))
+	for i, g := range gates {
+		names[i], u[i] = nameU(g)
 	}
-	return out
+	return strike.Rank(names, u, total)
 }
 
 // Susceptibility returns the ranked per-gate contributions of the
@@ -443,12 +433,7 @@ func rankSusceptibility(names []string, u []float64, total float64) []Susceptibi
 // cumulative-share columns. The ranking is deterministic: ties keep
 // netlist order.
 func (r *Report) Susceptibility() []SusceptibilityEntry {
-	names := make([]string, len(r.Gates))
-	u := make([]float64, len(r.Gates))
-	for i, g := range r.Gates {
-		names[i], u[i] = g.Name, g.U
-	}
-	return rankSusceptibility(names, u, r.U)
+	return rankGates(r.Gates, r.U, func(g GateReport) (string, float64) { return g.Name, g.U })
 }
 
 // Raw exposes the underlying analysis for advanced use (sample tables,
@@ -523,8 +508,14 @@ func (s *System) AnalyzeCompiledContext(ctx context.Context, h *Compiled, opts A
 	if err != nil {
 		return nil, err
 	}
+	return reportOf(an), nil
+}
+
+// reportOf shapes an analysis into its report: every logic gate in
+// netlist order.
+func reportOf(an *aserta.Analysis) *Report {
 	rep := &Report{U: an.U, analysis: an}
-	for _, g := range c.Gates {
+	for _, g := range an.Circuit.Gates {
 		if g.Type == ckt.Input {
 			continue
 		}
@@ -535,7 +526,7 @@ func (s *System) AnalyzeCompiledContext(ctx context.Context, h *Compiled, opts A
 			Delay:    an.Delays[g.ID],
 		})
 	}
-	return rep, nil
+	return rep
 }
 
 // SequentialOptions tune a sequential (ISCAS-89) analysis.
@@ -551,8 +542,6 @@ type SequentialOptions struct {
 	POLoad float64
 	// ClockPeriod is the Eq. 3 latching-window clock (default 300 ps).
 	ClockPeriod float64
-	// FluxPerHour scales the FIT conversion (default seq's nominal).
-	FluxPerHour float64
 	// InitState is the flop reset state in Circuit.DFFs() order; nil
 	// means all zeros.
 	InitState []bool
@@ -585,12 +574,7 @@ type SequentialReport struct {
 // Softest returns the n highest-contribution gates, most unreliable
 // first.
 func (r *SequentialReport) Softest(n int) []SequentialGateReport {
-	out := append([]SequentialGateReport(nil), r.Gates...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].U > out[j].U })
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
+	return softest(r.Gates, n, func(g SequentialGateReport) float64 { return g.U })
 }
 
 // Raw exposes the underlying seq result (frame analysis, flop
@@ -601,12 +585,7 @@ func (r *SequentialReport) Raw() *seq.Result { return r.raw }
 // sequential analysis (direct + latched U per gate), most susceptible
 // first, with share and cumulative-share columns.
 func (r *SequentialReport) Susceptibility() []SusceptibilityEntry {
-	names := make([]string, len(r.Gates))
-	u := make([]float64, len(r.Gates))
-	for i, g := range r.Gates {
-		names[i], u[i] = g.Name, g.U
-	}
-	return rankSusceptibility(names, u, r.U)
+	return rankGates(r.Gates, r.U, func(g SequentialGateReport) (string, float64) { return g.Name, g.U })
 }
 
 // AnalyzeSequential runs the multi-cycle sequential SER analysis on a
@@ -641,7 +620,6 @@ func (s *System) AnalyzeSequentialCompiledContext(ctx context.Context, h *Compil
 		Seed:        opts.Seed,
 		POLoad:      opts.POLoad,
 		ClockPeriod: opts.ClockPeriod,
-		FluxPerHour: opts.FluxPerHour,
 		InitState:   opts.InitState,
 	})
 	if err != nil {
@@ -695,19 +673,7 @@ func (r *OptimizeResult) Raw() *sertopt.Result { return r.raw }
 // baseline and optimized assignments, for before/after comparison of
 // where the optimizer moved the soft spots.
 func (r *OptimizeResult) Susceptibility() (baseline, optimized []SusceptibilityEntry) {
-	rank := func(an *aserta.Analysis) []SusceptibilityEntry {
-		var names []string
-		var u []float64
-		for _, g := range an.Circuit.Gates {
-			if g.Type == ckt.Input {
-				continue
-			}
-			names = append(names, g.Name)
-			u = append(u, an.Ui[g.ID])
-		}
-		return rankSusceptibility(names, u, an.U)
-	}
-	return rank(r.raw.BaseAnalysis), rank(r.raw.OptAnalysis)
+	return reportOf(r.raw.BaseAnalysis).Susceptibility(), reportOf(r.raw.OptAnalysis).Susceptibility()
 }
 
 // Optimize runs SERTOPT on the circuit, compiling it on the fly.
@@ -778,43 +744,6 @@ func (s *System) OptimizeCompiledContext(ctx context.Context, h *Compiled, opts 
 // class coalesce (singleflight) and count once; a serving tier exports
 // the value as its cache-miss counter.
 func (s *System) Characterizations() int64 { return s.Lib.Characterizations() }
-
-// LibraryCache shares characterized systems across a serving tier: one
-// System per characterization level, created lazily and reused by
-// every request. The per-class singleflight inside charlib.Library
-// guarantees that concurrent requests hitting an uncharacterized level
-// block on a single characterization instead of racing to duplicate
-// it.
-type LibraryCache struct {
-	mu      sync.Mutex
-	systems map[CharacterizationLevel]*System
-}
-
-// NewLibraryCache creates an empty cache.
-func NewLibraryCache() *LibraryCache {
-	return &LibraryCache{systems: make(map[CharacterizationLevel]*System)}
-}
-
-// System returns the shared System for the level, creating it on first
-// use. The returned System is safe for concurrent Analyze/Optimize.
-func (lc *LibraryCache) System(level CharacterizationLevel) *System {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	s, ok := lc.systems[level]
-	if !ok {
-		s = NewSystem(level)
-		lc.systems[level] = s
-	}
-	return s
-}
-
-// Put installs (or replaces) the shared System for a level — e.g. one
-// restored from a disk cache via LoadLibrary.
-func (lc *LibraryCache) Put(level CharacterizationLevel, s *System) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	lc.systems[level] = s
-}
 
 // Summary formats a one-line circuit description.
 func Summary(c *Circuit) string {

@@ -274,24 +274,6 @@ func TestAnalyzeContextCancellation(t *testing.T) {
 	}
 }
 
-func TestLibraryCacheSharesSystems(t *testing.T) {
-	lc := NewLibraryCache()
-	a := lc.System(CoarseCharacterization)
-	b := lc.System(CoarseCharacterization)
-	if a != b {
-		t.Fatal("LibraryCache returned distinct systems for one level")
-	}
-	d := lc.System(DefaultCharacterization)
-	if d == a {
-		t.Fatal("LibraryCache shared a system across levels")
-	}
-	repl := NewSystem(CoarseCharacterization)
-	lc.Put(CoarseCharacterization, repl)
-	if lc.System(CoarseCharacterization) != repl {
-		t.Fatal("Put did not replace the cached system")
-	}
-}
-
 func TestConcurrentAnalyzeSharedLibrary(t *testing.T) {
 	// Concurrent Analyze calls on one System must coalesce
 	// characterization (singleflight) and agree bit-for-bit.

@@ -390,7 +390,7 @@ type ArtifactCacheMetrics struct {
 	// removed and costs exactly one recompile, so a nonzero value is a
 	// disk-health signal, not a correctness problem.
 	Errors int64 `json:"errors"`
-	// BytesMapped accumulates the byte sizes of every artifact mapped
+	// BytesMapped accumulates the byte sizes of every artifact read
 	// on a hit over the process lifetime.
 	BytesMapped int64 `json:"bytes_mapped"`
 }
