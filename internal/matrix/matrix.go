@@ -1,7 +1,10 @@
 // Package matrix provides the small dense linear-algebra kernel
 // SERTOPT needs: matrix/vector arithmetic, reduced row echelon form,
 // nullspace bases (for the delay-assignment variation Δ with T·Δ = 0)
-// and least squares.
+// and least squares. One row reduction serves them all; for the
+// optimizer, which keeps only a basis's first vectors, it can stop
+// early: LeadingNullspace reduces just the leading columns of a 0/1
+// matrix those vectors read.
 package matrix
 
 import (
@@ -75,44 +78,59 @@ func (m *Dense) MulVec(x []float64) ([]float64, error) {
 }
 
 // rref reduces the matrix in place to reduced row echelon form and
-// returns the pivot column of each pivot row.
-func (m *Dense) rref(eps float64) []int {
-	var pivots []int
-	r := 0
-	for c := 0; c < m.cols && r < m.rows; c++ {
-		// Partial pivoting.
-		best, bestAbs := -1, eps
+// returns the pivot column of each pivot row. With stopAt > 0 it stops
+// right after the stopAt-th free column, and reports stopped, if every
+// free column so far held exact zeros in all rows that were not yet
+// pivot rows (see LeadingNullspace for why that makes the stop exact).
+func (m *Dense) rref(eps float64, stopAt int) (pivots []int, stopped bool) {
+	n := m.cols
+	r, free, exact := 0, 0, true
+	for c := 0; c < n; c++ {
+		// Partial pivoting. The same scan sees whether the rows below
+		// the pivot rows hold exact zeros in column c.
+		best, bestAbs, zero := -1, eps, true
 		for i := r; i < m.rows; i++ {
-			if a := math.Abs(m.At(i, c)); a > bestAbs {
+			a := math.Abs(m.data[i*n+c])
+			if a > bestAbs {
 				best, bestAbs = i, a
+			}
+			if a != 0 {
+				zero = false
 			}
 		}
 		if best < 0 {
+			free++
+			exact = exact && zero
+			if free == stopAt && exact {
+				return pivots, true
+			}
 			continue
 		}
 		m.swapRows(r, best)
 		// Normalize pivot row.
-		pv := m.At(r, c)
-		for j := c; j < m.cols; j++ {
-			m.Set(r, j, m.At(r, j)/pv)
+		pr := m.data[r*n : (r+1)*n]
+		pv := pr[c]
+		for j := c; j < n; j++ {
+			pr[j] /= pv
 		}
 		// Eliminate column c from all other rows.
 		for i := 0; i < m.rows; i++ {
 			if i == r {
 				continue
 			}
-			f := m.At(i, c)
+			ri := m.data[i*n : (i+1)*n]
+			f := ri[c]
 			if f == 0 {
 				continue
 			}
-			for j := c; j < m.cols; j++ {
-				m.Set(i, j, m.At(i, j)-f*m.At(r, j))
+			for j := c; j < n; j++ {
+				ri[j] -= f * pr[j]
 			}
 		}
 		pivots = append(pivots, c)
 		r++
 	}
-	return pivots
+	return pivots, false
 }
 
 func (m *Dense) swapRows(a, b int) {
@@ -126,32 +144,83 @@ func (m *Dense) swapRows(a, b int) {
 	}
 }
 
+// pivotEps is the magnitude at or below which the row reduction
+// treats an entry as zero when it looks for a pivot.
+const pivotEps = 1e-10
+
+// leadWidth is LeadingNullspace's first block width per requested
+// vector: the first block holds leadWidth·maxBasis columns.
+const leadWidth = 8
+
 // Nullspace returns an orthonormal-ish basis (columns are unit-norm
 // but not mutually orthogonalized) of {x : m·x = 0}, computed from the
 // RREF free variables. The result has one []float64 per basis vector,
 // each of length Cols(). An empty result means the nullspace is {0}.
 func (m *Dense) Nullspace() [][]float64 {
-	return m.Clone().NullspaceInPlace()
+	r := m.Clone()
+	pivots, _ := r.rref(pivotEps, 0)
+	return r.basis(pivots, 0, m.cols)
 }
 
-// NullspaceInPlace is Nullspace without the working copy: it reduces m
-// itself to reduced row echelon form, overwriting it, which saves one
-// rows×cols allocation when the caller has no further use for m.
-func (m *Dense) NullspaceInPlace() [][]float64 {
-	const eps = 1e-10
-	pivots := m.rref(eps)
-	isPivot := make(map[int]int) // col -> pivot row
-	for row, c := range pivots {
-		isPivot[c] = row
+// LeadingNullspace returns the first maxBasis vectors (every vector
+// for maxBasis <= 0) of Nullspace's basis of the rows×cols 0/1 matrix
+// whose row i has ones at the columns ones[i], each 0 <= j < cols.
+// Every entry is == to Nullspace's truncated to maxBasis; a zero may
+// differ in sign.
+//
+// It row-reduces only the leading w columns, starting at
+// w = leadWidth·maxBasis and doubling w until the reduction stops
+// exactly or w = cols. Two facts make the truncated reduction exact.
+// Column j of the reduction depends only on columns <= j: the pivot
+// search at column c reads column c, and every update of entry (i, j)
+// reads column c and entry j of the pivot row. And the vector of free
+// column f reads column f of the pivot rows, which no step after f
+// writes, since each step updates only the columns from its own pivot
+// column on; a pivot row found after f holds there whatever its row
+// held at f's step. So when every one of the first maxBasis free
+// columns held exact zeros in the rows that were not yet pivot rows,
+// the later pivot rows contribute zeros, and the reduction may stop at
+// the maxBasis-th free column. A nonzero residue at or below the pivot
+// tolerance keeps it going.
+func LeadingNullspace(ones [][]int, cols, maxBasis int) [][]float64 {
+	w := cols
+	if maxBasis > 0 {
+		w = min(cols, leadWidth*maxBasis)
+	}
+	for {
+		m := NewDense(len(ones), w)
+		for i, row := range ones {
+			for _, j := range row {
+				if j < w {
+					m.data[i*w+j] = 1
+				}
+			}
+		}
+		pivots, stopped := m.rref(pivotEps, maxBasis)
+		if stopped || w == cols {
+			return m.basis(pivots, maxBasis, cols)
+		}
+		w = min(cols, 2*w)
+	}
+}
+
+// basis returns the unit-norm nullspace vectors of the first n free
+// columns (every free column for n <= 0) of the reduced matrix m with
+// the given pivots, each of length cols >= m.cols: entries past m.cols
+// are zero.
+func (m *Dense) basis(pivots []int, n, cols int) [][]float64 {
+	isPivot := make([]bool, m.cols)
+	for _, c := range pivots {
+		isPivot[c] = true
 	}
 	var basis [][]float64
-	for c := 0; c < m.cols; c++ {
-		if _, ok := isPivot[c]; ok {
+	for c := 0; c < m.cols && (n <= 0 || len(basis) < n); c++ {
+		if isPivot[c] {
 			continue
 		}
-		v := make([]float64, m.cols)
+		v := make([]float64, cols)
 		v[c] = 1
-		for pc, row := range isPivot {
+		for row, pc := range pivots {
 			v[pc] = -m.At(row, c)
 		}
 		// Normalize for numerical hygiene.
@@ -172,8 +241,8 @@ func (m *Dense) NullspaceInPlace() [][]float64 {
 
 // Rank returns the numerical rank at tolerance 1e-10.
 func (m *Dense) Rank() int {
-	r := m.Clone()
-	return len(r.rref(1e-10))
+	pivots, _ := m.Clone().rref(pivotEps, 0)
+	return len(pivots)
 }
 
 // LeastSquares solves min ‖A·x − b‖₂ via normal equations with

@@ -194,34 +194,64 @@ func TestNewDensePanics(t *testing.T) {
 	NewDense(0, 3)
 }
 
-// NullspaceInPlace must return Nullspace's basis bit for bit, and
-// Nullspace must leave its receiver untouched.
-func TestNullspaceInPlaceMatchesNullspace(t *testing.T) {
+// LeadingNullspace must return Nullspace's basis truncated to
+// maxBasis, entry for entry, and Nullspace must leave its receiver
+// untouched.
+func TestLeadingNullspaceMatchesNullspace(t *testing.T) {
 	rng := stats.NewRNG(11)
-	for trial := 0; trial < 50; trial++ {
-		rows, cols := 1+rng.Intn(12), 1+rng.Intn(12)
-		m := NewDense(rows, cols)
-		for i := range m.data {
-			if rng.Float64() < 0.4 {
-				m.data[i] = 1
-			}
-		}
-		orig := m.Clone()
-		want := m.Nullspace()
-		for i := range m.data {
-			if math.Float64bits(m.data[i]) != math.Float64bits(orig.data[i]) {
-				t.Fatalf("trial %d: Nullspace modified its receiver", trial)
-			}
-		}
-		got := m.NullspaceInPlace()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d vectors, want %d", trial, len(got), len(want))
-		}
-		for k := range want {
-			for j := range want[k] {
-				if math.Float64bits(got[k][j]) != math.Float64bits(want[k][j]) {
-					t.Fatalf("trial %d: vector %d differs at %d: %g vs %g", trial, k, j, got[k][j], want[k][j])
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+rng.Intn(12), 1+rng.Intn(24)
+		ones := make([][]int, rows)
+		for i := range ones {
+			for j := 0; j < cols; j++ {
+				if rng.Float64() < 0.4 {
+					ones[i] = append(ones[i], j)
 				}
+			}
+		}
+		for _, maxBasis := range []int{-1, 0, 1, 2, 3, 5, 8} {
+			requireLeadingMatches(t, ones, cols, maxBasis)
+		}
+	}
+}
+
+// requireLeadingMatches checks LeadingNullspace(ones, cols, maxBasis)
+// against the full reduction of the same matrix truncated to maxBasis:
+// the same vector count and == entries. The early-stopped reduction
+// may put +0 where the full one computed -0 (a pivot row found after
+// the stop holds an exact zero there, negated), so entries compare
+// with ==, not by bits; at maxBasis <= 0 both are the full reduction
+// and must match bit for bit.
+func requireLeadingMatches(t *testing.T, ones [][]int, cols, maxBasis int) {
+	t.Helper()
+	m := NewDense(len(ones), cols)
+	for i, row := range ones {
+		for _, j := range row {
+			m.Set(i, j, 1)
+		}
+	}
+	orig := m.Clone()
+	want := m.Nullspace()
+	for i := range m.data {
+		if math.Float64bits(m.data[i]) != math.Float64bits(orig.data[i]) {
+			t.Fatalf("%dx%d: Nullspace modified its receiver", len(ones), cols)
+		}
+	}
+	if maxBasis > 0 && len(want) > maxBasis {
+		want = want[:maxBasis]
+	}
+	got := LeadingNullspace(ones, cols, maxBasis)
+	if len(got) != len(want) {
+		t.Fatalf("%dx%d maxBasis %d: %d vectors, want %d", len(ones), cols, maxBasis, len(got), len(want))
+	}
+	for k := range want {
+		if len(got[k]) != cols {
+			t.Fatalf("%dx%d maxBasis %d: vector %d has %d entries, want %d", len(ones), cols, maxBasis, k, len(got[k]), cols)
+		}
+		for j := range want[k] {
+			g, w := got[k][j], want[k][j]
+			if g != w || (maxBasis <= 0 && math.Float64bits(g) != math.Float64bits(w)) {
+				t.Fatalf("%dx%d maxBasis %d: vector %d differs at %d: %g vs %g", len(ones), cols, maxBasis, k, j, g, w)
 			}
 		}
 	}

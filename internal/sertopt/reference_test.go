@@ -88,7 +88,13 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 	if err != nil {
 		return nil, err
 	}
-	basis := topo.Nullspace(opts.MaxBasis)
+	// The full reduction of the dense T, truncated afterwards: the
+	// production Nullspace stops early, and this holds it to the old
+	// basis.
+	basis := topo.T().Nullspace()
+	if opts.MaxBasis > 0 && len(basis) > opts.MaxBasis {
+		basis = basis[:opts.MaxBasis]
+	}
 	// Rescale each direction to max-component 1 so a step of StepInit
 	// moves its most-affected gate by a full StepInit — unit L2 norm
 	// spread over hundreds of gates would stay below the cell menu's

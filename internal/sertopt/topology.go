@@ -27,9 +27,9 @@ const DefaultMaxPaths = 4096
 // Topology describes the binary path topology matrix T of the paper —
 // T[j][col] = 1 iff gate (column col) lies on path j — through its
 // paths and the gate-ID ↔ column mapping (primary-input pseudo-gates
-// have no column). The dense matrix is materialized only on demand
-// (T, Nullspace): at the default path cap it is thousands of rows by
-// one column per gate.
+// have no column). At the default path cap T is thousands of rows by
+// one column per gate, so only T materializes it whole; Nullspace
+// reduces just the leading columns its vectors read.
 type Topology struct {
 	// Col maps gate ID -> column (or -1).
 	Col []int
@@ -80,14 +80,25 @@ func (tp *Topology) T() *matrix.Dense {
 
 // Nullspace returns a basis of delay perturbations Δ with T·Δ = 0,
 // truncated to at most maxBasis vectors (0 = no cap). Each vector is
-// indexed by column (use Col/GateOf to translate). The freshly
-// materialized T is the row reduction's only working copy.
+// indexed by column (use Col/GateOf to translate). Every entry is ==
+// to T().Nullspace()'s truncated, but only the leading columns of T
+// the first maxBasis vectors read are built and reduced
+// (matrix.LeadingNullspace).
 func (tp *Topology) Nullspace(maxBasis int) [][]float64 {
-	basis := tp.T().NullspaceInPlace()
-	if maxBasis > 0 && len(basis) > maxBasis {
-		basis = basis[:maxBasis]
+	n := 0
+	for _, p := range tp.Paths {
+		n += len(p)
 	}
-	return basis
+	cols := make([]int, 0, n)
+	ones := make([][]int, len(tp.Paths))
+	for j, p := range tp.Paths {
+		start := len(cols)
+		for _, id := range p {
+			cols = append(cols, tp.Col[id])
+		}
+		ones[j] = cols[start:]
+	}
+	return matrix.LeadingNullspace(ones, len(tp.GateOf), maxBasis)
 }
 
 // PathDelays returns T·d for a per-column delay vector.
