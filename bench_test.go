@@ -430,7 +430,7 @@ func BenchmarkHardeningComparison(b *testing.B) {
 func precharacterized(b *testing.B, c *ckt.Circuit) *charlib.Library {
 	b.Helper()
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
-	if err := lib.Precharacterize(charlib.CircuitClasses(c)); err != nil {
+	if err := lib.PrecharacterizeContext(context.Background(), charlib.CircuitClasses(c)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

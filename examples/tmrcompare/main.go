@@ -19,9 +19,7 @@ func main() {
 	log.SetFlags(0)
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
 	rows, err := experiments.HardeningComparison("c432", lib, sertopt.Options{
-		Match: sertopt.MatchConfig{
-			VDDs: []float64{0.8, 1.0}, Vths: []float64{0.2, 0.3}, POLoad: 2e-15,
-		},
+		Match:      sertopt.MatchConfig{VDDs: []float64{0.8, 1.0}, Vths: []float64{0.2, 0.3}},
 		Vectors:    10000,
 		Iterations: 8,
 		MaxBasis:   24,

@@ -302,7 +302,7 @@ func (a *Analysis) uiOf(i int, wij []float64) float64 {
 // delta evaluation always starts from the pristine baseline, so error
 // cannot accumulate across calls. Not safe for concurrent use on one
 // Analysis (shared scratch arenas).
-func (a *Analysis) RecomputeU(lib *charlib.Library, delays []float64) (float64, error) {
+func (a *Analysis) RecomputeU(delays []float64) (float64, error) {
 	return a.delta.Recompute(delays)
 }
 

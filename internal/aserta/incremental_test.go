@@ -31,7 +31,7 @@ func TestRecomputeUIncrementalMatchesFull(t *testing.T) {
 	rng := stats.NewRNG(99)
 	check := func(name string, delays []float64) {
 		t.Helper()
-		inc, err := an.RecomputeU(lib, delays)
+		inc, err := an.RecomputeU(delays)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestRecomputeUIncrementalMatchesFull(t *testing.T) {
 	}
 
 	// Unchanged delays: must short-circuit to the stored U.
-	u, err := an.RecomputeU(lib, an.Delays)
+	u, err := an.RecomputeU(an.Delays)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRecomputeUIncrementalMatchesFull(t *testing.T) {
 	check("global", d)
 
 	// The analysis baseline must be untouched by any of the above.
-	if u, err := an.RecomputeU(lib, an.Delays); err != nil || u != an.U {
+	if u, err := an.RecomputeU(an.Delays); err != nil || u != an.U {
 		t.Errorf("baseline corrupted: U = %g err = %v, want %g", u, err, an.U)
 	}
 }
@@ -125,7 +125,7 @@ func TestRecomputeUIncrementalPOWithFanout(t *testing.T) {
 	// serving the baseline ladder to x.
 	d := append([]float64(nil), an.Delays...)
 	d[sink] *= 2
-	inc, err := an.RecomputeU(lib, d)
+	inc, err := an.RecomputeU(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRecomputeUIncrementalPOWithFanout(t *testing.T) {
 	// And changing the PO's own delay must flow to its predecessors.
 	d2 := append([]float64(nil), an.Delays...)
 	d2[po1] *= 3
-	inc2, err := an.RecomputeU(lib, d2)
+	inc2, err := an.RecomputeU(d2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRecomputeUConsecutiveIncremental(t *testing.T) {
 		id := gates[rng.Intn(len(gates))]
 		d := append([]float64(nil), an.Delays...)
 		d[id] *= 1 + 0.3*rng.Float64()
-		inc, err := an.RecomputeU(lib, d)
+		inc, err := an.RecomputeU(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,11 +267,11 @@ func TestWSTableOnDemand(t *testing.T) {
 		id := g.ID
 		d := append([]float64(nil), an.Delays...)
 		d[id] *= 1.2
-		inc, err := an.RecomputeU(lib, d)
+		inc, err := an.RecomputeU(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := fresh.RecomputeU(lib, d)
+		ref, err := fresh.RecomputeU(d)
 		if err != nil {
 			t.Fatal(err)
 		}

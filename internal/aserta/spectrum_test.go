@@ -145,7 +145,7 @@ func TestRecomputeU(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same delays -> same U.
-	u, err := an.RecomputeU(l, an.Delays)
+	u, err := an.RecomputeU(an.Delays)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRecomputeU(t *testing.T) {
 	for i, d := range an.Delays {
 		slow[i] = 4 * d
 	}
-	u4, err := an.RecomputeU(l, slow)
+	u4, err := an.RecomputeU(slow)
 	if err != nil {
 		t.Fatal(err)
 	}

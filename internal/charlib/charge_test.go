@@ -2,6 +2,7 @@ package charlib
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/ckt"
@@ -66,7 +67,7 @@ func TestChargeAxisCharacterizationAndRoundTrip(t *testing.T) {
 func TestPrecharacterize(t *testing.T) {
 	l := NewLibrary(devmodel.Tech70nm(), CoarseGrid())
 	classes := []Class{{Type: ckt.Not, Fanin: 1}, {Type: ckt.Nor, Fanin: 2}}
-	if err := l.Precharacterize(classes); err != nil {
+	if err := l.PrecharacterizeContext(context.Background(), classes); err != nil {
 		t.Fatal(err)
 	}
 	// Subsequent queries must not error (tables exist).

@@ -171,16 +171,12 @@ func (l *Library) memoEval(cache map[lutKey]float64, pick func(*classTables) *lu
 	return v, nil
 }
 
-// Precharacterize characterizes the given classes up front (e.g. all
-// classes appearing in a circuit) so later queries never block.
-func (l *Library) Precharacterize(classes []Class) error {
-	return l.PrecharacterizeContext(context.Background(), classes)
-}
-
-// PrecharacterizeContext is Precharacterize with cancellation checks
-// between classes. A characterization already in flight is not
-// interrupted (another request owns it); cancellation takes effect at
-// the next class boundary.
+// PrecharacterizeContext characterizes the given classes up front
+// (e.g. all classes appearing in a circuit) so later queries never
+// block, checking for cancellation between classes. A
+// characterization already in flight is not interrupted (another
+// request owns it); cancellation takes effect at the next class
+// boundary.
 func (l *Library) PrecharacterizeContext(ctx context.Context, classes []Class) error {
 	for _, cl := range classes {
 		if err := ctx.Err(); err != nil {

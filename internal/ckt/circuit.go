@@ -1,9 +1,6 @@
 package ckt
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Circuit is a gate-level netlist. Gates are stored in a dense slice
 // indexed by gate ID; primary inputs are pseudo-gates of type Input
@@ -189,17 +186,6 @@ func (c *Circuit) Clone() *Circuit {
 	nc.output = append([]int(nil), c.output...)
 	nc.dffs = append([]int(nil), c.dffs...)
 	return nc
-}
-
-// SortedNames returns all gate names in lexicographic order; useful for
-// deterministic reporting.
-func (c *Circuit) SortedNames() []string {
-	names := make([]string, 0, len(c.Gates))
-	for _, g := range c.Gates {
-		names = append(names, g.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Stats summarizes a circuit for reports.

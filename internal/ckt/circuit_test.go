@@ -155,16 +155,3 @@ func TestGateByName(t *testing.T) {
 		t.Error("lookup failed for gate 10")
 	}
 }
-
-func TestSortedNames(t *testing.T) {
-	c := buildC17(t)
-	names := c.SortedNames()
-	if len(names) != 11 {
-		t.Fatalf("got %d names, want 11", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatal("names not sorted")
-		}
-	}
-}

@@ -122,29 +122,3 @@ func (c *Circuit) DepthFromPO() []int {
 	}
 	return depth
 }
-
-// TransitiveFanoutReach returns, for gate id, the set of PO gate IDs
-// reachable from it (including itself if it is a PO).
-func (c *Circuit) TransitiveFanoutReach(id int) []int {
-	seen := make(map[int]bool)
-	var pos []int
-	stack := []int{id}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		if v != id && c.Gates[v].Type == DFF {
-			// A value change at id reaches the flop's Q only in the
-			// next cycle; the combinational reach stops here.
-			continue
-		}
-		if c.Gates[v].PO {
-			pos = append(pos, v)
-		}
-		stack = append(stack, c.Gates[v].Fanout...)
-	}
-	return pos
-}

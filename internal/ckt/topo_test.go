@@ -79,20 +79,6 @@ func TestDepthFromPO(t *testing.T) {
 	}
 }
 
-func TestTransitiveFanoutReach(t *testing.T) {
-	c := buildC17(t)
-	id10, _ := c.GateByName("10")
-	pos := c.TransitiveFanoutReach(id10)
-	if len(pos) != 1 {
-		t.Fatalf("gate 10 reaches %d POs, want 1", len(pos))
-	}
-	id11, _ := c.GateByName("11")
-	pos = c.TransitiveFanoutReach(id11)
-	if len(pos) != 2 {
-		t.Fatalf("gate 11 reaches %d POs, want 2", len(pos))
-	}
-}
-
 // Property: on random DAGs built by wiring each gate only to
 // lower-numbered gates, TopoOrder always succeeds and respects edges.
 func TestTopoOrderRandomDAGs(t *testing.T) {

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/charlib"
 	"repro/internal/devmodel"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/sertopt"
 )
@@ -108,7 +110,7 @@ func TestFig2Trends(t *testing.T) {
 
 func TestGoldenUnreliabilityC17(t *testing.T) {
 	c := gen.C17()
-	cells, err := sertopt.InitialSizing(c, lib(), 0, 2e-15)
+	cells, err := sertopt.InitialSizing(c, lib(), 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,6 @@ func TestTable1SingleRowC17(t *testing.T) {
 			Iterations: 2,
 			MaxBasis:   4,
 			Seed:       4,
-			Match:      sertopt.MatchConfig{POLoad: 2e-15},
 		},
 		GoldenVectors: 4,
 	})
@@ -205,4 +206,64 @@ func TestTable1SingleRowC17(t *testing.T) {
 	t.Logf("c17 row: dU=%.1f%% dU50=%.1f%% dUgold=%.1f%% A=%.2f E=%.2f T=%.2f",
 		100*row.UDecreaseASERTA, 100*row.UDecreaseASERTA50, 100*row.UDecreaseGolden,
 		row.AreaRatio, row.EnergyRatio, row.DelayRatio)
+}
+
+// TestHardeningComparison checks the §1 comparison's rows on c17: their
+// order, the baseline's unit ratios, TMR's overhead and voter share,
+// the sertopt row against OptimizeCompiled run on its own, and that a
+// second call returns the same rows. Only decreases compare across
+// rows: the sertopt row's U is taken at the optimizer's clock (1.2x the
+// critical path), the baseline and TMR rows' at the 300 ps default.
+func TestHardeningComparison(t *testing.T) {
+	opts := sertopt.Options{
+		Match:      sertopt.MatchConfig{VDDs: []float64{0.8, 1.0}, Vths: []float64{0.2, 0.3}},
+		Vectors:    400,
+		Iterations: 1,
+		Seed:       1,
+	}
+	rows, err := HardeningComparison("c17", lib(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(rows))
+	}
+	for i, want := range []string{"baseline", "tmr", "sertopt"} {
+		if rows[i].Scheme != want {
+			t.Fatalf("row %d is %q, want %q", i, rows[i].Scheme, want)
+		}
+	}
+	base, tmr, opt := rows[0], rows[1], rows[2]
+	if base.UDecrease != 0 || base.AreaRatio != 1 || base.EnergyRatio != 1 || base.DelayRatio != 1 {
+		t.Errorf("baseline row %+v, want a 0 decrease and unit ratios", base)
+	}
+	if tmr.AreaRatio <= 2 || tmr.EnergyRatio <= 2 {
+		t.Errorf("TMR area %.2fx, energy %.2fx; want both above 2x", tmr.AreaRatio, tmr.EnergyRatio)
+	}
+	if tmr.VoterShare <= 0 || tmr.VoterShare > 1 {
+		t.Errorf("TMR voter share %g, want (0, 1]", tmr.VoterShare)
+	}
+	if tmr.Gates < 3*base.Gates {
+		t.Errorf("TMR has %d gates, want at least 3x the baseline's %d", tmr.Gates, base.Gates)
+	}
+
+	res, err := sertopt.OptimizeCompiled(engine.MustCompile(gen.C17()), lib(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, e, d := res.Ratios()
+	if opt.U != res.OptAnalysis.U || opt.UDecrease != res.UDecrease() || opt.AreaRatio != a || opt.EnergyRatio != e || opt.DelayRatio != d {
+		t.Errorf("sertopt row %+v, want U %v, decrease %v and ratios %v %v %v from OptimizeCompiled",
+			opt, res.OptAnalysis.U, res.UDecrease(), a, e, d)
+	}
+
+	again, err := HardeningComparison("c17", lib(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, rows) {
+		t.Errorf("second call returned %+v, first %+v", again, rows)
+	}
+	t.Logf("c17: baseline U %.1f; TMR area %.1fx energy %.1fx voter share %.2f; sertopt U %.1f (%.1f%%)",
+		base.U, tmr.AreaRatio, tmr.EnergyRatio, tmr.VoterShare, opt.U, 100*opt.UDecrease)
 }

@@ -45,7 +45,7 @@ func Fig3(c *ckt.Circuit, lib *charlib.Library, cfg Fig3Config) (*Fig3Result, er
 	if cfg.Depth == 0 {
 		cfg.Depth = 5
 	}
-	baseline, err := sertopt.InitialSizing(c, lib, 0, cfg.Golden.POLoad)
+	baseline, err := sertopt.InitialSizing(c, lib, cfg.Golden.POLoad)
 	if err != nil {
 		return nil, err
 	}

@@ -40,14 +40,11 @@ func HardeningComparison(circuit string, lib *charlib.Library, opts sertopt.Opti
 	if err != nil {
 		return nil, err
 	}
-	poLoad := opts.Match.POLoad
-	if poLoad == 0 {
-		poLoad = 2e-15
-	}
+	poLoad := engine.DefaultPOLoad
 	acfg := aserta.Config{Vectors: opts.Vectors, Seed: opts.Seed, POLoad: poLoad}
 
 	analyzeSized := func(h *engine.CompiledCircuit) (*aserta.Analysis, sertopt.Metrics, error) {
-		cells, err := sertopt.InitialSizing(h.Circuit(), lib, 0, poLoad)
+		cells, err := sertopt.InitialSizing(h.Circuit(), lib, poLoad)
 		if err != nil {
 			return nil, sertopt.Metrics{}, err
 		}
@@ -55,7 +52,7 @@ func HardeningComparison(circuit string, lib *charlib.Library, opts sertopt.Opti
 		if err != nil {
 			return nil, sertopt.Metrics{}, err
 		}
-		m, err := sertopt.EvaluateMetricsCompiled(h, lib, cells, an.Sens, poLoad)
+		m, err := sertopt.EvaluateMetrics(h, lib, an)
 		if err != nil {
 			return nil, sertopt.Metrics{}, err
 		}
@@ -79,7 +76,7 @@ func HardeningComparison(circuit string, lib *charlib.Library, opts sertopt.Opti
 	// practice for TMR voters: a naive minimum-size voter would simply
 	// relocate the soft spot to the unprotected gate in front of the
 	// latch (measurably so in this model — see the harden tests).
-	cellsTMR, err := sertopt.InitialSizing(tmr.Circuit, lib, 0, poLoad)
+	cellsTMR, err := sertopt.InitialSizing(tmr.Circuit, lib, poLoad)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +95,7 @@ func HardeningComparison(circuit string, lib *charlib.Library, opts sertopt.Opti
 	if err != nil {
 		return nil, err
 	}
-	mTMR, err := sertopt.EvaluateMetricsCompiled(tmrCC, lib, cellsTMR, anTMR.Sens, poLoad)
+	mTMR, err := sertopt.EvaluateMetrics(tmrCC, lib, anTMR)
 	if err != nil {
 		return nil, err
 	}

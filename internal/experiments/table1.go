@@ -114,7 +114,7 @@ func Table1Run(spec Table1Spec, lib *charlib.Library, cfg Table1Config) (*Table1
 	// Column 7b: both circuits re-analyzed with 50 random vectors.
 	a50 := func(cells aserta.Assignment) (float64, error) {
 		an, err := aserta.AnalyzeCompiled(cc, lib, cells, aserta.Config{
-			Vectors: 50, Seed: opts.Seed + 50, POLoad: opts.Match.POLoad,
+			Vectors: 50, Seed: opts.Seed + 50, POLoad: engine.DefaultPOLoad,
 		})
 		if err != nil {
 			return 0, err
@@ -143,7 +143,7 @@ func Table1Run(spec Table1Spec, lib *charlib.Library, cfg Table1Config) (*Table1
 		gcfg := GoldenConfig{
 			Vectors: cfg.GoldenVectors,
 			Seed:    opts.Seed + 99,
-			POLoad:  opts.Match.POLoad,
+			POLoad:  engine.DefaultPOLoad,
 			Gates:   gates,
 		}
 		gBase, err := GoldenUnreliability(lib.Tech, c, res.Baseline, gcfg)

@@ -115,58 +115,3 @@ func TMR(c *ckt.Circuit) (*TMRResult, error) {
 	}
 	return res, nil
 }
-
-// Duplicate builds the duplication-with-comparison variant (DWC): two
-// copies plus an XOR comparator per PO flagging disagreement. Unlike
-// TMR it detects rather than corrects; it exists to quantify the
-// cheaper end of the classical spectrum. The comparator outputs are
-// added as extra POs named "<po>_err" while the first copy's outputs
-// remain the functional POs.
-func Duplicate(c *ckt.Circuit) (*ckt.Circuit, error) {
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("harden: input circuit invalid: %v", err)
-	}
-	if c.Sequential() {
-		return nil, fmt.Errorf("harden: circuit %q has flip-flops; duplication supports combinational logic only", c.Name)
-	}
-	nc := ckt.New(c.Name + "-dwc")
-	piMap := make(map[int]int)
-	for _, pi := range c.Inputs() {
-		piMap[pi] = nc.MustAddGate(c.Gates[pi].Name, ckt.Input)
-	}
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	gateMap := make([][]int, 2)
-	for k := 0; k < 2; k++ {
-		gateMap[k] = make([]int, len(c.Gates))
-		for _, id := range order {
-			g := c.Gates[id]
-			if g.Type == ckt.Input {
-				gateMap[k][id] = piMap[id]
-				continue
-			}
-			nid := nc.MustAddGate(fmt.Sprintf("%s_d%d", g.Name, k), g.Type)
-			gateMap[k][id] = nid
-			for _, f := range g.Fanin {
-				nc.MustConnect(gateMap[k][f], nid)
-			}
-		}
-	}
-	for _, po := range c.Outputs() {
-		// Functional output: buffer of copy 0 (keeps the PO terminal).
-		name := c.Gates[po].Name
-		buf := nc.MustAddGate(name+"_out", ckt.Buf)
-		nc.MustConnect(gateMap[0][po], buf)
-		nc.MarkPO(buf)
-		cmp := nc.MustAddGate(name+"_err", ckt.Xor)
-		nc.MustConnect(gateMap[0][po], cmp)
-		nc.MustConnect(gateMap[1][po], cmp)
-		nc.MarkPO(cmp)
-	}
-	if err := nc.Validate(); err != nil {
-		return nil, err
-	}
-	return nc, nil
-}

@@ -138,48 +138,10 @@ func TestTMRUnreliabilityVsOverheads(t *testing.T) {
 		anTMR.U, 100*frac, len(res.VoterGates), c.NumGates(), res.Circuit.NumGates())
 }
 
-func TestDuplicateStructureAndFunction(t *testing.T) {
-	c := gen.C17()
-	d, err := Duplicate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := d.Summary()
-	if s.POs != 2*len(c.Outputs()) {
-		t.Fatalf("DWC POs = %d, want %d", s.POs, 2*len(c.Outputs()))
-	}
-	// Functional POs match; error POs are all 0 in fault-free runs.
-	nPI := len(c.Inputs())
-	for m := 0; m < 1<<uint(nPI); m++ {
-		in := make([]bool, nPI)
-		for b := range in {
-			in[b] = m>>uint(b)&1 == 1
-		}
-		v1, _ := logicsim.Evaluate(c, in)
-		v2, err := logicsim.Evaluate(d, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, po := range c.Outputs() {
-			outID := d.Outputs()[2*k]
-			errID := d.Outputs()[2*k+1]
-			if v1[po] != v2[outID] {
-				t.Fatalf("DWC functional output %d differs for input %05b", k, m)
-			}
-			if v2[errID] {
-				t.Fatalf("DWC error flag raised in fault-free run for input %05b", m)
-			}
-		}
-	}
-}
-
 func TestTMRRejectsInvalid(t *testing.T) {
 	bad := ckt.New("bad")
 	bad.MustAddGate("a", ckt.Input)
 	if _, err := TMR(bad); err == nil {
 		t.Fatal("invalid circuit accepted")
-	}
-	if _, err := Duplicate(bad); err == nil {
-		t.Fatal("invalid circuit accepted by Duplicate")
 	}
 }

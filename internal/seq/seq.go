@@ -180,7 +180,7 @@ func AnalyzeCompiledContext(ctx context.Context, cc *engine.CompiledCircuit, lib
 		return nil, err
 	}
 	endSizing := trace.StartStage(rec, "sertopt.sizing")
-	cells, err := sertopt.InitialSizing(fr.Comb, lib, 0, opts.POLoad)
+	cells, err := sertopt.InitialSizing(fr.Comb, lib, opts.POLoad)
 	endSizing()
 	if err != nil {
 		return nil, err

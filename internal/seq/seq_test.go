@@ -235,7 +235,7 @@ func TestCombinationalEquivalence(t *testing.T) {
 	if res.LatchedU != 0 || res.Flops != 0 {
 		t.Fatalf("combinational circuit grew a latched component: %+v", res)
 	}
-	cells, err := sertopt.InitialSizing(c, lib, 0, 2e-15)
+	cells, err := sertopt.InitialSizing(c, lib, 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}

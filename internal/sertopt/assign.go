@@ -11,60 +11,33 @@ import (
 	"repro/internal/strike"
 )
 
-// MatchConfig bounds the discrete cell search during delay matching.
+// MatchConfig holds the designer-chosen voltage menus the delay
+// matcher draws cells from (paper Table 1, columns 2–3). The rest of
+// the search is fixed by the run's baseline: every gate's baseline
+// cell is its hint, sizes are capped at the baseline's largest ("the
+// maximum gate size used was the same as that for the baseline
+// circuits"), and primary outputs drive the engine.DefaultPOLoad
+// latch load.
 type MatchConfig struct {
-	// VDDs and Vths are the designer-chosen menus (paper Table 1,
-	// columns 2–3).
 	VDDs []float64
 	Vths []float64
-	// MaxSize caps gate sizes ("the maximum gate size used was the
-	// same as that for the baseline circuits").
-	MaxSize float64
-	// POLoad is the latch load on primary outputs.
-	POLoad float64
-	// Hints optionally supplies per-gate anchor cells (typically the
-	// baseline assignment). A hint is considered first and kept on
-	// ties, so a zero delay perturbation reproduces the baseline
-	// circuit exactly instead of drifting through menu quantization.
-	Hints aserta.Assignment
-}
-
-// MatchDelaysCompiled implements the paper's §4 parameter
-// determination over a compiled circuit, walking the handle's reverse
-// topological order: "To find the circuit parameters ... SERTOPT
-// traverses the circuit from POs to PIs in reverse topological order.
-// The capacitive loads of the gates at the POs are known ... the best
-// matching sizes, lengths, VDDs, Vths available in the SPICE library
-// that yield delays closest to the assigned delays are found ... The
-// only constraint is that only VDD values greater than or equal to
-// successor VDD values are allowed" (avoiding level shifters).
-//
-// desired is indexed by gate ID (PI entries ignored). The gate type
-// and fanin of each cell are fixed by the netlist; only the four
-// design variables change.
-func MatchDelaysCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, desired []float64, cfg MatchConfig) (aserta.Assignment, error) {
-	if len(desired) != len(cc.Circuit().Gates) {
-		return nil, fmt.Errorf("sertopt: %d desired delays for %d gates", len(desired), len(cc.Circuit().Gates))
-	}
-	m := newMatcher(cc, lib, cfg)
-	if err := m.match(desired); err != nil {
-		return nil, err
-	}
-	return m.cells, nil
 }
 
 // cellTable interns every cell one optimization run can assign to a
 // dense ID: each gate class's menu, built once per class, and each
-// gate's hint. A cell's load-independent properties are read once per
-// run, through the library's own methods, when the cell is first
-// assigned, so every value carries the library's bits.
+// gate's hint, its baseline cell. A cell's load-independent properties
+// are read once per run, through the library's own methods: a hint's
+// when the table is built, since the baseline's metrics need them, and
+// any other cell's when it is first assigned. So every value carries
+// the library's bits.
 type cellTable struct {
 	cells []charlib.Cell
 	props []cellProps
 	// loaded[id] reports whether props[id] has been read.
 	loaded []bool
-	// hint[g] is gate g's hint cell (-1 for none) and menu[g] its class
-	// menu: the candidates of gate g, in the order they are considered.
+	// hint[g] is gate g's hint cell (-1 for primary inputs) and menu[g]
+	// its class menu: the candidates of gate g, in the order they are
+	// considered. hint is also the baseline's cell-ID vector.
 	hint []int32
 	menu [][]int32
 }
@@ -74,7 +47,40 @@ type cellProps struct {
 	inCap, selfCap, power, area, flux, vdd float64
 }
 
-func newCellTable(c *ckt.Circuit, lib *charlib.Library, cfg MatchConfig) *cellTable {
+// propsOf reads cell's load-independent properties from the library.
+func propsOf(lib *charlib.Library, cell charlib.Cell) (cellProps, error) {
+	var p cellProps
+	var err error
+	if p.inCap, err = lib.InputCap(cell); err != nil {
+		return p, err
+	}
+	if p.selfCap, err = lib.SelfCap(cell); err != nil {
+		return p, err
+	}
+	if p.power, err = lib.StaticPower(cell); err != nil {
+		return p, err
+	}
+	p.area = lib.Area(cell)
+	p.flux = cell.FluxWeight()
+	p.vdd = cell.VDD
+	return p, nil
+}
+
+func newCellTable(c *ckt.Circuit, lib *charlib.Library, cfg MatchConfig, baseline aserta.Assignment) (*cellTable, error) {
+	if len(cfg.VDDs) == 0 {
+		cfg.VDDs = []float64{lib.Tech.VDDnom}
+	}
+	if len(cfg.Vths) == 0 {
+		cfg.Vths = []float64{lib.Tech.Vthnom}
+	}
+	// Paper: "The maximum gate size used was the same as that for the
+	// baseline circuits."
+	maxSize := 1.0
+	for _, g := range c.Gates {
+		if g.Type != ckt.Input && baseline[g.ID].Size > maxSize {
+			maxSize = baseline[g.ID].Size
+		}
+	}
 	t := &cellTable{hint: make([]int32, len(c.Gates)), menu: make([][]int32, len(c.Gates))}
 	index := make(map[charlib.Cell]int32)
 	intern := func(cell charlib.Cell) int32 {
@@ -92,13 +98,11 @@ func newCellTable(c *ckt.Circuit, lib *charlib.Library, cfg MatchConfig) *cellTa
 		if g.Type == ckt.Input {
 			continue
 		}
-		if cfg.Hints != nil && cfg.Hints[g.ID].Size > 0 {
-			t.hint[g.ID] = intern(cfg.Hints[g.ID])
-		}
+		t.hint[g.ID] = intern(baseline[g.ID])
 		cl := charlib.Class{Type: g.Type, Fanin: len(g.Fanin)}
 		menu, ok := menus[cl]
 		if !ok {
-			for _, cell := range lib.Menu(cl, cfg.VDDs, cfg.Vths, cfg.MaxSize) {
+			for _, cell := range lib.Menu(cl, cfg.VDDs, cfg.Vths, maxSize) {
 				menu = append(menu, intern(cell))
 			}
 			menus[cl] = menu
@@ -107,7 +111,14 @@ func newCellTable(c *ckt.Circuit, lib *charlib.Library, cfg MatchConfig) *cellTa
 	}
 	t.props = make([]cellProps, len(t.cells))
 	t.loaded = make([]bool, len(t.cells))
-	return t
+	for _, id := range t.hint {
+		if id >= 0 {
+			if _, err := t.use(lib, id); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return t, nil
 }
 
 // use returns cell id's properties, reading them on first use.
@@ -116,20 +127,10 @@ func (t *cellTable) use(lib *charlib.Library, id int32) (*cellProps, error) {
 	if t.loaded[id] {
 		return p, nil
 	}
-	cell := t.cells[id]
 	var err error
-	if p.inCap, err = lib.InputCap(cell); err != nil {
+	if *p, err = propsOf(lib, t.cells[id]); err != nil {
 		return nil, err
 	}
-	if p.selfCap, err = lib.SelfCap(cell); err != nil {
-		return nil, err
-	}
-	if p.power, err = lib.StaticPower(cell); err != nil {
-		return nil, err
-	}
-	p.area = lib.Area(cell)
-	p.flux = cell.FluxWeight()
-	p.vdd = cell.VDD
 	t.loaded[id] = true
 	return p, nil
 }
@@ -153,10 +154,9 @@ func (t *cellTable) assignment(ids []int32) aserta.Assignment {
 // changed: the chosen cell, its delay and its generated glitch width
 // depend on nothing else.
 type matcher struct {
-	cc     *engine.CompiledCircuit
-	lib    *charlib.Library
-	t      *cellTable
-	poLoad float64
+	cc  *engine.CompiledCircuit
+	lib *charlib.Library
+	t   *cellTable
 	// ids[g] is gate g's cell ID (-1 for primary inputs, and before
 	// the gate's first decision); cells spells the same assignment out.
 	ids   []int32
@@ -172,22 +172,21 @@ type matcher struct {
 // matchKey is the bits of one gate's decision inputs.
 type matchKey struct{ desired, load, succVDD uint64 }
 
-func newMatcher(cc *engine.CompiledCircuit, lib *charlib.Library, cfg MatchConfig) *matcher {
-	if len(cfg.VDDs) == 0 {
-		cfg.VDDs = []float64{lib.Tech.VDDnom}
-	}
-	if len(cfg.Vths) == 0 {
-		cfg.Vths = []float64{lib.Tech.Vthnom}
-	}
+// newMatcher returns a matcher over a fresh cell table for one run:
+// menus from cfg, and baseline as every gate's hint and size cap.
+func newMatcher(cc *engine.CompiledCircuit, lib *charlib.Library, cfg MatchConfig, baseline aserta.Assignment) (*matcher, error) {
 	c := cc.Circuit()
+	t, err := newCellTable(c, lib, cfg, baseline)
+	if err != nil {
+		return nil, err
+	}
 	n := len(c.Gates)
 	m := &matcher{
-		cc:     cc,
-		lib:    lib,
-		t:      newCellTable(c, lib, cfg),
-		poLoad: cfg.POLoad,
-		ids:    make([]int32, n),
-		cells:  make(aserta.Assignment, n),
+		cc:    cc,
+		lib:   lib,
+		t:     t,
+		ids:   make([]int32, n),
+		cells: make(aserta.Assignment, n),
 		src: strike.Sources{
 			Loads:    make([]float64, n),
 			Delays:   make([]float64, n),
@@ -200,14 +199,24 @@ func newMatcher(cc *engine.CompiledCircuit, lib *charlib.Library, cfg MatchConfi
 	for i := range m.ids {
 		m.ids[i] = -1
 	}
-	return m
+	return m, nil
 }
 
-// match assigns every gate the cell whose delay under its load comes
+// match implements the paper's §4 parameter determination: "To find
+// the circuit parameters ... SERTOPT traverses the circuit from POs to
+// PIs in reverse topological order. The capacitive loads of the gates
+// at the POs are known ... the best matching sizes, lengths, VDDs,
+// Vths available in the SPICE library that yield delays closest to
+// the assigned delays are found ... The only constraint is that only
+// VDD values greater than or equal to successor VDD values are
+// allowed" (avoiding level shifters).
+//
+// It assigns every gate the cell whose delay under its load comes
 // closest to desired (indexed by gate ID, PI entries ignored), walking
-// from the POs to the PIs. Afterwards src matches what
-// strike.EnumerateSources derives from the cells, primary-input loads
-// included.
+// the handle's reverse topological order. The gate type and fanin of
+// each cell are fixed by the netlist; only the four design variables
+// change. Afterwards src matches what strike.EnumerateSources derives
+// from the cells, primary-input loads included.
 func (m *matcher) match(desired []float64) error {
 	c := m.cc.Circuit()
 	clear(m.assigned)
@@ -257,7 +266,7 @@ func (m *matcher) load(g *ckt.Gate) (load, succVDD float64, err error) {
 		}
 	}
 	if g.PO {
-		load += m.poLoad
+		load += engine.DefaultPOLoad
 	}
 	return load, succVDD, nil
 }
@@ -284,10 +293,8 @@ func (m *matcher) decide(g *ckt.Gate, desired, load, succVDD float64) error {
 		}
 		return nil
 	}
-	if h := m.t.hint[g.ID]; h >= 0 {
-		if err := consider(h); err != nil {
-			return err
-		}
+	if err := consider(m.t.hint[g.ID]); err != nil {
+		return err
 	}
 	for _, id := range m.t.menu[g.ID] {
 		if err := consider(id); err != nil {

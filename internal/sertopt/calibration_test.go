@@ -21,7 +21,7 @@ func calibrationRun(t *testing.T, lib *charlib.Library, step float64, iters, bas
 		t.Fatal(err)
 	}
 	res, err := OptimizeCompiled(engine.MustCompile(c), lib, Options{
-		Match:      MatchConfig{VDDs: []float64{0.8, 1.0}, Vths: []float64{0.2, 0.3}, POLoad: 2e-15},
+		Match:      MatchConfig{VDDs: []float64{0.8, 1.0}, Vths: []float64{0.2, 0.3}},
 		Vectors:    10000,
 		Iterations: iters,
 		MaxBasis:   basis,

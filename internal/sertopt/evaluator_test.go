@@ -3,28 +3,29 @@ package sertopt
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/aserta"
 	"repro/internal/charlib"
+	"repro/internal/ckt"
 	"repro/internal/devmodel"
 	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/logicsim"
 	"repro/internal/stats"
 	"repro/internal/strike"
 )
 
 // evalSetup is the optimizer's matching context for one circuit: the
-// baseline's delays, the topology, its first nullspace direction and
-// the run's MatchConfig.
+// baseline and its delays, the run's voltage menus and the first
+// nullspace direction.
 type evalSetup struct {
-	cc   *engine.CompiledCircuit
-	cfg  MatchConfig
-	d0   []float64
-	topo *Topology
-	dir  []float64
+	cc    *engine.CompiledCircuit
+	menus MatchConfig
+	base  aserta.Assignment
+	d0    []float64
+	dir   []float64
 }
 
 func newEvalSetup(t *testing.T, name string) *evalSetup {
@@ -37,12 +38,11 @@ func newEvalSetup(t *testing.T, name string) *evalSetup {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const poLoad = 2e-15
-	base, err := InitialSizing(c, lib(), 0, poLoad)
+	base, err := InitialSizing(c, lib(), engine.DefaultPOLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0, err := gateDelays(c, lib(), base, poLoad)
+	d0, err := gateDelays(c, lib(), base, engine.DefaultPOLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,28 +57,50 @@ func newEvalSetup(t *testing.T, name string) *evalSetup {
 	return &evalSetup{
 		cc: cc,
 		// Two VDDs, so the successor-VDD rule binds.
-		cfg:  MatchConfig{VDDs: []float64{0.8, 1.0}, Vths: []float64{0.2, 0.3}, MaxSize: 4, POLoad: poLoad, Hints: base},
-		d0:   d0,
-		topo: topo,
-		dir:  basis[0],
+		menus: MatchConfig{VDDs: []float64{0.8, 1.0}, Vths: []float64{0.2, 0.3}},
+		base:  base,
+		d0:    d0,
+		dir:   basis[0],
 	}
+}
+
+// matcher returns a fresh matcher for the setup's menus and baseline.
+func (s *evalSetup) matcher(t *testing.T) *matcher {
+	t.Helper()
+	m, err := newMatcher(s.cc, lib(), s.menus, s.base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// refSettings returns the reference matcher's configuration equal to
+// what newMatcher derives from menus and baseline: the baseline as
+// hints, its largest size (at least 1) as the cap, and the default PO
+// load.
+func refSettings(c *ckt.Circuit, menus MatchConfig, baseline aserta.Assignment) refMatchConfig {
+	maxSize := 1.0
+	for _, g := range c.Gates {
+		if g.Type != ckt.Input && baseline[g.ID].Size > maxSize {
+			maxSize = baseline[g.ID].Size
+		}
+	}
+	return refMatchConfig{VDDs: menus.VDDs, Vths: menus.Vths, MaxSize: maxSize, POLoad: engine.DefaultPOLoad, Hints: baseline}
 }
 
 // probe returns the desired delays of a single-coordinate SQP probe,
 // d0 + step·z along the first nullspace direction scaled to
 // max-component 1, clamped like the optimizer's.
 func (s *evalSetup) probe(step float64) []float64 {
-	d := s.topo.ColumnDelays(s.d0)
-	for col := range d {
-		d[col] += step * s.dir[col] / maxAbs(s.dir)
-	}
-	perGate := s.topo.PerGate(d, len(s.d0))
-	for i := range perGate {
-		if perGate[i] < 0.5e-12 {
-			perGate[i] = 0.5e-12
+	d := append([]float64(nil), s.d0...)
+	m := maxAbs(s.dir)
+	for i := range d {
+		d[i] += step * s.dir[i] / m
+		if d[i] < 0.5e-12 {
+			d[i] = 0.5e-12
 		}
 	}
-	return perGate
+	return d
 }
 
 // scrambled returns from with the desired delay of every gate within
@@ -106,16 +128,18 @@ func maxAbs(v []float64) float64 {
 // TestMatcherCacheMatchesFresh runs one matcher through the kinds of
 // desired-delay sequences the optimizer produces — θ = 0, a
 // single-direction probe, θ = 0 again, a dense random move, the probe
-// again — and holds every step to a fresh MatchDelaysCompiled plus
+// again — and holds every step to a fresh matcher plus
 // strike.EnumerateSources on its cells: same cells, and the same loads,
-// delays, glitch widths and flux weights, bit for bit. The band steps
-// move only the gates next to the POs, so their drivers keep their
+// delays, glitch widths and flux weights, bit for bit. The cells must
+// also equal the table-free reference matcher's. The band steps move
+// only the gates next to the POs, so their drivers keep their
 // (scrambled) desired delays while their loads and successor VDDs
 // change: the cases the decision key's load and VDD entries exist for.
 func TestMatcherCacheMatchesFresh(t *testing.T) {
 	for _, name := range []string{"c432", "c880"} {
 		t.Run(name, func(t *testing.T) {
 			s := newEvalSetup(t, name)
+			ref := refSettings(s.cc.Circuit(), s.menus, s.base)
 			rng := stats.NewRNG(7)
 			probe := s.probe(20e-12)
 			dense := s.scrambled(rng, s.d0, -1)
@@ -135,16 +159,33 @@ func TestMatcherCacheMatchesFresh(t *testing.T) {
 				{"po-band3", s.scrambled(rng, band, 1)},
 				{"theta0-end", s.d0},
 			}
-			m := newMatcher(s.cc, lib(), s.cfg)
+			m := s.matcher(t)
 			for _, st := range steps {
 				if err := m.match(st.desired); err != nil {
 					t.Fatalf("%s: %v", st.name, err)
 				}
-				cells, err := MatchDelaysCompiled(s.cc, lib(), st.desired, s.cfg)
+				// θ = 0 reproduces the baseline, whose cell IDs seed
+				// the optimizer's memo.
+				if strings.HasPrefix(st.name, "theta0") {
+					for id, want := range m.t.hint {
+						if m.ids[id] != want {
+							t.Fatalf("%s: gate %d matched cell %d, want its hint %d", st.name, id, m.ids[id], want)
+						}
+					}
+				}
+				fresh := s.matcher(t)
+				if err := fresh.match(st.desired); err != nil {
+					t.Fatalf("%s: %v", st.name, err)
+				}
+				cells := fresh.cells
+				want, err := referenceMatch(s.cc, lib(), st.desired, ref)
 				if err != nil {
 					t.Fatalf("%s: %v", st.name, err)
 				}
-				src, err := strike.EnumerateSources(s.cc, lib(), cells, s.cfg.POLoad)
+				if msg := diffCells(st.name+" fresh cells", cells, want); msg != "" {
+					t.Fatal(msg)
+				}
+				src, err := strike.EnumerateSources(s.cc, lib(), cells, engine.DefaultPOLoad)
 				if err != nil {
 					t.Fatalf("%s: %v", st.name, err)
 				}
@@ -174,36 +215,35 @@ func TestMatcherCacheMatchesFresh(t *testing.T) {
 
 // TestMetricsCoreMatchesEvaluateMetrics holds the optimizer's metrics —
 // the core fed from the matcher and the cell table — to
-// EvaluateMetricsCompiled and to the library-only reference on random
-// assignments, exactly.
+// EvaluateMetrics on an analysis of the same cells and to the
+// library-only reference on random assignments, exactly.
 func TestMetricsCoreMatchesEvaluateMetrics(t *testing.T) {
 	for _, name := range []string{"c432", "c880"} {
 		t.Run(name, func(t *testing.T) {
 			s := newEvalSetup(t, name)
-			sens, err := logicsim.Sensitization(s.cc, 2000, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
 			rng := stats.NewRNG(11)
-			m := newMatcher(s.cc, lib(), s.cfg)
+			m := s.matcher(t)
 			for trial := 0; trial < 6; trial++ {
 				if err := m.match(s.scrambled(rng, s.d0, -1)); err != nil {
 					t.Fatal(err)
 				}
-				for _, act := range []*logicsim.Result{sens, nil} {
-					got := metricsOf(s.cc, act, m.src.Loads, m.src.Delays, func(id int) *cellProps { return &m.t.props[m.ids[id]] })
-					want, err := EvaluateMetricsCompiled(s.cc, lib(), m.cells, act, s.cfg.POLoad)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref, err := referenceMetrics(s.cc, lib(), m.cells, act, s.cfg.POLoad)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, w := range []Metrics{want, ref} {
-						if msg := diffFloats(fmt.Sprintf("trial %d metrics", trial), []float64{got.Delay, got.Energy, got.Area}, []float64{w.Delay, w.Energy, w.Area}); msg != "" {
-							t.Fatal(msg)
-						}
+				cells := append(aserta.Assignment(nil), m.cells...)
+				an, err := aserta.AnalyzeCompiled(s.cc, lib(), cells, aserta.Config{Vectors: 2000, Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := metricsOf(s.cc, an.Sens, m.src.Loads, m.src.Delays, func(id int) *cellProps { return &m.t.props[m.ids[id]] })
+				want, err := EvaluateMetrics(s.cc, lib(), an)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := referenceMetrics(s.cc, lib(), cells, an.Sens, engine.DefaultPOLoad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range []Metrics{want, ref} {
+					if msg := diffFloats(fmt.Sprintf("trial %d metrics", trial), []float64{got.Delay, got.Energy, got.Area}, []float64{w.Delay, w.Energy, w.Area}); msg != "" {
+						t.Fatal(msg)
 					}
 				}
 			}
@@ -211,20 +251,21 @@ func TestMetricsCoreMatchesEvaluateMetrics(t *testing.T) {
 	}
 }
 
-// TestErrorsMatchReference pins the errors of the matcher, the
-// metrics and the optimizer to the reference's. No feasible cell: with
-// the menus emptied by MaxSize, the hints are the only candidates, and
-// a PO hinted at a higher VDD than its driver's hint leaves the driver
-// without one; without hints the first gate matched already has none.
-// A library error: a grid whose load axis is not increasing fails
-// every characterization.
+// TestErrorsMatchReference pins the errors of the matcher and the
+// optimizer to the reference's. No feasible cell: every PO is hinted
+// at a higher VDD than the menu offers and asked for its hint's own
+// delay, so it keeps the hint and leaves its drivers, whose hints and
+// menu sit at the lower VDD, without a cell. A library error: a grid
+// whose load axis is not increasing fails every characterization, and
+// the optimizer now meets it first in the baseline's one derivation of
+// its sources.
 func TestErrorsMatchReference(t *testing.T) {
 	c := gen.C17()
 	cc, err := engine.Compile(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := InitialSizing(c, lib(), 0, 2e-15)
+	base, err := InitialSizing(c, lib(), engine.DefaultPOLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,36 +273,48 @@ func TestErrorsMatchReference(t *testing.T) {
 	for _, id := range c.Outputs() {
 		hints[id].VDD = 1.2
 	}
-	d0, err := gateDelays(c, lib(), base, 2e-15)
-	if err != nil {
-		t.Fatal(err)
-	}
 	same := func(what string, got, want error) {
 		t.Helper()
 		if got == nil || want == nil || got.Error() != want.Error() {
 			t.Fatalf("%s: error %v, want %v", what, got, want)
 		}
 	}
-	for _, h := range []aserta.Assignment{hints, nil} {
-		cfg := MatchConfig{VDDs: []float64{1.0}, Vths: []float64{0.2}, MaxSize: 0.5, POLoad: 2e-15, Hints: h}
-		_, got := MatchDelaysCompiled(cc, lib(), d0, cfg)
-		_, want := referenceMatch(cc, lib(), d0, cfg)
-		same(fmt.Sprintf("no feasible cell, hints %v", h != nil), got, want)
+	match := func(l *charlib.Library, menus MatchConfig, baseline aserta.Assignment, desired []float64) error {
+		m, err := newMatcher(cc, l, menus, baseline)
+		if err != nil {
+			return err
+		}
+		return m.match(desired)
 	}
+
+	menus := MatchConfig{VDDs: []float64{1.0}, Vths: []float64{0.2}}
+	desired, err := gateDelays(c, lib(), hints, engine.DefaultPOLoad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := match(lib(), menus, hints, desired)
+	_, want := referenceMatch(cc, lib(), desired, refSettings(c, menus, hints))
+	same("no feasible cell", got, want)
 
 	broken := charlib.NewLibrary(devmodel.Tech70nm(), charlib.Grid{
 		Sizes: []float64{1, 4}, Lengths: []float64{70e-9}, VDDs: []float64{1.0}, Vths: []float64{0.2},
 		Loads: []float64{2e-15, 1e-15},
 	})
-	_, got := MatchDelaysCompiled(cc, broken, d0, MatchConfig{POLoad: 2e-15, Hints: base})
-	_, want := referenceMatch(cc, broken, d0, MatchConfig{POLoad: 2e-15, Hints: base})
-	same("MatchDelaysCompiled, broken library", got, want)
-	_, got = EvaluateMetricsCompiled(cc, broken, base, nil, 2e-15)
-	_, want = referenceMetrics(cc, broken, base, nil, 2e-15)
-	same("EvaluateMetricsCompiled, broken library", got, want)
+	d0, err := gateDelays(c, lib(), base, engine.DefaultPOLoad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = match(broken, MatchConfig{}, base, d0)
+	_, want = referenceMatch(cc, broken, d0, refSettings(c, MatchConfig{}, base))
+	same("matcher, broken library", got, want)
+
 	opts := Options{Vectors: 500, Iterations: 1, MaxBasis: 2}
+	brokenBase, err := InitialSizing(c, broken, engine.DefaultPOLoad)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, got = OptimizeCompiled(cc, broken, opts)
-	_, want = referenceOptimize(cc, broken, opts)
+	_, want = strike.EnumerateSources(cc, broken, brokenBase, engine.DefaultPOLoad)
 	same("OptimizeCompiled, broken library", got, want)
 }
 

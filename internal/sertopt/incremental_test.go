@@ -22,7 +22,7 @@ func TestGradientProbeIncrementalMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
-	baseline, err := InitialSizing(c, lib, 0, 2e-15)
+	baseline, err := InitialSizing(c, lib, 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestGradientProbeIncrementalMatchesFull(t *testing.T) {
 		}
 		d := append([]float64(nil), d0...)
 		d[g.ID] += h
-		inc, err := base.RecomputeU(lib, d)
+		inc, err := base.RecomputeU(d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package sertopt
 
 import (
-	"fmt"
-
 	"repro/internal/aserta"
 	"repro/internal/charlib"
 	"repro/internal/ckt"
@@ -27,48 +25,29 @@ type Metrics struct {
 // multiple of the critical-path delay.
 const ClockPeriodFactor = 1.2
 
-// EvaluateMetricsCompiled computes delay/energy/area for a cell
-// assignment over a compiled circuit, reusing the handle's topological
-// order. sens supplies per-gate toggle activities (from logicsim); it
-// may be nil, in which case activity 0.2 is assumed for every gate.
-func EvaluateMetricsCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells aserta.Assignment, sens *logicsim.Result, poLoad float64) (Metrics, error) {
+// EvaluateMetrics computes the delay, energy and area of an analyzed
+// assignment. The loads, delays and toggle activities are the
+// analysis' own; only the cells' load-independent properties are read
+// from the library.
+func EvaluateMetrics(cc *engine.CompiledCircuit, lib *charlib.Library, an *aserta.Analysis) (Metrics, error) {
 	c := cc.Circuit()
-	loads, err := strike.GateLoads(c, lib, cells, poLoad)
-	if err != nil {
-		return Metrics{}, err
-	}
-	delays := make([]float64, len(c.Gates))
-	for _, id := range cc.TopoOrder() {
-		g := c.Gates[id]
-		if g.Type == ckt.Input {
-			continue
-		}
-		if delays[id], err = lib.Delay(cells[id], loads[id]); err != nil {
-			return Metrics{}, fmt.Errorf("sertopt: delay of %s: %v", g.Name, err)
-		}
-	}
 	props := make([]cellProps, len(c.Gates))
 	for _, g := range c.Gates {
 		if g.Type == ckt.Input {
 			continue
 		}
-		p := &props[g.ID]
-		if p.selfCap, err = lib.SelfCap(cells[g.ID]); err != nil {
+		var err error
+		if props[g.ID], err = propsOf(lib, an.Cells[g.ID]); err != nil {
 			return Metrics{}, err
 		}
-		if p.power, err = lib.StaticPower(cells[g.ID]); err != nil {
-			return Metrics{}, err
-		}
-		p.area = lib.Area(cells[g.ID])
-		p.vdd = cells[g.ID].VDD
 	}
-	return metricsOf(cc, sens, loads, delays, func(id int) *cellProps { return &props[id] }), nil
+	return metricsOf(cc, an.Sens, an.Loads, an.Delays, func(id int) *cellProps { return &props[id] }), nil
 }
 
 // metricsOf is the one metrics core: the critical-path delay, energy
-// and area of an assignment from every gate's load, delay and cell
-// properties (cell(id) for each non-input gate). Sums run in netlist
-// order.
+// and area of an assignment from every gate's load, delay, toggle
+// activity and cell properties (cell(id) for each non-input gate).
+// Sums run in netlist order.
 func metricsOf(cc *engine.CompiledCircuit, sens *logicsim.Result, loads, delays []float64, cell func(id int) *cellProps) Metrics {
 	c := cc.Circuit()
 	var m Metrics
@@ -98,13 +77,9 @@ func metricsOf(cc *engine.CompiledCircuit, sens *logicsim.Result, loads, delays 
 		if g.Type == ckt.Input {
 			continue
 		}
-		act := 0.2
-		if sens != nil {
-			act = sens.Activity[g.ID]
-		}
 		p := cell(g.ID)
 		e := (p.selfCap + loads[g.ID]) * p.vdd * p.vdd
-		dyn += act * e
+		dyn += sens.Activity[g.ID] * e
 		leakP += p.power
 		m.Area += p.area
 	}
@@ -115,13 +90,11 @@ func metricsOf(cc *engine.CompiledCircuit, sens *logicsim.Result, loads, delays 
 // InitialSizing produces the baseline "optimized for speed" assignment
 // standing in for the paper's Synopsys Design Compiler run: nominal
 // L/VDD/Vth cells sized by fanout-load pressure (a logical-effort
-// flavored heuristic), iterated until sizes settle.
-func InitialSizing(c *ckt.Circuit, lib *charlib.Library, maxSize, poLoad float64) (aserta.Assignment, error) {
+// flavored heuristic) over the library's whole size grid, iterated
+// until sizes settle.
+func InitialSizing(c *ckt.Circuit, lib *charlib.Library, poLoad float64) (aserta.Assignment, error) {
 	cells := aserta.NominalAssignment(c, lib, 1)
 	sizes := lib.Grid.Sizes
-	if maxSize <= 0 {
-		maxSize = sizes[len(sizes)-1]
-	}
 	for pass := 0; pass < 3; pass++ {
 		loads, err := strike.GateLoads(c, lib, cells, poLoad)
 		if err != nil {
@@ -142,9 +115,6 @@ func InitialSizing(c *ckt.Circuit, lib *charlib.Library, maxSize, poLoad float64
 			want := loads[g.ID] / (3 * cin)
 			best := sizes[0]
 			for _, s := range sizes {
-				if s > maxSize {
-					break
-				}
 				if absf(s-want) < absf(best-want) {
 					best = s
 				}

@@ -12,6 +12,8 @@ import (
 	"repro/internal/logicsim"
 	"repro/internal/matrix"
 	"repro/internal/stats"
+	"repro/internal/strike"
+	"repro/internal/trace"
 )
 
 // Weights are the designer-chosen cost weights of Eq. 5. "A designer
@@ -68,9 +70,6 @@ func (o Options) withDefaults() Options {
 		// CALIBRATE=1 runs in calibration_test.go).
 		o.StepInit = 20e-12
 	}
-	if o.Match.POLoad == 0 {
-		o.Match.POLoad = engine.DefaultPOLoad
-	}
 	return o
 }
 
@@ -116,13 +115,16 @@ func (r *Result) Ratios() (area, energy, delay float64) {
 // the same vectors/seed), and every inner cost evaluation reuses the
 // compiled topological orders instead of re-deriving them.
 //
-// A cost evaluation matches cells to the candidate delays through one
-// per-run cell table, re-deciding only the gates whose matching inputs
-// changed since the previous evaluation; hands the matcher's loads,
-// delays, glitch widths and flux weights to an analysis, of which it
-// keeps only U, and to the metrics core; and memoizes the cost by
-// the assignment, so a repeated assignment costs only its matching.
-// The winning assignment alone is kept as an analysis (OptAnalysis).
+// The baseline's loads, delays, glitch widths and flux weights are
+// derived once (strike.EnumerateSources) and feed both its metrics and
+// its analysis. A cost evaluation matches cells to the candidate
+// delays through one per-run cell table, re-deciding only the gates
+// whose matching inputs changed since the previous evaluation; hands
+// the matcher's loads, delays, glitch widths and flux weights to an
+// analysis, of which it keeps only U, and to the metrics core; and
+// memoizes the cost by the assignment, so a repeated assignment costs
+// only its matching. The memo starts out holding the baseline. The
+// winning assignment alone is kept as an analysis (OptAnalysis).
 func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Options) (*Result, error) {
 	c := cc.Circuit()
 	if c.Sequential() {
@@ -132,22 +134,11 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	res := &Result{}
 
 	// Baseline: speed-oriented sizing at nominal L/VDD/Vth.
-	baseline, err := InitialSizing(c, lib, opts.Match.MaxSize, opts.Match.POLoad)
+	baseline, err := InitialSizing(c, lib, engine.DefaultPOLoad)
 	if err != nil {
 		return nil, err
 	}
 	res.Baseline = baseline
-	if opts.Match.MaxSize == 0 {
-		// Paper: "The maximum gate size used was the same as that for
-		// the baseline circuits."
-		maxSize := 1.0
-		for _, g := range c.Gates {
-			if g.Type != ckt.Input && baseline[g.ID].Size > maxSize {
-				maxSize = baseline[g.ID].Size
-			}
-		}
-		opts.Match.MaxSize = maxSize
-	}
 
 	// One-time logic analysis, shared by every cost evaluation: the
 	// embedded ASERTA analyses below resolve the same (vectors, seed)
@@ -159,20 +150,33 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	acfg := aserta.Config{
-		Vectors: opts.Vectors,
-		Seed:    opts.Seed,
-		POLoad:  opts.Match.POLoad,
-	}
-
-	res.BaseMetrics, err = EvaluateMetricsCompiled(cc, lib, baseline, sens, opts.Match.POLoad)
+	// The baseline's loads, delays, glitch widths and flux weights,
+	// derived once for its metrics and its analysis; timed as the
+	// stage aserta.AnalyzeCompiled would record for them.
+	endSources := trace.StartStage(nil, "strike.sources")
+	src, err := strike.EnumerateSources(cc, lib, baseline, engine.DefaultPOLoad)
+	endSources()
 	if err != nil {
 		return nil, err
 	}
+	// The baseline anchors matching: each gate's baseline cell is its
+	// hint, so θ=0 reproduces the baseline exactly, and the table reads
+	// the baseline cells' properties for its metrics.
+	match, err := newMatcher(cc, lib, opts.Match, baseline)
+	if err != nil {
+		return nil, err
+	}
+	hint := match.t.hint
+	res.BaseMetrics = metricsOf(cc, sens, src.Loads, src.Delays, func(id int) *cellProps { return &match.t.props[hint[id]] })
 	// Latch-capture saturation at the circuit's own clock (1.2x the
 	// baseline critical path), for both baseline and candidates.
-	acfg.ClockPeriod = ClockPeriodFactor * res.BaseMetrics.Delay
-	res.BaseAnalysis, err = aserta.AnalyzeCompiled(cc, lib, baseline, acfg)
+	acfg := aserta.Config{
+		Vectors:     opts.Vectors,
+		Seed:        opts.Seed,
+		POLoad:      engine.DefaultPOLoad,
+		ClockPeriod: ClockPeriodFactor * res.BaseMetrics.Delay,
+	}
+	res.BaseAnalysis, err = aserta.AnalyzeSources(cc, baseline, src, acfg)
 	if err != nil {
 		return nil, err
 	}
@@ -204,15 +208,6 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		}
 	}
 
-	// The baseline analysis holds every gate's delay under its own
-	// loads; it is also the delta baseline, so it is never written.
-	d0 := res.BaseAnalysis.Delays
-	d0cols := topo.ColumnDelays(d0)
-	// Anchor matching so θ=0 reproduces the baseline exactly.
-	if opts.Match.Hints == nil {
-		opts.Match.Hints = baseline
-	}
-
 	w := opts.Weights
 	cost := func(m Metrics, u float64) float64 {
 		return w.U*u/res.BaseAnalysis.U +
@@ -221,15 +216,20 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 			w.A*m.Area/res.BaseMetrics.Area
 	}
 
-	match := newMatcher(cc, lib, opts.Match)
 	cellOf := func(id int) *cellProps { return &match.t.props[match.ids[id]] }
-	memo := make(map[string]*evalOut)
+	memo := map[string]*evalOut{
+		string(appendKey(nil, hint)): {ids: hint, m: res.BaseMetrics, c: cost(res.BaseMetrics, res.BaseAnalysis.U)},
+	}
 	var key []byte
 
+	// The baseline analysis holds every gate's delay under its own
+	// loads; it is also the delta baseline, so it is never written.
+	d0 := res.BaseAnalysis.Delays
+	d := make([]float64, len(d0))
 	// evalTheta matches cells for d = d0 + Z·θ and scores them.
 	evalTheta := func(theta []float64) (*evalOut, error) {
 		res.Evaluations++
-		d := append([]float64(nil), d0cols...)
+		copy(d, d0)
 		for bi, z := range basis {
 			if theta[bi] == 0 {
 				continue
@@ -237,19 +237,15 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 			matrix.AddScaled(d, theta[bi], z)
 		}
 		const minDelay = 0.5e-12
-		perGate := topo.PerGate(d, len(c.Gates))
-		for i := range perGate {
-			if perGate[i] < minDelay {
-				perGate[i] = minDelay
+		for i := range d {
+			if d[i] < minDelay {
+				d[i] = minDelay
 			}
 		}
-		if err := match.match(perGate); err != nil {
+		if err := match.match(d); err != nil {
 			return nil, err
 		}
-		key = key[:0]
-		for _, id := range match.ids {
-			key = binary.LittleEndian.AppendUint32(key, uint32(id))
-		}
+		key = appendKey(key[:0], match.ids)
 		if out, ok := memo[string(key)]; ok {
 			return out, nil
 		}
@@ -279,7 +275,7 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	// descent direction onto the nullspace, and line-search it before
 	// the main loop.
 	if len(basis) > 0 {
-		seed, err := gradientSeed(cc, lib, topo, basis, res.BaseAnalysis, d0, opts)
+		seed, err := gradientSeed(cc, basis, res.BaseAnalysis, opts.StepInit)
 		if err != nil {
 			return nil, err
 		}
@@ -322,31 +318,41 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	return res, nil
 }
 
+// appendKey appends the memo key of a cell-ID vector to key.
+func appendKey(key []byte, ids []int32) []byte {
+	for _, id := range ids {
+		key = binary.LittleEndian.AppendUint32(key, uint32(id))
+	}
+	return key
+}
+
 // gradientSeed returns the θ (basis coefficients) of the projected
 // −dU/dd direction, scaled so the largest per-gate delay move equals
-// StepInit, or nil when the gradient is flat. Sensitivities are only
-// probed for gates within a few levels of the POs — electrical and
-// logical masking make deeper gates' contributions (and sensitivities)
-// negligible, and this bounds the seeding cost on large circuits.
-func gradientSeed(cc *engine.CompiledCircuit, lib *charlib.Library, topo *Topology, basis [][]float64, base *aserta.Analysis, d0 []float64, opts Options) ([]float64, error) {
+// stepInit, or nil when the gradient is flat. basis and the gradient
+// are indexed by gate ID. Sensitivities are only probed for gates
+// within a few levels of the POs — electrical and logical masking make
+// deeper gates' contributions (and sensitivities) negligible, and this
+// bounds the seeding cost on large circuits.
+func gradientSeed(cc *engine.CompiledCircuit, basis [][]float64, base *aserta.Analysis, stepInit float64) ([]float64, error) {
 	const sensDepth = 8
 	const h = 2e-12
 	depth := cc.DepthFromPO()
-	u0 := base.U
-	grad := make([]float64, len(topo.GateOf))
+	grad := make([]float64, len(base.Delays))
+	d := append([]float64(nil), base.Delays...)
 	any := false
-	for col, id := range topo.GateOf {
-		if depth[id] < 0 || depth[id] > sensDepth {
+	for _, g := range cc.Circuit().Gates {
+		id := g.ID
+		if g.Type == ckt.Input || depth[id] < 0 || depth[id] > sensDepth {
 			continue
 		}
-		d := append([]float64(nil), d0...)
 		d[id] += h
-		u, err := base.RecomputeU(lib, d)
+		u, err := base.RecomputeU(d)
+		d[id] = base.Delays[id]
 		if err != nil {
 			return nil, err
 		}
-		grad[col] = (u - u0) / h
-		if grad[col] != 0 {
+		grad[id] = (u - base.U) / h
+		if grad[id] != 0 {
 			any = true
 		}
 	}
@@ -368,7 +374,7 @@ func gradientSeed(cc *engine.CompiledCircuit, lib *charlib.Library, topo *Topolo
 	if err != nil {
 		return nil, err
 	}
-	// Scale so the largest per-gate delay move is StepInit.
+	// Scale so the largest per-gate delay move is stepInit.
 	move, err := z.MulVec(theta)
 	if err != nil {
 		return nil, err
@@ -382,7 +388,7 @@ func gradientSeed(cc *engine.CompiledCircuit, lib *charlib.Library, topo *Topolo
 	if m == 0 {
 		return nil, nil
 	}
-	f := opts.StepInit / m
+	f := stepInit / m
 	for i := range theta {
 		theta[i] *= f
 	}

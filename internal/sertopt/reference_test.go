@@ -6,7 +6,11 @@ package sertopt
 // cells afresh (referenceMatch), analyzes them in full
 // (aserta.AnalyzeCompiled) and recomputes the metrics from the library
 // (referenceMetrics): no cell table, decision cache or assignment memo.
-// The SQP and annealing loops are its own copies.
+// It derives the baseline's loads and delays afresh for each use,
+// searches in T's column order (refColumnDelays, refPerGate,
+// refGradientSeed), and spells out the match settings the production
+// matcher derives from the baseline (refMatchConfig). The SQP and
+// annealing loops are its own copies.
 
 import (
 	"fmt"
@@ -24,6 +28,16 @@ import (
 	"repro/internal/strike"
 )
 
+// refMatchConfig is the matcher's old configuration: the voltage
+// menus, the size cap, the PO load and the per-gate hint cells.
+type refMatchConfig struct {
+	VDDs    []float64
+	Vths    []float64
+	MaxSize float64
+	POLoad  float64
+	Hints   aserta.Assignment
+}
+
 // referenceOptimize is OptimizeCompiled with the reference evaluation
 // path.
 func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Options) (*Result, error) {
@@ -32,15 +46,16 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 		return nil, fmt.Errorf("sertopt: circuit %q has flip-flops; SERTOPT optimizes combinational logic only", c.Name)
 	}
 	opts = opts.withDefaults()
+	match := refMatchConfig{VDDs: opts.Match.VDDs, Vths: opts.Match.Vths, POLoad: engine.DefaultPOLoad}
 	res := &Result{}
 
 	// Baseline: speed-oriented sizing at nominal L/VDD/Vth.
-	baseline, err := InitialSizing(c, lib, opts.Match.MaxSize, opts.Match.POLoad)
+	baseline, err := InitialSizing(c, lib, match.POLoad)
 	if err != nil {
 		return nil, err
 	}
 	res.Baseline = baseline
-	if opts.Match.MaxSize == 0 {
+	if match.MaxSize == 0 {
 		// Paper: "The maximum gate size used was the same as that for
 		// the baseline circuits."
 		maxSize := 1.0
@@ -49,7 +64,7 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 				maxSize = baseline[g.ID].Size
 			}
 		}
-		opts.Match.MaxSize = maxSize
+		match.MaxSize = maxSize
 	}
 
 	// One-time logic analysis, shared by every cost evaluation: the
@@ -65,10 +80,10 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 	acfg := aserta.Config{
 		Vectors: opts.Vectors,
 		Seed:    opts.Seed,
-		POLoad:  opts.Match.POLoad,
+		POLoad:  match.POLoad,
 	}
 
-	res.BaseMetrics, err = referenceMetrics(cc, lib, baseline, sens, opts.Match.POLoad)
+	res.BaseMetrics, err = referenceMetrics(cc, lib, baseline, sens, match.POLoad)
 	if err != nil {
 		return nil, err
 	}
@@ -113,14 +128,14 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 		}
 	}
 
-	d0, err := gateDelays(c, lib, baseline, opts.Match.POLoad)
+	d0, err := gateDelays(c, lib, baseline, match.POLoad)
 	if err != nil {
 		return nil, err
 	}
-	d0cols := topo.ColumnDelays(d0)
+	d0cols := refColumnDelays(topo, d0)
 	// Anchor matching so θ=0 reproduces the baseline exactly.
-	if opts.Match.Hints == nil {
-		opts.Match.Hints = baseline
+	if match.Hints == nil {
+		match.Hints = baseline
 	}
 
 	w := opts.Weights
@@ -142,13 +157,13 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 			matrix.AddScaled(d, theta[bi], z)
 		}
 		const minDelay = 0.5e-12
-		perGate := topo.PerGate(d, len(c.Gates))
+		perGate := refPerGate(topo, d, len(c.Gates))
 		for i := range perGate {
 			if perGate[i] < minDelay {
 				perGate[i] = minDelay
 			}
 		}
-		cells, err := referenceMatch(cc, lib, perGate, opts.Match)
+		cells, err := referenceMatch(cc, lib, perGate, match)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +171,7 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 		if err != nil {
 			return nil, err
 		}
-		m, err := referenceMetrics(cc, lib, cells, sens, opts.Match.POLoad)
+		m, err := referenceMetrics(cc, lib, cells, sens, match.POLoad)
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +194,7 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 	// descent direction onto the nullspace, and line-search it before
 	// the main loop.
 	if len(basis) > 0 {
-		seed, err := gradientSeed(cc, lib, topo, basis, res.BaseAnalysis, d0, opts)
+		seed, err := refGradientSeed(cc, topo, basis, res.BaseAnalysis, d0, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -221,8 +236,91 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 	return res, nil
 }
 
-// referenceMatch is the table-free MatchDelaysCompiled.
-func referenceMatch(cc *engine.CompiledCircuit, lib *charlib.Library, desired []float64, cfg MatchConfig) (aserta.Assignment, error) {
+// refColumnDelays converts a per-gate-ID slice into the column order
+// of T.
+func refColumnDelays(tp *Topology, perGate []float64) []float64 {
+	out := make([]float64, len(tp.GateOf))
+	for col, id := range tp.GateOf {
+		out[col] = perGate[id]
+	}
+	return out
+}
+
+// refPerGate converts a per-column vector back to gate-ID indexing
+// (entries for PIs are zero).
+func refPerGate(tp *Topology, cols []float64, nGates int) []float64 {
+	out := make([]float64, nGates)
+	for col, id := range tp.GateOf {
+		out[id] = cols[col]
+	}
+	return out
+}
+
+// refGradientSeed is gradientSeed in T's column order: basis, the
+// gradient and the least-squares rows are indexed by column.
+func refGradientSeed(cc *engine.CompiledCircuit, topo *Topology, basis [][]float64, base *aserta.Analysis, d0 []float64, opts Options) ([]float64, error) {
+	const sensDepth = 8
+	const h = 2e-12
+	depth := cc.DepthFromPO()
+	u0 := base.U
+	grad := make([]float64, len(topo.GateOf))
+	any := false
+	for col, id := range topo.GateOf {
+		if depth[id] < 0 || depth[id] > sensDepth {
+			continue
+		}
+		d := append([]float64(nil), d0...)
+		d[id] += h
+		u, err := base.RecomputeU(d)
+		if err != nil {
+			return nil, err
+		}
+		grad[col] = (u - u0) / h
+		if grad[col] != 0 {
+			any = true
+		}
+	}
+	if !any {
+		return nil, nil
+	}
+	// Project v = −grad onto span(basis): θ = argmin ‖Z·θ − v‖.
+	z := matrix.NewDense(len(grad), len(basis))
+	for bi, bv := range basis {
+		for r := range grad {
+			z.Set(r, bi, bv[r])
+		}
+	}
+	v := make([]float64, len(grad))
+	for i, g := range grad {
+		v[i] = -g
+	}
+	theta, err := matrix.LeastSquares(z, v, 1e-12)
+	if err != nil {
+		return nil, err
+	}
+	// Scale so the largest per-gate delay move is StepInit.
+	move, err := z.MulVec(theta)
+	if err != nil {
+		return nil, err
+	}
+	m := 0.0
+	for _, x := range move {
+		if a := absf(x); a > m {
+			m = a
+		}
+	}
+	if m == 0 {
+		return nil, nil
+	}
+	f := opts.StepInit / m
+	for i := range theta {
+		theta[i] *= f
+	}
+	return theta, nil
+}
+
+// referenceMatch is the table-free §4 matcher.
+func referenceMatch(cc *engine.CompiledCircuit, lib *charlib.Library, desired []float64, cfg refMatchConfig) (aserta.Assignment, error) {
 	c := cc.Circuit()
 	if len(desired) != len(c.Gates) {
 		return nil, fmt.Errorf("sertopt: %d desired delays for %d gates", len(desired), len(c.Gates))
@@ -320,7 +418,7 @@ func gateDelays(c *ckt.Circuit, lib *charlib.Library, cells aserta.Assignment, p
 	return d, nil
 }
 
-// referenceMetrics is EvaluateMetricsCompiled straight from the
+// referenceMetrics computes an assignment's metrics straight from the
 // library.
 func referenceMetrics(cc *engine.CompiledCircuit, lib *charlib.Library, cells aserta.Assignment, sens *logicsim.Result, poLoad float64) (Metrics, error) {
 	c := cc.Circuit()

@@ -11,7 +11,6 @@ import (
 	"repro/internal/devmodel"
 	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/logicsim"
 	"repro/internal/stats"
 )
 
@@ -28,12 +27,19 @@ func lib() *charlib.Library {
 }
 
 func coarseMatch() MatchConfig {
-	return MatchConfig{
-		VDDs:    []float64{0.8, 1.2},
-		Vths:    []float64{0.1, 0.3},
-		MaxSize: 4,
-		POLoad:  2e-15,
+	return MatchConfig{VDDs: []float64{0.8, 1.2}, Vths: []float64{0.1, 0.3}}
+}
+
+// pathDelays returns T·d for a per-gate delay vector: each enumerated
+// path's summed gate delays.
+func pathDelays(tp *Topology, d []float64) []float64 {
+	out := make([]float64, len(tp.Paths))
+	for j, p := range tp.Paths {
+		for _, id := range p {
+			out[j] += d[id]
+		}
 	}
+	return out
 }
 
 func TestBuildTopologyC17(t *testing.T) {
@@ -74,17 +80,17 @@ func TestNullspacePreservesPathDelays(t *testing.T) {
 	if len(basis) == 0 {
 		t.Skip("c17 has full-rank topology; use a bigger circuit")
 	}
-	d0 := make([]float64, tp.T().Cols())
-	for i := range d0 {
-		d0[i] = 10e-12
+	d0 := make([]float64, len(c.Gates))
+	for _, id := range tp.GateOf {
+		d0[id] = 10e-12
 	}
-	base, _ := tp.PathDelays(d0)
+	base := pathDelays(tp, d0)
 	for _, z := range basis {
 		d := append([]float64(nil), d0...)
 		for i := range d {
 			d[i] += 5e-12 * z[i]
 		}
-		got, _ := tp.PathDelays(d)
+		got := pathDelays(tp, d)
 		for j := range got {
 			if math.Abs(got[j]-base[j]) > 1e-20 {
 				t.Fatalf("path %d delay moved: %g vs %g", j, got[j], base[j])
@@ -108,11 +114,12 @@ func TestNullspaceExistsOnLargerCircuit(t *testing.T) {
 	}
 	// Verify T·z = 0 for each kept vector.
 	for _, z := range basis {
-		y, err := tp.T().MulVec(z)
-		if err != nil {
-			t.Fatal(err)
+		for _, id := range c.Inputs() {
+			if z[id] != 0 {
+				t.Fatalf("basis vector moves primary input %s", c.Gates[id].Name)
+			}
 		}
-		for _, v := range y {
+		for _, v := range pathDelays(tp, z) {
 			if math.Abs(v) > 1e-8 {
 				t.Fatal("basis vector not in nullspace")
 			}
@@ -122,7 +129,7 @@ func TestNullspaceExistsOnLargerCircuit(t *testing.T) {
 
 func TestInitialSizing(t *testing.T) {
 	c := gen.C17()
-	cells, err := InitialSizing(c, lib(), 0, 2e-15)
+	cells, err := InitialSizing(c, lib(), 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,23 +146,43 @@ func TestInitialSizing(t *testing.T) {
 	}
 }
 
-func TestMatchDelaysRealizesTargets(t *testing.T) {
-	c := gen.C17()
-	// Ask for the delays the baseline already has: matching should
-	// reproduce approximately those delays.
-	base, err := InitialSizing(c, lib(), 0, 2e-15)
+// matchCells matches desired with a fresh matcher over menus and
+// baseline.
+func matchCells(t *testing.T, c *ckt.Circuit, menus MatchConfig, baseline aserta.Assignment, desired []float64) aserta.Assignment {
+	t.Helper()
+	m, err := newMatcher(engine.MustCompile(c), lib(), menus, baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := m.match(desired); err != nil {
+		t.Fatal(err)
+	}
+	return m.cells
+}
+
+func TestMatchDelaysRealizesTargets(t *testing.T) {
+	c := gen.C17()
+	base, err := InitialSizing(c, lib(), 2e-15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Asked for the delays the baseline already has, the matcher
+	// returns the baseline: each gate's baseline cell is its hint and
+	// wins the tie.
 	d0, err := gateDelays(c, lib(), base, 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := MatchDelaysCompiled(engine.MustCompile(c), lib(), d0, coarseMatch())
+	if msg := diffCells("theta0 cells", matchCells(t, c, coarseMatch(), base, d0), base); msg != "" {
+		t.Fatal(msg)
+	}
+	// Asked for the delays of unit-size nominal cells, which no menu
+	// holds at coarseMatch's VDDs, it reproduces them approximately.
+	want, err := gateDelays(c, lib(), aserta.NominalAssignment(c, lib(), 1), 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := gateDelays(c, lib(), cells, 2e-15)
+	got, err := gateDelays(c, lib(), matchCells(t, c, coarseMatch(), base, want), 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +190,14 @@ func TestMatchDelaysRealizesTargets(t *testing.T) {
 		if g.Type == ckt.Input {
 			continue
 		}
-		if d0[g.ID] <= 0 {
+		if want[g.ID] <= 0 {
 			continue
 		}
-		rel := math.Abs(got[g.ID]-d0[g.ID]) / d0[g.ID]
+		rel := math.Abs(got[g.ID]-want[g.ID]) / want[g.ID]
 		// The discrete menu limits fidelity; a factor-3 miss would
 		// indicate broken matching.
 		if rel > 2.0 {
-			t.Errorf("gate %s: matched delay %g vs target %g", g.Name, got[g.ID], d0[g.ID])
+			t.Errorf("gate %s: matched delay %g vs target %g", g.Name, got[g.ID], want[g.ID])
 		}
 	}
 }
@@ -182,7 +209,7 @@ func TestMatchDelaysVDDOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := InitialSizing(c, lib(), 0, 2e-15)
+	base, err := InitialSizing(c, lib(), 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +222,7 @@ func TestMatchDelaysVDDOrdering(t *testing.T) {
 	for i := range d0 {
 		d0[i] *= 0.5 + rng.Float64()*2
 	}
-	cells, err := MatchDelaysCompiled(engine.MustCompile(c), lib(), d0, coarseMatch())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := matchCells(t, c, coarseMatch(), base, d0)
 	for _, g := range c.Gates {
 		if g.Type == ckt.Input {
 			continue
@@ -212,25 +236,18 @@ func TestMatchDelaysVDDOrdering(t *testing.T) {
 	}
 }
 
-func TestMatchDelaysErrors(t *testing.T) {
-	c := gen.C17()
-	if _, err := MatchDelaysCompiled(engine.MustCompile(c), lib(), nil, coarseMatch()); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestEvaluateMetrics(t *testing.T) {
 	c := gen.C17()
-	cells, err := InitialSizing(c, lib(), 0, 2e-15)
+	cells, err := InitialSizing(c, lib(), 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc := engine.MustCompile(c)
-	sens, err := logicsim.Sensitization(cc, 2000, 1)
+	an, err := aserta.AnalyzeCompiled(cc, lib(), cells, aserta.Config{Vectors: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := EvaluateMetricsCompiled(cc, lib(), cells, sens, 2e-15)
+	m, err := EvaluateMetrics(cc, lib(), an)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +324,7 @@ func TestOptimizeReducesUnreliabilityOnC432(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := OptimizeCompiled(engine.MustCompile(c), lib(), Options{
-		Match:      MatchConfig{VDDs: []float64{0.8, 1.2}, Vths: []float64{0.1, 0.3}, POLoad: 2e-15},
+		Match:      MatchConfig{VDDs: []float64{0.8, 1.2}, Vths: []float64{0.1, 0.3}},
 		Vectors:    4000,
 		Iterations: 4,
 		MaxBasis:   8,

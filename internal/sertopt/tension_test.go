@@ -26,7 +26,7 @@ func TestDepthBandTension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := InitialSizing(c, lib(), 0, 2e-15)
+	base, err := InitialSizing(c, lib(), 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,9 @@ const DefaultMaxPaths = 4096
 // T[j][col] = 1 iff gate (column col) lies on path j — through its
 // paths and the gate-ID ↔ column mapping (primary-input pseudo-gates
 // have no column). At the default path cap T is thousands of rows by
-// one column per gate, so only T materializes it whole; Nullspace
-// reduces just the leading columns its vectors read.
+// one column per gate, so only T materializes it whole, as the tests'
+// full-reduction reference; Nullspace reduces just the leading columns
+// its vectors read.
 type Topology struct {
 	// Col maps gate ID -> column (or -1).
 	Col []int
@@ -80,10 +81,11 @@ func (tp *Topology) T() *matrix.Dense {
 
 // Nullspace returns a basis of delay perturbations Δ with T·Δ = 0,
 // truncated to at most maxBasis vectors (0 = no cap). Each vector is
-// indexed by column (use Col/GateOf to translate). Every entry is ==
-// to T().Nullspace()'s truncated, but only the leading columns of T
-// the first maxBasis vectors read are built and reduced
-// (matrix.LeadingNullspace).
+// indexed by gate ID, with zeros at primary inputs, so it adds to a
+// per-gate delay vector directly. Its entry at gate GateOf[col] is ==
+// to entry col of the matching vector of T().Nullspace(), truncated,
+// but only the leading columns of T the first maxBasis vectors read
+// are built and reduced (matrix.LeadingNullspace).
 func (tp *Topology) Nullspace(maxBasis int) [][]float64 {
 	n := 0
 	for _, p := range tp.Paths {
@@ -98,29 +100,13 @@ func (tp *Topology) Nullspace(maxBasis int) [][]float64 {
 		}
 		ones[j] = cols[start:]
 	}
-	return matrix.LeadingNullspace(ones, len(tp.GateOf), maxBasis)
-}
-
-// PathDelays returns T·d for a per-column delay vector.
-func (tp *Topology) PathDelays(d []float64) ([]float64, error) {
-	return tp.T().MulVec(d)
-}
-
-// ColumnDelays converts a per-gate-ID slice into the column order of T.
-func (tp *Topology) ColumnDelays(perGate []float64) []float64 {
-	out := make([]float64, len(tp.GateOf))
-	for col, id := range tp.GateOf {
-		out[col] = perGate[id]
+	basis := matrix.LeadingNullspace(ones, len(tp.GateOf), maxBasis)
+	for k, v := range basis {
+		z := make([]float64, len(tp.Col))
+		for col, id := range tp.GateOf {
+			z[id] = v[col]
+		}
+		basis[k] = z
 	}
-	return out
-}
-
-// PerGate converts a per-column vector back to gate-ID indexing
-// (entries for PIs are zero).
-func (tp *Topology) PerGate(cols []float64, nGates int) []float64 {
-	out := make([]float64, nGates)
-	for col, id := range tp.GateOf {
-		out[id] = cols[col]
-	}
-	return out
+	return basis
 }

@@ -96,18 +96,6 @@ func Pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Sum returns the total of the series.
 func Sum(xs []float64) float64 {
 	s := 0.0

@@ -151,12 +151,11 @@ func TestPearsonProperties(t *testing.T) {
 }
 
 func TestMeanSum(t *testing.T) {
-	if Mean(nil) != 0 || Sum(nil) != 0 {
-		t.Error("empty aggregates should be 0")
+	if Sum(nil) != 0 {
+		t.Error("empty sum should be 0")
 	}
-	xs := []float64{1, 2, 3}
-	if Mean(xs) != 2 || Sum(xs) != 6 {
-		t.Errorf("Mean=%g Sum=%g", Mean(xs), Sum(xs))
+	if got := Sum([]float64{1, 2, 3}); got != 6 {
+		t.Errorf("Sum=%g", got)
 	}
 }
 

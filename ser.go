@@ -490,7 +490,7 @@ func (s *System) AnalyzeCompiledContext(ctx context.Context, h *Compiled, opts A
 	cells := opts.Cells
 	if cells == nil {
 		endSizing := trace.StartStage(rec, "sertopt.sizing")
-		cells, err = sertopt.InitialSizing(c, s.Lib, 0, opts.POLoad)
+		cells, err = sertopt.InitialSizing(c, s.Lib, opts.POLoad)
 		endSizing()
 		if err != nil {
 			return nil, err

@@ -133,10 +133,7 @@ func TestLeanMatchesFull(t *testing.T) {
 		if u != rep.U {
 			t.Fatalf("%s: U from the WSTable rows = %v, analysis %v", name, u, rep.U)
 		}
-		for _, recompute := range []func([]float64) (float64, error){
-			func(d []float64) (float64, error) { return a.RecomputeU(nil, d) },
-			a.RecomputeUFull,
-		} {
+		for _, recompute := range []func([]float64) (float64, error){a.RecomputeU, a.RecomputeUFull} {
 			got, err := recompute(append([]float64(nil), a.Delays...))
 			if err != nil {
 				t.Fatal(err)
