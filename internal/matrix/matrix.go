@@ -77,20 +77,37 @@ func (m *Dense) MulVec(x []float64) ([]float64, error) {
 	return y, nil
 }
 
-// rref reduces the matrix in place to reduced row echelon form and
+// rowViews returns views of m's rows into its data.
+func (m *Dense) rowViews() [][]float64 {
+	rows := make([][]float64, m.rows)
+	for i := range rows {
+		rows[i] = m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
+	}
+	return rows
+}
+
+// rref reduces the n-column matrix whose rows are rows in place to
+// reduced row echelon form, moving rows by swapping the slices, and
 // returns the pivot column of each pivot row. With stopAt > 0 it stops
 // right after the stopAt-th free column, and reports stopped, if every
 // free column so far held exact zeros in all rows that were not yet
 // pivot rows (see LeadingNullspace for why that makes the stop exact).
-func (m *Dense) rref(eps float64, stopAt int) (pivots []int, stopped bool) {
-	n := m.cols
+//
+// Rows with equal entries may share one slice, which shared (nil when
+// none do) marks. A row gets a slice of its own when it becomes a
+// pivot row, before it is normalized. The elimination then updates a
+// shared slice once: its first row leaves f − f·1 = 0 in the pivot
+// column, since the pivot is pv/pv = 1, and the other rows read that
+// 0 and skip, as any zero row does. So every row holds the values an
+// unshared reduction computes, by the same operations.
+func rref(rows [][]float64, shared []bool, n int, eps float64, stopAt int) (pivots []int, stopped bool) {
 	r, free, exact := 0, 0, true
 	for c := 0; c < n; c++ {
 		// Partial pivoting. The same scan sees whether the rows below
 		// the pivot rows hold exact zeros in column c.
 		best, bestAbs, zero := -1, eps, true
-		for i := r; i < m.rows; i++ {
-			a := math.Abs(m.data[i*n+c])
+		for i := r; i < len(rows); i++ {
+			a := math.Abs(rows[i][c])
 			if a > bestAbs {
 				best, bestAbs = i, a
 			}
@@ -106,19 +123,24 @@ func (m *Dense) rref(eps float64, stopAt int) (pivots []int, stopped bool) {
 			}
 			continue
 		}
-		m.swapRows(r, best)
+		rows[r], rows[best] = rows[best], rows[r]
+		if shared != nil {
+			shared[r], shared[best] = shared[best], shared[r]
+			if shared[r] {
+				rows[r], shared[r] = append([]float64(nil), rows[r]...), false
+			}
+		}
 		// Normalize pivot row.
-		pr := m.data[r*n : (r+1)*n]
+		pr := rows[r]
 		pv := pr[c]
 		for j := c; j < n; j++ {
 			pr[j] /= pv
 		}
 		// Eliminate column c from all other rows.
-		for i := 0; i < m.rows; i++ {
+		for i, ri := range rows {
 			if i == r {
 				continue
 			}
-			ri := m.data[i*n : (i+1)*n]
 			f := ri[c]
 			if f == 0 {
 				continue
@@ -131,17 +153,6 @@ func (m *Dense) rref(eps float64, stopAt int) (pivots []int, stopped bool) {
 		r++
 	}
 	return pivots, false
-}
-
-func (m *Dense) swapRows(a, b int) {
-	if a == b {
-		return
-	}
-	ra := m.data[a*m.cols : (a+1)*m.cols]
-	rb := m.data[b*m.cols : (b+1)*m.cols]
-	for j := range ra {
-		ra[j], rb[j] = rb[j], ra[j]
-	}
 }
 
 // pivotEps is the magnitude at or below which the row reduction
@@ -157,9 +168,9 @@ const leadWidth = 8
 // RREF free variables. The result has one []float64 per basis vector,
 // each of length Cols(). An empty result means the nullspace is {0}.
 func (m *Dense) Nullspace() [][]float64 {
-	r := m.Clone()
-	pivots, _ := r.rref(pivotEps, 0)
-	return r.basis(pivots, 0, m.cols)
+	rows := m.Clone().rowViews()
+	pivots, _ := rref(rows, nil, m.cols, pivotEps, 0)
+	return basis(rows, m.cols, pivots, 0, m.cols)
 }
 
 // LeadingNullspace returns the first maxBasis vectors (every vector
@@ -182,46 +193,85 @@ func (m *Dense) Nullspace() [][]float64 {
 // the later pivot rows contribute zeros, and the reduction may stop at
 // the maxBasis-th free column. A nonzero residue at or below the pivot
 // tolerance keeps it going.
+//
+// Rows equal on the leading columns are built once and share one
+// slice, so the reduction updates each distinct row once (see rref);
+// every row still holds the values of the unshared reduction.
 func LeadingNullspace(ones [][]int, cols, maxBasis int) [][]float64 {
 	w := cols
 	if maxBasis > 0 {
 		w = min(cols, leadWidth*maxBasis)
 	}
 	for {
-		m := NewDense(len(ones), w)
-		for i, row := range ones {
-			for _, j := range row {
-				if j < w {
-					m.data[i*w+j] = 1
-				}
-			}
-		}
-		pivots, stopped := m.rref(pivotEps, maxBasis)
+		rows, shared := leadingBlock(ones, w)
+		pivots, stopped := rref(rows, shared, w, pivotEps, maxBasis)
 		if stopped || w == cols {
-			return m.basis(pivots, maxBasis, cols)
+			return basis(rows, w, pivots, maxBasis, cols)
 		}
 		w = min(cols, 2*w)
 	}
 }
 
+// leadingBlock returns the rows of the first w columns of the 0/1
+// matrix whose row i has ones at the columns ones[i]. Rows equal on
+// those columns share one slice and are marked shared: at the default
+// path cap a path matrix has 4,096 rows, but its first 64 columns
+// hold only a few hundred distinct ones.
+func leadingBlock(ones [][]int, w int) (rows [][]float64, shared []bool) {
+	key := make([]byte, (w+7)/8)
+	index := make(map[string]int)
+	group := make([]int, len(ones))
+	var size []int
+	for i, row := range ones {
+		clear(key)
+		for _, j := range row {
+			if j < w {
+				key[j/8] |= 1 << (j % 8)
+			}
+		}
+		g, ok := index[string(key)]
+		if !ok {
+			g = len(size)
+			index[string(key)] = g
+			size = append(size, 0)
+		}
+		group[i] = g
+		size[g]++
+	}
+	data := make([]float64, len(size)*w)
+	rows = make([][]float64, len(ones))
+	shared = make([]bool, len(ones))
+	for i, row := range ones {
+		g := group[i]
+		rows[i] = data[g*w : (g+1)*w : (g+1)*w]
+		shared[i] = size[g] > 1
+		for _, j := range row {
+			if j < w {
+				rows[i][j] = 1
+			}
+		}
+	}
+	return rows, shared
+}
+
 // basis returns the unit-norm nullspace vectors of the first n free
-// columns (every free column for n <= 0) of the reduced matrix m with
-// the given pivots, each of length cols >= m.cols: entries past m.cols
-// are zero.
-func (m *Dense) basis(pivots []int, n, cols int) [][]float64 {
-	isPivot := make([]bool, m.cols)
+// columns (every free column for n <= 0) of the reduced w-column rows
+// with the given pivots, each of length cols >= w: entries past w are
+// zero.
+func basis(rows [][]float64, w int, pivots []int, n, cols int) [][]float64 {
+	isPivot := make([]bool, w)
 	for _, c := range pivots {
 		isPivot[c] = true
 	}
-	var basis [][]float64
-	for c := 0; c < m.cols && (n <= 0 || len(basis) < n); c++ {
+	var out [][]float64
+	for c := 0; c < w && (n <= 0 || len(out) < n); c++ {
 		if isPivot[c] {
 			continue
 		}
 		v := make([]float64, cols)
 		v[c] = 1
 		for row, pc := range pivots {
-			v[pc] = -m.At(row, c)
+			v[pc] = -rows[row][c]
 		}
 		// Normalize for numerical hygiene.
 		norm := 0.0
@@ -234,14 +284,14 @@ func (m *Dense) basis(pivots []int, n, cols int) [][]float64 {
 				v[i] /= norm
 			}
 		}
-		basis = append(basis, v)
+		out = append(out, v)
 	}
-	return basis
+	return out
 }
 
 // Rank returns the numerical rank at tolerance 1e-10.
 func (m *Dense) Rank() int {
-	pivots, _ := m.Clone().rref(pivotEps, 0)
+	pivots, _ := rref(m.Clone().rowViews(), nil, m.cols, pivotEps, 0)
 	return len(pivots)
 }
 

@@ -213,6 +213,18 @@ func TestLeadingNullspaceMatchesNullspace(t *testing.T) {
 			requireLeadingMatches(t, ones, cols, maxBasis)
 		}
 	}
+
+	// Rows 0, 1 and 3 are identical and hold the first pivot: row 0
+	// becomes the pivot row, and rows 1 and 3, one shared slice, are
+	// eliminated. Rows 2 and 5 repeat the same way in column 1. Rows 4
+	// and 6 differ only in the last column, so they must not share.
+	ones := [][]int{{0, 1, 3}, {0, 1, 3}, {1, 2}, {0, 1, 3}, {2, 3, 4}, {1, 2}, {2, 3}}
+	if _, shared := leadingBlock(ones, 5); !shared[0] || !shared[2] || shared[4] || shared[6] {
+		t.Fatalf("leadingBlock shares %v, want rows 0, 1, 3 and 2, 5 shared", shared)
+	}
+	for _, maxBasis := range []int{0, 1, 2} {
+		requireLeadingMatches(t, ones, 5, maxBasis)
+	}
 }
 
 // requireLeadingMatches checks LeadingNullspace(ones, cols, maxBasis)

@@ -79,9 +79,13 @@ type Result struct {
 	Optimized aserta.Assignment
 
 	BaseAnalysis *aserta.Analysis
-	OptAnalysis  *aserta.Analysis
-	BaseMetrics  Metrics
-	OptMetrics   Metrics
+	// OptAnalysis analyzes Optimized. It is the same pointer as
+	// BaseAnalysis, and Optimized the same slice as Baseline, when the
+	// search found nothing better than the baseline.
+	OptAnalysis *aserta.Analysis
+
+	BaseMetrics Metrics
+	OptMetrics  Metrics
 
 	// Cost is the final Eq. 5 cost (baseline cost is W·1 summed).
 	Cost float64
@@ -124,7 +128,8 @@ func (r *Result) Ratios() (area, energy, delay float64) {
 // analysis, of which it keeps only U, and to the metrics core; and
 // memoizes the cost by the assignment, so a repeated assignment costs
 // only its matching. The memo starts out holding the baseline. The
-// winning assignment alone is kept as an analysis (OptAnalysis).
+// winning assignment alone is kept as an analysis (OptAnalysis), and
+// only analyzed when it is not the baseline.
 func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Options) (*Result, error) {
 	c := cc.Circuit()
 	if c.Sequential() {
@@ -217,9 +222,8 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	}
 
 	cellOf := func(id int) *cellProps { return &match.t.props[match.ids[id]] }
-	memo := map[string]*evalOut{
-		string(appendKey(nil, hint)): {ids: hint, m: res.BaseMetrics, c: cost(res.BaseMetrics, res.BaseAnalysis.U)},
-	}
+	baseOut := &evalOut{ids: hint, m: res.BaseMetrics, c: cost(res.BaseMetrics, res.BaseAnalysis.U)}
+	memo := map[string]*evalOut{string(appendKey(nil, hint)): baseOut}
 	var key []byte
 
 	// The baseline analysis holds every gate's delay under its own
@@ -308,10 +312,16 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	res.Optimized = match.t.assignment(best.ids)
-	res.OptAnalysis, err = aserta.AnalyzeCompiled(cc, lib, res.Optimized, acfg)
-	if err != nil {
-		return nil, err
+	if best == baseOut {
+		// The search accepted no move, so the winner's analysis is at
+		// hand.
+		res.Optimized, res.OptAnalysis = res.Baseline, res.BaseAnalysis
+	} else {
+		res.Optimized = match.t.assignment(best.ids)
+		res.OptAnalysis, err = aserta.AnalyzeCompiled(cc, lib, res.Optimized, acfg)
+		if err != nil {
+			return nil, err
+		}
 	}
 	res.OptMetrics = best.m
 	res.Cost = best.c
@@ -332,7 +342,11 @@ func appendKey(key []byte, ids []int32) []byte {
 // are indexed by gate ID. Sensitivities are only probed for gates
 // within a few levels of the POs — electrical and logical masking make
 // deeper gates' contributions (and sensitivities) negligible, and this
-// bounds the seeding cost on large circuits.
+// bounds the seeding cost on large circuits — and only where some
+// basis vector is nonzero: the projection never reads the gradient
+// anywhere else, since LeastSquares skips zero entries of Z when it
+// forms Zᵀv. Each probe starts from the baseline, so skipping one
+// changes no other.
 func gradientSeed(cc *engine.CompiledCircuit, basis [][]float64, base *aserta.Analysis, stepInit float64) ([]float64, error) {
 	const sensDepth = 8
 	const h = 2e-12
@@ -342,7 +356,7 @@ func gradientSeed(cc *engine.CompiledCircuit, basis [][]float64, base *aserta.An
 	any := false
 	for _, g := range cc.Circuit().Gates {
 		id := g.ID
-		if g.Type == ckt.Input || depth[id] < 0 || depth[id] > sensDepth {
+		if g.Type == ckt.Input || depth[id] < 0 || depth[id] > sensDepth || !inSupport(basis, id) {
 			continue
 		}
 		d[id] += h
@@ -393,6 +407,16 @@ func gradientSeed(cc *engine.CompiledCircuit, basis [][]float64, base *aserta.An
 		theta[i] *= f
 	}
 	return theta, nil
+}
+
+// inSupport reports whether some basis vector is nonzero at gate id.
+func inSupport(basis [][]float64, id int) bool {
+	for _, z := range basis {
+		if z[id] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // evalOut is one scored assignment as the memo keeps it: its cell IDs,

@@ -617,7 +617,9 @@ func referenceAnneal(theta []float64, best *refEvalOut, eval refEvalFn, opts Opt
 // optimizer bit for bit: every cell, metric, cost and History entry,
 // the evaluation count (memo hits included), and both analyses' U, Ui,
 // WS, Wij and sources. The grid covers both searches, two seeds and a
-// long SQP run whose polls revisit many assignments.
+// long SQP run whose polls revisit many assignments. OptAnalysis must
+// be BaseAnalysis itself exactly when the reference's winner is its
+// baseline, and at least one run must end there.
 func TestOptimizeMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the reference optimizer on six circuits")
@@ -633,6 +635,7 @@ func TestOptimizeMatchesReference(t *testing.T) {
 		cases[name] = grid
 	}
 	cases["c432"] = append(cases["c432"], run{"sqp", 40, 8, 1})
+	baselineWins := 0
 	for _, name := range []string{"c17", "c432", "c499", "c880", "c1355", "c1908"} {
 		c, err := benchCircuit(name)
 		if err != nil {
@@ -663,8 +666,18 @@ func TestOptimizeMatchesReference(t *testing.T) {
 			if msg := diffResults(got, want); msg != "" {
 				t.Errorf("%s: %s", label, msg)
 			}
+			baselineWon := diffCells("", want.Optimized, want.Baseline) == ""
+			if shared := got.OptAnalysis == got.BaseAnalysis; shared != baselineWon {
+				t.Errorf("%s: OptAnalysis shared with BaseAnalysis: %v, reference winner is the baseline: %v", label, shared, baselineWon)
+			}
+			if baselineWon {
+				baselineWins++
+			}
 			t.Logf("%s: %d evaluations, U decrease %.4f", label, got.Evaluations, got.UDecrease())
 		}
+	}
+	if baselineWins == 0 {
+		t.Error("no run's winner is the baseline, so the shared-analysis branch went untested")
 	}
 }
 
