@@ -150,15 +150,23 @@ type Analysis struct {
 // the sensitization simulation) is served from the handle, so callers
 // analyzing one netlist repeatedly compile it once (engine.Compile)
 // and share the memoized sensitization statistics across analyses.
+// The cells are interned into a cell table of the call's own
+// (charlib.Table), which the first stage reads.
 func AnalyzeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells Assignment, cfg Config) (*Analysis, error) {
 	cfg = cfg.withDefaults()
-	if err := checkShape(cc.Circuit(), len(cells)); err != nil {
+	c := cc.Circuit()
+	if err := checkShape(c, len(cells)); err != nil {
 		return nil, err
 	}
 	// Stage 1: EnumerateSources — loads, delays, generated widths and
 	// flux weights from the cell assignment.
 	endSources := trace.StartStage(cfg.Spans, "strike.sources")
-	src, err := strike.EnumerateSources(cc, lib, cells, cfg.POLoad)
+	t := charlib.NewTable(lib)
+	ids, err := t.InternAll(c, cells)
+	if err != nil {
+		return nil, err
+	}
+	src, err := strike.EnumerateSources(cc, t, ids, cfg.POLoad)
 	if err != nil {
 		return nil, err
 	}

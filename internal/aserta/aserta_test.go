@@ -198,7 +198,7 @@ func TestUnreliabilityScalesWithArea(t *testing.T) {
 		for _, w := range a.Wij[g.ID] {
 			sum += w
 		}
-		z := a.Cells[g.ID].Area(lib().Tech)
+		z := a.Cells[g.ID].FluxWeight()
 		want := z * sum / 1e-12
 		if math.Abs(a.Ui[g.ID]-want) > 1e-9*math.Max(1, want) {
 			t.Errorf("gate %s: Ui = %g, want Z·ΣW = %g", g.Name, a.Ui[g.ID], want)

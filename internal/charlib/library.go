@@ -20,8 +20,8 @@ import (
 const QInjDefault = 16e-15
 
 // Library is a characterized cell library: lazily filled lookup tables
-// per gate class over the Grid axes, plus analytic capacitance, energy
-// and area models.
+// per gate class over the Grid axes, plus analytic capacitance, power
+// and area models (Props).
 type Library struct {
 	Tech *devmodel.Tech
 	Grid Grid
@@ -43,23 +43,18 @@ type Library struct {
 	// concurrency tests assert on.
 	charCount atomic.Int64
 
-	// evalMu guards the interpolation memo below. Optimization
-	// re-evaluates the same (cell, load) points thousands of times —
-	// every SERTOPT cost evaluation re-walks the same discrete cell
-	// menu — so the 5-D multilinear interpolations are cached behind a
-	// small read-mostly map.
+	// evalMu guards the interpolation and property memos below.
+	// Optimization re-evaluates the same (cell, load) points thousands
+	// of times — every SERTOPT cost evaluation re-walks the same
+	// discrete cell menu — so the 5-D multilinear interpolations are
+	// cached behind a small read-mostly map.
 	evalMu  sync.RWMutex
 	delayC  map[lutKey]float64
 	glitchC map[lutKey]float64
-	// capC/selfC/leakC memoize the analytic cell properties
-	// (InputCap/SelfCap/StaticPower). Each is a pure function of the
-	// cell identity, but computing one builds a transistor network —
-	// and strike.GateLoads asks for an input capacitance per fanout
-	// edge, which made these queries the dominant cost of a warm
-	// analysis before they were cached.
-	capC  map[Cell]float64
-	selfC map[Cell]float64
-	leakC map[Cell]float64
+	// propsC memoizes Props. A cell's properties are a pure function of
+	// the cell, but computing them builds transistor networks, and
+	// every flow's Table reads them for each cell it interns.
+	propsC map[Cell]Props
 }
 
 // lutKey identifies one memoized table query: the full cell identity
@@ -95,9 +90,7 @@ func NewLibrary(tech *devmodel.Tech, g Grid) *Library {
 		cfg:     defaultCharConfig(),
 		delayC:  make(map[lutKey]float64),
 		glitchC: make(map[lutKey]float64),
-		capC:    make(map[Cell]float64),
-		selfC:   make(map[Cell]float64),
-		leakC:   make(map[Cell]float64),
+		propsC:  make(map[Cell]Props),
 	}
 }
 
@@ -241,62 +234,34 @@ func (l *Library) GlitchGenAt(c Cell, load, q float64) (float64, error) {
 // HasChargeAxis reports whether GlitchGenAt is available.
 func (l *Library) HasChargeAxis() bool { return len(l.Grid.Charges) > 0 }
 
-// memoCell serves a pure per-cell property through the given cache.
-func (l *Library) memoCell(cache map[Cell]float64, compute func() (float64, error), c Cell) (float64, error) {
+// Props returns the cell's load-independent properties, computed on
+// first request and then served from the library's memo.
+func (l *Library) Props(c Cell) (Props, error) {
 	l.evalMu.RLock()
-	v, ok := cache[c]
+	p, ok := l.propsC[c]
 	l.evalMu.RUnlock()
 	if ok {
-		return v, nil
+		return p, nil
 	}
-	v, err := compute()
+	var err error
+	if p.InputCap, err = spice.CellInputCap(l.Tech, c.Type, c.Fanin, c.Params); err != nil {
+		return Props{}, err
+	}
+	if p.SelfCap, err = spice.CellSelfCap(l.Tech, c.Type, c.Fanin, c.Params); err != nil {
+		return Props{}, err
+	}
+	leak, err := spice.CellLeakage(l.Tech, c.Type, c.Fanin, c.Params)
 	if err != nil {
-		return 0, err
+		return Props{}, err
 	}
+	p.StaticPower = leak * c.VDD
+	p.Area = c.Area(l.Tech)
+	p.FluxWeight = c.FluxWeight()
 	l.evalMu.Lock()
-	cache[c] = v
+	l.propsC[c] = p
 	l.evalMu.Unlock()
-	return v, nil
+	return p, nil
 }
-
-// InputCap returns the capacitance one input pin of the cell presents
-// to its driver.
-func (l *Library) InputCap(c Cell) (float64, error) {
-	return l.memoCell(l.capC, func() (float64, error) {
-		return spice.CellInputCap(l.Tech, c.Type, c.Fanin, c.Params)
-	}, c)
-}
-
-// SelfCap returns the cell's output diffusion capacitance.
-func (l *Library) SelfCap(c Cell) (float64, error) {
-	return l.memoCell(l.selfC, func() (float64, error) {
-		return spice.CellSelfCap(l.Tech, c.Type, c.Fanin, c.Params)
-	}, c)
-}
-
-// DynEnergyPerTransition returns the CV² energy of one output swing
-// under the given external load.
-func (l *Library) DynEnergyPerTransition(c Cell, load float64) (float64, error) {
-	self, err := l.SelfCap(c)
-	if err != nil {
-		return 0, err
-	}
-	return (self + load) * c.VDD * c.VDD, nil
-}
-
-// StaticPower returns the cell's leakage power (W).
-func (l *Library) StaticPower(c Cell) (float64, error) {
-	leak, err := l.memoCell(l.leakC, func() (float64, error) {
-		return spice.CellLeakage(l.Tech, c.Type, c.Fanin, c.Params)
-	}, c)
-	if err != nil {
-		return 0, err
-	}
-	return leak * c.VDD, nil
-}
-
-// Area returns the cell area metric.
-func (l *Library) Area(c Cell) float64 { return c.Area(l.Tech) }
 
 // Menu enumerates the discrete cells available for a gate class during
 // SERTOPT matching: the cross product of the grid's sizes and lengths

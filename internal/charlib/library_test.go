@@ -121,51 +121,48 @@ func TestGlitchGenTrends(t *testing.T) {
 	check("higher Vth", func(c *Cell) { c.Vth = 0.3 }, true)
 }
 
+// props returns the library's Props of c.
+func props(t *testing.T, l *Library, c Cell) Props {
+	t.Helper()
+	p, err := l.Props(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestInputCapGrowsWithSize(t *testing.T) {
 	l := lib(t)
 	c1 := nomCell(ckt.Nand, 2)
 	c4 := c1
 	c4.Size = 4
-	a, err := l.InputCap(c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := l.InputCap(c4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b <= a {
+	if a, b := props(t, l, c1).InputCap, props(t, l, c4).InputCap; b <= a {
 		t.Errorf("input cap should grow with size: %g vs %g", a, b)
 	}
 }
 
 func TestEnergyModels(t *testing.T) {
 	l := lib(t)
+	// The CV² energy of one output swing into a 1 fF load, as the Eq. 5
+	// energy term weighs it.
+	dyn := func(c Cell) float64 { return (props(t, l, c).SelfCap + 1e-15) * c.VDD * c.VDD }
 	c := nomCell(ckt.Nand, 2)
-	e, err := l.DynEnergyPerTransition(c, 1e-15)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := dyn(c)
 	if e <= 0 || e > 1e-12 {
 		t.Fatalf("dynamic energy = %g J, implausible", e)
 	}
 	hiV := c
 	hiV.VDD = 1.2
-	e2, _ := l.DynEnergyPerTransition(hiV, 1e-15)
-	if e2 <= e {
+	if dyn(hiV) <= e {
 		t.Error("higher VDD must increase dynamic energy")
 	}
-	p, err := l.StaticPower(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := props(t, l, c).StaticPower
 	if p <= 0 {
 		t.Fatal("static power must be positive")
 	}
 	loVth := c
 	loVth.Vth = 0.1
-	p2, _ := l.StaticPower(loVth)
-	if p2 <= p {
+	if props(t, l, loVth).StaticPower <= p {
 		t.Error("lower Vth must increase static power")
 	}
 }
@@ -174,13 +171,20 @@ func TestAreaModel(t *testing.T) {
 	l := lib(t)
 	inv := nomCell(ckt.Not, 1)
 	nand3 := nomCell(ckt.Nand, 3)
-	if l.Area(nand3) <= l.Area(inv) {
+	if props(t, l, nand3).Area <= props(t, l, inv).Area {
 		t.Error("NAND3 must be larger than INV")
 	}
 	big := inv
 	big.Size = 8
-	if l.Area(big) != 8*l.Area(inv) {
+	if props(t, l, big).Area != 8*props(t, l, inv).Area {
 		t.Error("area must scale linearly with size")
+	}
+	// Z_i has no length term: a longer channel grows the area, not the
+	// flux weight.
+	long := inv
+	long.L = 300e-9
+	if pl, pi := props(t, l, long), props(t, l, inv); pl.Area <= pi.Area || pl.FluxWeight != pi.FluxWeight {
+		t.Errorf("L=300nm: area %g, flux %g; L=70nm: area %g, flux %g", pl.Area, pl.FluxWeight, pi.Area, pi.FluxWeight)
 	}
 }
 

@@ -1,0 +1,89 @@
+package charlib
+
+import (
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/ckt"
+)
+
+// TestTableInternsOnce checks that a table gives a cell one ID however
+// often it is interned, holds the library's Props bit for bit, leaves
+// primary inputs at -1, and sums each gate's load over its fanout pins
+// in fanout order plus the PO load.
+func TestTableInternsOnce(t *testing.T) {
+	l := lib(t)
+	c := ckt.New("fan")
+	a, _ := c.AddGate("a", ckt.Input)
+	b, _ := c.AddGate("b", ckt.Input)
+	n1, _ := c.AddGate("n1", ckt.Nand)
+	n2, _ := c.AddGate("n2", ckt.Not)
+	n3, _ := c.AddGate("n3", ckt.Nor)
+	for _, e := range [][2]int{{a, n1}, {b, n1}, {n1, n2}, {n1, n3}, {b, n3}} {
+		if err := c.Connect(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.MarkPO(n2)
+	c.MarkPO(n3)
+	big := nomCell(ckt.Not, 1)
+	big.Size = 4
+	cells := []Cell{{}, {}, nomCell(ckt.Nand, 2), big, nomCell(ckt.Nor, 2)}
+
+	tab := NewTable(l)
+	ids, err := tab.InternAll(c, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids[a] != -1 || ids[b] != -1 {
+		t.Fatalf("primary inputs got IDs %d, %d; want -1", ids[a], ids[b])
+	}
+	for _, g := range []int{n1, n2, n3} {
+		again, err := tab.Intern(cells[g])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != ids[g] || tab.Cell(again) != cells[g] {
+			t.Fatalf("gate %d: re-interned as %d (%+v), want %d (%+v)", g, again, tab.Cell(again), ids[g], cells[g])
+		}
+		if want := props(t, l, cells[g]); *tab.Props(ids[g]) != want {
+			t.Fatalf("gate %d: table props %+v, library %+v", g, *tab.Props(ids[g]), want)
+		}
+	}
+
+	const poLoad = 2e-15
+	loads := make([]float64, len(c.Gates))
+	tab.Loads(c, ids, poLoad, loads)
+	for _, g := range c.Gates {
+		want := 0.0
+		for _, s := range g.Fanout {
+			want += props(t, l, cells[s]).InputCap
+		}
+		if g.PO {
+			want += poLoad
+		}
+		if math.Float64bits(loads[g.ID]) != math.Float64bits(want) {
+			t.Errorf("gate %s: load %.17g, want %.17g", g.Name, loads[g.ID], want)
+		}
+	}
+}
+
+// TestTableInternError checks that a cell the library cannot model
+// fails InternAll with the gate's name and interns nothing.
+func TestTableInternError(t *testing.T) {
+	c := ckt.New("bad")
+	a, _ := c.AddGate("a", ckt.Input)
+	n, _ := c.AddGate("n1", ckt.Nand)
+	if err := c.Connect(a, n); err != nil {
+		t.Fatal(err)
+	}
+	tab := NewTable(lib(t))
+	_, err := tab.InternAll(c, []Cell{{}, nomCell(ckt.Nand, 1)})
+	if err == nil || !strings.Contains(err.Error(), "gate n1") {
+		t.Fatalf("NAND1 interned with error %v, want one naming gate n1", err)
+	}
+	if id, err := tab.Intern(nomCell(ckt.Nand, 2)); err != nil || id != 0 {
+		t.Fatalf("first good cell got ID %d (%v), want 0", id, err)
+	}
+}

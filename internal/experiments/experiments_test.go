@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/aserta"
 	"repro/internal/charlib"
+	"repro/internal/ckt"
 	"repro/internal/devmodel"
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -105,6 +107,50 @@ func TestFig2Trends(t *testing.T) {
 	}
 	if c := curveByLabel(t, curves, "vth"); !monotone(c.Points, false) {
 		t.Errorf("propagated width should fall with Vth: %+v", c.Points)
+	}
+}
+
+// TestGoldenWeightsByFlux checks that the golden simulator weighs each
+// gate by ASERTA's Eq. 3 Z_i, the cell's flux weight, which has no
+// channel-length term: on c17 with every other gate at L = 300 nm,
+// Ui[g] must equal FluxWeight·MeanPOWidth[g]/1e-12 bit for bit, and a
+// long-channel gate whose strikes reach a PO must read less than its
+// area would weigh it.
+func TestGoldenWeightsByFlux(t *testing.T) {
+	c := gen.C17()
+	cells, err := sertopt.InitialSizing(c, lib(), 2e-15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := 0
+	for i, g := range c.Gates {
+		if g.Type != ckt.Input && i%2 == 0 {
+			cells[i].L = 300e-9
+		}
+	}
+	tech := devmodel.Tech70nm()
+	res, err := GoldenUnreliability(tech, c, cells, GoldenConfig{Vectors: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range c.Gates {
+		if g.Type == ckt.Input {
+			continue
+		}
+		cell := cells[g.ID]
+		want := cell.FluxWeight() * res.MeanPOWidth[g.ID] / 1e-12
+		if math.Float64bits(res.Ui[g.ID]) != math.Float64bits(want) {
+			t.Errorf("gate %s (L %g): Ui %.17g, want FluxWeight·width %.17g", g.Name, cell.L, res.Ui[g.ID], want)
+		}
+		if cell.L != tech.Lmin && res.MeanPOWidth[g.ID] > 0 {
+			long++
+			if byArea := cell.Area(tech) * res.MeanPOWidth[g.ID] / 1e-12; res.Ui[g.ID] >= byArea {
+				t.Errorf("gate %s: Ui %g not below its area weighting %g", g.Name, res.Ui[g.ID], byArea)
+			}
+		}
+	}
+	if long == 0 {
+		t.Fatal("no long-channel gate's strike reached a PO, so the check is vacuous")
 	}
 }
 
@@ -211,9 +257,10 @@ func TestTable1SingleRowC17(t *testing.T) {
 // TestHardeningComparison checks the §1 comparison's rows on c17: their
 // order, the baseline's unit ratios, TMR's overhead and voter share,
 // the sertopt row against OptimizeCompiled run on its own, and that a
-// second call returns the same rows. Only decreases compare across
-// rows: the sertopt row's U is taken at the optimizer's clock (1.2x the
-// critical path), the baseline and TMR rows' at the 300 ps default.
+// second call returns the same rows. Every row's U is taken at the
+// 300 ps default clock: the sertopt row's is an analysis of the
+// optimizer's winner at that clock, not the optimizer's own U at 1.2x
+// the critical path, and its decrease is against the baseline row's U.
 func TestHardeningComparison(t *testing.T) {
 	opts := sertopt.Options{
 		Match:      sertopt.MatchConfig{VDDs: []float64{0.8, 1.0}, Vths: []float64{0.2, 0.3}},
@@ -247,14 +294,30 @@ func TestHardeningComparison(t *testing.T) {
 		t.Errorf("TMR has %d gates, want at least 3x the baseline's %d", tmr.Gates, base.Gates)
 	}
 
-	res, err := sertopt.OptimizeCompiled(engine.MustCompile(gen.C17()), lib(), opts)
+	cc := engine.MustCompile(gen.C17())
+	res, err := sertopt.OptimizeCompiled(cc, lib(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	acfg := aserta.Config{Vectors: opts.Vectors, Seed: opts.Seed, POLoad: engine.DefaultPOLoad}
+	anBase, err := aserta.AnalyzeCompiled(cc, lib(), res.Baseline, acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anOpt, err := aserta.AnalyzeCompiled(cc, lib(), res.Optimized, acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clk := res.OptAnalysis.Config.ClockPeriod; clk == anOpt.Config.ClockPeriod {
+		t.Fatalf("optimizer clock %g is the default, so the rows' one clock goes unchecked", clk)
+	}
+	if base.U != anBase.U {
+		t.Errorf("baseline row U %v, want %v at the default clock", base.U, anBase.U)
+	}
 	a, e, d := res.Ratios()
-	if opt.U != res.OptAnalysis.U || opt.UDecrease != res.UDecrease() || opt.AreaRatio != a || opt.EnergyRatio != e || opt.DelayRatio != d {
-		t.Errorf("sertopt row %+v, want U %v, decrease %v and ratios %v %v %v from OptimizeCompiled",
-			opt, res.OptAnalysis.U, res.UDecrease(), a, e, d)
+	if wantDec := 1 - anOpt.U/anBase.U; opt.U != anOpt.U || opt.UDecrease != wantDec || opt.AreaRatio != a || opt.EnergyRatio != e || opt.DelayRatio != d {
+		t.Errorf("sertopt row %+v, want U %v and decrease %v at the default clock, ratios %v %v %v from OptimizeCompiled",
+			opt, anOpt.U, wantDec, a, e, d)
 	}
 
 	again, err := HardeningComparison("c17", lib(), opts)

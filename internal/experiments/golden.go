@@ -56,8 +56,9 @@ func (g GoldenConfig) withDefaults() GoldenConfig {
 
 // GoldenResult carries per-gate golden unreliability estimates.
 type GoldenResult struct {
-	// Ui[gateID] is Z_i times the mean total PO glitch width (ps
-	// scale, matching aserta.Analysis.Ui).
+	// Ui[gateID] is Z_i, the cell's Eq. 3 flux weight
+	// (charlib.Cell.FluxWeight, as in aserta.Analysis.Ui), times the
+	// mean total PO glitch width in ps.
 	Ui []float64
 	// MeanPOWidth[gateID] is the raw mean total glitch width (s) at
 	// the POs per strike.
@@ -174,8 +175,7 @@ func GoldenUnreliability(tech *devmodel.Tech, c *ckt.Circuit, cells aserta.Assig
 	inv := 1.0 / float64(cfg.Vectors)
 	for _, gid := range targets {
 		res.MeanPOWidth[gid] *= inv
-		z := cells[gid].Area(tech)
-		res.Ui[gid] = z * res.MeanPOWidth[gid] / 1e-12
+		res.Ui[gid] = cells[gid].FluxWeight() * res.MeanPOWidth[gid] / 1e-12
 	}
 	return res, nil
 }

@@ -23,140 +23,23 @@ type MatchConfig struct {
 	Vths []float64
 }
 
-// cellTable interns every cell one optimization run can assign to a
-// dense ID: each gate class's menu, built once per class, and each
-// gate's hint, its baseline cell. A cell's load-independent properties
-// are read once per run, through the library's own methods: a hint's
-// when the table is built, since the baseline's metrics need them, and
-// any other cell's when it is first assigned. So every value carries
-// the library's bits.
-type cellTable struct {
-	cells []charlib.Cell
-	props []cellProps
-	// loaded[id] reports whether props[id] has been read.
-	loaded []bool
-	// hint[g] is gate g's hint cell (-1 for primary inputs) and menu[g]
-	// its class menu: the candidates of gate g, in the order they are
-	// considered. hint is also the baseline's cell-ID vector.
-	hint []int32
-	menu [][]int32
-}
-
-// cellProps are the load-independent properties of one cell.
-type cellProps struct {
-	inCap, selfCap, power, area, flux, vdd float64
-}
-
-// propsOf reads cell's load-independent properties from the library.
-func propsOf(lib *charlib.Library, cell charlib.Cell) (cellProps, error) {
-	var p cellProps
-	var err error
-	if p.inCap, err = lib.InputCap(cell); err != nil {
-		return p, err
-	}
-	if p.selfCap, err = lib.SelfCap(cell); err != nil {
-		return p, err
-	}
-	if p.power, err = lib.StaticPower(cell); err != nil {
-		return p, err
-	}
-	p.area = lib.Area(cell)
-	p.flux = cell.FluxWeight()
-	p.vdd = cell.VDD
-	return p, nil
-}
-
-func newCellTable(c *ckt.Circuit, lib *charlib.Library, cfg MatchConfig, baseline aserta.Assignment) (*cellTable, error) {
-	if len(cfg.VDDs) == 0 {
-		cfg.VDDs = []float64{lib.Tech.VDDnom}
-	}
-	if len(cfg.Vths) == 0 {
-		cfg.Vths = []float64{lib.Tech.Vthnom}
-	}
-	// Paper: "The maximum gate size used was the same as that for the
-	// baseline circuits."
-	maxSize := 1.0
-	for _, g := range c.Gates {
-		if g.Type != ckt.Input && baseline[g.ID].Size > maxSize {
-			maxSize = baseline[g.ID].Size
-		}
-	}
-	t := &cellTable{hint: make([]int32, len(c.Gates)), menu: make([][]int32, len(c.Gates))}
-	index := make(map[charlib.Cell]int32)
-	intern := func(cell charlib.Cell) int32 {
-		id, ok := index[cell]
-		if !ok {
-			id = int32(len(t.cells))
-			index[cell] = id
-			t.cells = append(t.cells, cell)
-		}
-		return id
-	}
-	menus := make(map[charlib.Class][]int32)
-	for _, g := range c.Gates {
-		t.hint[g.ID] = -1
-		if g.Type == ckt.Input {
-			continue
-		}
-		t.hint[g.ID] = intern(baseline[g.ID])
-		cl := charlib.Class{Type: g.Type, Fanin: len(g.Fanin)}
-		menu, ok := menus[cl]
-		if !ok {
-			for _, cell := range lib.Menu(cl, cfg.VDDs, cfg.Vths, maxSize) {
-				menu = append(menu, intern(cell))
-			}
-			menus[cl] = menu
-		}
-		t.menu[g.ID] = menu
-	}
-	t.props = make([]cellProps, len(t.cells))
-	t.loaded = make([]bool, len(t.cells))
-	for _, id := range t.hint {
-		if id >= 0 {
-			if _, err := t.use(lib, id); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return t, nil
-}
-
-// use returns cell id's properties, reading them on first use.
-func (t *cellTable) use(lib *charlib.Library, id int32) (*cellProps, error) {
-	p := &t.props[id]
-	if t.loaded[id] {
-		return p, nil
-	}
-	var err error
-	if *p, err = propsOf(lib, t.cells[id]); err != nil {
-		return nil, err
-	}
-	t.loaded[id] = true
-	return p, nil
-}
-
-// assignment expands a cell-ID vector (-1 for primary inputs) into
-// cells.
-func (t *cellTable) assignment(ids []int32) aserta.Assignment {
-	cells := make(aserta.Assignment, len(ids))
-	for g, id := range ids {
-		if id >= 0 {
-			cells[g] = t.cells[id]
-		}
-	}
-	return cells
-}
-
-// matcher is the §4 delay matcher over one run's cell table. It keeps
-// each gate's decision together with the inputs that fixed it — the
+// matcher is the §4 delay matcher over one run's cell table. The table
+// interns every cell the run can assign: each gate class's menu, built
+// once per class, and each gate's hint, its baseline cell, so every
+// cell's properties are read once per run. The matcher keeps each
+// gate's decision together with the inputs that fixed it — the
 // desired delay, the load and the highest successor VDD, by their bits
 // — and on the next call re-decides only the gates where one of them
 // changed: the chosen cell, its delay and its generated glitch width
 // depend on nothing else.
 type matcher struct {
 	cc  *engine.CompiledCircuit
-	lib *charlib.Library
-	t   *cellTable
+	tab *charlib.Table
+	// hint[g] is gate g's hint cell (-1 for primary inputs) and menu[g]
+	// its class menu: the candidates of gate g, in the order they are
+	// considered. hint is also the baseline's cell-ID vector.
+	hint []int32
+	menu [][]int32
 	// ids[g] is gate g's cell ID (-1 for primary inputs, and before
 	// the gate's first decision); cells spells the same assignment out.
 	ids   []int32
@@ -173,18 +56,32 @@ type matcher struct {
 type matchKey struct{ desired, load, succVDD uint64 }
 
 // newMatcher returns a matcher over a fresh cell table for one run:
-// menus from cfg, and baseline as every gate's hint and size cap.
+// menus from cfg, and baseline as every gate's hint and size cap. A
+// class's hint is interned before its menu, and a property read fails
+// only for a gate class, never for one cell of it, so the first error
+// is the first gate's whose class the library cannot model.
 func newMatcher(cc *engine.CompiledCircuit, lib *charlib.Library, cfg MatchConfig, baseline aserta.Assignment) (*matcher, error) {
 	c := cc.Circuit()
-	t, err := newCellTable(c, lib, cfg, baseline)
-	if err != nil {
-		return nil, err
+	if len(cfg.VDDs) == 0 {
+		cfg.VDDs = []float64{lib.Tech.VDDnom}
+	}
+	if len(cfg.Vths) == 0 {
+		cfg.Vths = []float64{lib.Tech.Vthnom}
+	}
+	// Paper: "The maximum gate size used was the same as that for the
+	// baseline circuits."
+	maxSize := 1.0
+	for _, g := range c.Gates {
+		if g.Type != ckt.Input && baseline[g.ID].Size > maxSize {
+			maxSize = baseline[g.ID].Size
+		}
 	}
 	n := len(c.Gates)
 	m := &matcher{
 		cc:    cc,
-		lib:   lib,
-		t:     t,
+		tab:   charlib.NewTable(lib),
+		hint:  make([]int32, n),
+		menu:  make([][]int32, n),
 		ids:   make([]int32, n),
 		cells: make(aserta.Assignment, n),
 		src: strike.Sources{
@@ -196,10 +93,44 @@ func newMatcher(cc *engine.CompiledCircuit, lib *charlib.Library, cfg MatchConfi
 		key:      make([]matchKey, n),
 		assigned: make([]bool, n),
 	}
-	for i := range m.ids {
-		m.ids[i] = -1
+	menus := make(map[charlib.Class][]int32)
+	for _, g := range c.Gates {
+		m.hint[g.ID], m.ids[g.ID] = -1, -1
+		if g.Type == ckt.Input {
+			continue
+		}
+		id, err := m.tab.Intern(baseline[g.ID])
+		if err != nil {
+			return nil, err
+		}
+		m.hint[g.ID] = id
+		cl := charlib.ClassOf(g)
+		menu, ok := menus[cl]
+		if !ok {
+			for _, cell := range lib.Menu(cl, cfg.VDDs, cfg.Vths, maxSize) {
+				id, err := m.tab.Intern(cell)
+				if err != nil {
+					return nil, err
+				}
+				menu = append(menu, id)
+			}
+			menus[cl] = menu
+		}
+		m.menu[g.ID] = menu
 	}
 	return m, nil
+}
+
+// assignment expands a cell-ID vector (-1 for primary inputs) into
+// cells.
+func (m *matcher) assignment(ids []int32) aserta.Assignment {
+	cells := make(aserta.Assignment, len(ids))
+	for g, id := range ids {
+		if id >= 0 {
+			cells[g] = m.tab.Cell(id)
+		}
+	}
+	return cells
 }
 
 // match implements the paper's §4 parameter determination: "To find
@@ -251,7 +182,7 @@ func (m *matcher) match(desired []float64) error {
 
 // load returns gate g's output load and the highest VDD among its
 // fanout cells. The load is the fanout cells' input capacitance summed
-// in fanout order, plus the latch load on a PO: strike.GateLoads'
+// in fanout order, plus the latch load on a PO: charlib.Table.Loads'
 // summation. Every fanout gate is later in topological order, hence
 // already assigned in the reverse walk.
 func (m *matcher) load(g *ckt.Gate) (load, succVDD float64, err error) {
@@ -259,10 +190,10 @@ func (m *matcher) load(g *ckt.Gate) (load, succVDD float64, err error) {
 		if !m.assigned[s] {
 			return 0, 0, fmt.Errorf("sertopt: fanout %s of %s not yet assigned (netlist not a DAG?)", m.cc.Circuit().Gates[s].Name, g.Name)
 		}
-		p := &m.t.props[m.ids[s]]
-		load += p.inCap
-		if p.vdd > succVDD {
-			succVDD = p.vdd
+		id := m.ids[s]
+		load += m.tab.Props(id).InputCap
+		if vdd := m.tab.Cell(id).VDD; vdd > succVDD {
+			succVDD = vdd
 		}
 	}
 	if g.PO {
@@ -276,14 +207,15 @@ func (m *matcher) load(g *ckt.Gate) (load, succVDD float64, err error) {
 // wins ties. No cell may have a lower VDD than a successor (no level
 // shifters).
 func (m *matcher) decide(g *ckt.Gate, desired, load, succVDD float64) error {
+	lib := m.tab.Library()
 	best := int32(-1)
 	bestErr, bestDelay := -1.0, 0.0
 	consider := func(id int32) error {
-		cell := m.t.cells[id]
+		cell := m.tab.Cell(id)
 		if cell.VDD < succVDD {
 			return nil // no low-VDD gate may drive a high-VDD gate
 		}
-		d, err := m.lib.Delay(cell, load)
+		d, err := lib.Delay(cell, load)
 		if err != nil {
 			return err
 		}
@@ -293,10 +225,10 @@ func (m *matcher) decide(g *ckt.Gate, desired, load, succVDD float64) error {
 		}
 		return nil
 	}
-	if err := consider(m.t.hint[g.ID]); err != nil {
+	if err := consider(m.hint[g.ID]); err != nil {
 		return err
 	}
-	for _, id := range m.t.menu[g.ID] {
+	for _, id := range m.menu[g.ID] {
 		if err := consider(id); err != nil {
 			return err
 		}
@@ -304,18 +236,15 @@ func (m *matcher) decide(g *ckt.Gate, desired, load, succVDD float64) error {
 	if bestErr < 0 {
 		return fmt.Errorf("sertopt: no feasible cell for gate %s (succ VDD %g exceeds menu)", g.Name, succVDD)
 	}
-	p, err := m.t.use(m.lib, best)
-	if err != nil {
-		return err
-	}
-	w, err := m.lib.GlitchGen(m.t.cells[best], load)
+	cell := m.tab.Cell(best)
+	w, err := lib.GlitchGen(cell, load)
 	if err != nil {
 		return fmt.Errorf("sertopt: glitch gen of %s: %v", g.Name, err)
 	}
 	m.ids[g.ID] = best
-	m.cells[g.ID] = m.t.cells[best]
+	m.cells[g.ID] = cell
 	m.src.Delays[g.ID] = bestDelay
 	m.src.GenWidth[g.ID] = w
-	m.src.Flux[g.ID] = p.flux
+	m.src.Flux[g.ID] = m.tab.Props(best).FluxWeight
 	return nil
 }

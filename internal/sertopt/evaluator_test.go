@@ -14,7 +14,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/stats"
-	"repro/internal/strike"
 )
 
 // evalSetup is the optimizer's matching context for one circuit: the
@@ -128,8 +127,8 @@ func maxAbs(v []float64) float64 {
 // TestMatcherCacheMatchesFresh runs one matcher through the kinds of
 // desired-delay sequences the optimizer produces — θ = 0, a
 // single-direction probe, θ = 0 again, a dense random move, the probe
-// again — and holds every step to a fresh matcher plus
-// strike.EnumerateSources on its cells: same cells, and the same loads,
+// again — and holds every step to a fresh matcher plus the per-edge
+// refEnumerateSources on its cells: same cells, and the same loads,
 // delays, glitch widths and flux weights, bit for bit. The cells must
 // also equal the table-free reference matcher's. The band steps move
 // only the gates next to the POs, so their drivers keep their
@@ -167,7 +166,7 @@ func TestMatcherCacheMatchesFresh(t *testing.T) {
 				// θ = 0 reproduces the baseline, whose cell IDs seed
 				// the optimizer's memo.
 				if strings.HasPrefix(st.name, "theta0") {
-					for id, want := range m.t.hint {
+					for id, want := range m.hint {
 						if m.ids[id] != want {
 							t.Fatalf("%s: gate %d matched cell %d, want its hint %d", st.name, id, m.ids[id], want)
 						}
@@ -185,14 +184,14 @@ func TestMatcherCacheMatchesFresh(t *testing.T) {
 				if msg := diffCells(st.name+" fresh cells", cells, want); msg != "" {
 					t.Fatal(msg)
 				}
-				src, err := strike.EnumerateSources(s.cc, lib(), cells, engine.DefaultPOLoad)
+				src, err := refEnumerateSources(s.cc, lib(), cells, engine.DefaultPOLoad)
 				if err != nil {
 					t.Fatalf("%s: %v", st.name, err)
 				}
 				if msg := diffCells(st.name+" cells", m.cells, cells); msg != "" {
 					t.Fatal(msg)
 				}
-				if msg := diffCells(st.name+" table cells", m.t.assignment(m.ids), cells); msg != "" {
+				if msg := diffCells(st.name+" table cells", m.assignment(m.ids), cells); msg != "" {
 					t.Fatal(msg)
 				}
 				for _, f := range []struct {
@@ -232,7 +231,7 @@ func TestMetricsCoreMatchesEvaluateMetrics(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := metricsOf(s.cc, an.Sens, m.src.Loads, m.src.Delays, func(id int) *cellProps { return &m.t.props[m.ids[id]] })
+				got := metricsOf(s.cc, an.Sens, m.src.Loads, m.src.Delays, m.tab, m.ids)
 				want, err := EvaluateMetrics(s.cc, lib(), an)
 				if err != nil {
 					t.Fatal(err)
@@ -314,7 +313,7 @@ func TestErrorsMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, got = OptimizeCompiled(cc, broken, opts)
-	_, want = strike.EnumerateSources(cc, broken, brokenBase, engine.DefaultPOLoad)
+	_, want = refEnumerateSources(cc, broken, brokenBase, engine.DefaultPOLoad)
 	same("OptimizeCompiled, broken library", got, want)
 }
 

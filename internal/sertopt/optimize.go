@@ -119,10 +119,12 @@ func (r *Result) Ratios() (area, energy, delay float64) {
 // the same vectors/seed), and every inner cost evaluation reuses the
 // compiled topological orders instead of re-deriving them.
 //
-// The baseline's loads, delays, glitch widths and flux weights are
-// derived once (strike.EnumerateSources) and feed both its metrics and
-// its analysis. A cost evaluation matches cells to the candidate
-// delays through one per-run cell table, re-deciding only the gates
+// The run keeps one cell table (charlib.Table) that interns the
+// baseline and every menu cell. The baseline's loads, delays, glitch
+// widths and flux weights are derived once from it
+// (strike.EnumerateSources) and feed both its metrics and its
+// analysis. A cost evaluation matches cells to the candidate delays
+// over the same table, re-deciding only the gates
 // whose matching inputs changed since the previous evaluation; hands
 // the matcher's loads, delays, glitch widths and flux weights to an
 // analysis, of which it keeps only U, and to the metrics core; and
@@ -155,24 +157,24 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	// The baseline's loads, delays, glitch widths and flux weights,
-	// derived once for its metrics and its analysis; timed as the
-	// stage aserta.AnalyzeCompiled would record for them.
-	endSources := trace.StartStage(nil, "strike.sources")
-	src, err := strike.EnumerateSources(cc, lib, baseline, engine.DefaultPOLoad)
-	endSources()
-	if err != nil {
-		return nil, err
-	}
 	// The baseline anchors matching: each gate's baseline cell is its
-	// hint, so θ=0 reproduces the baseline exactly, and the table reads
-	// the baseline cells' properties for its metrics.
+	// hint, so θ=0 reproduces the baseline exactly, and the hints are
+	// the baseline's cell IDs in the run's one cell table.
 	match, err := newMatcher(cc, lib, opts.Match, baseline)
 	if err != nil {
 		return nil, err
 	}
-	hint := match.t.hint
-	res.BaseMetrics = metricsOf(cc, sens, src.Loads, src.Delays, func(id int) *cellProps { return &match.t.props[hint[id]] })
+	hint := match.hint
+	// The baseline's loads, delays, glitch widths and flux weights,
+	// derived once for its metrics and its analysis; timed as the
+	// stage aserta.AnalyzeCompiled would record for them.
+	endSources := trace.StartStage(nil, "strike.sources")
+	src, err := strike.EnumerateSources(cc, match.tab, hint, engine.DefaultPOLoad)
+	endSources()
+	if err != nil {
+		return nil, err
+	}
+	res.BaseMetrics = metricsOf(cc, sens, src.Loads, src.Delays, match.tab, hint)
 	// Latch-capture saturation at the circuit's own clock (1.2x the
 	// baseline critical path), for both baseline and candidates.
 	acfg := aserta.Config{
@@ -221,7 +223,6 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 			w.A*m.Area/res.BaseMetrics.Area
 	}
 
-	cellOf := func(id int) *cellProps { return &match.t.props[match.ids[id]] }
 	baseOut := &evalOut{ids: hint, m: res.BaseMetrics, c: cost(res.BaseMetrics, res.BaseAnalysis.U)}
 	memo := map[string]*evalOut{string(appendKey(nil, hint)): baseOut}
 	var key []byte
@@ -257,7 +258,7 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		if err != nil {
 			return nil, err
 		}
-		m := metricsOf(cc, sens, match.src.Loads, match.src.Delays, cellOf)
+		m := metricsOf(cc, sens, match.src.Loads, match.src.Delays, match.tab, match.ids)
 		out := &evalOut{ids: append([]int32(nil), match.ids...), m: m, c: cost(m, an.U)}
 		memo[string(key)] = out
 		return out, nil
@@ -317,7 +318,7 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		// hand.
 		res.Optimized, res.OptAnalysis = res.Baseline, res.BaseAnalysis
 	} else {
-		res.Optimized = match.t.assignment(best.ids)
+		res.Optimized = match.assignment(best.ids)
 		res.OptAnalysis, err = aserta.AnalyzeCompiled(cc, lib, res.Optimized, acfg)
 		if err != nil {
 			return nil, err

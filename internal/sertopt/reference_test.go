@@ -6,6 +6,9 @@ package sertopt
 // cells afresh (referenceMatch), analyzes them in full
 // (aserta.AnalyzeCompiled) and recomputes the metrics from the library
 // (referenceMetrics): no cell table, decision cache or assignment memo.
+// Its baseline comes from the per-edge sizing (refInitialSizing), and
+// every load it sums reads the library's Props edge by edge
+// (refGateLoads), as every flow did before charlib.Table.
 // It derives the baseline's loads and delays afresh for each use,
 // searches in T's column order (refColumnDelays, refPerGate,
 // refGradientSeed), and spells out the match settings the production
@@ -50,7 +53,7 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 	res := &Result{}
 
 	// Baseline: speed-oriented sizing at nominal L/VDD/Vth.
-	baseline, err := InitialSizing(c, lib, match.POLoad)
+	baseline, err := refInitialSizing(c, lib, match.POLoad)
 	if err != nil {
 		return nil, err
 	}
@@ -347,11 +350,11 @@ func referenceMatch(cc *engine.CompiledCircuit, lib *charlib.Library, desired []
 			if !assigned[s] {
 				return nil, fmt.Errorf("sertopt: fanout %s of %s not yet assigned (netlist not a DAG?)", c.Gates[s].Name, g.Name)
 			}
-			cap, err := lib.InputCap(cells[s])
+			p, err := lib.Props(cells[s])
 			if err != nil {
 				return nil, err
 			}
-			load += cap
+			load += p.InputCap
 			if cells[s].VDD > minSuccVDD {
 				minSuccVDD = cells[s].VDD
 			}
@@ -400,7 +403,7 @@ func referenceMatch(cc *engine.CompiledCircuit, lib *charlib.Library, desired []
 // under the assignment's own loads, straight from the library: the
 // reference path's d0, and the matcher tests' targets.
 func gateDelays(c *ckt.Circuit, lib *charlib.Library, cells aserta.Assignment, poLoad float64) ([]float64, error) {
-	loads, err := strike.GateLoads(c, lib, cells, poLoad)
+	loads, err := refGateLoads(c, lib, cells, poLoad)
 	if err != nil {
 		return nil, err
 	}
@@ -418,12 +421,106 @@ func gateDelays(c *ckt.Circuit, lib *charlib.Library, cells aserta.Assignment, p
 	return d, nil
 }
 
+// refGateLoads is the per-edge load derivation every flow used before
+// the cell table: each gate's output load is the input capacitance of
+// every fanout pin, read from the library edge by edge, plus the PO
+// latch load where applicable.
+func refGateLoads(c *ckt.Circuit, lib *charlib.Library, cells []charlib.Cell, poLoad float64) ([]float64, error) {
+	loads := make([]float64, len(c.Gates))
+	for _, g := range c.Gates {
+		for _, s := range g.Fanout {
+			p, err := lib.Props(cells[s])
+			if err != nil {
+				return nil, fmt.Errorf("strike: input cap of gate %s: %v", c.Gates[s].Name, err)
+			}
+			loads[g.ID] += p.InputCap
+		}
+		if g.PO {
+			loads[g.ID] += poLoad
+		}
+	}
+	return loads, nil
+}
+
+// refEnumerateSources is strike.EnumerateSources before the cell
+// table: loads from refGateLoads, then every gate's delay, generated
+// glitch width and flux weight straight from the library and the cell.
+func refEnumerateSources(cc *engine.CompiledCircuit, lib *charlib.Library, cells []charlib.Cell, poLoad float64) (*strike.Sources, error) {
+	c := cc.Circuit()
+	if len(cells) != len(c.Gates) {
+		return nil, fmt.Errorf("strike: %d cells for %d gates", len(cells), len(c.Gates))
+	}
+	loads, err := refGateLoads(c, lib, cells, poLoad)
+	if err != nil {
+		return nil, err
+	}
+	src := &strike.Sources{
+		Loads:    loads,
+		Delays:   make([]float64, len(c.Gates)),
+		GenWidth: make([]float64, len(c.Gates)),
+		Flux:     make([]float64, len(c.Gates)),
+	}
+	for _, g := range c.Gates {
+		if g.Type.IsSource() {
+			continue
+		}
+		d, err := lib.Delay(cells[g.ID], loads[g.ID])
+		if err != nil {
+			return nil, fmt.Errorf("strike: delay of %s: %v", g.Name, err)
+		}
+		src.Delays[g.ID] = d
+		w, err := lib.GlitchGen(cells[g.ID], loads[g.ID])
+		if err != nil {
+			return nil, fmt.Errorf("strike: glitch gen of %s: %v", g.Name, err)
+		}
+		src.GenWidth[g.ID] = w
+		src.Flux[g.ID] = cells[g.ID].FluxWeight()
+	}
+	return src, nil
+}
+
+// refInitialSizing is InitialSizing before the cell table: every pass
+// derives the loads edge by edge (refGateLoads) and asks the library
+// for each gate's unit-size input capacitance.
+func refInitialSizing(c *ckt.Circuit, lib *charlib.Library, poLoad float64) (aserta.Assignment, error) {
+	cells := aserta.NominalAssignment(c, lib, 1)
+	sizes := lib.Grid.Sizes
+	for pass := 0; pass < 3; pass++ {
+		loads, err := refGateLoads(c, lib, cells, poLoad)
+		if err != nil {
+			return nil, err
+		}
+		for _, g := range c.Gates {
+			if g.Type == ckt.Input {
+				continue
+			}
+			unit := cells[g.ID]
+			unit.Size = 1
+			p, err := lib.Props(unit)
+			if err != nil {
+				return nil, err
+			}
+			// Target electrical fanout of ~3 unit input caps per size
+			// step, snapped to the library's size grid.
+			want := loads[g.ID] / (3 * p.InputCap)
+			best := sizes[0]
+			for _, s := range sizes {
+				if absf(s-want) < absf(best-want) {
+					best = s
+				}
+			}
+			cells[g.ID].Size = best
+		}
+	}
+	return cells, nil
+}
+
 // referenceMetrics computes an assignment's metrics straight from the
 // library.
 func referenceMetrics(cc *engine.CompiledCircuit, lib *charlib.Library, cells aserta.Assignment, sens *logicsim.Result, poLoad float64) (Metrics, error) {
 	c := cc.Circuit()
 	var m Metrics
-	loads, err := strike.GateLoads(c, lib, cells, poLoad)
+	loads, err := refGateLoads(c, lib, cells, poLoad)
 	if err != nil {
 		return m, err
 	}
@@ -461,17 +558,14 @@ func referenceMetrics(cc *engine.CompiledCircuit, lib *charlib.Library, cells as
 		if sens != nil {
 			act = sens.Activity[g.ID]
 		}
-		e, err := lib.DynEnergyPerTransition(cells[g.ID], loads[g.ID])
+		p, err := lib.Props(cells[g.ID])
 		if err != nil {
 			return m, err
 		}
-		dyn += act * e
-		p, err := lib.StaticPower(cells[g.ID])
-		if err != nil {
-			return m, err
-		}
-		leakP += p
-		m.Area += lib.Area(cells[g.ID])
+		vdd := cells[g.ID].VDD
+		dyn += act * ((p.SelfCap + loads[g.ID]) * vdd * vdd)
+		leakP += p.StaticPower
+		m.Area += p.Area
 	}
 	m.Energy = dyn + leakP*period
 	return m, nil

@@ -6,10 +6,10 @@
 // mechanisms exactly once, as a pipeline stage over
 // engine.CompiledCircuit:
 //
-//	EnumerateSources  per-gate strike parameters: output loads
-//	                  (GateLoads), delays, generated glitch widths w_i,
-//	                  flux weights Z_i (Eq. 3) — everything derived
-//	                  from the cell assignment.
+//	EnumerateSources  per-gate strike parameters: output loads,
+//	                  delays, generated glitch widths w_i, flux
+//	                  weights Z_i (Eq. 3) — everything derived from the
+//	                  cell assignment, read through a charlib.Table.
 //	ElectricalFilter  the Propagator: Eq. 1 attenuation and the Eq. 2
 //	                  π-split applied in one reverse-topological pass
 //	                  over the §3.2 sample-width ladder, producing the
@@ -46,7 +46,6 @@ import (
 	"fmt"
 
 	"repro/internal/charlib"
-	"repro/internal/ckt"
 	"repro/internal/engine"
 )
 
@@ -64,59 +63,43 @@ type Sources struct {
 	Flux []float64
 }
 
-// GateLoads computes each gate's output load: the input capacitance of
-// every fanout pin plus the PO latch load where applicable.
-func GateLoads(c *ckt.Circuit, lib *charlib.Library, cells []charlib.Cell, poLoad float64) ([]float64, error) {
-	loads := make([]float64, len(c.Gates))
-	for _, g := range c.Gates {
-		for _, s := range g.Fanout {
-			cap, err := lib.InputCap(cells[s])
-			if err != nil {
-				return nil, fmt.Errorf("strike: input cap of gate %s: %v", c.Gates[s].Name, err)
-			}
-			loads[g.ID] += cap
-		}
-		if g.PO {
-			loads[g.ID] += poLoad
-		}
-	}
-	return loads, nil
-}
-
-// EnumerateSources derives every gate's strike parameters from the
-// cell assignment: loads, delays, generated glitch widths and flux
-// weights. It is the first pipeline stage; everything downstream
-// depends only on its output and the netlist.
-func EnumerateSources(cc *engine.CompiledCircuit, lib *charlib.Library, cells []charlib.Cell, poLoad float64) (*Sources, error) {
+// EnumerateSources derives every gate's strike parameters from a cell
+// assignment: loads, delays, generated glitch widths and flux weights.
+// ids[i] is gate i's cell in t (primary inputs' entries are ignored),
+// and each load is t's sum over the gate's fanout pins plus poLoad on
+// a primary output. It is the first pipeline stage; everything
+// downstream depends only on its output and the netlist.
+func EnumerateSources(cc *engine.CompiledCircuit, t *charlib.Table, ids []int32, poLoad float64) (*Sources, error) {
 	c := cc.Circuit()
-	if len(cells) != len(c.Gates) {
-		return nil, fmt.Errorf("strike: %d cells for %d gates", len(cells), len(c.Gates))
-	}
-	loads, err := GateLoads(c, lib, cells, poLoad)
-	if err != nil {
-		return nil, err
+	n := len(c.Gates)
+	if len(ids) != n {
+		return nil, fmt.Errorf("strike: %d cells for %d gates", len(ids), n)
 	}
 	src := &Sources{
-		Loads:    loads,
-		Delays:   make([]float64, len(c.Gates)),
-		GenWidth: make([]float64, len(c.Gates)),
-		Flux:     make([]float64, len(c.Gates)),
+		Loads:    make([]float64, n),
+		Delays:   make([]float64, n),
+		GenWidth: make([]float64, n),
+		Flux:     make([]float64, n),
 	}
+	t.Loads(c, ids, poLoad, src.Loads)
+	lib := t.Library()
 	for _, g := range c.Gates {
 		if g.Type.IsSource() {
 			continue
 		}
-		d, err := lib.Delay(cells[g.ID], loads[g.ID])
+		id := ids[g.ID]
+		cell := t.Cell(id)
+		d, err := lib.Delay(cell, src.Loads[g.ID])
 		if err != nil {
 			return nil, fmt.Errorf("strike: delay of %s: %v", g.Name, err)
 		}
 		src.Delays[g.ID] = d
-		w, err := lib.GlitchGen(cells[g.ID], loads[g.ID])
+		w, err := lib.GlitchGen(cell, src.Loads[g.ID])
 		if err != nil {
 			return nil, fmt.Errorf("strike: glitch gen of %s: %v", g.Name, err)
 		}
 		src.GenWidth[g.ID] = w
-		src.Flux[g.ID] = cells[g.ID].FluxWeight()
+		src.Flux[g.ID] = t.Props(id).FluxWeight
 	}
 	return src, nil
 }

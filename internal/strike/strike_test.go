@@ -173,7 +173,12 @@ func newPipeline(t *testing.T, lib *charlib.Library, name string) *pipeline {
 		t.Fatal(err)
 	}
 	cc := engine.MustCompile(c)
-	src, err := strike.EnumerateSources(cc, lib, aserta.NominalAssignment(c, lib, 2), 2e-15)
+	tab := charlib.NewTable(lib)
+	ids, err := tab.InternAll(c, aserta.NominalAssignment(c, lib, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := strike.EnumerateSources(cc, tab, ids, 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
