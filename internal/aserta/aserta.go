@@ -135,7 +135,7 @@ type Analysis struct {
 
 	// prop is the shared pipeline's ElectricalFilter stage; delta its
 	// incremental re-reduce configuration, which also holds the
-	// baseline WS table once something asks for it. RecomputeU shares
+	// compact baseline WS table once something asks for it. RecomputeU shares
 	// the delta's scratch arenas and is therefore not safe for
 	// concurrent use on one Analysis.
 	prop  *strike.Propagator
@@ -220,9 +220,10 @@ func AnalyzeSources(cc *engine.CompiledCircuit, cells Assignment, src *strike.So
 	a.Sens = sens
 
 	// Stage 2: ElectricalFilter — the §3.2 reverse-topological pass
-	// for the baseline delays. Only Wij, which the reduce reads, is
-	// kept; the pass works in recycled per-worker column scratch, and
-	// WSTable builds the full WS table if something asks for it.
+	// for the baseline delays, over the (gate, PO) pairs P_ij can
+	// reach. Only Wij, which the reduce reads, is kept; the pass works
+	// in a recycled compact arena, and WSTable builds the full WS table
+	// if something asks for it.
 	endElec := trace.StartStage(cfg.Spans, "strike.electrical")
 	a.Samples = cfg.sampleWidths()
 	a.prop = strike.NewPropagator(cc, a.Sens, a.GenWidth, a.Samples)
@@ -250,13 +251,14 @@ func AnalyzeSources(cc *engine.CompiledCircuit, cells Assignment, src *strike.So
 // WS[i][j][k] is the expected glitch width at the j-th PO for a glitch
 // of width Samples[k] at gate i's output (zero where no path is
 // sensitized). An analysis does not keep the table: the first call
-// builds it, by re-running the pass into a full nGates·nPOs·K arena,
-// and every later call, SpectrumU and the incremental RecomputeU share
-// it. Safe for concurrent callers, but not concurrently with
-// RecomputeU or RecomputeUFull.
+// expands the delta's compact baseline table (strike.Delta.BaseWS,
+// one row per (gate, PO) pair the pass visits, built by the first
+// incremental RecomputeU or by this call) into a full nGates·nPOs·K
+// arena, and every later call and SpectrumU share it. Safe for
+// concurrent callers.
 func (a *Analysis) WSTable() [][][]float64 {
 	a.wsOnce.Do(func() {
-		flat := a.delta.BaseWS()
+		flat := a.prop.DenseWS(a.delta.BaseWS())
 		K := len(a.Samples)
 		rows := make([][]float64, len(flat)/K)
 		for r := range rows {
@@ -305,8 +307,8 @@ func (a *Analysis) uiOf(i int, wij []float64) float64 {
 // unreliability. This is the cheap delay-sensitivity oracle SERTOPT's
 // gradient seeding uses, and it is incremental: only the fanin cones
 // of gates whose delays differ from the analysis baseline are
-// re-propagated, with unaffected rows served from the baseline
-// WSTable, which the first incremental call builds (strike.Delta). The
+// re-propagated, with unaffected rows served from the compact baseline
+// WS table, which the first incremental call builds (strike.Delta). The
 // delta evaluation always starts from the pristine baseline, so error
 // cannot accumulate across calls. Not safe for concurrent use on one
 // Analysis (shared scratch arenas).

@@ -1,8 +1,10 @@
 package strike
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/ckt"
 	"repro/internal/engine"
@@ -29,55 +31,83 @@ func Attenuate(wi, d float64) float64 {
 // reverse-topological computation of expected PO glitch widths W_ij
 // under Eq. 1 attenuation and the Eq. 2 π-split, over a fixed sample
 // glitch-width ladder. A Propagator is built once per analysis from
-// the netlist-derived statics (compiled orders, side sensitizations,
-// Eq. 2 denominators, prepared interpolations) and then Run for any
+// the netlist-derived statics (the (gate, PO) pairs with P_ij ≠ 0,
+// their Eq. 2 denominators and successor lists) and the prepared
+// interpolation of each gate's generated width, and then Run for any
 // per-gate delay vector.
 //
-// Run is deterministic and parallel over PO columns. The attenuation
-// table is per-delay-vector state shared with the Delta incremental
-// path, so one Propagator must not Run concurrently with itself or a
-// Delta.
+// Run is deterministic and parallel over PO columns. It keeps its
+// per-call state in recycled scratch, so Runs on one Propagator may
+// overlap; a Delta built on it is not safe for concurrent use.
 type Propagator struct {
-	cc   *engine.CompiledCircuit
-	c    *ckt.Circuit
-	sens *logicsim.Result
+	c      *ckt.Circuit
+	rorder []int
 	// samples is the §3.2 sample-width ladder ws_k; genWidth the
 	// per-gate generated widths w_i (step iv interpolation points).
 	samples  []float64
 	genWidth []float64
-
-	// Netlist-derived statics (delay-independent): reverse topological
-	// order, per-fanout-edge side sensitizations S_is, the Eq. 2
-	// denominators Σ_s S_is·P_sj, and the prepared interpolation of
-	// each gate's generated width on the sample ladder.
-	rorder  []int
-	foutOff []int
-	sis     []float64
-	den     []float64
+	st       *elecStatics
+	// genIdx/genFrac are the prepared interpolations of each gate's
+	// generated width on the sample ladder (gates with pairs only).
 	genIdx  []int32
 	genFrac []float64
-	// attIdx/attFrac are the per-(gate, sample) prepared interpolations
-	// of the Eq. 1-attenuated widths for the current delay vector.
-	attIdx  []int32
-	attFrac []float64
 
 	nPOs int
 }
 
-// elecStatics are the sens-derived electrical statics: per-fanout-edge
-// side sensitizations S_is and the Eq. 2 denominators Σ_s S_is·P_sj.
-// Both depend only on the netlist and the sensitization statistics —
-// never on the cell assignment — so they are memoized on the compiled
-// handle and shared by every warm analysis at the same (vectors, seed).
+// elecStatics are the sens-derived electrical statics: the (gate, PO)
+// pairs a glitch can reach — the gates with P_ij ≠ 0 in each column,
+// plus each PO's own column — with their Eq. 2 denominators and their
+// successors. They depend only on the netlist and the sensitization
+// statistics, never on the cell assignment, so they are memoized on
+// the compiled handle and shared by every warm analysis at the same
+// (vectors, seed).
 type elecStatics struct {
-	sis []float64
-	den []float64
+	// pairs lists the pairs column by column, each column in reverse
+	// topological order: column j's are pairs[colOff[j]:colOff[j+1]].
+	// A pair's index is also its row in a compact WS arena.
+	pairs  []elecPair
+	colOff []int32
+	// Pair q's successors with P_sj ≠ 0, in fanout order, are
+	// succs[succOff[q]:succOff[q+1]].
+	succOff []int32
+	succs   []elecSucc
+	// gatePairs is the gate-major index: gate i's pairs, in column
+	// order, are gatePairs[gateOff[i]:gateOff[i+1]].
+	gateOff   []int32
+	gatePairs []int32
+	// attGates are the gates read as successors, one attenuation row
+	// each in this order; attRow maps a gate to its row, or -1.
+	attGates []int32
+	attRow   []int32
+}
+
+// elecPair is one (gate, PO) pair of the pass.
+type elecPair struct {
+	gate, col int32
+	// pij is P_ij and den the Eq. 2 denominator Σ_s S_is·P_sj over the
+	// gate's fanout.
+	pij, den float64
+	// own marks a PO's own column, whose row is the sample ladder.
+	own bool
+}
+
+// elecSucc is one successor read of a pair: the successor's pair in
+// the same column, its attenuation row and the edge's side
+// sensitization S_is.
+type elecSucc struct {
+	pair, att int32
+	sis       float64
 }
 
 // MemoWeight reports the statics' retained size in cache-weight units
-// (engine.MemoWeigher): the denominator arena dominates.
+// (engine.MemoWeigher): the pair, successor, index and
+// attenuation-set arrays.
 func (s *elecStatics) MemoWeight() int64 {
-	return int64(len(s.sis)+len(s.den)) * 8 / 128
+	bytes := int64(len(s.pairs))*int64(unsafe.Sizeof(elecPair{})) +
+		int64(len(s.succs))*int64(unsafe.Sizeof(elecSucc{})) +
+		4*int64(len(s.colOff)+len(s.succOff)+len(s.gateOff)+len(s.gatePairs)+len(s.attGates)+len(s.attRow))
+	return bytes / 128
 }
 
 // elecKey memoizes elecStatics on the compiled handle, keyed by the
@@ -88,298 +118,386 @@ type elecKey struct{ sens *logicsim.Result }
 // staticsFor returns the memoized sens-derived statics for the handle.
 func staticsFor(cc *engine.CompiledCircuit, sens *logicsim.Result) *elecStatics {
 	v, _ := cc.Memo(elecKey{sens}, func() (any, error) {
-		c := cc.Circuit()
-		nGates := len(c.Gates)
-		nPOs := len(c.Outputs())
-		foutOff := cc.FanoutOffsets()
-		st := &elecStatics{
-			sis: make([]float64, foutOff[nGates]),
-			den: make([]float64, nGates*nPOs),
-		}
-		par.Each(nGates, 0, 0, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				g := c.Gates[i]
-				if g.Type.IsSource() {
-					continue
-				}
-				sis := st.sis[foutOff[i]:foutOff[i+1]]
-				for si, s := range g.Fanout {
-					sis[si] = logicsim.SideSensitization(c, sens, i, s)
-				}
-				// π_isj = S_is · P_ij / Σ_k S_ik · P_kj  (Eq. 2), which
-				// satisfies the paper's normalization
-				// Σ_s π_isj · P_sj = P_ij. The denominator is
-				// delay-independent, so it is computed once here.
-				den := st.den[i*nPOs : (i+1)*nPOs]
-				for j := 0; j < nPOs; j++ {
-					d := 0.0
-					for si, s := range g.Fanout {
-						d += sis[si] * sens.Pij[s][j]
-					}
-					den[j] = d
-				}
-			}
-		})
-		return st, nil
+		return buildStatics(cc, sens), nil
 	})
 	return v.(*elecStatics)
 }
 
-// NewPropagator builds the electrical-filter statics for a compiled
-// circuit, its sensitization statistics, the per-gate generated glitch
-// widths and the sample ladder. The sens-derived statics (side
-// sensitizations, Eq. 2 denominators) are memoized on the handle, so a
-// warm analysis only pays for the assignment-derived interpolation
-// coefficients.
-func NewPropagator(cc *engine.CompiledCircuit, sens *logicsim.Result, genWidth, samples []float64) *Propagator {
+// buildStatics derives the pair lists in two parallel passes, each
+// writing only slots of its own, with one serial walk of the edges and
+// prefix sums between them. The first pass, over blocks of 64
+// positions of the reverse topological order, computes every side
+// sensitization and marks each gate's pair columns twice: per gate
+// (has) and per column, by position (colHas). The edge walk counts each
+// column's successor reads and finds the gates read as successors. The
+// second pass walks each column's pairs in reverse topological order,
+// placing them and filling their denominators and successor lists; a
+// successor's pair in the column was placed earlier in the same walk.
+func buildStatics(cc *engine.CompiledCircuit, sens *logicsim.Result) *elecStatics {
 	c := cc.Circuit()
-	p := &Propagator{
-		cc:       cc,
-		c:        c,
-		sens:     sens,
-		samples:  samples,
-		genWidth: genWidth,
-		nPOs:     len(c.Outputs()),
-	}
 	nGates := len(c.Gates)
-	p.foutOff = cc.FanoutOffsets()
-	st := staticsFor(cc, sens)
-	p.sis = st.sis
-	p.den = st.den
-	p.genIdx = make([]int32, nGates)
-	p.genFrac = make([]float64, nGates)
-	for _, g := range c.Gates {
+	nPOs := len(c.Outputs())
+	rorder := cc.ReverseTopoOrder()
+	foutOff := cc.FanoutOffsets()
+	words, posWords := (nPOs+63)/64, (nGates+63)/64
+	// has[i*words:(i+1)*words] marks gate i's pair columns, and
+	// colHas[j*posWords:(j+1)*posWords] column j's gates by position in
+	// rorder. P_jj = 1 on every logic PO, so for a gate read as a
+	// successor a set bit is exactly P_sj ≠ 0.
+	has := make([]uint64, nGates*words)
+	colHas := make([]uint64, nPOs*posWords)
+	// fan and sis hold each gate's fanout and its side sensitizations
+	// at foutOff[i]:foutOff[i+1], flat for the column walks.
+	fan := make([]int32, foutOff[nGates])
+	sis := make([]float64, foutOff[nGates])
+	ownCol := func(i int) int {
+		if j, ok := cc.POColumn(i); ok {
+			return j
+		}
+		return -1
+	}
+	st := &elecStatics{
+		colOff:  make([]int32, nPOs+1),
+		gateOff: make([]int32, nGates+1),
+		attRow:  make([]int32, nGates),
+	}
+	nw := par.Workers(0)
+
+	// Whole 64-position blocks, so that each owns its words of colHas.
+	par.Each(nGates, nw, 64*max(1, (posWords+4*nw-1)/(4*nw)), func(_, lo, hi int) {
+		for pos := lo; pos < hi; pos++ {
+			i := rorder[pos]
+			g := c.Gates[i]
+			if g.Type.IsSource() {
+				continue
+			}
+			for si, s := range g.Fanout {
+				fan[foutOff[i]+si] = int32(s)
+				sis[foutOff[i]+si] = logicsim.SideSensitization(c, sens, i, s)
+			}
+			pij := sens.Pij[i]
+			row := has[i*words : (i+1)*words]
+			for w := range row {
+				var word uint64
+				for k, p := range pij[w*64 : min(w*64+64, nPOs)] {
+					var b uint64
+					if p != 0 {
+						b = 1
+					}
+					word |= b << k
+				}
+				row[w] = word
+			}
+			if own := ownCol(i); own >= 0 {
+				row[own/64] |= 1 << (own % 64)
+			}
+			n := 0
+			for w, word := range row {
+				n += bits.OnesCount64(word)
+				for ; word != 0; word &= word - 1 {
+					j := w*64 + bits.TrailingZeros64(word)
+					colHas[j*posWords+pos/64] |= 1 << (pos % 64)
+				}
+			}
+			st.gateOff[i+1] = int32(n)
+		}
+	})
+	for i := 0; i < nGates; i++ {
+		st.gateOff[i+1] += st.gateOff[i]
+	}
+
+	// One walk of the edges counts each column's successor reads and
+	// marks the gates read as successors: s is read over edge (i, s)
+	// in the columns where i has a pair outside its own column and s
+	// has one too.
+	colSuccs := make([]int32, nPOs+1)
+	for i := range st.attRow {
+		st.attRow[i] = -1
+	}
+	for i, g := range c.Gates {
 		if g.Type.IsSource() {
 			continue
 		}
-		gi, gf := lut.PrepInterp1D(samples, genWidth[g.ID])
-		p.genIdx[g.ID] = int32(gi)
-		p.genFrac[g.ID] = gf
+		mine := has[i*words : (i+1)*words]
+		own := ownCol(i)
+		for _, s := range g.Fanout {
+			for w, m := range mine {
+				if own >= 0 && own/64 == w {
+					m &^= 1 << (own % 64)
+				}
+				m &= has[s*words+w]
+				if m != 0 {
+					st.attRow[s] = 0
+				}
+				for ; m != 0; m &= m - 1 {
+					colSuccs[w*64+bits.TrailingZeros64(m)+1]++
+				}
+			}
+		}
 	}
-	p.rorder = cc.ReverseTopoOrder()
+	for i, r := range st.attRow {
+		if r == 0 {
+			st.attRow[i] = int32(len(st.attGates))
+			st.attGates = append(st.attGates, int32(i))
+		}
+	}
+	for j := 0; j < nPOs; j++ {
+		n := int32(0)
+		for _, word := range colHas[j*posWords : (j+1)*posWords] {
+			n += int32(bits.OnesCount64(word))
+		}
+		st.colOff[j+1] = st.colOff[j] + n
+		colSuccs[j+1] += colSuccs[j]
+	}
+	nPairs := st.colOff[nPOs]
+	st.pairs = make([]elecPair, nPairs)
+	st.gatePairs = make([]int32, nPairs)
+	st.succOff = make([]int32, nPairs+1)
+	st.succOff[nPairs] = colSuccs[nPOs]
+	st.succs = make([]elecSucc, colSuccs[nPOs])
+
+	// pairOf[w*nGates+s] is worker w's pair of gate s in the column it
+	// is walking.
+	pairOf := make([]int32, nw*nGates)
+	par.Each(nPOs, nw, 1, func(w, jLo, jHi int) {
+		at := pairOf[w*nGates : (w+1)*nGates]
+		for j := jLo; j < jHi; j++ {
+			q, e := st.colOff[j], colSuccs[j]
+			for wi, word := range colHas[j*posWords : (j+1)*posWords] {
+				for ; word != 0; word &= word - 1 {
+					i := rorder[wi*64+bits.TrailingZeros64(word)]
+					at[i] = q
+					st.gatePairs[st.gateOff[i]+rankBelow(has[i*words:(i+1)*words], j)] = q
+					st.succOff[q] = e
+					pr := &st.pairs[q]
+					q++
+					pr.gate, pr.col = int32(i), int32(j)
+					if j == ownCol(i) {
+						// Step (ii): a PO gate presents the glitch
+						// directly at its own column.
+						pr.own = true
+						continue
+					}
+					// π_isj = S_is · P_ij / Σ_k S_ik · P_kj  (Eq. 2), which
+					// satisfies the paper's normalization
+					// Σ_s π_isj · P_sj = P_ij. The denominator is
+					// delay-independent, so it is computed once here. A
+					// successor with P_sj = 0 adds +0, which leaves the sum
+					// unchanged, so only the read successors are summed.
+					pr.pij = sens.Pij[i][j]
+					den := 0.0
+					for e0 := foutOff[i]; e0 < foutOff[i+1]; e0++ {
+						s := fan[e0]
+						if has[int(s)*words+j/64]>>(j%64)&1 == 0 {
+							continue
+						}
+						den += sis[e0] * sens.Pij[s][j]
+						st.succs[e] = elecSucc{pair: at[s], att: st.attRow[s], sis: sis[e0]}
+						e++
+					}
+					pr.den = den
+				}
+			}
+		}
+	})
+	return st
+}
+
+// rankBelow counts the set bits of row below bit j.
+func rankBelow(row []uint64, j int) int32 {
+	n := bits.OnesCount64(row[j/64] & (1<<(j%64) - 1))
+	for _, w := range row[:j/64] {
+		n += bits.OnesCount64(w)
+	}
+	return int32(n)
+}
+
+// NewPropagator builds the electrical-filter statics for a compiled
+// circuit, its sensitization statistics, the per-gate generated glitch
+// widths and the sample ladder. The sens-derived statics (the pair
+// lists with their denominators and side sensitizations) are memoized
+// on the handle, so a warm analysis only pays for the interpolation of
+// each gate's generated width.
+func NewPropagator(cc *engine.CompiledCircuit, sens *logicsim.Result, genWidth, samples []float64) *Propagator {
+	c := cc.Circuit()
+	st := staticsFor(cc, sens)
+	nGates := len(c.Gates)
+	p := &Propagator{
+		c:        c,
+		rorder:   cc.ReverseTopoOrder(),
+		samples:  samples,
+		genWidth: genWidth,
+		st:       st,
+		genIdx:   make([]int32, nGates),
+		genFrac:  make([]float64, nGates),
+		nPOs:     len(c.Outputs()),
+	}
+	for i := 0; i < nGates; i++ {
+		if st.gateOff[i] == st.gateOff[i+1] {
+			continue
+		}
+		gi, gf := lut.PrepInterp1D(samples, genWidth[i])
+		p.genIdx[i] = int32(gi)
+		p.genFrac[i] = gf
+	}
 	return p
 }
 
-// Samples returns the sample-width ladder (read-only).
-func (p *Propagator) Samples() []float64 { return p.samples }
+// Pairs reports how many (gate, PO) pairs the pass keeps a row for: a
+// compact WS table holds Pairs()·K floats, K the ladder's length.
+func (p *Propagator) Pairs() int { return len(p.st.pairs) }
 
-// prepAtten prepares, for every gate s and sample index k, the
-// interpolation of the Eq. 1-attenuated width Attenuate(ws[k],
-// delays[s]) on the sample ladder. attIdx -2 marks a fully masked
-// glitch (wo <= 0), which contributes nothing.
-func (p *Propagator) prepAtten(delays []float64) {
-	K := len(p.samples)
-	nGates := len(p.c.Gates)
-	if p.attIdx == nil {
-		p.attIdx = make([]int32, nGates*K)
-		p.attFrac = make([]float64, nGates*K)
-	}
-	for _, g := range p.c.Gates {
-		if g.Type.IsSource() {
-			continue
-		}
-		p.prepAttenGate(g.ID, delays[g.ID])
+// attTable holds, per gate read as a successor and sample index k, the
+// prepared interpolation of the Eq. 1-attenuated width
+// Attenuate(ws[k], d) on the sample ladder, row after row in attGates
+// order. idx -2 marks a fully masked glitch (wo <= 0), which
+// contributes nothing.
+type attTable struct {
+	idx  []int32
+	frac []float64
+}
+
+// prepAtten sizes t and fills every row for the delay vector.
+func (p *Propagator) prepAtten(t *attTable, delays []float64) {
+	n := len(p.st.attGates) * len(p.samples)
+	t.idx = slices.Grow(t.idx[:0], n)[:n]
+	t.frac = slices.Grow(t.frac[:0], n)[:n]
+	for r, s := range p.st.attGates {
+		p.prepAttenRow(t, r, delays[s])
 	}
 }
 
-// prepAttenGate fills one gate's attenuation row for delay d.
-func (p *Propagator) prepAttenGate(id int, d float64) {
+// prepAttenRow fills attenuation row r for delay d.
+func (p *Propagator) prepAttenRow(t *attTable, r int, d float64) {
 	ws := p.samples
 	K := len(ws)
-	row := id * K
-	for k := 0; k < K; k++ {
-		wo := Attenuate(ws[k], d)
+	idx, frac := t.idx[r*K:(r+1)*K], t.frac[r*K:(r+1)*K]
+	for k, w := range ws {
+		wo := Attenuate(w, d)
 		if wo <= 0 {
-			p.attIdx[row+k] = -2
+			idx[k] = -2
 			continue
 		}
 		i, f := lut.PrepInterp1D(ws, wo)
-		p.attIdx[row+k] = int32(i)
-		p.attFrac[row+k] = f
+		idx[k] = int32(i)
+		frac[k] = f
 	}
 }
 
-// computeGateColumns evaluates gate i's §3.2 step (iii)/(iv) rows for
-// PO columns [jLo, jHi): WS rows into wsDst and expected widths into
-// wijDst (len nGates*nPOs). The WS arenas hold stride columns per gate
-// starting at column jLo — row (s, j) sits at (s*stride+j-jLo)*K — so
-// a full nGates×nPOs×K table (sliced at its jLo*K offset) and a
-// worker's nGates×chunk×K scratch share one layout. Successor rows are
-// read from wsDst, except that when affected is non-nil the rows of
-// unaffected successors come from wsBase (the incremental delta
-// evaluation). accK is caller scratch of K floats. The accumulation
-// order (ascending successor index per sample) matches the historical
-// serial pass, so results are bit-identical to it.
-func (p *Propagator) computeGateColumns(i, jLo, jHi, stride int, accK []float64, wsDst, wijDst, wsBase []float64, affected []bool) {
-	c := p.c
-	g := c.Gates[i]
-	ws := p.samples
-	K := len(ws)
-	nPOs := p.nPOs
-	ownCol := -1
-	if g.PO {
-		// Step (ii): a PO gate presents the glitch directly at its own
-		// column. ISCAS-85 POs are terminal, so the paper stops here;
-		// a sequential frame's flop-capture columns sit on D-pin
-		// drivers that usually DO drive further logic, so a
-		// fanout-bearing PO falls through and combines successors for
-		// the remaining columns like any internal gate.
-		j, _ := p.cc.POColumn(i)
-		ownCol = j
-		if j >= jLo && j < jHi {
-			r := (i*stride + j - jLo) * K
-			copy(wsDst[r:r+K], ws)
-			wijDst[i*nPOs+j] = p.genWidth[i]
-		}
-		if len(g.Fanout) == 0 {
-			return
-		}
+// pairRow evaluates pair q's §3.2 step (iii) row into ws and returns
+// its step (iv) expected width W_ij. Successor rows are read from ws,
+// except that when affected is non-nil the rows of unaffected
+// successors come from base (the incremental delta evaluation). att
+// holds the attenuation rows for the delays under evaluation. The
+// accumulation order (ascending successor index per sample, then
+// P_ij·acc/den) is the serial pass's, so results are bit-identical to
+// it.
+func (p *Propagator) pairRow(q int, ws, base []float64, affected []bool, att *attTable) float64 {
+	st := p.st
+	pr := &st.pairs[q]
+	K := len(p.samples)
+	row := ws[q*K : (q+1)*K]
+	if pr.own {
+		copy(row, p.samples)
+		return p.genWidth[pr.gate]
 	}
-	// Step (iii): combine successors.
-	succs := g.Fanout
-	sis := p.sis[p.foutOff[i]:p.foutOff[i+1]]
-	den := p.den[i*nPOs : (i+1)*nPOs]
-	for j := jLo; j < jHi; j++ {
-		if j == ownCol {
-			continue
+	clear(row)
+	if pr.den == 0 {
+		// Reachable but with a zero Eq. 2 denominator (every side
+		// sensitization vanished): the glitch contributes nothing, but
+		// predecessors read this row, so it holds zeros.
+		return 0
+	}
+	for _, e := range st.succs[st.succOff[q]:st.succOff[q+1]] {
+		src := ws
+		if affected != nil && !affected[st.pairs[e.pair].gate] {
+			src = base
 		}
-		pij := p.sens.Pij[i][j]
-		if pij == 0 {
-			// Row (i, j) is never read downstream: a predecessor's
-			// combine loop skips zero-P_sj successors, so the row needs
-			// no zero-fill — this is what lets Run work in a reused
-			// (un-zeroed) arena.
-			continue
-		}
-		col := j - jLo
-		r := (i*stride + col) * K
-		if den[j] == 0 {
-			// Reachable but with a zero Eq. 2 denominator (every side
-			// sensitization vanished): the glitch contributes nothing,
-			// but predecessors WILL read this row, so it must hold
-			// zeros even in a reused arena.
-			row := wsDst[r : r+K]
-			for k := range row {
-				row[k] = 0
-			}
-			continue
-		}
-		for k := 0; k < K; k++ {
-			accK[k] = 0
-		}
-		for si, s := range succs {
-			if p.sens.Pij[s][j] == 0 {
-				// Zero sensitization to this PO: the successor's row is
-				// identically zero (and may be un-zeroed scratch), and
-				// its contribution to the combine is zero either way.
+		sj := src[int(e.pair)*K : int(e.pair+1)*K]
+		a := int(e.att) * K
+		idx, frac := att.idx[a:a+K], att.frac[a:a+K]
+		for k := range row {
+			i := idx[k]
+			if i == -2 {
 				continue
 			}
-			w := sis[si]
-			src := wsDst
-			if affected != nil && !affected[s] {
-				src = wsBase
+			// WE_sjk: interpolate successor s's row at the attenuated
+			// width (§3.2 step iii), via the prepared coefficients.
+			var v float64
+			if f := frac[k]; f < 0 {
+				v = sj[i]
+			} else {
+				v = sj[i] + f*(sj[i+1]-sj[i])
 			}
-			rs := (s*stride + col) * K
-			sj := src[rs : rs+K]
-			att := s * K
-			for k := 0; k < K; k++ {
-				idx := p.attIdx[att+k]
-				if idx == -2 {
-					continue
-				}
-				// WE_sjk: interpolate successor s's table at the
-				// attenuated width (§3.2 step iii), via the
-				// prepared coefficients.
-				var v float64
-				if f := p.attFrac[att+k]; f < 0 {
-					v = sj[idx]
-				} else {
-					v = sj[idx] + f*(sj[idx+1]-sj[idx])
-				}
-				accK[k] += w * v
-			}
+			row[k] += e.sis * v
 		}
-		row := wsDst[r : r+K]
-		for k := 0; k < K; k++ {
-			row[k] = pij * accK[k] / den[j]
-		}
-		// Step (iv): expected width for the actual generated
-		// glitch width w_i.
-		wijDst[i*nPOs+j] = lut.ApplyInterp1D(row, int(p.genIdx[i]), p.genFrac[i])
 	}
+	for k := range row {
+		row[k] = pr.pij * row[k] / pr.den
+	}
+	// Step (iv): expected width for the actual generated glitch width.
+	return lut.ApplyInterp1D(row, int(p.genIdx[pr.gate]), p.genFrac[pr.gate])
 }
+
+// elecScratch is one Run's recycled working set: the compact WS arena
+// (a Run without wsDst) and the attenuation table.
+type elecScratch struct {
+	ws  []float64
+	att attTable
+}
+
+// elecScratches recycles elecScratch sets across Runs of any circuit,
+// at most one per Run in flight at once, so the pass stops allocating
+// (and the runtime stops zeroing) its arenas on every analysis. Sets
+// are reused un-zeroed: the pass writes every row before reading it.
+var elecScratches par.FreeList[elecScratch]
 
 // Run executes the full reverse-topological pass for the given delay
-// vector into the provided arenas (len nGates*nPOs*K and nGates*nPOs).
-// PO columns are independent of one another, so the pass fans out over
-// column chunks; each chunk owns all rows of its columns, making the
-// parallel result identical to the serial one.
+// vector. Only the pairs are visited: the columns fan out over
+// workers, and each column's pairs are evaluated in reverse
+// topological order, so a pair's successors are ready before it and
+// the parallel result is identical to the serial one.
 //
-// wsDst may hold stale data from a previous Run: every row the pass
-// reads is written (or zero-filled) first, because the combine loop
-// skips zero-P_sj successors. Rows of unreachable (i, j) pairs are left
-// untouched — callers exposing the WS table must supply a zeroed arena.
-// A nil wsDst retains no WS table at all: each worker evaluates its
-// column chunks in a private nGates×chunk×K scratch arena and only
-// wijDst (which IS fully zero-filled here) is written, bit-identical
-// to a pass into a full table. The scratch is recycled across Runs of
-// any circuit, un-zeroed for the reason above; a Run holds one set.
+// wsDst, when not nil, receives the compact WS table (Pairs()·K
+// floats, row q for pair q; DenseWS expands it); otherwise the pass
+// works in a recycled arena. Every pair's row is written, so neither
+// needs zeroing. wijDst (nGates·nPOs) is zero-filled and receives W_ij
+// for every pair; a nil wijDst keeps no W_ij.
 func (p *Propagator) Run(delays, wsDst, wijDst []float64) {
-	p.prepAtten(delays)
-	K := len(p.samples)
-	nPOs := p.nPOs
-	for i := range wijDst {
-		wijDst[i] = 0
+	st := p.st
+	clear(wijDst)
+	sc := elecScratches.Get()
+	defer elecScratches.Put(sc)
+	p.prepAtten(&sc.att, delays)
+	ws := wsDst
+	if ws == nil {
+		n := len(st.pairs) * len(p.samples)
+		sc.ws = slices.Grow(sc.ws[:0], n)[:n]
+		ws = sc.ws
 	}
-	if nPOs == 0 {
-		return
-	}
-	nw := par.Workers(0)
-	if nw > nPOs {
-		nw = nPOs
-	}
-	grain := min((nPOs+4*nw-1)/(4*nw), maxChunkCols) // ≥ 4 chunks per worker
-	per := 0
-	if wsDst == nil {
-		per = len(p.c.Gates) * grain * K
-	}
-	sc := colScratches.Get()
-	defer colScratches.Put(sc)
-	sc.ws = slices.Grow(sc.ws[:0], nw*per)[:nw*per]
-	sc.acc = slices.Grow(sc.acc[:0], nw*K)[:nw*K]
-	par.Each(nPOs, nw, grain, func(worker, jLo, jHi int) {
-		ws, stride := sc.ws[worker*per:(worker+1)*per], grain
-		if wsDst != nil {
-			ws, stride = wsDst[jLo*K:], nPOs
-		}
-		acc := sc.acc[worker*K : (worker+1)*K]
-		for _, i := range p.rorder {
-			if p.c.Gates[i].Type.IsSource() {
-				continue
+	par.Each(p.nPOs, 0, 1, func(_, jLo, jHi int) {
+		for q := int(st.colOff[jLo]); q < int(st.colOff[jHi]); q++ {
+			w := p.pairRow(q, ws, nil, nil, &sc.att)
+			if wijDst != nil {
+				pr := &st.pairs[q]
+				wijDst[int(pr.gate)*p.nPOs+int(pr.col)] = w
 			}
-			p.computeGateColumns(i, jLo, jHi, stride, acc, ws, wijDst, nil, nil)
 		}
 	})
 }
 
-// maxChunkCols caps a worker's chunk of PO columns. Without a WS
-// destination each worker keeps an nGates×chunk×K scratch arena, and
-// the recycled sets stay resident: at four columns a c7552 worker's
-// arena is 1.2 MB, where a quarter of its columns made it 4 MB.
-const maxChunkCols = 4
-
-// colScratch is one Run's recycled working set: every worker's column
-// arena (a Run without wsDst) and its K-float accumulator, each laid
-// out worker after worker.
-type colScratch struct {
-	ws, acc []float64
+// DenseWS expands a compact WS table (Run's wsDst, or BaseWS) into the
+// dense nGates·nPOs·K layout: row (i, j) at (i*nPOs+j)*K, zero where
+// the pass keeps no row.
+func (p *Propagator) DenseWS(ws []float64) []float64 {
+	K := len(p.samples)
+	dense := make([]float64, len(p.c.Gates)*p.nPOs*K)
+	for q, pr := range p.st.pairs {
+		r := (int(pr.gate)*p.nPOs + int(pr.col)) * K
+		copy(dense[r:r+K], ws[q*K:(q+1)*K])
+	}
+	return dense
 }
-
-// colScratches recycles colScratch sets across Runs of any circuit,
-// at most one per Run in flight at once, so the pass stops allocating
-// (and the runtime stops zeroing) its per-worker arenas on every
-// analysis.
-var colScratches par.FreeList[colScratch]
 
 // GateReducer maps one gate's W_ij row to its U contribution — the
 // LatchingWindow+Reduce step the Delta incremental path re-applies per
@@ -388,13 +506,12 @@ type GateReducer func(i int, wij []float64) float64
 
 // Delta is the incremental re-reduce configuration of the pipeline:
 // re-evaluating the electrical pass under an alternative delay vector,
-// re-propagating only the fanin cones of gates whose delays differ
-// from the analysis baseline, with unaffected rows served from the
-// pristine baseline WS table. This is the optimizer's cheap
-// delay-sensitivity oracle. The delta evaluation always starts from
-// the baseline, so error cannot accumulate across calls. Not safe for
-// concurrent use (shared scratch arenas, including the Propagator's
-// attenuation table).
+// re-propagating only the pairs of gates in the fanin cones of gates
+// whose delays differ from the analysis baseline, with unaffected rows
+// served from the pristine baseline WS table. This is the optimizer's
+// cheap delay-sensitivity oracle. The delta evaluation always starts
+// from the baseline, so error cannot accumulate across calls. Not safe
+// for concurrent use (shared scratch arenas).
 type Delta struct {
 	p *Propagator
 	// Baseline state (owned by the caller, read-only here).
@@ -402,26 +519,27 @@ type Delta struct {
 	baseUi     []float64
 	baseU      float64
 	reduce     GateReducer
-	// baseWS is the baseline WS table, built once by BaseWS.
+	// baseWS is the baseline's compact WS table, built once by BaseWS.
 	baseWS []float64
 	wsOnce sync.Once
 
-	// Per-call scratch: incremental WS/Wij arenas, the
-	// affected/changed sets and the attenuation dirty-row bookkeeping.
-	incrWS, incrWij []float64
-	affected        []bool
-	changed         []bool
-	changedIDs      []int
-	// attIsBase/attDirty track which attenuation rows correspond to
-	// the baseline delays, so delta calls refresh only changed rows.
-	attIsBase bool
-	attDirty  []int
+	// Per-call scratch: the incremental compact WS arena, the full
+	// pass's W_ij table, one gate's W_ij row and the affected/changed
+	// sets.
+	incrWS, incrWij, row []float64
+	affected             []bool
+	changed              []bool
+	changedIDs           []int
+	// att holds the attenuation rows at the baseline delays, except
+	// the rows of the gates in attDirty, which the previous call
+	// prepared at its own delays.
+	att      attTable
+	attDirty []int
 }
 
 // NewDelta creates the incremental evaluator for a baseline that was
-// just produced by Run(baseDelays, …): the Propagator's attenuation
-// table is assumed to reflect baseDelays, and baseUi/baseU are the
-// baseline's reduced contributions.
+// produced by Run(baseDelays, …): baseUi/baseU are the baseline's
+// reduced contributions.
 func (p *Propagator) NewDelta(baseDelays, baseUi []float64, baseU float64, reduce GateReducer) *Delta {
 	return &Delta{
 		p:          p,
@@ -429,54 +547,35 @@ func (p *Propagator) NewDelta(baseDelays, baseUi []float64, baseU float64, reduc
 		baseUi:     baseUi,
 		baseU:      baseU,
 		reduce:     reduce,
-		attIsBase:  true,
 	}
 }
 
-// BaseWS returns the baseline's full WS table (row (i, j) at
-// (i*nPOs+j)*K; unreachable rows zero). The first call builds it by
-// re-running the pass at the baseline delays into a zeroed arena;
-// later calls, and the incremental path, share that one table. Safe
-// for concurrent callers, but not concurrently with Recompute.
+// BaseWS returns the baseline's compact WS table (row q for pair q,
+// Pairs()·K floats; Propagator.DenseWS expands it). The first call
+// builds it by re-running the pass at the baseline delays; later
+// calls, and the incremental path, share that one table. Safe for
+// concurrent callers.
 func (d *Delta) BaseWS() []float64 {
 	d.wsOnce.Do(func() {
 		p := d.p
-		nGates := len(p.c.Gates)
-		ws := make([]float64, nGates*p.nPOs*len(p.samples))
-		p.Run(d.baseDelays, ws, make([]float64, nGates*p.nPOs))
-		// Run re-prepared the whole attenuation table at the baseline
-		// delays, so no row is dirty any more.
-		d.attIsBase = true
-		d.attDirty = d.attDirty[:0]
+		ws := make([]float64, len(p.st.pairs)*len(p.samples))
+		p.Run(d.baseDelays, ws, nil)
 		d.baseWS = ws
 	})
 	return d.baseWS
 }
 
-// ensureScratch allocates the re-evaluation arenas on first use: the
-// Wij arena always, the full WS arena only when ws is set (the
-// incremental path; a full re-evaluation runs in Run's recycled column
-// scratch).
-func (d *Delta) ensureScratch(ws bool) {
-	nGates := len(d.p.c.Gates)
-	nPOs := d.p.nPOs
-	if d.incrWij == nil {
-		d.incrWij = make([]float64, nGates*nPOs)
-	}
-	if ws && d.incrWS == nil {
-		d.incrWS = make([]float64, nGates*nPOs*len(d.p.samples))
-	}
-}
-
 // Recompute re-evaluates the electrical pass with an alternative
 // per-gate delay vector, keeping generated widths and sensitization
 // statistics fixed, and returns the resulting circuit unreliability.
-// Only the fanin cones of gates whose delays differ from the baseline
-// are re-propagated; when they hold more than half the gates, the
-// parallel full pass (RecomputeFull) runs instead.
+// Only the pairs of gates in the fanin cones of gates whose delays
+// differ from the baseline are re-propagated; when those gates are
+// more than half of all gates, the parallel full pass (RecomputeFull)
+// runs instead.
 func (d *Delta) Recompute(delays []float64) (float64, error) {
 	p := d.p
 	c := p.c
+	st := p.st
 	nGates := len(c.Gates)
 	if d.changed == nil {
 		d.changed = make([]bool, nGates)
@@ -520,48 +619,40 @@ func (d *Delta) Recompute(delays []float64) (float64, error) {
 		return d.RecomputeFull(delays)
 	}
 	// The baseline table serves the rows of unaffected successors.
-	// Building it re-prepares the attenuation table, so it comes first.
 	baseWS := d.BaseWS()
-	nPOs := p.nPOs
-	K := len(p.samples)
-	d.ensureScratch(true)
-	// Refresh only the attenuation rows that differ from the baseline
-	// table: restore rows dirtied by the previous delta call, then
-	// prepare the rows of this call's changed gates. After a full pass
-	// at foreign delays the whole table is rebuilt once.
-	if !d.attIsBase {
-		p.prepAtten(d.baseDelays)
-		d.attIsBase = true
-		d.attDirty = d.attDirty[:0]
+	if d.incrWS == nil {
+		d.incrWS = make([]float64, len(st.pairs)*len(p.samples))
+		d.row = make([]float64, p.nPOs)
+		p.prepAtten(&d.att, d.baseDelays)
 	}
+	// Refresh only the attenuation rows that differ from the baseline
+	// table: restore the rows the previous call dirtied, then prepare
+	// the rows of this call's changed gates that are read as
+	// successors.
 	for _, id := range d.attDirty {
-		p.prepAttenGate(id, d.baseDelays[id])
+		p.prepAttenRow(&d.att, int(st.attRow[id]), d.baseDelays[id])
 	}
 	d.attDirty = d.attDirty[:0]
 	for _, id := range changedIDs {
-		p.prepAttenGate(id, delays[id])
-		d.attDirty = append(d.attDirty, id)
+		if r := st.attRow[id]; r >= 0 {
+			p.prepAttenRow(&d.att, int(r), delays[id])
+			d.attDirty = append(d.attDirty, id)
+		}
 	}
-	accK := make([]float64, K)
 	u := d.baseU
 	for _, i := range p.rorder {
-		if !d.affected[i] {
+		if !d.affected[i] || c.Gates[i].Type.IsSource() {
+			// Source pseudo-gates carry no pairs. (Terminal POs never
+			// appear here — they have no successors, so they are never
+			// affected; fanout-bearing POs recompute every pair,
+			// their own column's ladder included.)
 			continue
 		}
-		g := c.Gates[i]
-		if g.Type.IsSource() {
-			// Source pseudo-gates carry no rows at all. (Terminal POs
-			// never appear here — they have no successors, so they are
-			// never affected; fanout-bearing POs recompute their
-			// non-own columns like any internal gate.)
-			continue
+		clear(d.row)
+		for _, q := range st.gatePairs[st.gateOff[i]:st.gateOff[i+1]] {
+			d.row[st.pairs[q].col] = p.pairRow(int(q), d.incrWS, baseWS, d.affected, &d.att)
 		}
-		wij := d.incrWij[i*nPOs : (i+1)*nPOs]
-		for j := range wij {
-			wij[j] = 0
-		}
-		p.computeGateColumns(i, 0, nPOs, nPOs, accK, d.incrWS, d.incrWij, baseWS, d.affected)
-		u += d.reduce(i, wij) - d.baseUi[i]
+		u += d.reduce(i, d.row) - d.baseUi[i]
 	}
 	return u, nil
 }
@@ -573,13 +664,13 @@ func (d *Delta) Recompute(delays []float64) (float64, error) {
 // affected.
 func (d *Delta) RecomputeFull(delays []float64) (float64, error) {
 	p := d.p
-	c := p.c
 	nPOs := p.nPOs
-	d.ensureScratch(false)
+	if d.incrWij == nil {
+		d.incrWij = make([]float64, len(p.c.Gates)*nPOs)
+	}
 	p.Run(delays, nil, d.incrWij)
-	d.attIsBase = false // the attenuation table now reflects foreign delays
 	u := 0.0
-	for _, g := range c.Gates {
+	for _, g := range p.c.Gates {
 		if g.Type.IsSource() {
 			continue
 		}

@@ -13,10 +13,15 @@
 //	ElectricalFilter  the Propagator: Eq. 1 attenuation and the Eq. 2
 //	                  π-split applied in one reverse-topological pass
 //	                  over the §3.2 sample-width ladder, producing the
-//	                  expected PO glitch widths W_ij. Deterministic and
+//	                  expected PO glitch widths W_ij. It visits only
+//	                  the (gate, PO) pairs with P_ij ≠ 0, listed per
+//	                  column once per sensitization result and memoized
+//	                  on the compiled handle, and keeps one compact
+//	                  sample-width row per pair. Deterministic and
 //	                  parallel over PO columns; the Delta variant
-//	                  re-propagates only the fanin cones of gates whose
-//	                  delays changed (the optimizer's inner loop).
+//	                  re-propagates only the pairs of gates in the
+//	                  fanin cones of gates whose delays changed (the
+//	                  optimizer's inner loop).
 //	LatchingWindow    the Eq. 3 clamp min(W, T): a glitch wider than
 //	                  the clock period is certainly latched. Clamp,
 //	                  GateU and the Reduce/ReduceSequential reducers.
@@ -37,7 +42,7 @@
 //
 // Determinism: for a fixed seed every stage is bit-identical between
 // its serial and parallel paths — the electrical pass partitions PO
-// columns (each worker owns all rows of its columns), the fault chase
+// columns (each worker owns all pairs of its columns), the fault chase
 // sums integer per-flop error counts over vector chunks, and the
 // reducers accumulate in netlist order.
 package strike

@@ -1,7 +1,10 @@
 package strike_test
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/aserta"
@@ -12,6 +15,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logicsim"
 	"repro/internal/lut"
+	"repro/internal/stats"
 	"repro/internal/strike"
 )
 
@@ -96,19 +100,24 @@ func serialReference(cc *engine.CompiledCircuit, sens *logicsim.Result, genWidth
 // TestPipelineMatchesSerialReference is the refactor's acceptance
 // gate: the parallel pipeline (EnumerateSources → ElectricalFilter →
 // Reduce) must be bit-identical to the independent serial reference on
-// a real benchmark — every WS entry, every W_ij, every per-gate U
-// contribution and the total.
+// a real benchmark — every WS entry (the compact table expanded to the
+// dense layout), every W_ij, every per-gate U contribution and the
+// total.
 func TestPipelineMatchesSerialReference(t *testing.T) {
-	p := newPipeline(t, charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid()), "c432")
+	p := newPipeline(t, coarseLib(), iscas(t, "c432"), 2000)
 	c, cc, src, sens, samples := p.c, p.cc, p.src, p.sens, p.samples
 	nGates := len(c.Gates)
 	nPOs := len(c.Outputs())
 	K := len(samples)
-	ws := make([]float64, nGates*nPOs*K)
+	compact := make([]float64, p.prop.Pairs()*K)
 	wijFlat := make([]float64, nGates*nPOs)
-	p.prop.Run(src.Delays, ws, wijFlat)
+	p.prop.Run(src.Delays, compact, wijFlat)
+	ws := p.prop.DenseWS(compact)
 
 	refWS, refWij := serialReference(cc, sens, src.GenWidth, samples, src.Delays)
+	if len(ws) != len(refWS) {
+		t.Fatalf("expanded WS table has %d entries, serial reference %d", len(ws), len(refWS))
+	}
 	for i := range refWS {
 		if ws[i] != refWS[i] {
 			t.Fatalf("WS[%d] = %v, serial reference %v", i, ws[i], refWS[i])
@@ -154,9 +163,16 @@ func TestPipelineMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// pipeline is the electrical stage of one ISCAS-85 circuit at the
-// reference tests' settings: size-2 nominal cells, a 2 fF PO load,
-// 2,000 sensitization vectors and the 10-width ladder.
+// coarseLib is the coarse library the reference tests and
+// FuzzElectricalPass share, so each cell is characterized once per
+// process.
+var coarseLib = sync.OnceValue(func() *charlib.Library {
+	return charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
+})
+
+// pipeline is the electrical stage of one circuit at the reference
+// tests' settings: size-2 nominal cells, a 2 fF PO load and the
+// 10-width ladder.
 type pipeline struct {
 	c       *ckt.Circuit
 	cc      *engine.CompiledCircuit
@@ -166,12 +182,17 @@ type pipeline struct {
 	prop    *strike.Propagator
 }
 
-func newPipeline(t *testing.T, lib *charlib.Library, name string) *pipeline {
+func iscas(t testing.TB, name string) *ckt.Circuit {
 	t.Helper()
 	c, err := gen.ISCAS85(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+func newPipeline(t testing.TB, lib *charlib.Library, c *ckt.Circuit, vectors int) *pipeline {
+	t.Helper()
 	cc := engine.MustCompile(c)
 	tab := charlib.NewTable(lib)
 	ids, err := tab.InternAll(c, aserta.NominalAssignment(c, lib, 2))
@@ -182,7 +203,7 @@ func newPipeline(t *testing.T, lib *charlib.Library, name string) *pipeline {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sens, err := logicsim.Sensitization(cc, 2000, 1)
+	sens, err := logicsim.Sensitization(cc, vectors, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,37 +211,235 @@ func newPipeline(t *testing.T, lib *charlib.Library, name string) *pipeline {
 	return &pipeline{c, cc, src, sens, samples, strike.NewPropagator(cc, sens, src.GenWidth, samples)}
 }
 
+// poDrivesLogic is a hand-built netlist whose POs also drive logic, the
+// shape of a sequential frame's D-pin tap: po1 feeds a NOR and a
+// terminal XOR PO, po2 feeds a terminal OR PO.
+func poDrivesLogic(t testing.TB) *ckt.Circuit {
+	t.Helper()
+	c := ckt.New("po-drives-logic")
+	a := c.MustAddGate("a", ckt.Input)
+	b := c.MustAddGate("b", ckt.Input)
+	d := c.MustAddGate("d", ckt.Input)
+	gate := func(name string, typ ckt.GateType, po bool, fanin ...int) int {
+		id := c.MustAddGate(name, typ)
+		for _, f := range fanin {
+			c.MustConnect(f, id)
+		}
+		if po {
+			c.MarkPO(id)
+		}
+		return id
+	}
+	x := gate("x", ckt.Nand, false, a, b)
+	po1 := gate("po1", ckt.Nand, true, x, d)
+	y := gate("y", ckt.Nor, false, po1, b)
+	po2 := gate("po2", ckt.And, true, y, x)
+	gate("z", ckt.Or, true, po2, a)
+	gate("w", ckt.Xor, true, po1, d)
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestScratchPassMatchesSerialReference holds the pass that keeps no
-// WS table, Run(delays, nil, wij), to the serial reference's W_ij: on
-// c432, whose 9 POs leave chunks narrower than the four-column cap,
-// and on c2670, whose 140 POs fill every chunk to it. Each runs
-// twice on one Propagator and once more after a c5315 pass, so the
-// recycled column scratch comes back dirty, and wij starts as NaN
+// WS table, Run(delays, nil, wij), to the serial reference's W_ij on
+// every ISCAS-85 profile at 2,000 and 10,000 vectors — P_ij densities
+// from 0.1 % (c6288) to 80 % (c1355) — and on a netlist whose POs drive
+// logic. Each runs twice on one Propagator and once more after a c5315
+// pass, so the recycled arena comes back dirty, and wij starts as NaN
 // every time: the pass must zero what it does not write.
 func TestScratchPassMatchesSerialReference(t *testing.T) {
-	// One library for all three circuits: their common cells are
-	// characterized once.
-	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
-	big := newPipeline(t, lib, "c5315")
-	for _, name := range []string{"c432", "c2670"} {
-		p := newPipeline(t, lib, name)
-		_, refWij := serialReference(p.cc, p.sens, p.src.GenWidth, p.samples, p.src.Delays)
-		wij := make([]float64, len(refWij))
-		for _, when := range []string{"first run", "second run", "after a c5315 run"} {
-			if when == "after a c5315 run" {
-				big.prop.Run(big.src.Delays, nil, make([]float64, len(big.c.Gates)*len(big.c.Outputs())))
-			}
-			for i := range wij {
-				wij[i] = math.NaN()
-			}
-			p.prop.Run(p.src.Delays, nil, wij)
-			for i := range refWij {
-				if wij[i] != refWij[i] {
-					t.Fatalf("%s, %s: Wij[%d] = %v, serial reference %v", name, when, i, wij[i], refWij[i])
+	lib := coarseLib()
+	big := newPipeline(t, lib, iscas(t, "c5315"), 2000)
+	for _, vectors := range []int{2000, 10000} {
+		circuits := []*ckt.Circuit{poDrivesLogic(t)}
+		for _, name := range gen.Names() {
+			circuits = append(circuits, iscas(t, name))
+		}
+		for _, c := range circuits {
+			p := newPipeline(t, lib, c, vectors)
+			_, refWij := serialReference(p.cc, p.sens, p.src.GenWidth, p.samples, p.src.Delays)
+			wij := make([]float64, len(refWij))
+			for _, when := range []string{"first run", "second run", "after a c5315 run"} {
+				if when == "after a c5315 run" {
+					big.prop.Run(big.src.Delays, nil, make([]float64, len(big.c.Gates)*len(big.c.Outputs())))
+				}
+				for i := range wij {
+					wij[i] = math.NaN()
+				}
+				p.prop.Run(p.src.Delays, nil, wij)
+				for i := range refWij {
+					if wij[i] != refWij[i] {
+						t.Fatalf("%s at %d vectors, %s: Wij[%d] = %v, serial reference %v", c.Name, vectors, when, i, wij[i], refWij[i])
+					}
 				}
 			}
 		}
 	}
+}
+
+// TestDeltaMatchesSerialReference gives the incremental delta an
+// independent exact oracle. After one-gate and several-gate delay
+// changes, RecomputeU must equal, bit for bit, the baseline U plus
+// Σ (GateU of the serial reference's row at the new delays − U_i) over
+// the affected gates in reverse topological order; when more than half
+// the gates are affected, it must equal the netlist-order sum of every
+// gate's GateU at the new delays. The calls run back to back on one
+// Delta, so each also restores the attenuation rows the previous one
+// changed.
+func TestDeltaMatchesSerialReference(t *testing.T) {
+	const clock = 300e-12
+	lib := coarseLib()
+	for _, name := range []string{"c432", "c880", "c1908", "c7552"} {
+		p := newPipeline(t, lib, iscas(t, name), 2000)
+		c, cc := p.c, p.cc
+		nGates, nPOs := len(c.Gates), len(c.Outputs())
+		wij := make([]float64, nGates*nPOs)
+		p.prop.Run(p.src.Delays, nil, wij)
+		rows := make([][]float64, nGates)
+		for i := range rows {
+			rows[i] = wij[i*nPOs : (i+1)*nPOs]
+		}
+		ui, baseU := strike.Reduce(c, p.src.Flux, rows, clock)
+		delta := p.prop.NewDelta(p.src.Delays, ui, baseU, func(i int, w []float64) float64 {
+			return strike.GateU(p.src.Flux[i], w, clock)
+		})
+
+		want := func(delays []float64) (float64, string) {
+			_, ref := serialReference(cc, p.sens, p.src.GenWidth, p.samples, delays)
+			gateU := func(i int) float64 { return strike.GateU(p.src.Flux[i], ref[i*nPOs:(i+1)*nPOs], clock) }
+			changed := make([]bool, nGates)
+			for _, g := range c.Gates {
+				changed[g.ID] = !g.Type.IsSource() && delays[g.ID] != p.src.Delays[g.ID]
+			}
+			affected := make([]bool, nGates)
+			nAffected := 0
+			for _, i := range cc.ReverseTopoOrder() {
+				for _, s := range c.Gates[i].Fanout {
+					if changed[s] || affected[s] {
+						affected[i] = true
+					}
+				}
+				if affected[i] {
+					nAffected++
+				}
+			}
+			if 2*nAffected > nGates {
+				u := 0.0
+				for _, g := range c.Gates {
+					if !g.Type.IsSource() {
+						u += gateU(g.ID)
+					}
+				}
+				return u, "full"
+			}
+			u := baseU
+			for _, i := range cc.ReverseTopoOrder() {
+				if affected[i] && !c.Gates[i].Type.IsSource() {
+					u += gateU(i) - ui[i]
+				}
+			}
+			return u, fmt.Sprintf("%d affected", nAffected)
+		}
+
+		var logic []int
+		for _, g := range c.Gates {
+			if !g.Type.IsSource() {
+				logic = append(logic, g.ID)
+			}
+		}
+		rng := stats.NewRNG(uint64(len(logic)))
+		check := func(label string, delays []float64) {
+			t.Helper()
+			got, err := delta.Recompute(delays)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, how := want(delays)
+			if got != w {
+				t.Fatalf("%s, %s (%s): RecomputeU = %.17g, serial reference %.17g", name, label, how, got, w)
+			}
+		}
+		for trial := 0; trial < 4; trial++ {
+			d := slices.Clone(p.src.Delays)
+			d[logic[rng.Intn(len(logic))]] *= 1 + 0.5*rng.Float64()
+			check("one gate", d)
+		}
+		for trial := 0; trial < 3; trial++ {
+			d := slices.Clone(p.src.Delays)
+			for n := 0; n < 2+trial*3; n++ {
+				d[logic[rng.Intn(len(logic))]] *= 0.5 + 1.5*rng.Float64()
+			}
+			check("several gates", d)
+		}
+		d := slices.Clone(p.src.Delays)
+		for i := range d {
+			d[i] *= 1.5
+		}
+		check("every gate", d)
+		check("baseline", p.src.Delays)
+	}
+}
+
+// FuzzElectricalPass holds Run to the serial reference on generated
+// combinational netlists of fuzzed shape at 64–1,024 vectors, with
+// every delay scaled by a fuzzed power of two from 1/16 to 128 so that
+// the ladder's samples fall in all three Eq. 1 regimes (masked,
+// attenuated, passed). Run goes twice through one recycled arena with
+// wij seeded NaN, then once more into a NaN-seeded compact WS table:
+// W_ij and every WS entry must match bit for bit.
+func FuzzElectricalPass(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(3), uint8(40), uint8(6), uint8(2), uint16(500), uint8(4))
+	f.Add(uint64(7), uint8(20), uint8(9), uint8(150), uint8(14), uint8(3), uint16(64), uint8(0))
+	f.Add(uint64(42), uint8(3), uint8(1), uint8(90), uint8(30), uint8(1), uint16(1024), uint8(11))
+	f.Fuzz(func(t *testing.T, seed uint64, pis, pos, gates, depth, fanin uint8, nVec uint16, scale uint8) {
+		prof := gen.Profile{
+			Name:     "fuzz",
+			PIs:      2 + int(pis%30),
+			POs:      1 + int(pos%12),
+			Gates:    4 + int(gates%200),
+			Depth:    3 + int(depth%30),
+			MaxFanin: 2 + int(fanin%4),
+			Seed:     seed,
+		}
+		c, err := gen.Generate(prof)
+		if err != nil {
+			t.Skip() // unsatisfiable profile, not a pass bug
+		}
+		vectors := 64 + int(nVec)%961
+		p := newPipeline(t, coarseLib(), c, vectors)
+		factor := math.Exp2(float64(int(scale%12) - 4))
+		delays := make([]float64, len(p.src.Delays))
+		for i, d := range p.src.Delays {
+			delays[i] = d * factor
+		}
+		refWS, refWij := serialReference(p.cc, p.sens, p.src.GenWidth, p.samples, delays)
+		label := fmt.Sprintf("%+v at %d vectors, delays x%v", prof, vectors, factor)
+		wij := make([]float64, len(refWij))
+		for run := 0; run < 2; run++ {
+			for i := range wij {
+				wij[i] = math.NaN()
+			}
+			p.prop.Run(delays, nil, wij)
+			for i := range refWij {
+				if wij[i] != refWij[i] {
+					t.Fatalf("%s, run %d: Wij[%d] = %v, serial reference %v", label, run, i, wij[i], refWij[i])
+				}
+			}
+		}
+		compact := make([]float64, p.prop.Pairs()*len(p.samples))
+		for i := range compact {
+			compact[i] = math.NaN()
+		}
+		p.prop.Run(delays, compact, wij)
+		ws := p.prop.DenseWS(compact)
+		for i := range refWS {
+			if ws[i] != refWS[i] {
+				t.Fatalf("%s: WS[%d] = %v, serial reference %v", label, i, ws[i], refWS[i])
+			}
+		}
+	})
 }
 
 // TestRankDeterministicAndNormalized checks the susceptibility

@@ -81,9 +81,9 @@ func TestAnalyzeC17(t *testing.T) {
 }
 
 // TestLeanMatchesFull pins the analysis' one electrical pass, which
-// keeps only W_ij and works in recycled per-worker column scratch (the
-// old lean mode, whose name the test keeps), to the full WS_ijk table
-// that WSTable builds on demand: interpolating every WSTable row at
+// keeps only W_ij and works in a recycled compact arena (the old lean
+// mode, whose name the test keeps), to the full WS_ijk table that
+// WSTable expands on demand: interpolating every WSTable row at
 // the gate's generated width (§3.2 step iv) must give back every W_ij,
 // and re-reducing those W_ij must give back U, bit for bit, from a few
 // hundred to a few thousand gates. RecomputeU and RecomputeUFull at
