@@ -122,12 +122,12 @@ func BenchmarkAblationSampleWidths(b *testing.B) {
 		b.Fatal(err)
 	}
 	lib := precharacterized(b, c)
-	cells := aserta.NominalAssignment(c, lib, 2)
+	cells := nominalCells(b, c, lib)
 	for _, k := range []int{4, 10, 20} {
 		b.Run(benchName("K", k), func(b *testing.B) {
 			var u float64
 			for i := 0; i < b.N; i++ {
-				an, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, cells, aserta.Config{
+				an, err := aserta.AnalyzeCompiled(engine.MustCompile(c), cells, aserta.Config{
 					Vectors: 4000, Seed: 1, SampleWidths: k,
 				})
 				if err != nil {
@@ -221,14 +221,14 @@ func BenchmarkASERTAScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cells := aserta.NominalAssignment(c, lib, 2)
+		cells := nominalCells(b, c, lib)
 		// Warm the library outside the timed loop.
-		if _, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, cells, aserta.Config{Vectors: 100, Seed: 1}); err != nil {
+		if _, err := aserta.AnalyzeCompiled(engine.MustCompile(c), cells, aserta.Config{Vectors: 100, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, cells, aserta.Config{Vectors: 10000, Seed: 1}); err != nil {
+				if _, err := aserta.AnalyzeCompiled(engine.MustCompile(c), cells, aserta.Config{Vectors: 10000, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -249,10 +249,10 @@ func BenchmarkCompileOnceAnalyzeMany(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cells := aserta.NominalAssignment(c, lib, 2)
+	cells := nominalCells(b, c, lib)
 	cfg := aserta.Config{Vectors: 10000, Seed: 1}
 	// Warm the library outside the timed loops.
-	if _, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, cells, aserta.Config{Vectors: 100, Seed: 1}); err != nil {
+	if _, err := aserta.AnalyzeCompiled(engine.MustCompile(c), cells, aserta.Config{Vectors: 100, Seed: 1}); err != nil {
 		b.Fatal(err)
 	}
 	const analyses = 32
@@ -260,7 +260,7 @@ func BenchmarkCompileOnceAnalyzeMany(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for k := 0; k < analyses; k++ {
-				an, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, cells, cfg)
+				an, err := aserta.AnalyzeCompiled(engine.MustCompile(c), cells, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -275,7 +275,7 @@ func BenchmarkCompileOnceAnalyzeMany(b *testing.B) {
 				b.Fatal(err)
 			}
 			for k := 0; k < analyses; k++ {
-				an, err := aserta.AnalyzeCompiled(cc, lib, cells, cfg)
+				an, err := aserta.AnalyzeCompiled(cc, cells, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -435,6 +435,16 @@ func precharacterized(b *testing.B, c *ckt.Circuit) *charlib.Library {
 	}
 	b.ResetTimer()
 	return lib
+}
+
+// nominalCells is charlib.NominalAssignment at size 2.
+func nominalCells(b *testing.B, c *ckt.Circuit, lib *charlib.Library) charlib.Assignment {
+	b.Helper()
+	cells, err := charlib.NominalAssignment(c, lib, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cells
 }
 
 func benchName(prefix string, v int) string {

@@ -43,13 +43,14 @@ func main() {
 		res.AreaRatio, res.EnergyRatio, res.DelayRatio)
 
 	// Histogram the optimized assignment.
+	opt := res.Raw().Optimized
 	type key struct{ vdd, vth float64 }
 	hist := map[key]int{}
 	for _, g := range c.Gates {
 		if g.Type == ckt.Input {
 			continue
 		}
-		cell := res.Raw().Optimized[g.ID]
+		cell := opt.Cell(g.ID)
 		hist[key{cell.VDD, cell.Vth}]++
 	}
 	var keys []key
@@ -75,7 +76,7 @@ func main() {
 			continue
 		}
 		for _, s := range g.Fanout {
-			if res.Raw().Optimized[g.ID].VDD < res.Raw().Optimized[s].VDD {
+			if opt.Cell(g.ID).VDD < opt.Cell(s).VDD {
 				violations++
 			}
 		}

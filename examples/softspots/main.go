@@ -14,7 +14,7 @@ import (
 	"log"
 
 	"repro"
-	"repro/internal/aserta"
+	"repro/internal/charlib"
 )
 
 func main() {
@@ -33,13 +33,14 @@ func main() {
 	fmt.Printf("%s\nbaseline U = %.1f; softest gate: %s (U_i = %.1f)\n\n",
 		ser.Summary(c), base.U, soft.Name, soft.U)
 
-	// Rebuild the baseline assignment and mutate just the soft gate.
+	// Spell the baseline assignment out and mutate just the soft gate.
 	tryResize := func(label string, size float64) {
-		cells := append(aserta.Assignment(nil), base.Raw().Cells...)
+		cells := make([]charlib.Cell, len(c.Gates))
+		for id := range cells {
+			cells[id] = base.Raw().Cells.Cell(id)
+		}
 		id, _ := c.GateByName(soft.Name)
-		cell := cells[id]
-		cell.Size = size
-		cells[id] = cell
+		cells[id].Size = size
 		rep, err := sys.Analyze(c, ser.AnalysisOptions{
 			Vectors: 10000, Seed: 1, Cells: cells,
 		})

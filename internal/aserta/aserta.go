@@ -81,32 +81,12 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Assignment maps each gate ID to its assigned cell. Entries for
-// primary-input pseudo-gates are ignored.
-type Assignment []charlib.Cell
-
-// NominalAssignment assigns every gate the paper's baseline cell
-// (L=70nm, VDD=1V, Vth=0.2V) at the given relative size.
-func NominalAssignment(c *ckt.Circuit, lib *charlib.Library, size float64) Assignment {
-	cells := make(Assignment, len(c.Gates))
-	for _, g := range c.Gates {
-		if g.Type == ckt.Input {
-			continue
-		}
-		cells[g.ID] = charlib.Cell{Type: g.Type, Fanin: len(g.Fanin)}
-		cells[g.ID].Size = size
-		cells[g.ID].L = lib.Tech.Lmin
-		cells[g.ID].VDD = lib.Tech.VDDnom
-		cells[g.ID].Vth = lib.Tech.Vthnom
-	}
-	return cells
-}
-
 // Analysis is the full ASERTA result.
 type Analysis struct {
 	Circuit *ckt.Circuit
-	Cells   Assignment
-	Config  Config
+	// Cells is the analyzed cell assignment.
+	Cells  charlib.Assignment
+	Config Config
 
 	// cc is the compiled artifact the analysis ran against.
 	cc *engine.CompiledCircuit
@@ -150,38 +130,43 @@ type Analysis struct {
 // the sensitization simulation) is served from the handle, so callers
 // analyzing one netlist repeatedly compile it once (engine.Compile)
 // and share the memoized sensitization statistics across analyses.
-// The cells are interned into a cell table of the call's own
-// (charlib.Table), which the first stage reads.
-func AnalyzeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells Assignment, cfg Config) (*Analysis, error) {
+// The cells' table carries the library the analysis reads.
+func AnalyzeCompiled(cc *engine.CompiledCircuit, cells charlib.Assignment, cfg Config) (*Analysis, error) {
 	cfg = cfg.withDefaults()
-	c := cc.Circuit()
-	if err := checkShape(c, len(cells)); err != nil {
+	if err := checkShape(cc.Circuit(), cells); err != nil {
 		return nil, err
 	}
 	// Stage 1: EnumerateSources — loads, delays, generated widths and
 	// flux weights from the cell assignment.
 	endSources := trace.StartStage(cfg.Spans, "strike.sources")
-	t := charlib.NewTable(lib)
-	ids, err := t.InternAll(c, cells)
-	if err != nil {
-		return nil, err
-	}
-	src, err := strike.EnumerateSources(cc, t, ids, cfg.POLoad)
+	src, err := strike.EnumerateSources(cc, cells, cfg.POLoad)
 	if err != nil {
 		return nil, err
 	}
 	endSources()
-	return AnalyzeSources(cc, cells, src, cfg)
+	return analyzeSources(cc, cells, src, cfg)
 }
 
-// checkShape rejects sequential circuits and assignments of the wrong
-// length.
-func checkShape(c *ckt.Circuit, nCells int) error {
+// checkShape rejects sequential circuits and assignments that do not
+// give every logic gate a cell of the gate's own class: the gate's
+// type and fan-in.
+func checkShape(c *ckt.Circuit, cells charlib.Assignment) error {
 	if c.Sequential() {
 		return fmt.Errorf("aserta: circuit %q has flip-flops; analyze its combinational frame (internal/seq)", c.Name)
 	}
-	if nCells != len(c.Gates) {
-		return fmt.Errorf("aserta: %d cells for %d gates", nCells, len(c.Gates))
+	if len(cells.IDs) != len(c.Gates) {
+		return fmt.Errorf("aserta: %d cells for %d gates", len(cells.IDs), len(c.Gates))
+	}
+	for _, g := range c.Gates {
+		if g.Type == ckt.Input {
+			continue
+		}
+		if id := cells.IDs[g.ID]; id < 0 || int(id) >= cells.T.Len() {
+			return fmt.Errorf("aserta: gate %s has no cell (ID %d of %d)", g.Name, id, cells.T.Len())
+		}
+		if want, got := charlib.ClassOf(g), cells.Cell(g.ID).Class(); got != want {
+			return fmt.Errorf("aserta: gate %s is a %v but assigned a %v cell", g.Name, want, got)
+		}
 	}
 	return nil
 }
@@ -193,10 +178,10 @@ func checkShape(c *ckt.Circuit, nCells int) error {
 // cells — skip re-deriving them; AnalyzeCompiled is EnumerateSources
 // followed by this. The analysis keeps src's slices as its Loads,
 // Delays, GenWidth and Flux.
-func AnalyzeSources(cc *engine.CompiledCircuit, cells Assignment, src *strike.Sources, cfg Config) (*Analysis, error) {
+func AnalyzeSources(cc *engine.CompiledCircuit, cells charlib.Assignment, src *strike.Sources, cfg Config) (*Analysis, error) {
 	cfg = cfg.withDefaults()
 	c := cc.Circuit()
-	if err := checkShape(c, len(cells)); err != nil {
+	if err := checkShape(c, cells); err != nil {
 		return nil, err
 	}
 	for _, s := range [][]float64{src.Loads, src.Delays, src.GenWidth, src.Flux} {
@@ -204,6 +189,12 @@ func AnalyzeSources(cc *engine.CompiledCircuit, cells Assignment, src *strike.So
 			return nil, fmt.Errorf("aserta: source slice of %d entries for %d gates", len(s), len(c.Gates))
 		}
 	}
+	return analyzeSources(cc, cells, src, cfg)
+}
+
+// analyzeSources is AnalyzeSources on checked arguments.
+func analyzeSources(cc *engine.CompiledCircuit, cells charlib.Assignment, src *strike.Sources, cfg Config) (*Analysis, error) {
+	c := cc.Circuit()
 	a := &Analysis{Circuit: c, cc: cc, Cells: cells, Config: cfg}
 	a.Loads, a.Delays, a.GenWidth, a.Flux = src.Loads, src.Delays, src.GenWidth, src.Flux
 

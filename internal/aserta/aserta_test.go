@@ -2,6 +2,7 @@ package aserta
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,11 +26,21 @@ func lib() *charlib.Library {
 	return testLib
 }
 
+// nominal is charlib.NominalAssignment at size 2.
+func nominal(t testing.TB, c *ckt.Circuit, l *charlib.Library) charlib.Assignment {
+	t.Helper()
+	cells, err := charlib.NominalAssignment(c, l, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells
+}
+
 func analyzeC17(t testing.TB, cfg Config) *Analysis {
 	t.Helper()
 	c := gen.C17()
-	cells := NominalAssignment(c, lib(), 2)
-	a, err := AnalyzeCompiled(engine.MustCompile(c), lib(), cells, cfg)
+	cells := nominal(t, c, lib())
+	a, err := AnalyzeCompiled(engine.MustCompile(c), cells, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +139,8 @@ func TestLemma1RandomCircuits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells := NominalAssignment(c, lib(), 2)
-		a, err := AnalyzeCompiled(engine.MustCompile(c), lib(), cells, Config{Vectors: 4000, Seed: seed})
+		cells := nominal(t, c, lib())
+		a, err := AnalyzeCompiled(engine.MustCompile(c), cells, Config{Vectors: 4000, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +209,7 @@ func TestUnreliabilityScalesWithArea(t *testing.T) {
 		for _, w := range a.Wij[g.ID] {
 			sum += w
 		}
-		z := a.Cells[g.ID].FluxWeight()
+		z := a.Cells.Cell(g.ID).FluxWeight()
 		want := z * sum / 1e-12
 		if math.Abs(a.Ui[g.ID]-want) > 1e-9*math.Max(1, want) {
 			t.Errorf("gate %s: Ui = %g, want Z·ΣW = %g", g.Name, a.Ui[g.ID], want)
@@ -208,8 +219,25 @@ func TestUnreliabilityScalesWithArea(t *testing.T) {
 
 func TestAnalyzeCellCountMismatch(t *testing.T) {
 	c := gen.C17()
-	if _, err := AnalyzeCompiled(engine.MustCompile(c), lib(), nil, Config{}); err == nil {
+	if _, err := AnalyzeCompiled(engine.MustCompile(c), charlib.Assignment{}, Config{}); err == nil {
 		t.Fatal("cell count mismatch accepted")
+	}
+}
+
+// TestAnalyzeRejectsBadCellIDs checks that every logic gate must get
+// an ID in the assignment's table: -1 or an ID past the table's end
+// fails with an error naming the gate instead of a panic.
+func TestAnalyzeRejectsBadCellIDs(t *testing.T) {
+	c := gen.C17()
+	cells := nominal(t, c, lib())
+	id, _ := c.GateByName("22")
+	for _, bad := range []int32{-1, int32(cells.T.Len())} {
+		ids := append([]int32(nil), cells.IDs...)
+		ids[id] = bad
+		_, err := AnalyzeCompiled(engine.MustCompile(c), charlib.Assignment{T: cells.T, IDs: ids}, Config{Vectors: 100})
+		if err == nil || !strings.Contains(err.Error(), "gate 22 ") {
+			t.Errorf("ID %d: error %v, want one naming gate 22", bad, err)
+		}
 	}
 }
 
@@ -255,10 +283,10 @@ func BenchmarkAnalyzeC432(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cells := NominalAssignment(c, lib(), 2)
+	cells := nominal(b, c, lib())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeCompiled(engine.MustCompile(c), lib(), cells, Config{Vectors: 10000, Seed: 1}); err != nil {
+		if _, err := AnalyzeCompiled(engine.MustCompile(c), cells, Config{Vectors: 10000, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

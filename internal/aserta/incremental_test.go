@@ -22,8 +22,8 @@ func TestRecomputeUIncrementalMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
-	cells := NominalAssignment(c, lib, 2)
-	an, err := AnalyzeCompiled(engine.MustCompile(c), lib, cells, Config{Vectors: 2000, Seed: 1})
+	cells := nominal(t, c, lib)
+	an, err := AnalyzeCompiled(engine.MustCompile(c), cells, Config{Vectors: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestRecomputeUIncrementalPOWithFanout(t *testing.T) {
 	}
 
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
-	cells := NominalAssignment(c, lib, 2)
-	an, err := AnalyzeCompiled(engine.MustCompile(c), lib, cells, Config{Vectors: 1000, Seed: 11})
+	cells := nominal(t, c, lib)
+	an, err := AnalyzeCompiled(engine.MustCompile(c), cells, Config{Vectors: 1000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,12 @@ func TestRecomputeUConsecutiveIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
-	cells := NominalAssignment(c, lib, 2)
-	an, err := AnalyzeCompiled(engine.MustCompile(c), lib, cells, Config{Vectors: 1500, Seed: 21})
+	cells := nominal(t, c, lib)
+	an, err := AnalyzeCompiled(engine.MustCompile(c), cells, Config{Vectors: 1500, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := AnalyzeCompiled(engine.MustCompile(c), lib, cells, Config{Vectors: 1500, Seed: 21})
+	ref, err := AnalyzeCompiled(engine.MustCompile(c), cells, Config{Vectors: 1500, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +214,13 @@ func TestWSTableOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
-	cells := NominalAssignment(c, lib, 2)
+	cells := nominal(t, c, lib)
 	cfg := Config{Vectors: 1500, Seed: 5}
-	an, err := AnalyzeCompiled(engine.MustCompile(c), lib, cells, cfg)
+	an, err := AnalyzeCompiled(engine.MustCompile(c), cells, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := AnalyzeCompiled(engine.MustCompile(c), lib, cells, cfg)
+	fresh, err := AnalyzeCompiled(engine.MustCompile(c), cells, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func (a *Analysis) SpectrumU(lib *charlib.Library, spectrum []ChargeWeight) (tot
 			if g.Type == ckt.Input {
 				continue
 			}
-			w, err := lib.GlitchGenAt(a.Cells[g.ID], a.Loads[g.ID], cw.Q)
+			w, err := lib.GlitchGenAt(a.Cells.Cell(g.ID), a.Loads[g.ID], cw.Q)
 			if err != nil {
 				return 0, nil, err
 			}

@@ -91,8 +91,8 @@ func TestGlitchGenAtRequiresChargeAxis(t *testing.T) {
 func TestSpectrumU(t *testing.T) {
 	l := qlib()
 	c := gen.C17()
-	cells := NominalAssignment(c, l, 2)
-	an, err := AnalyzeCompiled(engine.MustCompile(c), l, cells, Config{Vectors: 3000, Seed: 1})
+	cells := nominal(t, c, l)
+	an, err := AnalyzeCompiled(engine.MustCompile(c), cells, Config{Vectors: 3000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,8 @@ func TestSpectrumU(t *testing.T) {
 func TestSpectrumUErrors(t *testing.T) {
 	l := qlib()
 	c := gen.C17()
-	cells := NominalAssignment(c, l, 2)
-	an, err := AnalyzeCompiled(engine.MustCompile(c), l, cells, Config{Vectors: 500, Seed: 1})
+	cells := nominal(t, c, l)
+	an, err := AnalyzeCompiled(engine.MustCompile(c), cells, Config{Vectors: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,8 @@ func TestSpectrumUErrors(t *testing.T) {
 func TestRecomputeU(t *testing.T) {
 	l := qlib()
 	c := gen.C17()
-	cells := NominalAssignment(c, l, 2)
-	an, err := AnalyzeCompiled(engine.MustCompile(c), l, cells, Config{Vectors: 3000, Seed: 1})
+	cells := nominal(t, c, l)
+	an, err := AnalyzeCompiled(engine.MustCompile(c), cells, Config{Vectors: 3000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

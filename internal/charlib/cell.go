@@ -46,6 +46,9 @@ func (cl Class) String() string {
 	return fmt.Sprintf("%s%d", cl.Type, cl.Fanin)
 }
 
+// Class returns the cell's characterization class.
+func (c Cell) Class() Class { return Class{Type: c.Type, Fanin: c.Fanin} }
+
 // ClassOf returns the characterization class of a gate.
 func ClassOf(g *ckt.Gate) Class {
 	return Class{Type: g.Type, Fanin: len(g.Fanin)}
@@ -73,8 +76,7 @@ func (cl Class) numTransistors() int {
 // (Wbase × Lmin): transistor count × relative width × relative length.
 // This is the layout-area term of the Eq. 5 cost.
 func (c Cell) Area(tech *devmodel.Tech) float64 {
-	cl := Class{Type: c.Type, Fanin: c.Fanin}
-	return float64(cl.numTransistors()) * c.Size * (c.L / tech.Lmin)
+	return float64(c.Class().numTransistors()) * c.Size * (c.L / tech.Lmin)
 }
 
 // FluxWeight returns the paper's Z_i of Eq. 3: the strike-collection
@@ -83,6 +85,5 @@ func (c Cell) Area(tech *devmodel.Tech) float64 {
 // ("size") but not with channel length, so the length ratio is
 // deliberately absent here (unlike Area).
 func (c Cell) FluxWeight() float64 {
-	cl := Class{Type: c.Type, Fanin: c.Fanin}
-	return float64(cl.numTransistors()) * c.Size
+	return float64(c.Class().numTransistors()) * c.Size
 }

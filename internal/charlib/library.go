@@ -150,7 +150,7 @@ func (l *Library) memoEval(cache map[lutKey]float64, pick func(*classTables) *lu
 	if ok {
 		return v, nil
 	}
-	ct, err := l.tables(Class{Type: c.Type, Fanin: c.Fanin})
+	ct, err := l.tables(c.Class())
 	if err != nil {
 		return 0, err
 	}
@@ -221,12 +221,12 @@ func (l *Library) GlitchGen(c Cell, load float64) (float64, error) {
 // error is returned — the paper's stated future-work extension, so the
 // capability is explicit rather than silently approximated.
 func (l *Library) GlitchGenAt(c Cell, load, q float64) (float64, error) {
-	ct, err := l.tables(Class{Type: c.Type, Fanin: c.Fanin})
+	ct, err := l.tables(c.Class())
 	if err != nil {
 		return 0, err
 	}
 	if ct.GlitchQ == nil {
-		return 0, fmt.Errorf("charlib: library has no charge axis (set Grid.Charges); class %v", Class{Type: c.Type, Fanin: c.Fanin})
+		return 0, fmt.Errorf("charlib: library has no charge axis (set Grid.Charges); class %v", c.Class())
 	}
 	return ct.GlitchQ.Eval(c.Size, c.L, c.VDD, c.Vth, load, q)
 }
@@ -316,13 +316,21 @@ func (l *Library) Save(w io.Writer) error {
 	return enc.Encode(lj)
 }
 
-// Load reads a library saved by Save, attaching technology tech.
+// Load reads a library saved by Save, attaching technology tech. It
+// refuses a grid with an empty axis but the optional charge axis: no
+// cell could be sized or characterized on it.
 func Load(r io.Reader, tech *devmodel.Tech) (*Library, error) {
 	var lj libraryJSON
 	if err := json.NewDecoder(r).Decode(&lj); err != nil {
 		return nil, fmt.Errorf("charlib: load: %v", err)
 	}
-	l := NewLibrary(tech, lj.Grid)
+	g := lj.Grid
+	for i, ax := range [][]float64{g.Sizes, g.Lengths, g.VDDs, g.Vths, g.Loads} {
+		if len(ax) == 0 {
+			return nil, fmt.Errorf("charlib: load: grid axis %s is empty", [...]string{"Sizes", "Lengths", "VDDs", "Vths", "Loads"}[i])
+		}
+	}
+	l := NewLibrary(tech, g)
 	l.QInj = lj.QInj
 	for name, ct := range lj.Classes {
 		cl, err := parseClassName(name)

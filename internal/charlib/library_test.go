@@ -2,6 +2,8 @@ package charlib
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 
@@ -221,6 +223,34 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	d2, _ := l2.Delay(nomCell(ckt.Not, 1), 1e-15)
 	if d1 != d2 {
 		t.Fatalf("loaded library disagrees: %g vs %g", d1, d2)
+	}
+}
+
+// TestLoadRejectsEmptyAxis checks that Load refuses a saved library
+// whose grid lost any axis but the optional charge axis: no cell can
+// be sized or interpolated on it, so accepting it would only move the
+// failure to a later analysis (a panic in the baseline sizing).
+func TestLoadRejectsEmptyAxis(t *testing.T) {
+	var saved bytes.Buffer
+	if err := NewLibrary(devmodel.Tech70nm(), CoarseGrid()).Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	for _, axis := range []string{"Sizes", "Lengths", "VDDs", "Vths", "Loads"} {
+		var lj map[string]any
+		if err := json.Unmarshal(saved.Bytes(), &lj); err != nil {
+			t.Fatal(err)
+		}
+		lj["grid"].(map[string]any)[axis] = []float64{}
+		b, err := json.Marshal(lj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(b), devmodel.Tech70nm()); err == nil || !strings.Contains(err.Error(), axis) {
+			t.Errorf("empty %s: Load error %v, want one naming the axis", axis, err)
+		}
+	}
+	if _, err := Load(bytes.NewReader(saved.Bytes()), devmodel.Tech70nm()); err != nil {
+		t.Fatalf("grid without charges refused: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ckt"
+	"repro/internal/spice"
 )
 
 // Props are the load-independent properties of one cell: all that an
@@ -28,8 +29,10 @@ type Props struct {
 // lookup, so the flow's readers sum loads and weigh cells from dense
 // arrays instead of asking the library once per fanout edge. Every
 // value is the library's own, so a load summed from the table is the
-// same float a per-edge query gives. A Table is not safe for
-// concurrent use: each flow keeps its own over a library it may share.
+// same float a per-edge query gives. Interning is not safe for
+// concurrent use: a flow interns into its own table over a library it
+// may share, and hands the table on with its assignments, whose
+// readers only read it.
 type Table struct {
 	lib   *Library
 	index map[Cell]int32
@@ -62,23 +65,57 @@ func (t *Table) Intern(c Cell) (int32, error) {
 	return id, nil
 }
 
-// InternAll interns the cell of every gate of c but its primary inputs
-// and returns the cell IDs indexed by gate ID, -1 at primary inputs,
-// whose entries of cells are ignored.
-func (t *Table) InternAll(c *ckt.Circuit, cells []Cell) ([]int32, error) {
-	ids := make([]int32, len(c.Gates))
+// Assignment is a per-gate cell assignment, the one form in which the
+// analysis and the optimizer hold one: IDs[g] is gate g's cell ID in
+// T, -1 at a primary input.
+type Assignment struct {
+	T   *Table
+	IDs []int32
+}
+
+// Cell returns gate g's cell, the zero Cell at a primary input.
+func (a Assignment) Cell(g int) Cell {
+	if a.IDs[g] < 0 {
+		return Cell{}
+	}
+	return a.T.cells[a.IDs[g]]
+}
+
+// InternAll interns cells[g] for every gate g of c but its primary
+// inputs, whose entries are ignored.
+func (t *Table) InternAll(c *ckt.Circuit, cells []Cell) (Assignment, error) {
+	if len(cells) != len(c.Gates) {
+		return Assignment{}, fmt.Errorf("charlib: %d cells for %d gates", len(cells), len(c.Gates))
+	}
+	return t.assign(c, func(g *ckt.Gate) Cell { return cells[g.ID] })
+}
+
+// NominalAssignment assigns every gate of c but its primary inputs the
+// paper's baseline cell (L=70nm, VDD=1V, Vth=0.2V) at the given
+// relative size, in a new table over lib.
+func NominalAssignment(c *ckt.Circuit, lib *Library, size float64) (Assignment, error) {
+	p := spice.Nominal(lib.Tech, size)
+	return NewTable(lib).assign(c, func(g *ckt.Gate) Cell {
+		return Cell{Type: g.Type, Fanin: len(g.Fanin), Params: p}
+	})
+}
+
+// assign interns cellOf(g) for every gate g of c but its primary
+// inputs, in gate order.
+func (t *Table) assign(c *ckt.Circuit, cellOf func(*ckt.Gate) Cell) (Assignment, error) {
+	a := Assignment{T: t, IDs: make([]int32, len(c.Gates))}
 	for _, g := range c.Gates {
-		ids[g.ID] = -1
+		a.IDs[g.ID] = -1
 		if g.Type == ckt.Input {
 			continue
 		}
-		id, err := t.Intern(cells[g.ID])
+		id, err := t.Intern(cellOf(g))
 		if err != nil {
-			return nil, fmt.Errorf("charlib: cell of gate %s: %v", g.Name, err)
+			return Assignment{}, fmt.Errorf("charlib: cell of gate %s: %v", g.Name, err)
 		}
-		ids[g.ID] = id
+		a.IDs[g.ID] = id
 	}
-	return ids, nil
+	return a, nil
 }
 
 // Len returns the number of cells interned so far; their IDs are 0

@@ -32,19 +32,20 @@ func TestTableInternsOnce(t *testing.T) {
 	cells := []Cell{{}, {}, nomCell(ckt.Nand, 2), big, nomCell(ckt.Nor, 2)}
 
 	tab := NewTable(l)
-	ids, err := tab.InternAll(c, cells)
+	asg, err := tab.InternAll(c, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ids[a] != -1 || ids[b] != -1 {
-		t.Fatalf("primary inputs got IDs %d, %d; want -1", ids[a], ids[b])
+	ids := asg.IDs
+	if ids[a] != -1 || ids[b] != -1 || asg.Cell(a) != (Cell{}) {
+		t.Fatalf("primary inputs got IDs %d, %d and cell %+v; want -1 and the zero cell", ids[a], ids[b], asg.Cell(a))
 	}
 	for _, g := range []int{n1, n2, n3} {
 		again, err := tab.Intern(cells[g])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again != ids[g] || tab.Cell(again) != cells[g] {
+		if again != ids[g] || tab.Cell(again) != cells[g] || asg.Cell(g) != cells[g] {
 			t.Fatalf("gate %d: re-interned as %d (%+v), want %d (%+v)", g, again, tab.Cell(again), ids[g], cells[g])
 		}
 		if want := props(t, l, cells[g]); *tab.Props(ids[g]) != want {
@@ -85,5 +86,36 @@ func TestTableInternError(t *testing.T) {
 	}
 	if id, err := tab.Intern(nomCell(ckt.Nand, 2)); err != nil || id != 0 {
 		t.Fatalf("first good cell got ID %d (%v), want 0", id, err)
+	}
+	if _, err := tab.InternAll(c, []Cell{{}}); err == nil || !strings.Contains(err.Error(), "1 cells for 2 gates") {
+		t.Fatalf("short cell list interned with error %v", err)
+	}
+}
+
+// TestNominalAssignment checks that every logic gate gets the nominal
+// cell of its own class at the given size, one ID per distinct cell.
+func TestNominalAssignment(t *testing.T) {
+	c := ckt.New("nom")
+	a := c.MustAddGate("a", ckt.Input)
+	n1 := c.MustAddGate("n1", ckt.Nand)
+	n2 := c.MustAddGate("n2", ckt.Nand)
+	inv := c.MustAddGate("inv", ckt.Not)
+	for _, e := range [][2]int{{a, n1}, {a, n1}, {n1, n2}, {a, n2}, {n2, inv}} {
+		c.MustConnect(e[0], e[1])
+	}
+	c.MarkPO(inv)
+	asg, err := NominalAssignment(c, lib(t), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []int{n1, n2, inv} {
+		want := nomCell(c.Gates[g].Type, len(c.Gates[g].Fanin))
+		want.Size = 2
+		if got := asg.Cell(g); got != want {
+			t.Errorf("gate %s: cell %+v, want %+v", c.Gates[g].Name, got, want)
+		}
+	}
+	if asg.IDs[a] != -1 || asg.IDs[n1] != asg.IDs[n2] || asg.T.Len() != 2 {
+		t.Fatalf("IDs %v over %d cells; want -1 at the input and one NAND2 ID", asg.IDs, asg.T.Len())
 	}
 }

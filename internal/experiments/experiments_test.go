@@ -125,7 +125,11 @@ func TestGoldenWeightsByFlux(t *testing.T) {
 	long := 0
 	for i, g := range c.Gates {
 		if g.Type != ckt.Input && i%2 == 0 {
-			cells[i].L = 300e-9
+			cell := cells.Cell(i)
+			cell.L = 300e-9
+			if cells.IDs[i], err = cells.T.Intern(cell); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	tech := devmodel.Tech70nm()
@@ -137,7 +141,7 @@ func TestGoldenWeightsByFlux(t *testing.T) {
 		if g.Type == ckt.Input {
 			continue
 		}
-		cell := cells[g.ID]
+		cell := cells.Cell(g.ID)
 		want := cell.FluxWeight() * res.MeanPOWidth[g.ID] / 1e-12
 		if math.Float64bits(res.Ui[g.ID]) != math.Float64bits(want) {
 			t.Errorf("gate %s (L %g): Ui %.17g, want FluxWeight·width %.17g", g.Name, cell.L, res.Ui[g.ID], want)
@@ -300,11 +304,11 @@ func TestHardeningComparison(t *testing.T) {
 		t.Fatal(err)
 	}
 	acfg := aserta.Config{Vectors: opts.Vectors, Seed: opts.Seed, POLoad: engine.DefaultPOLoad}
-	anBase, err := aserta.AnalyzeCompiled(cc, lib(), res.Baseline, acfg)
+	anBase, err := aserta.AnalyzeCompiled(cc, res.Baseline, acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	anOpt, err := aserta.AnalyzeCompiled(cc, lib(), res.Optimized, acfg)
+	anOpt, err := aserta.AnalyzeCompiled(cc, res.Optimized, acfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func Fig3(c *ckt.Circuit, lib *charlib.Library, cfg Fig3Config) (*Fig3Result, er
 	if err != nil {
 		return nil, err
 	}
-	an, err := aserta.AnalyzeCompiled(cc, lib, baseline, aserta.Config{
+	an, err := aserta.AnalyzeCompiled(cc, baseline, aserta.Config{
 		Vectors: cfg.Vectors,
 		Seed:    cfg.Seed,
 		POLoad:  cfg.Golden.POLoad,

@@ -10,7 +10,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/aserta"
+	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/devmodel"
 	"repro/internal/par"
@@ -76,13 +76,11 @@ type GoldenResult struct {
 // random input vectors, injecting charge at every gate output i and
 // using the width of the glitch at primary output j as Wij in
 // Equation 3."
-func GoldenUnreliability(tech *devmodel.Tech, c *ckt.Circuit, cells aserta.Assignment, cfg GoldenConfig) (*GoldenResult, error) {
+func GoldenUnreliability(tech *devmodel.Tech, c *ckt.Circuit, cells charlib.Assignment, cfg GoldenConfig) (*GoldenResult, error) {
 	cfg = cfg.withDefaults()
 	params := make([]spice.Params, len(c.Gates))
-	for _, g := range c.Gates {
-		if g.Type != ckt.Input {
-			params[g.ID] = cells[g.ID].Params
-		}
+	for id := range params {
+		params[id] = cells.Cell(id).Params
 	}
 	targets := cfg.Gates
 	if targets == nil {
@@ -148,7 +146,7 @@ func GoldenUnreliability(tech *devmodel.Tech, c *ckt.Circuit, cells aserta.Assig
 			sim.ClearInjections()
 			node := sim.GateNode(gid)
 			q := cfg.QInj
-			if snap[node] > cells[gid].VDD/2 {
+			if snap[node] > params[gid].VDD/2 {
 				q = -q // strike removes charge from a high node
 			}
 			sim.AddInjection(&spice.Injection{Node: node, Q: q, T0: 20e-12})
@@ -175,7 +173,7 @@ func GoldenUnreliability(tech *devmodel.Tech, c *ckt.Circuit, cells aserta.Assig
 	inv := 1.0 / float64(cfg.Vectors)
 	for _, gid := range targets {
 		res.MeanPOWidth[gid] *= inv
-		res.Ui[gid] = cells[gid].FluxWeight() * res.MeanPOWidth[gid] / 1e-12
+		res.Ui[gid] = cells.Cell(gid).FluxWeight() * res.MeanPOWidth[gid] / 1e-12
 	}
 	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/harden"
 	"repro/internal/sertopt"
+	"repro/internal/spice"
 )
 
 // HardeningRow compares one protection scheme against the unprotected
@@ -52,15 +53,11 @@ func HardeningComparison(circuit string, lib *charlib.Library, opts sertopt.Opti
 		if err != nil {
 			return nil, sertopt.Metrics{}, err
 		}
-		an, err := aserta.AnalyzeCompiled(h, lib, cells, acfg)
+		an, err := aserta.AnalyzeCompiled(h, cells, acfg)
 		if err != nil {
 			return nil, sertopt.Metrics{}, err
 		}
-		m, err := sertopt.EvaluateMetrics(h, lib, an)
-		if err != nil {
-			return nil, sertopt.Metrics{}, err
-		}
-		return an, m, nil
+		return an, sertopt.EvaluateMetrics(h, an), nil
 	}
 
 	anBase, mBase, err := analyzeSized(cc)
@@ -86,23 +83,21 @@ func HardeningComparison(circuit string, lib *charlib.Library, opts sertopt.Opti
 	}
 	maxSize := lib.Grid.Sizes[len(lib.Grid.Sizes)-1]
 	for _, id := range tmr.VoterGates {
-		cellsTMR[id].Size = maxSize
-		cellsTMR[id].L = lib.Tech.Lmin
-		cellsTMR[id].VDD = lib.Tech.VDDnom
-		cellsTMR[id].Vth = lib.Tech.Vthnom
+		cell := cellsTMR.Cell(id)
+		cell.Params = spice.Nominal(lib.Tech, maxSize)
+		if cellsTMR.IDs[id], err = cellsTMR.T.Intern(cell); err != nil {
+			return nil, err
+		}
 	}
 	tmrCC, err := engine.Compile(tmr.Circuit)
 	if err != nil {
 		return nil, err
 	}
-	anTMR, err := aserta.AnalyzeCompiled(tmrCC, lib, cellsTMR, acfg)
+	anTMR, err := aserta.AnalyzeCompiled(tmrCC, cellsTMR, acfg)
 	if err != nil {
 		return nil, err
 	}
-	mTMR, err := sertopt.EvaluateMetrics(tmrCC, lib, anTMR)
-	if err != nil {
-		return nil, err
-	}
+	mTMR := sertopt.EvaluateMetrics(tmrCC, anTMR)
 	rows = append(rows, HardeningRow{
 		Scheme: "tmr", U: anTMR.U, UDecrease: 1 - anTMR.U/anBase.U,
 		AreaRatio:   mTMR.Area / mBase.Area,
@@ -119,7 +114,7 @@ func HardeningComparison(circuit string, lib *charlib.Library, opts sertopt.Opti
 	if err != nil {
 		return nil, err
 	}
-	anOpt, err := aserta.AnalyzeCompiled(cc, lib, res.Optimized, acfg)
+	anOpt, err := aserta.AnalyzeCompiled(cc, res.Optimized, acfg)
 	if err != nil {
 		return nil, err
 	}

@@ -112,8 +112,8 @@ func Table1Run(spec Table1Spec, lib *charlib.Library, cfg Table1Config) (*Table1
 	row.AreaRatio, row.EnergyRatio, row.DelayRatio = res.Ratios()
 
 	// Column 7b: both circuits re-analyzed with 50 random vectors.
-	a50 := func(cells aserta.Assignment) (float64, error) {
-		an, err := aserta.AnalyzeCompiled(cc, lib, cells, aserta.Config{
+	a50 := func(cells charlib.Assignment) (float64, error) {
+		an, err := aserta.AnalyzeCompiled(cc, cells, aserta.Config{
 			Vectors: 50, Seed: opts.Seed + 50, POLoad: engine.DefaultPOLoad,
 		})
 		if err != nil {

@@ -120,7 +120,11 @@ func TestTMRUnreliabilityVsOverheads(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := aserta.Config{Vectors: 4000, Seed: 1, POLoad: 2e-15}
-	anTMR, err := aserta.AnalyzeCompiled(engine.MustCompile(res.Circuit), lib(), aserta.NominalAssignment(res.Circuit, lib(), 2), cfg)
+	cells, err := charlib.NominalAssignment(res.Circuit, lib(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anTMR, err := aserta.AnalyzeCompiled(engine.MustCompile(res.Circuit), cells, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func AnalyzeCompiledContext(ctx context.Context, cc *engine.CompiledCircuit, lib
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	an, err := aserta.AnalyzeCompiled(fr.CC, lib, cells, aserta.Config{
+	an, err := aserta.AnalyzeCompiled(fr.CC, cells, aserta.Config{
 		Vectors:     opts.Vectors,
 		Seed:        opts.Seed,
 		POLoad:      opts.POLoad,

@@ -129,8 +129,8 @@ func TestKnownLatchingStrike(t *testing.T) {
 	n1, _ := c.GateByName("n1")
 	o, _ := c.GateByName("o")
 	T := 300e-12
-	wantLatched := an.Cells[n1].FluxWeight() * strike.Clamp(an.GenWidth[n1], T) / 1e-12
-	wantDirect := an.Cells[o].FluxWeight() * strike.Clamp(an.GenWidth[o], T) / 1e-12
+	wantLatched := an.Cells.Cell(n1).FluxWeight() * strike.Clamp(an.GenWidth[n1], T) / 1e-12
+	wantDirect := an.Cells.Cell(o).FluxWeight() * strike.Clamp(an.GenWidth[o], T) / 1e-12
 	if !closeRel(res.LatchedU, wantLatched, 1e-12) {
 		t.Fatalf("LatchedU = %v, want %v", res.LatchedU, wantLatched)
 	}
@@ -239,7 +239,7 @@ func TestCombinationalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, cells, aserta.Config{Vectors: 4096, Seed: 1, POLoad: 2e-15})
+	an, err := aserta.AnalyzeCompiled(engine.MustCompile(c), cells, aserta.Config{Vectors: 4096, Seed: 1, POLoad: 2e-15})
 	if err != nil {
 		t.Fatal(err)
 	}

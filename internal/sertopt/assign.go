@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/aserta"
 	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/engine"
@@ -23,28 +22,27 @@ type MatchConfig struct {
 	Vths []float64
 }
 
-// matcher is the §4 delay matcher over one run's cell table. The table
-// interns every cell the run can assign: each gate class's menu, built
-// once per class, and each gate's hint, its baseline cell, so every
-// cell's properties are read once per run. The matcher keeps each
-// gate's decision together with the inputs that fixed it — the
-// desired delay, the load and the highest successor VDD, by their bits
-// — and on the next call re-decides only the gates where one of them
-// changed: the chosen cell, its delay and its generated glitch width
-// depend on nothing else.
+// matcher is the §4 delay matcher over one run's cell table, the
+// baseline's. It adds every cell the run can assign to that table:
+// each gate class's menu, built once per class, beside each gate's
+// hint, its baseline cell, so every cell's properties are read once
+// per run. The matcher keeps each gate's decision together with the
+// inputs that fixed it — the desired delay, the load and the highest
+// successor VDD, by their bits — and on the next call re-decides only
+// the gates where one of them changed: the chosen cell, its delay and
+// its generated glitch width depend on nothing else.
 type matcher struct {
 	cc  *engine.CompiledCircuit
 	tab *charlib.Table
 	// hint[g] is gate g's hint cell (-1 for primary inputs) and menu[g]
 	// its class menu: the candidates of gate g, in the order they are
-	// considered. hint is also the baseline's cell-ID vector.
+	// considered. hint is the baseline's cell-ID vector.
 	hint []int32
 	menu [][]int32
 	// ids[g] is gate g's cell ID (-1 for primary inputs, and before
-	// the gate's first decision); cells spells the same assignment out.
-	ids   []int32
-	cells aserta.Assignment
-	// src holds what strike.EnumerateSources derives from cells.
+	// the gate's first decision).
+	ids []int32
+	// src holds what strike.EnumerateSources derives from ids.
 	src strike.Sources
 	// key[g] holds the inputs ids[g] was decided under, once ids[g] is
 	// set.
@@ -55,13 +53,14 @@ type matcher struct {
 // matchKey is the bits of one gate's decision inputs.
 type matchKey struct{ desired, load, succVDD uint64 }
 
-// newMatcher returns a matcher over a fresh cell table for one run:
-// menus from cfg, and baseline as every gate's hint and size cap. A
-// class's hint is interned before its menu, and a property read fails
-// only for a gate class, never for one cell of it, so the first error
-// is the first gate's whose class the library cannot model.
-func newMatcher(cc *engine.CompiledCircuit, lib *charlib.Library, cfg MatchConfig, baseline aserta.Assignment) (*matcher, error) {
+// newMatcher returns a matcher for one run: menus from cfg, and
+// baseline as every gate's hint and size cap. The menus go into the
+// baseline's table, which already holds every hint, so a property read
+// that fails (only ever for a whole gate class) failed in the sizing
+// that made the baseline.
+func newMatcher(cc *engine.CompiledCircuit, cfg MatchConfig, baseline charlib.Assignment) (*matcher, error) {
 	c := cc.Circuit()
+	lib := baseline.T.Library()
 	if len(cfg.VDDs) == 0 {
 		cfg.VDDs = []float64{lib.Tech.VDDnom}
 	}
@@ -72,18 +71,17 @@ func newMatcher(cc *engine.CompiledCircuit, lib *charlib.Library, cfg MatchConfi
 	// baseline circuits."
 	maxSize := 1.0
 	for _, g := range c.Gates {
-		if g.Type != ckt.Input && baseline[g.ID].Size > maxSize {
-			maxSize = baseline[g.ID].Size
+		if s := baseline.Cell(g.ID).Size; s > maxSize {
+			maxSize = s
 		}
 	}
 	n := len(c.Gates)
 	m := &matcher{
-		cc:    cc,
-		tab:   charlib.NewTable(lib),
-		hint:  make([]int32, n),
-		menu:  make([][]int32, n),
-		ids:   make([]int32, n),
-		cells: make(aserta.Assignment, n),
+		cc:   cc,
+		tab:  baseline.T,
+		hint: baseline.IDs,
+		menu: make([][]int32, n),
+		ids:  make([]int32, n),
 		src: strike.Sources{
 			Loads:    make([]float64, n),
 			Delays:   make([]float64, n),
@@ -95,15 +93,10 @@ func newMatcher(cc *engine.CompiledCircuit, lib *charlib.Library, cfg MatchConfi
 	}
 	menus := make(map[charlib.Class][]int32)
 	for _, g := range c.Gates {
-		m.hint[g.ID], m.ids[g.ID] = -1, -1
+		m.ids[g.ID] = -1
 		if g.Type == ckt.Input {
 			continue
 		}
-		id, err := m.tab.Intern(baseline[g.ID])
-		if err != nil {
-			return nil, err
-		}
-		m.hint[g.ID] = id
 		cl := charlib.ClassOf(g)
 		menu, ok := menus[cl]
 		if !ok {
@@ -119,18 +112,6 @@ func newMatcher(cc *engine.CompiledCircuit, lib *charlib.Library, cfg MatchConfi
 		m.menu[g.ID] = menu
 	}
 	return m, nil
-}
-
-// assignment expands a cell-ID vector (-1 for primary inputs) into
-// cells.
-func (m *matcher) assignment(ids []int32) aserta.Assignment {
-	cells := make(aserta.Assignment, len(ids))
-	for g, id := range ids {
-		if id >= 0 {
-			cells[g] = m.tab.Cell(id)
-		}
-	}
-	return cells
 }
 
 // match implements the paper's §4 parameter determination: "To find
@@ -219,7 +200,7 @@ func (m *matcher) decide(g *ckt.Gate, desired, load, succVDD float64) error {
 		if err != nil {
 			return err
 		}
-		e := absf(d - desired)
+		e := math.Abs(d - desired)
 		if bestErr < 0 || e < bestErr {
 			best, bestErr, bestDelay = id, e, d
 		}
@@ -242,7 +223,6 @@ func (m *matcher) decide(g *ckt.Gate, desired, load, succVDD float64) error {
 		return fmt.Errorf("sertopt: glitch gen of %s: %v", g.Name, err)
 	}
 	m.ids[g.ID] = best
-	m.cells[g.ID] = cell
 	m.src.Delays[g.ID] = bestDelay
 	m.src.GenWidth[g.ID] = w
 	m.src.Flux[g.ID] = m.tab.Props(best).FluxWeight

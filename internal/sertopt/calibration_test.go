@@ -36,7 +36,7 @@ func calibrationRun(t *testing.T, lib *charlib.Library, step float64, iters, bas
 		if g.Type == ckt.Input {
 			continue
 		}
-		if res.Optimized[g.ID] != res.Baseline[g.ID] {
+		if res.Optimized.Cell(g.ID) != res.Baseline.Cell(g.ID) {
 			changed++
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/aserta"
 	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/devmodel"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/seq"
 	"repro/internal/sertopt"
+	"repro/internal/spice"
 	"repro/internal/stats"
 	"repro/internal/strike"
 )
@@ -79,8 +79,8 @@ func TestCellTableMatchesReference(t *testing.T) {
 				t.Fatalf("%s: reference: %v", label, err)
 			}
 			for id := range want {
-				if sized[id] != want[id] {
-					t.Fatalf("%s: InitialSizing gate %d = %+v, reference %+v", label, id, sized[id], want[id])
+				if sized.Cell(id) != want[id] {
+					t.Fatalf("%s: InitialSizing gate %d = %+v, reference %+v", label, id, sized.Cell(id), want[id])
 				}
 			}
 			random := randomAssignment(c, grid.lib, stats.NewRNG(uint64(ci+1)))
@@ -89,23 +89,23 @@ func TestCellTableMatchesReference(t *testing.T) {
 					distinct[random[g.ID]] = true
 				}
 			}
+			randomAsg, err := charlib.NewTable(grid.lib).InternAll(c, random)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
 			cc := engine.MustCompile(c)
 			for _, a := range []struct {
-				name  string
-				cells aserta.Assignment
-			}{{"sized", sized}, {"random", random}} {
+				name string
+				asg  charlib.Assignment
+			}{{"sized", sized}, {"random", randomAsg}} {
 				what := label + "/" + a.name
-				tab := charlib.NewTable(grid.lib)
-				ids, err := tab.InternAll(c, a.cells)
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
+				cells := sertopt.CellsOf(a.asg)
 				if grid.sources(cir.name) {
-					got, err := strike.EnumerateSources(cc, tab, ids, poLoad)
+					got, err := strike.EnumerateSources(cc, a.asg, poLoad)
 					if err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
-					ref, err := sertopt.RefEnumerateSources(cc, grid.lib, a.cells, poLoad)
+					ref, err := sertopt.RefEnumerateSources(cc, grid.lib, cells, poLoad)
 					if err != nil {
 						t.Fatalf("%s: reference: %v", what, err)
 					}
@@ -125,8 +125,8 @@ func TestCellTableMatchesReference(t *testing.T) {
 					continue
 				}
 				loads := make([]float64, len(c.Gates))
-				tab.Loads(c, ids, poLoad, loads)
-				ref, err := sertopt.RefGateLoads(c, grid.lib, a.cells, poLoad)
+				a.asg.T.Loads(c, a.asg.IDs, poLoad, loads)
+				ref, err := sertopt.RefGateLoads(c, grid.lib, cells, poLoad)
 				if err != nil {
 					t.Fatalf("%s: reference: %v", what, err)
 				}
@@ -137,7 +137,7 @@ func TestCellTableMatchesReference(t *testing.T) {
 					if g.Type == ckt.Input {
 						continue
 					}
-					got, want := tab.Props(ids[g.ID]).FluxWeight, a.cells[g.ID].FluxWeight()
+					got, want := a.asg.T.Props(a.asg.IDs[g.ID]).FluxWeight, cells[g.ID].FluxWeight()
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s: gate %s flux %.17g, want %.17g", what, g.Name, got, want)
 					}
@@ -153,16 +153,16 @@ func TestCellTableMatchesReference(t *testing.T) {
 
 // randomAssignment gives every logic gate of c a cell of its class
 // whose size, length, VDD and Vth are drawn from lib's grid axes.
-func randomAssignment(c *ckt.Circuit, lib *charlib.Library, rng *stats.RNG) aserta.Assignment {
+func randomAssignment(c *ckt.Circuit, lib *charlib.Library, rng *stats.RNG) []charlib.Cell {
 	g := lib.Grid
 	pick := func(axis []float64) float64 { return axis[rng.Intn(len(axis))] }
-	cells := aserta.NominalAssignment(c, lib, 1)
+	cells := make([]charlib.Cell, len(c.Gates))
 	for _, gate := range c.Gates {
 		if gate.Type == ckt.Input {
 			continue
 		}
-		cell := &cells[gate.ID]
-		cell.Size, cell.L, cell.VDD, cell.Vth = pick(g.Sizes), pick(g.Lengths), pick(g.VDDs), pick(g.Vths)
+		cells[gate.ID] = charlib.Cell{Type: gate.Type, Fanin: len(gate.Fanin),
+			Params: spice.Params{Size: pick(g.Sizes), L: pick(g.Lengths), VDD: pick(g.VDDs), Vth: pick(g.Vths)}}
 	}
 	return cells
 }

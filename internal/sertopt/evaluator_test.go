@@ -22,7 +22,7 @@ import (
 type evalSetup struct {
 	cc    *engine.CompiledCircuit
 	menus MatchConfig
-	base  aserta.Assignment
+	base  charlib.Assignment
 	d0    []float64
 	dir   []float64
 }
@@ -41,7 +41,7 @@ func newEvalSetup(t *testing.T, name string) *evalSetup {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0, err := gateDelays(c, lib(), base, engine.DefaultPOLoad)
+	d0, err := gateDelays(c, lib(), cellsOf(base), engine.DefaultPOLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,25 +66,31 @@ func newEvalSetup(t *testing.T, name string) *evalSetup {
 // matcher returns a fresh matcher for the setup's menus and baseline.
 func (s *evalSetup) matcher(t *testing.T) *matcher {
 	t.Helper()
-	m, err := newMatcher(s.cc, lib(), s.menus, s.base)
+	m, err := newMatcher(s.cc, s.menus, s.base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
+// matched spells the matcher's current assignment out as a cell list.
+func matched(m *matcher) []charlib.Cell {
+	return cellsOf(charlib.Assignment{T: m.tab, IDs: m.ids})
+}
+
 // refSettings returns the reference matcher's configuration equal to
 // what newMatcher derives from menus and baseline: the baseline as
 // hints, its largest size (at least 1) as the cap, and the default PO
 // load.
-func refSettings(c *ckt.Circuit, menus MatchConfig, baseline aserta.Assignment) refMatchConfig {
+func refSettings(c *ckt.Circuit, menus MatchConfig, baseline charlib.Assignment) refMatchConfig {
+	hints := cellsOf(baseline)
 	maxSize := 1.0
 	for _, g := range c.Gates {
-		if g.Type != ckt.Input && baseline[g.ID].Size > maxSize {
-			maxSize = baseline[g.ID].Size
+		if g.Type != ckt.Input && hints[g.ID].Size > maxSize {
+			maxSize = hints[g.ID].Size
 		}
 	}
-	return refMatchConfig{VDDs: menus.VDDs, Vths: menus.Vths, MaxSize: maxSize, POLoad: engine.DefaultPOLoad, Hints: baseline}
+	return refMatchConfig{VDDs: menus.VDDs, Vths: menus.Vths, MaxSize: maxSize, POLoad: engine.DefaultPOLoad, Hints: hints}
 }
 
 // probe returns the desired delays of a single-coordinate SQP probe,
@@ -176,7 +182,7 @@ func TestMatcherCacheMatchesFresh(t *testing.T) {
 				if err := fresh.match(st.desired); err != nil {
 					t.Fatalf("%s: %v", st.name, err)
 				}
-				cells := fresh.cells
+				cells := matched(fresh)
 				want, err := referenceMatch(s.cc, lib(), st.desired, ref)
 				if err != nil {
 					t.Fatalf("%s: %v", st.name, err)
@@ -188,10 +194,7 @@ func TestMatcherCacheMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", st.name, err)
 				}
-				if msg := diffCells(st.name+" cells", m.cells, cells); msg != "" {
-					t.Fatal(msg)
-				}
-				if msg := diffCells(st.name+" table cells", m.assignment(m.ids), cells); msg != "" {
+				if msg := diffCells(st.name+" cells", matched(m), cells); msg != "" {
 					t.Fatal(msg)
 				}
 				for _, f := range []struct {
@@ -226,17 +229,14 @@ func TestMetricsCoreMatchesEvaluateMetrics(t *testing.T) {
 				if err := m.match(s.scrambled(rng, s.d0, -1)); err != nil {
 					t.Fatal(err)
 				}
-				cells := append(aserta.Assignment(nil), m.cells...)
-				an, err := aserta.AnalyzeCompiled(s.cc, lib(), cells, aserta.Config{Vectors: 2000, Seed: 3})
+				cells := charlib.Assignment{T: m.tab, IDs: append([]int32(nil), m.ids...)}
+				an, err := aserta.AnalyzeCompiled(s.cc, cells, aserta.Config{Vectors: 2000, Seed: 3})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := metricsOf(s.cc, an.Sens, m.src.Loads, m.src.Delays, m.tab, m.ids)
-				want, err := EvaluateMetrics(s.cc, lib(), an)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := referenceMetrics(s.cc, lib(), cells, an.Sens, engine.DefaultPOLoad)
+				got := metricsOf(s.cc, an.Sens, m.src.Loads, m.src.Delays, cells)
+				want := EvaluateMetrics(s.cc, an)
+				ref, err := referenceMetrics(s.cc, lib(), cellsOf(cells), an.Sens, engine.DefaultPOLoad)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -268,9 +268,13 @@ func TestErrorsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hints := append(aserta.Assignment(nil), base...)
+	hints := charlib.Assignment{T: base.T, IDs: append([]int32(nil), base.IDs...)}
 	for _, id := range c.Outputs() {
-		hints[id].VDD = 1.2
+		cell := hints.Cell(id)
+		cell.VDD = 1.2
+		if hints.IDs[id], err = hints.T.Intern(cell); err != nil {
+			t.Fatal(err)
+		}
 	}
 	same := func(what string, got, want error) {
 		t.Helper()
@@ -278,8 +282,8 @@ func TestErrorsMatchReference(t *testing.T) {
 			t.Fatalf("%s: error %v, want %v", what, got, want)
 		}
 	}
-	match := func(l *charlib.Library, menus MatchConfig, baseline aserta.Assignment, desired []float64) error {
-		m, err := newMatcher(cc, l, menus, baseline)
+	match := func(menus MatchConfig, baseline charlib.Assignment, desired []float64) error {
+		m, err := newMatcher(cc, menus, baseline)
 		if err != nil {
 			return err
 		}
@@ -287,11 +291,11 @@ func TestErrorsMatchReference(t *testing.T) {
 	}
 
 	menus := MatchConfig{VDDs: []float64{1.0}, Vths: []float64{0.2}}
-	desired, err := gateDelays(c, lib(), hints, engine.DefaultPOLoad)
+	desired, err := gateDelays(c, lib(), cellsOf(hints), engine.DefaultPOLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := match(lib(), menus, hints, desired)
+	got := match(menus, hints, desired)
 	_, want := referenceMatch(cc, lib(), desired, refSettings(c, menus, hints))
 	same("no feasible cell", got, want)
 
@@ -299,12 +303,17 @@ func TestErrorsMatchReference(t *testing.T) {
 		Sizes: []float64{1, 4}, Lengths: []float64{70e-9}, VDDs: []float64{1.0}, Vths: []float64{0.2},
 		Loads: []float64{2e-15, 1e-15},
 	})
-	d0, err := gateDelays(c, lib(), base, engine.DefaultPOLoad)
+	d0, err := gateDelays(c, lib(), cellsOf(base), engine.DefaultPOLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = match(broken, MatchConfig{}, base, d0)
-	_, want = referenceMatch(cc, broken, d0, refSettings(c, MatchConfig{}, base))
+	// The same baseline cells in a table over the broken library.
+	brokenHints, err := charlib.NewTable(broken).InternAll(c, cellsOf(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = match(MatchConfig{}, brokenHints, d0)
+	_, want = referenceMatch(cc, broken, d0, refSettings(c, MatchConfig{}, brokenHints))
 	same("matcher, broken library", got, want)
 
 	opts := Options{Vectors: 500, Iterations: 1, MaxBasis: 2}
@@ -313,7 +322,7 @@ func TestErrorsMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, got = OptimizeCompiled(cc, broken, opts)
-	_, want = refEnumerateSources(cc, broken, brokenBase, engine.DefaultPOLoad)
+	_, want = refEnumerateSources(cc, broken, cellsOf(brokenBase), engine.DefaultPOLoad)
 	same("OptimizeCompiled, broken library", got, want)
 }
 

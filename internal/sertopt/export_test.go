@@ -9,4 +9,5 @@ var (
 	RefGateLoads        = refGateLoads
 	RefEnumerateSources = refEnumerateSources
 	RefInitialSizing    = refInitialSizing
+	CellsOf             = cellsOf
 )

@@ -26,14 +26,14 @@ func TestGradientProbeIncrementalMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := aserta.AnalyzeCompiled(engine.MustCompile(c), lib, baseline, aserta.Config{
+	base, err := aserta.AnalyzeCompiled(engine.MustCompile(c), baseline, aserta.Config{
 		Vectors: 2000,
 		Seed:    5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0, err := gateDelays(c, lib, baseline, 2e-15)
+	d0, err := gateDelays(c, lib, cellsOf(baseline), 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sertopt
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/aserta"
 	"repro/internal/charlib"
@@ -27,23 +28,15 @@ type Metrics struct {
 const ClockPeriodFactor = 1.2
 
 // EvaluateMetrics computes the delay, energy and area of an analyzed
-// assignment. The loads, delays and toggle activities are the
-// analysis' own; only the cells' load-independent properties are read
-// from the library, through a cell table of the call's own.
-func EvaluateMetrics(cc *engine.CompiledCircuit, lib *charlib.Library, an *aserta.Analysis) (Metrics, error) {
-	t := charlib.NewTable(lib)
-	ids, err := t.InternAll(cc.Circuit(), an.Cells)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return metricsOf(cc, an.Sens, an.Loads, an.Delays, t, ids), nil
+// assignment: the analysis' loads, delays, toggle activities and cells.
+func EvaluateMetrics(cc *engine.CompiledCircuit, an *aserta.Analysis) Metrics {
+	return metricsOf(cc, an.Sens, an.Loads, an.Delays, an.Cells)
 }
 
 // metricsOf is the one metrics core: the critical-path delay, energy
 // and area of an assignment from every gate's load, delay, toggle
-// activity and cell (ids[id] in t for each non-input gate). Sums run
-// in netlist order.
-func metricsOf(cc *engine.CompiledCircuit, sens *logicsim.Result, loads, delays []float64, t *charlib.Table, ids []int32) Metrics {
+// activity and cell. Sums run in netlist order.
+func metricsOf(cc *engine.CompiledCircuit, sens *logicsim.Result, loads, delays []float64, cells charlib.Assignment) Metrics {
 	c := cc.Circuit()
 	var m Metrics
 	// Critical path: longest arrival over the DAG.
@@ -73,9 +66,9 @@ func metricsOf(cc *engine.CompiledCircuit, sens *logicsim.Result, loads, delays 
 		if g.Type == ckt.Input {
 			continue
 		}
-		id := ids[g.ID]
-		p := t.Props(id)
-		vdd := t.Cell(id).VDD
+		id := cells.IDs[g.ID]
+		p := cells.T.Props(id)
+		vdd := cells.T.Cell(id).VDD
 		e := (p.SelfCap + loads[g.ID]) * vdd * vdd
 		dyn += sens.Activity[g.ID] * e
 		leakP += p.StaticPower
@@ -92,18 +85,18 @@ func metricsOf(cc *engine.CompiledCircuit, sens *logicsim.Result, loads, delays 
 // three passes, each sizing every gate against the loads of the sizes
 // the previous pass chose, and stops there whether or not the sizes
 // have settled: in its third pass c7552 still changes 9 gates and
-// c2670 6 on the coarse grid, and c6288 110 on the default grid.
-func InitialSizing(c *ckt.Circuit, lib *charlib.Library, poLoad float64) (aserta.Assignment, error) {
-	t := charlib.NewTable(lib)
-	cells := aserta.NominalAssignment(c, lib, 1)
+// c2670 6 on the coarse grid, and c6288 110 on the default grid. The
+// assignment's table is new and holds the unit-size cells too.
+func InitialSizing(c *ckt.Circuit, lib *charlib.Library, poLoad float64) (charlib.Assignment, error) {
 	// Each gate's first cell is its unit-size one, whose input
 	// capacitance scales the gate's size target in every pass. The
 	// unit cells are the table's first, with IDs below t.Len().
-	unit, err := t.InternAll(c, cells)
+	a, err := charlib.NominalAssignment(c, lib, 1)
 	if err != nil {
-		return nil, err
+		return charlib.Assignment{}, err
 	}
-	ids := append([]int32(nil), unit...)
+	t := a.T
+	unit := append([]int32(nil), a.IDs...)
 	loads := make([]float64, len(c.Gates))
 	sizes := lib.Grid.Sizes
 	// sized[u·len(sizes)+k] is the ID of unit cell u resized to
@@ -114,7 +107,7 @@ func InitialSizing(c *ckt.Circuit, lib *charlib.Library, poLoad float64) (aserta
 		sized[i] = -1
 	}
 	for pass := 0; pass < 3; pass++ {
-		t.Loads(c, ids, poLoad, loads)
+		t.Loads(c, a.IDs, poLoad, loads)
 		for _, g := range c.Gates {
 			if g.Type == ckt.Input {
 				continue
@@ -125,7 +118,7 @@ func InitialSizing(c *ckt.Circuit, lib *charlib.Library, poLoad float64) (aserta
 			want := loads[g.ID] / (3 * t.Props(u).InputCap)
 			k := 0
 			for i, s := range sizes {
-				if absf(s-want) < absf(sizes[k]-want) {
+				if math.Abs(s-want) < math.Abs(sizes[k]-want) {
 					k = i
 				}
 			}
@@ -134,19 +127,11 @@ func InitialSizing(c *ckt.Circuit, lib *charlib.Library, poLoad float64) (aserta
 				cell := t.Cell(u)
 				cell.Size = sizes[k]
 				if *id, err = t.Intern(cell); err != nil {
-					return nil, fmt.Errorf("sertopt: sizing gate %s: %v", g.Name, err)
+					return charlib.Assignment{}, fmt.Errorf("sertopt: sizing gate %s: %v", g.Name, err)
 				}
 			}
-			ids[g.ID] = *id
-			cells[g.ID].Size = sizes[k]
+			a.IDs[g.ID] = *id
 		}
 	}
-	return cells, nil
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return a, nil
 }

@@ -75,13 +75,14 @@ func (o Options) withDefaults() Options {
 
 // Result is the outcome of one SERTOPT run.
 type Result struct {
-	Baseline  aserta.Assignment
-	Optimized aserta.Assignment
+	// Baseline and Optimized share the run's one cell table.
+	Baseline  charlib.Assignment
+	Optimized charlib.Assignment
 
 	BaseAnalysis *aserta.Analysis
 	// OptAnalysis analyzes Optimized. It is the same pointer as
-	// BaseAnalysis, and Optimized the same slice as Baseline, when the
-	// search found nothing better than the baseline.
+	// BaseAnalysis, and Optimized the same assignment as Baseline, when
+	// the search found nothing better than the baseline.
 	OptAnalysis *aserta.Analysis
 
 	BaseMetrics Metrics
@@ -119,9 +120,9 @@ func (r *Result) Ratios() (area, energy, delay float64) {
 // the same vectors/seed), and every inner cost evaluation reuses the
 // compiled topological orders instead of re-deriving them.
 //
-// The run keeps one cell table (charlib.Table) that interns the
-// baseline and every menu cell. The baseline's loads, delays, glitch
-// widths and flux weights are derived once from it
+// The run keeps one cell table (charlib.Table): the baseline sizing's,
+// to which the matcher adds every menu cell. The baseline's loads,
+// delays, glitch widths and flux weights are derived once from it
 // (strike.EnumerateSources) and feed both its metrics and its
 // analysis. A cost evaluation matches cells to the candidate delays
 // over the same table, re-deciding only the gates
@@ -158,23 +159,21 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		return nil, err
 	}
 	// The baseline anchors matching: each gate's baseline cell is its
-	// hint, so θ=0 reproduces the baseline exactly, and the hints are
-	// the baseline's cell IDs in the run's one cell table.
-	match, err := newMatcher(cc, lib, opts.Match, baseline)
+	// hint, so θ=0 reproduces the baseline exactly.
+	match, err := newMatcher(cc, opts.Match, baseline)
 	if err != nil {
 		return nil, err
 	}
-	hint := match.hint
 	// The baseline's loads, delays, glitch widths and flux weights,
 	// derived once for its metrics and its analysis; timed as the
 	// stage aserta.AnalyzeCompiled would record for them.
 	endSources := trace.StartStage(nil, "strike.sources")
-	src, err := strike.EnumerateSources(cc, match.tab, hint, engine.DefaultPOLoad)
+	src, err := strike.EnumerateSources(cc, baseline, engine.DefaultPOLoad)
 	endSources()
 	if err != nil {
 		return nil, err
 	}
-	res.BaseMetrics = metricsOf(cc, sens, src.Loads, src.Delays, match.tab, hint)
+	res.BaseMetrics = metricsOf(cc, sens, src.Loads, src.Delays, baseline)
 	// Latch-capture saturation at the circuit's own clock (1.2x the
 	// baseline critical path), for both baseline and candidates.
 	acfg := aserta.Config{
@@ -204,7 +203,7 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	for _, z := range basis {
 		m := 0.0
 		for _, v := range z {
-			if a := absf(v); a > m {
+			if a := math.Abs(v); a > m {
 				m = a
 			}
 		}
@@ -223,8 +222,8 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 			w.A*m.Area/res.BaseMetrics.Area
 	}
 
-	baseOut := &evalOut{ids: hint, m: res.BaseMetrics, c: cost(res.BaseMetrics, res.BaseAnalysis.U)}
-	memo := map[string]*evalOut{string(appendKey(nil, hint)): baseOut}
+	baseOut := &evalOut{ids: baseline.IDs, m: res.BaseMetrics, c: cost(res.BaseMetrics, res.BaseAnalysis.U)}
+	memo := map[string]*evalOut{string(appendKey(nil, baseline.IDs)): baseOut}
 	var key []byte
 
 	// The baseline analysis holds every gate's delay under its own
@@ -254,11 +253,12 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		if out, ok := memo[string(key)]; ok {
 			return out, nil
 		}
-		an, err := aserta.AnalyzeSources(cc, match.cells, &match.src, acfg)
+		cells := charlib.Assignment{T: match.tab, IDs: match.ids}
+		an, err := aserta.AnalyzeSources(cc, cells, &match.src, acfg)
 		if err != nil {
 			return nil, err
 		}
-		m := metricsOf(cc, sens, match.src.Loads, match.src.Delays, match.tab, match.ids)
+		m := metricsOf(cc, sens, match.src.Loads, match.src.Delays, cells)
 		out := &evalOut{ids: append([]int32(nil), match.ids...), m: m, c: cost(m, an.U)}
 		memo[string(key)] = out
 		return out, nil
@@ -318,8 +318,8 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		// hand.
 		res.Optimized, res.OptAnalysis = res.Baseline, res.BaseAnalysis
 	} else {
-		res.Optimized = match.assignment(best.ids)
-		res.OptAnalysis, err = aserta.AnalyzeCompiled(cc, lib, res.Optimized, acfg)
+		res.Optimized = charlib.Assignment{T: baseline.T, IDs: best.ids}
+		res.OptAnalysis, err = aserta.AnalyzeCompiled(cc, res.Optimized, acfg)
 		if err != nil {
 			return nil, err
 		}
@@ -396,7 +396,7 @@ func gradientSeed(cc *engine.CompiledCircuit, basis [][]float64, base *aserta.An
 	}
 	m := 0.0
 	for _, x := range move {
-		if a := absf(x); a > m {
+		if a := math.Abs(x); a > m {
 			m = a
 		}
 	}
@@ -458,7 +458,7 @@ func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, hist
 			grad[k] = (out.c - best.c) / h
 			gnorm += grad[k] * grad[k]
 		}
-		gnorm = sqrtf(gnorm)
+		gnorm = math.Sqrt(gnorm)
 		improved := false
 		if gnorm > 0 {
 			// Backtracking line search along -grad.
@@ -544,7 +544,7 @@ func optimizeAnneal(theta []float64, best *evalOut, eval evalFn, opts Options, r
 			}
 			accept := out.c < cur.c
 			if !accept && temp > 0 {
-				accept = rng.Float64() < expf(-(out.c-cur.c)/temp)
+				accept = rng.Float64() < math.Exp(-(out.c-cur.c)/temp)
 			}
 			if accept {
 				cur = out
@@ -559,6 +559,3 @@ func optimizeAnneal(theta []float64, best *evalOut, eval evalFn, opts Options, r
 	}
 	return best, nil
 }
-
-func sqrtf(x float64) float64 { return math.Sqrt(x) }
-func expf(x float64) float64  { return math.Exp(x) }

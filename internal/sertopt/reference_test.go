@@ -38,7 +38,7 @@ type refMatchConfig struct {
 	Vths    []float64
 	MaxSize float64
 	POLoad  float64
-	Hints   aserta.Assignment
+	Hints   []charlib.Cell
 }
 
 // referenceOptimize is OptimizeCompiled with the reference evaluation
@@ -57,7 +57,9 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 	if err != nil {
 		return nil, err
 	}
-	res.Baseline = baseline
+	if res.Baseline, err = charlib.NewTable(lib).InternAll(c, baseline); err != nil {
+		return nil, err
+	}
 	if match.MaxSize == 0 {
 		// Paper: "The maximum gate size used was the same as that for
 		// the baseline circuits."
@@ -93,7 +95,7 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 	// Latch-capture saturation at the circuit's own clock (1.2x the
 	// baseline critical path), for both baseline and candidates.
 	acfg.ClockPeriod = ClockPeriodFactor * res.BaseMetrics.Delay
-	res.BaseAnalysis, err = aserta.AnalyzeCompiled(cc, lib, baseline, acfg)
+	res.BaseAnalysis, err = aserta.AnalyzeCompiled(cc, res.Baseline, acfg)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +122,7 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 	for _, z := range basis {
 		m := 0.0
 		for _, v := range z {
-			if a := absf(v); a > m {
+			if a := math.Abs(v); a > m {
 				m = a
 			}
 		}
@@ -170,7 +172,11 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 		if err != nil {
 			return nil, err
 		}
-		an, err := aserta.AnalyzeCompiled(cc, lib, cells, acfg)
+		asg, err := charlib.NewTable(lib).InternAll(c, cells)
+		if err != nil {
+			return nil, err
+		}
+		an, err := aserta.AnalyzeCompiled(cc, asg, acfg)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +184,7 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 		if err != nil {
 			return nil, err
 		}
-		return &refEvalOut{cells: cells, an: an, m: m, c: cost(m, an.U)}, nil
+		return &refEvalOut{an: an, m: m, c: cost(m, an.U)}, nil
 	}
 
 	theta := make([]float64, len(basis))
@@ -232,7 +238,7 @@ func referenceOptimize(cc *engine.CompiledCircuit, lib *charlib.Library, opts Op
 		return nil, err
 	}
 	_ = bestTheta
-	res.Optimized = best.cells
+	res.Optimized = best.an.Cells
 	res.OptAnalysis = best.an
 	res.OptMetrics = best.m
 	res.Cost = best.c
@@ -308,7 +314,7 @@ func refGradientSeed(cc *engine.CompiledCircuit, topo *Topology, basis [][]float
 	}
 	m := 0.0
 	for _, x := range move {
-		if a := absf(x); a > m {
+		if a := math.Abs(x); a > m {
 			m = a
 		}
 	}
@@ -323,7 +329,7 @@ func refGradientSeed(cc *engine.CompiledCircuit, topo *Topology, basis [][]float
 }
 
 // referenceMatch is the table-free §4 matcher.
-func referenceMatch(cc *engine.CompiledCircuit, lib *charlib.Library, desired []float64, cfg refMatchConfig) (aserta.Assignment, error) {
+func referenceMatch(cc *engine.CompiledCircuit, lib *charlib.Library, desired []float64, cfg refMatchConfig) ([]charlib.Cell, error) {
 	c := cc.Circuit()
 	if len(desired) != len(c.Gates) {
 		return nil, fmt.Errorf("sertopt: %d desired delays for %d gates", len(desired), len(c.Gates))
@@ -335,7 +341,7 @@ func referenceMatch(cc *engine.CompiledCircuit, lib *charlib.Library, desired []
 		cfg.Vths = []float64{lib.Tech.Vthnom}
 	}
 	order := cc.ReverseTopoOrder()
-	cells := make(aserta.Assignment, len(c.Gates))
+	cells := make([]charlib.Cell, len(c.Gates))
 	assigned := make([]bool, len(c.Gates))
 	for _, id := range order {
 		g := c.Gates[id]
@@ -373,7 +379,7 @@ func referenceMatch(cc *engine.CompiledCircuit, lib *charlib.Library, desired []
 			if err != nil {
 				return err
 			}
-			e := absf(d - desired[id])
+			e := math.Abs(d - desired[id])
 			if bestErr < 0 || e < bestErr {
 				bestErr = e
 				best = cell
@@ -402,7 +408,7 @@ func referenceMatch(cc *engine.CompiledCircuit, lib *charlib.Library, desired []
 // gateDelays returns the per-gate delay vector (indexed by gate ID)
 // under the assignment's own loads, straight from the library: the
 // reference path's d0, and the matcher tests' targets.
-func gateDelays(c *ckt.Circuit, lib *charlib.Library, cells aserta.Assignment, poLoad float64) ([]float64, error) {
+func gateDelays(c *ckt.Circuit, lib *charlib.Library, cells []charlib.Cell, poLoad float64) ([]float64, error) {
 	loads, err := refGateLoads(c, lib, cells, poLoad)
 	if err != nil {
 		return nil, err
@@ -482,8 +488,12 @@ func refEnumerateSources(cc *engine.CompiledCircuit, lib *charlib.Library, cells
 // refInitialSizing is InitialSizing before the cell table: every pass
 // derives the loads edge by edge (refGateLoads) and asks the library
 // for each gate's unit-size input capacitance.
-func refInitialSizing(c *ckt.Circuit, lib *charlib.Library, poLoad float64) (aserta.Assignment, error) {
-	cells := aserta.NominalAssignment(c, lib, 1)
+func refInitialSizing(c *ckt.Circuit, lib *charlib.Library, poLoad float64) ([]charlib.Cell, error) {
+	nominal, err := charlib.NominalAssignment(c, lib, 1)
+	if err != nil {
+		return nil, err
+	}
+	cells := cellsOf(nominal)
 	sizes := lib.Grid.Sizes
 	for pass := 0; pass < 3; pass++ {
 		loads, err := refGateLoads(c, lib, cells, poLoad)
@@ -505,7 +515,7 @@ func refInitialSizing(c *ckt.Circuit, lib *charlib.Library, poLoad float64) (ase
 			want := loads[g.ID] / (3 * p.InputCap)
 			best := sizes[0]
 			for _, s := range sizes {
-				if absf(s-want) < absf(best-want) {
+				if math.Abs(s-want) < math.Abs(best-want) {
 					best = s
 				}
 			}
@@ -517,7 +527,7 @@ func refInitialSizing(c *ckt.Circuit, lib *charlib.Library, poLoad float64) (ase
 
 // referenceMetrics computes an assignment's metrics straight from the
 // library.
-func referenceMetrics(cc *engine.CompiledCircuit, lib *charlib.Library, cells aserta.Assignment, sens *logicsim.Result, poLoad float64) (Metrics, error) {
+func referenceMetrics(cc *engine.CompiledCircuit, lib *charlib.Library, cells []charlib.Cell, sens *logicsim.Result, poLoad float64) (Metrics, error) {
 	c := cc.Circuit()
 	var m Metrics
 	loads, err := refGateLoads(c, lib, cells, poLoad)
@@ -573,10 +583,9 @@ func referenceMetrics(cc *engine.CompiledCircuit, lib *charlib.Library, cells as
 
 // refEvalOut bundles one reference cost evaluation's artifacts.
 type refEvalOut struct {
-	cells aserta.Assignment
-	an    *aserta.Analysis
-	m     Metrics
-	c     float64
+	an *aserta.Analysis
+	m  Metrics
+	c  float64
 }
 
 type refEvalFn func([]float64) (*refEvalOut, error)
@@ -605,7 +614,7 @@ func referenceSQP(theta []float64, best *refEvalOut, eval refEvalFn, opts Option
 			grad[k] = (out.c - best.c) / h
 			gnorm += grad[k] * grad[k]
 		}
-		gnorm = sqrtf(gnorm)
+		gnorm = math.Sqrt(gnorm)
 		improved := false
 		if gnorm > 0 {
 			// Backtracking line search along -grad.
@@ -690,7 +699,7 @@ func referenceAnneal(theta []float64, best *refEvalOut, eval refEvalFn, opts Opt
 			}
 			accept := out.c < cur.c
 			if !accept && temp > 0 {
-				accept = rng.Float64() < expf(-(out.c-cur.c)/temp)
+				accept = rng.Float64() < math.Exp(-(out.c-cur.c)/temp)
 			}
 			if accept {
 				cur = out
@@ -760,7 +769,7 @@ func TestOptimizeMatchesReference(t *testing.T) {
 			if msg := diffResults(got, want); msg != "" {
 				t.Errorf("%s: %s", label, msg)
 			}
-			baselineWon := diffCells("", want.Optimized, want.Baseline) == ""
+			baselineWon := diffCells("", cellsOf(want.Optimized), cellsOf(want.Baseline)) == ""
 			if shared := got.OptAnalysis == got.BaseAnalysis; shared != baselineWon {
 				t.Errorf("%s: OptAnalysis shared with BaseAnalysis: %v, reference winner is the baseline: %v", label, shared, baselineWon)
 			}
@@ -786,10 +795,10 @@ func benchCircuit(name string) (*ckt.Circuit, error) {
 // diffResults describes the first difference between two optimizer
 // results, comparing floats by their bits ("" when identical).
 func diffResults(got, want *Result) string {
-	if msg := diffCells("Baseline", got.Baseline, want.Baseline); msg != "" {
+	if msg := diffCells("Baseline", cellsOf(got.Baseline), cellsOf(want.Baseline)); msg != "" {
 		return msg
 	}
-	if msg := diffCells("Optimized", got.Optimized, want.Optimized); msg != "" {
+	if msg := diffCells("Optimized", cellsOf(got.Optimized), cellsOf(want.Optimized)); msg != "" {
 		return msg
 	}
 	for _, m := range []struct {
@@ -817,7 +826,7 @@ func diffResults(got, want *Result) string {
 
 // diffAnalyses compares two analyses' totals, tables and sources.
 func diffAnalyses(name string, got, want *aserta.Analysis) string {
-	if msg := diffCells(name+".Cells", got.Cells, want.Cells); msg != "" {
+	if msg := diffCells(name+".Cells", cellsOf(got.Cells), cellsOf(want.Cells)); msg != "" {
 		return msg
 	}
 	if msg := diffFloats(name+".U", []float64{got.U}, []float64{want.U}); msg != "" {
@@ -857,7 +866,17 @@ func diffAnalyses(name string, got, want *aserta.Analysis) string {
 	return ""
 }
 
-func diffCells(name string, got, want aserta.Assignment) string {
+// cellsOf spells an assignment out as the per-gate cell list the
+// references work on.
+func cellsOf(a charlib.Assignment) []charlib.Cell {
+	cells := make([]charlib.Cell, len(a.IDs))
+	for g := range cells {
+		cells[g] = a.Cell(g)
+	}
+	return cells
+}
+
+func diffCells(name string, got, want []charlib.Cell) string {
 	if len(got) != len(want) {
 		return fmt.Sprintf("%s: %d cells, want %d", name, len(got), len(want))
 	}

@@ -137,10 +137,10 @@ func TestInitialSizing(t *testing.T) {
 		if g.Type == ckt.Input {
 			continue
 		}
-		if cells[g.ID].Size < 1 {
-			t.Fatalf("gate %s size %g < 1", g.Name, cells[g.ID].Size)
+		if cells.Cell(g.ID).Size < 1 {
+			t.Fatalf("gate %s size %g < 1", g.Name, cells.Cell(g.ID).Size)
 		}
-		if cells[g.ID].VDD != lib().Tech.VDDnom || cells[g.ID].Vth != lib().Tech.Vthnom {
+		if cells.Cell(g.ID).VDD != lib().Tech.VDDnom || cells.Cell(g.ID).Vth != lib().Tech.Vthnom {
 			t.Fatalf("baseline must be nominal VDD/Vth")
 		}
 	}
@@ -148,16 +148,16 @@ func TestInitialSizing(t *testing.T) {
 
 // matchCells matches desired with a fresh matcher over menus and
 // baseline.
-func matchCells(t *testing.T, c *ckt.Circuit, menus MatchConfig, baseline aserta.Assignment, desired []float64) aserta.Assignment {
+func matchCells(t *testing.T, c *ckt.Circuit, menus MatchConfig, baseline charlib.Assignment, desired []float64) []charlib.Cell {
 	t.Helper()
-	m, err := newMatcher(engine.MustCompile(c), lib(), menus, baseline)
+	m, err := newMatcher(engine.MustCompile(c), menus, baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.match(desired); err != nil {
 		t.Fatal(err)
 	}
-	return m.cells
+	return matched(m)
 }
 
 func TestMatchDelaysRealizesTargets(t *testing.T) {
@@ -169,16 +169,20 @@ func TestMatchDelaysRealizesTargets(t *testing.T) {
 	// Asked for the delays the baseline already has, the matcher
 	// returns the baseline: each gate's baseline cell is its hint and
 	// wins the tie.
-	d0, err := gateDelays(c, lib(), base, 2e-15)
+	d0, err := gateDelays(c, lib(), cellsOf(base), 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg := diffCells("theta0 cells", matchCells(t, c, coarseMatch(), base, d0), base); msg != "" {
+	if msg := diffCells("theta0 cells", matchCells(t, c, coarseMatch(), base, d0), cellsOf(base)); msg != "" {
 		t.Fatal(msg)
 	}
 	// Asked for the delays of unit-size nominal cells, which no menu
 	// holds at coarseMatch's VDDs, it reproduces them approximately.
-	want, err := gateDelays(c, lib(), aserta.NominalAssignment(c, lib(), 1), 2e-15)
+	nominal, err := charlib.NominalAssignment(c, lib(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := gateDelays(c, lib(), cellsOf(nominal), 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +217,7 @@ func TestMatchDelaysVDDOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0, err := gateDelays(c, lib(), base, 2e-15)
+	d0, err := gateDelays(c, lib(), cellsOf(base), 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +247,11 @@ func TestEvaluateMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	cc := engine.MustCompile(c)
-	an, err := aserta.AnalyzeCompiled(cc, lib(), cells, aserta.Config{Vectors: 2000, Seed: 1})
+	an, err := aserta.AnalyzeCompiled(cc, cells, aserta.Config{Vectors: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := EvaluateMetrics(cc, lib(), an)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := EvaluateMetrics(cc, an)
 	if m.Delay <= 0 || m.Energy <= 0 || m.Area <= 0 {
 		t.Fatalf("metrics = %+v", m)
 	}

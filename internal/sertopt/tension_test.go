@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/aserta"
+	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -32,13 +33,13 @@ func TestDepthBandTension(t *testing.T) {
 	}
 	cc := engine.MustCompile(c)
 	cfg := aserta.Config{Vectors: 4000, Seed: 1, POLoad: 2e-15}
-	an0, err := aserta.AnalyzeCompiled(cc, lib(), base, cfg)
+	an0, err := aserta.AnalyzeCompiled(cc, base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	depth := c.DepthFromPO()
-	modified := func(mod func(id, d int, cells aserta.Assignment)) float64 {
-		cells := append(aserta.Assignment(nil), base...)
+	modified := func(mod func(id, d int, cells []charlib.Cell)) float64 {
+		cells := cellsOf(base)
 		for _, g := range c.Gates {
 			if g.Type == ckt.Input {
 				continue
@@ -47,28 +48,32 @@ func TestDepthBandTension(t *testing.T) {
 				mod(g.ID, d, cells)
 			}
 		}
-		an, err := aserta.AnalyzeCompiled(cc, lib(), cells, cfg)
+		asg, err := charlib.NewTable(lib()).InternAll(c, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := aserta.AnalyzeCompiled(cc, asg, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return an.U
 	}
-	slow := func(id int, cells aserta.Assignment) {
+	slow := func(id int, cells []charlib.Cell) {
 		cells[id].Size = 1
 		cells[id].L = 300e-9
 		cells[id].VDD = 0.8
 		cells[id].Vth = 0.3
 	}
-	fast := func(id int, cells aserta.Assignment) {
+	fast := func(id int, cells []charlib.Cell) {
 		cells[id].Size = 4
 		cells[id].L = 70e-9
 		cells[id].VDD = 1.0
 		cells[id].Vth = 0.2
 	}
 
-	uAllFast := modified(func(id, d int, cells aserta.Assignment) { fast(id, cells) })
-	uAllSlow := modified(func(id, d int, cells aserta.Assignment) { slow(id, cells) })
-	uSlowD1 := modified(func(id, d int, cells aserta.Assignment) {
+	uAllFast := modified(func(id, d int, cells []charlib.Cell) { fast(id, cells) })
+	uAllSlow := modified(func(id, d int, cells []charlib.Cell) { slow(id, cells) })
+	uSlowD1 := modified(func(id, d int, cells []charlib.Cell) {
 		if d == 1 {
 			slow(id, cells)
 		} else {

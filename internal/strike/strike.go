@@ -70,15 +70,14 @@ type Sources struct {
 
 // EnumerateSources derives every gate's strike parameters from a cell
 // assignment: loads, delays, generated glitch widths and flux weights.
-// ids[i] is gate i's cell in t (primary inputs' entries are ignored),
-// and each load is t's sum over the gate's fanout pins plus poLoad on
-// a primary output. It is the first pipeline stage; everything
-// downstream depends only on its output and the netlist.
-func EnumerateSources(cc *engine.CompiledCircuit, t *charlib.Table, ids []int32, poLoad float64) (*Sources, error) {
+// Each load is the assignment table's sum over the gate's fanout pins
+// plus poLoad on a primary output. It is the first pipeline stage;
+// everything downstream depends only on its output and the netlist.
+func EnumerateSources(cc *engine.CompiledCircuit, cells charlib.Assignment, poLoad float64) (*Sources, error) {
 	c := cc.Circuit()
 	n := len(c.Gates)
-	if len(ids) != n {
-		return nil, fmt.Errorf("strike: %d cells for %d gates", len(ids), n)
+	if len(cells.IDs) != n {
+		return nil, fmt.Errorf("strike: %d cells for %d gates", len(cells.IDs), n)
 	}
 	src := &Sources{
 		Loads:    make([]float64, n),
@@ -86,13 +85,14 @@ func EnumerateSources(cc *engine.CompiledCircuit, t *charlib.Table, ids []int32,
 		GenWidth: make([]float64, n),
 		Flux:     make([]float64, n),
 	}
-	t.Loads(c, ids, poLoad, src.Loads)
+	t := cells.T
+	t.Loads(c, cells.IDs, poLoad, src.Loads)
 	lib := t.Library()
 	for _, g := range c.Gates {
 		if g.Type.IsSource() {
 			continue
 		}
-		id := ids[g.ID]
+		id := cells.IDs[g.ID]
 		cell := t.Cell(id)
 		d, err := lib.Delay(cell, src.Loads[g.ID])
 		if err != nil {

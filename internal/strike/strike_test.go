@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/aserta"
 	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/devmodel"
@@ -194,12 +193,11 @@ func iscas(t testing.TB, name string) *ckt.Circuit {
 func newPipeline(t testing.TB, lib *charlib.Library, c *ckt.Circuit, vectors int) *pipeline {
 	t.Helper()
 	cc := engine.MustCompile(c)
-	tab := charlib.NewTable(lib)
-	ids, err := tab.InternAll(c, aserta.NominalAssignment(c, lib, 2))
+	cells, err := charlib.NominalAssignment(c, lib, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := strike.EnumerateSources(cc, tab, ids, 2e-15)
+	src, err := strike.EnumerateSources(cc, cells, 2e-15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,6 +43,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"repro/internal/aserta"
 	"repro/internal/bench"
@@ -337,22 +338,13 @@ func WriteBench(w io.Writer, c *Circuit) error { return bench.Write(w, c) }
 
 func trimExt(p string) string {
 	base := p
-	if i := lastIndexByte(base, '/'); i >= 0 {
+	if i := strings.LastIndexByte(base, '/'); i >= 0 {
 		base = base[i+1:]
 	}
-	if i := lastIndexByte(base, '.'); i > 0 {
+	if i := strings.LastIndexByte(base, '.'); i > 0 {
 		base = base[:i]
 	}
 	return base
-}
-
-func lastIndexByte(s string, b byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // AnalysisOptions tune an ASERTA run. The report's Raw() analysis
@@ -366,9 +358,11 @@ type AnalysisOptions struct {
 	Seed    uint64
 	// POLoad is the latch capacitance at each primary output (F).
 	POLoad float64
-	// Cells is the per-gate cell assignment, indexed by gate ID; nil
-	// selects the speed-driven baseline sizing.
-	Cells aserta.Assignment
+	// Cells is the per-gate cell assignment, indexed by gate ID, with
+	// every logic gate's cell of the gate's own type and fan-in;
+	// primary inputs' entries are ignored. nil selects the speed-driven
+	// baseline sizing.
+	Cells []charlib.Cell
 }
 
 // GateReport is one gate's analysis summary.
@@ -487,19 +481,21 @@ func (s *System) AnalyzeCompiledContext(ctx context.Context, h *Compiled, opts A
 	if err != nil {
 		return nil, err
 	}
-	cells := opts.Cells
-	if cells == nil {
+	var cells charlib.Assignment
+	if opts.Cells == nil {
 		endSizing := trace.StartStage(rec, "sertopt.sizing")
 		cells, err = sertopt.InitialSizing(c, s.Lib, opts.POLoad)
 		endSizing()
-		if err != nil {
-			return nil, err
-		}
+	} else {
+		cells, err = charlib.NewTable(s.Lib).InternAll(c, opts.Cells)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	an, err := aserta.AnalyzeCompiled(h.cc, s.Lib, cells, aserta.Config{
+	an, err := aserta.AnalyzeCompiled(h.cc, cells, aserta.Config{
 		Vectors: opts.Vectors,
 		Seed:    opts.Seed,
 		POLoad:  opts.POLoad,

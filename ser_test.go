@@ -8,8 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/lut"
+	"repro/internal/spice"
 )
 
 var (
@@ -209,6 +211,61 @@ func TestSaveLoadLibrary(t *testing.T) {
 func TestLoadBenchFileMissing(t *testing.T) {
 	if _, err := LoadBenchFile("/nonexistent/foo.bench"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestLoadBenchFileName pins the circuit name LoadBenchFile takes from
+// the path: the base name without its last extension, a name with no
+// extension kept whole, and a leading dot never taken for one.
+func TestLoadBenchFileName(t *testing.T) {
+	c17, _ := Benchmark("c17")
+	var text bytes.Buffer
+	if err := WriteBench(&text, c17); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Mkdir(dir+"/nets.v2", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{
+		"nets.v2/my.net.bench": "my.net",
+		"nets.v2/noext":        "noext",
+		".hidden.bench":        ".hidden",
+		".c17":                 ".c17",
+	} {
+		if err := os.WriteFile(dir+"/"+path, text.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := LoadBenchFile(dir + "/" + path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if c.Name != want {
+			t.Errorf("%s: circuit name %q, want %q", path, c.Name, want)
+		}
+	}
+}
+
+// TestAnalyzeRejectsCellOfWrongClass checks that a hand-built
+// assignment must give each gate a cell of the gate's own type and
+// fan-in: c17's gate 10 is a NAND2, and analyzing it as an inverter
+// must fail with an error naming the gate, not return a U.
+func TestAnalyzeRejectsCellOfWrongClass(t *testing.T) {
+	c, _ := Benchmark("c17")
+	cells := make([]charlib.Cell, len(c.Gates))
+	for _, g := range c.Gates {
+		if g.Type != ckt.Input {
+			cells[g.ID] = charlib.Cell{Type: g.Type, Fanin: len(g.Fanin), Params: spice.Nominal(sys().Tech, 1)}
+		}
+	}
+	opts := AnalysisOptions{Vectors: 500, Seed: 1, Cells: cells}
+	if _, err := sys().Analyze(c, opts); err != nil {
+		t.Fatalf("nominal cells refused: %v", err)
+	}
+	id, _ := c.GateByName("10")
+	cells[id] = charlib.Cell{Type: ckt.Not, Fanin: 1, Params: cells[id].Params}
+	if _, err := sys().Analyze(c, opts); err == nil || !strings.Contains(err.Error(), "gate 10 ") {
+		t.Fatalf("NAND2 gate 10 analyzed as an inverter: error %v, want one naming the gate", err)
 	}
 }
 
