@@ -17,7 +17,8 @@
 // ASERTA is the combinational configuration of the shared
 // strike-propagation pipeline (internal/strike): EnumerateSources →
 // ElectricalFilter → Reduce, with no flop-capture window stage and the
-// optimizer's incremental re-reduction exposed through RecomputeU.
+// optimizer's exact incremental re-evaluation exposed through SourcesU
+// and RecomputeU.
 package aserta
 
 import (
@@ -114,9 +115,9 @@ type Analysis struct {
 	Samples []float64
 
 	// prop is the shared pipeline's ElectricalFilter stage; delta its
-	// incremental re-reduce configuration, which also holds the
-	// compact baseline WS table once something asks for it. RecomputeU shares
-	// the delta's scratch arenas and is therefore not safe for
+	// incremental configuration, which also holds the compact baseline
+	// WS table once something asks for it. SourcesU and RecomputeU share
+	// the delta's scratch arenas and are therefore not safe for
 	// concurrent use on one Analysis.
 	prop  *strike.Propagator
 	delta *strike.Delta
@@ -230,10 +231,10 @@ func analyzeSources(cc *engine.CompiledCircuit, cells charlib.Assignment, src *s
 
 	// Stage 3: LatchingWindow + Reduce — Eq. 3 per-gate contributions
 	// and the Eq. 4 circuit total, with the incremental delta
-	// configuration armed for RecomputeU.
+	// configuration armed for SourcesU and RecomputeU.
 	endReduce := trace.StartStage(cfg.Spans, "strike.reduce")
 	a.Ui, a.U = strike.Reduce(c, a.Flux, a.Wij, cfg.ClockPeriod)
-	a.delta = a.prop.NewDelta(a.Delays, a.Ui, a.U, a.uiOf)
+	a.delta = a.prop.NewDelta(src, wij, a.Ui, cfg.ClockPeriod)
 	endReduce()
 	return a, nil
 }
@@ -285,26 +286,15 @@ func (cfg Config) sampleWidths() []float64 {
 	return ws
 }
 
-// uiOf returns gate i's Eq. 3 unreliability contribution for a Wij
-// row — the GateReducer the incremental delta re-applies per changed
-// gate.
-func (a *Analysis) uiOf(i int, wij []float64) float64 {
-	return strike.GateU(a.Flux[i], wij, a.Config.ClockPeriod)
-}
-
 // RecomputeU re-evaluates the §3.2 electrical pass with an alternative
-// per-gate delay vector, keeping loads, generated widths and
-// sensitization statistics fixed, and returns the resulting circuit
-// unreliability. This is the cheap delay-sensitivity oracle SERTOPT's
-// gradient seeding uses, and it is incremental: only the fanin cones
-// of gates whose delays differ from the analysis baseline are
-// re-propagated, with unaffected rows served from the compact baseline
-// WS table, which the first incremental call builds (strike.Delta). The
-// delta evaluation always starts from the pristine baseline, so error
-// cannot accumulate across calls. Not safe for concurrent use on one
-// Analysis (shared scratch arenas).
+// per-gate delay vector, keeping loads, generated widths, flux weights
+// and sensitization statistics fixed, and returns the resulting circuit
+// unreliability. This is the delay-sensitivity oracle SERTOPT's
+// gradient seeding uses, and SourcesU with only the delays changed: it
+// is incremental and exact, equal bit for bit to RecomputeUFull.
+// Not safe for concurrent use on one Analysis (shared scratch arenas).
 func (a *Analysis) RecomputeU(delays []float64) (float64, error) {
-	return a.delta.Recompute(delays)
+	return a.delta.Recompute(delays, a.GenWidth, a.Flux), nil
 }
 
 // RecomputeUFull is RecomputeU without the incremental shortcut: the
@@ -312,5 +302,25 @@ func (a *Analysis) RecomputeU(delays []float64) (float64, error) {
 // arenas — the analysis baseline is untouched). It is the exactness
 // reference for the incremental path.
 func (a *Analysis) RecomputeUFull(delays []float64) (float64, error) {
-	return a.delta.RecomputeFull(delays)
+	return a.delta.RecomputeFull(delays, a.GenWidth, a.Flux), nil
+}
+
+// SourcesU returns the circuit unreliability of other sources for the
+// analysis' circuit, at its configuration: exactly
+// AnalyzeSources(cc, cells, src, a.Config).U for the cells src was
+// derived from, without a full analysis. Only what the differences from
+// the analysis' own sources reach is re-evaluated (strike.Delta): the
+// fanin cones of the gates whose delays changed, and the gates whose
+// generated width or flux weight changed. The compact baseline WS table
+// the incremental path reads is built by the first call that needs it.
+// Every call starts from the analysis' own sources, so error cannot
+// accumulate across calls. Not safe for concurrent use on one Analysis
+// (shared scratch arenas).
+func (a *Analysis) SourcesU(src *strike.Sources) (float64, error) {
+	for _, s := range [][]float64{src.Delays, src.GenWidth, src.Flux} {
+		if len(s) != len(a.Circuit.Gates) {
+			return 0, fmt.Errorf("aserta: source slice of %d entries for %d gates", len(s), len(a.Circuit.Gates))
+		}
+	}
+	return a.delta.Recompute(src.Delays, src.GenWidth, src.Flux), nil
 }

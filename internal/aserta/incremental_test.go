@@ -1,7 +1,8 @@
 package aserta
 
 import (
-	"math"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,11 +12,12 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/stats"
+	"repro/internal/strike"
 )
 
 // TestRecomputeUIncrementalMatchesFull drives the incremental delta
 // path with single-gate and multi-gate delay perturbations on c432 and
-// checks it against the exact full re-evaluation to 1e-12 relative.
+// checks it against the full re-evaluation bit for bit.
 func TestRecomputeUIncrementalMatchesFull(t *testing.T) {
 	c, err := gen.ISCAS85("c432")
 	if err != nil {
@@ -39,10 +41,8 @@ func TestRecomputeUIncrementalMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tol := 1e-12 * math.Max(math.Abs(full), 1)
-		if math.Abs(inc-full) > tol {
-			t.Errorf("%s: incremental U = %.17g, full U = %.17g (|Δ| = %g > %g)",
-				name, inc, full, math.Abs(inc-full), tol)
+		if inc != full {
+			t.Errorf("%s: incremental U = %.17g, full U = %.17g", name, inc, full)
 		}
 	}
 
@@ -95,24 +95,9 @@ func TestRecomputeUIncrementalMatchesFull(t *testing.T) {
 // the PO must neither corrupt predecessor reads of the PO's rows nor
 // propagate a phantom delta through it.
 func TestRecomputeUIncrementalPOWithFanout(t *testing.T) {
-	c := ckt.New("po-fanout")
-	a := c.MustAddGate("a", ckt.Input)
-	b := c.MustAddGate("b", ckt.Input)
-	x := c.MustAddGate("x", ckt.Nand)
-	c.MustConnect(a, x)
-	c.MustConnect(b, x)
-	po1 := c.MustAddGate("po1", ckt.Nand)
-	c.MustConnect(x, po1)
-	c.MustConnect(a, po1)
-	c.MarkPO(po1)
-	sink := c.MustAddGate("sink", ckt.Nand)
-	c.MustConnect(po1, sink)
-	c.MustConnect(b, sink)
-	c.MarkPO(sink)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
+	c := poFanout(t)
+	po1, _ := c.GateByName("po1")
+	sink, _ := c.GateByName("sink")
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
 	cells := nominal(t, c, lib)
 	an, err := AnalyzeCompiled(engine.MustCompile(c), cells, Config{Vectors: 1000, Seed: 11})
@@ -133,7 +118,7 @@ func TestRecomputeUIncrementalPOWithFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(inc-full) > 1e-12*math.Max(full, 1) {
+	if inc != full {
 		t.Errorf("PO-with-fanout: incremental U = %.17g, full U = %.17g", inc, full)
 	}
 
@@ -148,7 +133,7 @@ func TestRecomputeUIncrementalPOWithFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(inc2-full2) > 1e-12*math.Max(full2, 1) {
+	if inc2 != full2 {
 		t.Errorf("PO delay change: incremental U = %.17g, full U = %.17g", inc2, full2)
 	}
 }
@@ -194,7 +179,7 @@ func TestRecomputeUConsecutiveIncremental(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(inc-want) > 1e-12*math.Max(math.Abs(want), 1) {
+		if inc != want {
 			t.Fatalf("probe %d (gate %s): incremental U = %.17g after consecutive calls, full U = %.17g",
 				probe, c.Gates[id].Name, inc, want)
 		}
@@ -207,7 +192,7 @@ func TestRecomputeUConsecutiveIncremental(t *testing.T) {
 // and must all get one table, equal bit for bit to a fresh analysis'
 // table; the incremental RecomputeU that follows, which serves
 // unaffected rows from that table, must equal the fresh analysis' own
-// incremental answer bit for bit and the exact full pass to 1e-12.
+// incremental answer and the full pass bit for bit.
 func TestWSTableOnDemand(t *testing.T) {
 	c, err := gen.ISCAS85("c432")
 	if err != nil {
@@ -279,8 +264,165 @@ func TestWSTableOnDemand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if inc != ref || math.Abs(inc-full) > 1e-12*math.Max(math.Abs(full), 1) {
+		if inc != ref || inc != full {
 			t.Fatalf("gate %d: incremental U = %.17g, fresh analysis %.17g, full %.17g", id, inc, ref, full)
 		}
 	}
+}
+
+// poFanout is a netlist whose PO po1 also drives logic, the shape of
+// a sequential frame's D-pin tap: sink = NAND(po1, b), itself a PO.
+func poFanout(t *testing.T) *ckt.Circuit {
+	t.Helper()
+	c := ckt.New("po-fanout")
+	a := c.MustAddGate("a", ckt.Input)
+	b := c.MustAddGate("b", ckt.Input)
+	x := c.MustAddGate("x", ckt.Nand)
+	c.MustConnect(a, x)
+	c.MustConnect(b, x)
+	po1 := c.MustAddGate("po1", ckt.Nand)
+	c.MustConnect(x, po1)
+	c.MustConnect(a, po1)
+	c.MarkPO(po1)
+	sink := c.MustAddGate("sink", ckt.Nand)
+	c.MustConnect(po1, sink)
+	c.MustConnect(b, sink)
+	c.MarkPO(sink)
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestSourcesUMatchesAnalyzeSources is SourcesU's end-to-end oracle. On
+// every ISCAS-85 profile and on a netlist whose POs drive logic,
+// back-to-back calls on one analysis change one gate, several gates or
+// more than half the gates (the full-pass fallback once delays move),
+// in their delays, generated widths or flux weights alone or in all
+// three at once. A last call per circuit moves one gate's delay and
+// the widths of a gate in its fanin cone and of a gate outside it. Each
+// U must equal, bit for bit, the U of a full AnalyzeSources of the same
+// sources, and a source slice of the wrong length is refused.
+func TestSourcesUMatchesAnalyzeSources(t *testing.T) {
+	circuits := []*ckt.Circuit{poFanout(t)}
+	for _, name := range gen.Names() {
+		c, err := gen.ISCAS85(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	cfg := Config{Vectors: 1000, Seed: 3}
+	for _, c := range circuits {
+		cc := engine.MustCompile(c)
+		cells := nominal(t, c, lib())
+		an, err := AnalyzeCompiled(cc, cells, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var logic []int
+		for _, g := range c.Gates {
+			if g.Type != ckt.Input {
+				logic = append(logic, g.ID)
+			}
+		}
+		rng := stats.NewRNG(uint64(len(c.Gates)))
+		base := func() *strike.Sources {
+			return &strike.Sources{
+				Loads:    an.Loads,
+				Delays:   slices.Clone(an.Delays),
+				GenWidth: slices.Clone(an.GenWidth),
+				Flux:     slices.Clone(an.Flux),
+			}
+		}
+		if _, err := an.SourcesU(&strike.Sources{Delays: an.Delays, GenWidth: an.GenWidth[1:], Flux: an.Flux}); err == nil {
+			t.Fatalf("%s: SourcesU accepted a short width slice", c.Name)
+		}
+		check := func(label string, src *strike.Sources) {
+			t.Helper()
+			got, err := an.SourcesU(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := AnalyzeSources(cc, cells, src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != full.U {
+				t.Fatalf("%s, %s: SourcesU = %.17g, AnalyzeSources U = %.17g", c.Name, label, got, full.U)
+			}
+		}
+		kinds := []struct {
+			name                string
+			delay, width, fluxw bool
+		}{
+			{"delays", true, false, false},
+			{"widths", false, true, false},
+			{"flux", false, false, true},
+			{"all three", true, true, true},
+		}
+		for _, n := range []int{1, 4, len(logic)*3/4 + 1} {
+			for _, k := range kinds {
+				src := base()
+				for _, pick := range rng.Perm(len(logic))[:min(n, len(logic))] {
+					i := logic[pick]
+					if k.delay {
+						src.Delays[i] *= 0.5 + 1.5*rng.Float64()
+					}
+					if k.width {
+						src.GenWidth[i] *= 0.25 + 3.75*rng.Float64()
+					}
+					if k.fluxw {
+						src.Flux[i] *= 0.5 + 1.5*rng.Float64()
+					}
+				}
+				check(fmt.Sprintf("%s of %d gates", k.name, n), src)
+			}
+		}
+
+		// One gate's delay, the width of a gate in its fanin cone and of
+		// one outside it.
+		src := base()
+		for _, i := range cc.TopoOrder() {
+			if c.Gates[i].Type == ckt.Input {
+				continue
+			}
+			cone := faninCone(c, i)
+			in, out := -1, -1
+			for _, j := range logic {
+				if j != i && cone[j] && in < 0 {
+					in = j
+				}
+				if !cone[j] && j != i && out < 0 {
+					out = j
+				}
+			}
+			if in < 0 || out < 0 {
+				continue
+			}
+			src.Delays[i] *= 1.5
+			src.GenWidth[in] *= 2
+			src.GenWidth[out] *= 0.5
+			break
+		}
+		check("widths inside and outside a delay's cone", src)
+		check("baseline", base())
+	}
+}
+
+// faninCone marks the gates gate i is reachable from.
+func faninCone(c *ckt.Circuit, i int) []bool {
+	cone := make([]bool, len(c.Gates))
+	stack := []int{i}
+	for len(stack) > 0 {
+		g := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, f := range c.Gates[g].Fanin {
+			if !cone[f] {
+				cone[f] = true
+				stack = append(stack, f)
+			}
+		}
+	}
+	return cone
 }

@@ -24,8 +24,10 @@ func ParseStream(r io.Reader, name string) (*ckt.Circuit, error) {
 	p.idx.init(1024)
 	p.faninOff = append(p.faninOff, 0)
 
+	// Lines may reach 1 MiB; the buffer grows to a line's length only
+	// when one needs it.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -129,8 +129,8 @@ func TestParseStreamDifferentialGenerated(t *testing.T) {
 }
 
 // TestParseStreamLargeLine covers the scanner buffer boundary: both
-// parsers share the 1 MiB line limit, so a wide gate just under it
-// parses in both and one past it fails in both.
+// parsers share the 1 MiB line limit, so a wide gate of a few hundred
+// KB parses in both and one past the limit fails in both.
 func TestParseStreamLargeLine(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("OUTPUT(y)\n")
@@ -143,7 +143,16 @@ func TestParseStreamLargeLine(t *testing.T) {
 		fmt.Fprintf(&sb, ", pi%d", i)
 	}
 	sb.WriteString(")\n")
+	if sb.Len() < 300<<10 {
+		t.Fatalf("wide gate netlist is %d bytes, want a line of a few hundred KB", sb.Len())
+	}
 	diffParse(t, sb.String(), "wide gate")
+
+	long := "INPUT(a)\nOUTPUT(y)\ny = AND(a" + strings.Repeat(", a", 1<<20/3) + ")\n"
+	if _, err := ParseStreamString(long, "long"); err == nil || !strings.Contains(err.Error(), "too long") {
+		t.Fatalf("a line over 1 MiB: err = %v, want a too-long error", err)
+	}
+	diffParse(t, long, "line over 1 MiB")
 }
 
 // errWriter fails every write after the first n bytes.

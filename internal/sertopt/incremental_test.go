@@ -1,7 +1,6 @@
 package sertopt
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/aserta"
@@ -15,7 +14,7 @@ import (
 // TestGradientProbeIncrementalMatchesFull exercises RecomputeU exactly
 // the way gradientSeed does — a baseline SERTOPT analysis probed with
 // single-gate delay bumps — and asserts the incremental delta
-// evaluation matches a full recomputation within 1e-12 relative.
+// evaluation equals a full recomputation bit for bit.
 func TestGradientProbeIncrementalMatchesFull(t *testing.T) {
 	c, err := gen.ISCAS85("c432")
 	if err != nil {
@@ -55,10 +54,8 @@ func TestGradientProbeIncrementalMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tol := 1e-12 * math.Max(math.Abs(full), 1)
-		if math.Abs(inc-full) > tol {
-			t.Errorf("gate %s: incremental U = %.17g, full U = %.17g (|Δ| = %g)",
-				g.Name, inc, full, math.Abs(inc-full))
+		if inc != full {
+			t.Errorf("gate %s: incremental U = %.17g, full U = %.17g", g.Name, inc, full)
 		}
 		probed++
 	}

@@ -126,13 +126,15 @@ func (r *Result) Ratios() (area, energy, delay float64) {
 // (strike.EnumerateSources) and feed both its metrics and its
 // analysis. A cost evaluation matches cells to the candidate delays
 // over the same table, re-deciding only the gates
-// whose matching inputs changed since the previous evaluation; hands
-// the matcher's loads, delays, glitch widths and flux weights to an
-// analysis, of which it keeps only U, and to the metrics core; and
-// memoizes the cost by the assignment, so a repeated assignment costs
-// only its matching. The memo starts out holding the baseline. The
-// winning assignment alone is kept as an analysis (OptAnalysis), and
-// only analyzed when it is not the baseline.
+// whose matching inputs changed since the previous evaluation; scores
+// the matcher's loads, delays, glitch widths and flux weights with the
+// metrics core and with BaseAnalysis.SourcesU, an exact incremental
+// evaluation that re-does only what differs from the baseline and
+// returns the U a full analysis of the candidate would, bit for bit;
+// and memoizes the cost by the assignment, so a repeated assignment
+// costs only its matching. The memo starts out holding the baseline.
+// The winning assignment alone is analyzed in full (OptAnalysis), and
+// only when it is not the baseline.
 func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Options) (*Result, error) {
 	c := cc.Circuit()
 	if c.Sequential() {
@@ -149,11 +151,11 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	res.Baseline = baseline
 
 	// One-time logic analysis, shared by every cost evaluation: the
-	// embedded ASERTA analyses below resolve the same (vectors, seed)
+	// baseline and winner analyses resolve the same (vectors, seed)
 	// entry of the handle's memo. The optimizer is the incremental
-	// configuration of the shared strike pipeline: gradient seeding
-	// re-enters it through RecomputeU (strike.Delta), re-reducing only
-	// affected fanin cones.
+	// configuration of the shared strike pipeline: candidate scoring
+	// and gradient seeding re-enter it through SourcesU and RecomputeU
+	// (strike.Delta), re-doing only what differs from the baseline.
 	sens, err := logicsim.Sensitization(cc, opts.Vectors, opts.Seed)
 	if err != nil {
 		return nil, err
@@ -254,12 +256,12 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 			return out, nil
 		}
 		cells := charlib.Assignment{T: match.tab, IDs: match.ids}
-		an, err := aserta.AnalyzeSources(cc, cells, &match.src, acfg)
+		u, err := res.BaseAnalysis.SourcesU(&match.src)
 		if err != nil {
 			return nil, err
 		}
 		m := metricsOf(cc, sens, match.src.Loads, match.src.Delays, cells)
-		out := &evalOut{ids: append([]int32(nil), match.ids...), m: m, c: cost(m, an.U)}
+		out := &evalOut{ids: append([]int32(nil), match.ids...), m: m, c: cost(m, u)}
 		memo[string(key)] = out
 		return out, nil
 	}

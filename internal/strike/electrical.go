@@ -42,17 +42,37 @@ func Attenuate(wi, d float64) float64 {
 type Propagator struct {
 	c      *ckt.Circuit
 	rorder []int
-	// samples is the §3.2 sample-width ladder ws_k; genWidth the
-	// per-gate generated widths w_i (step iv interpolation points).
-	samples  []float64
-	genWidth []float64
-	st       *elecStatics
-	// genIdx/genFrac are the prepared interpolations of each gate's
-	// generated width on the sample ladder (gates with pairs only).
-	genIdx  []int32
-	genFrac []float64
+	// samples is the §3.2 sample-width ladder ws_k.
+	samples []float64
+	st      *elecStatics
+	// gen is the step (iv) input of the widths the Propagator was built
+	// for.
+	gen genTable
 
 	nPOs int
+}
+
+// genTable is the §3.2 step (iv) input: every gate's generated width
+// w_i and, for the gates with pairs, its prepared interpolation on the
+// sample ladder.
+type genTable struct {
+	width []float64
+	idx   []int32
+	frac  []float64
+}
+
+// widthAt is pair pr's step (iv): the expected width W_ij for the
+// gate's generated width, read off the pair's step (iii) row. A PO's own
+// column presents the generated width itself, and a pair with a zero
+// Eq. 2 denominator contributes nothing.
+func (g *genTable) widthAt(pr *elecPair, row []float64) float64 {
+	switch {
+	case pr.own:
+		return g.width[pr.gate]
+	case pr.den == 0:
+		return 0
+	}
+	return lut.ApplyInterp1D(row, int(g.idx[pr.gate]), g.frac[pr.gate])
 }
 
 // elecStatics are the sens-derived electrical statics: the (gate, PO)
@@ -323,24 +343,33 @@ func NewPropagator(cc *engine.CompiledCircuit, sens *logicsim.Result, genWidth, 
 	st := staticsFor(cc, sens)
 	nGates := len(c.Gates)
 	p := &Propagator{
-		c:        c,
-		rorder:   cc.ReverseTopoOrder(),
-		samples:  samples,
-		genWidth: genWidth,
-		st:       st,
-		genIdx:   make([]int32, nGates),
-		genFrac:  make([]float64, nGates),
-		nPOs:     len(c.Outputs()),
+		c:       c,
+		rorder:  cc.ReverseTopoOrder(),
+		samples: samples,
+		st:      st,
+		gen: genTable{
+			width: genWidth,
+			idx:   make([]int32, nGates),
+			frac:  make([]float64, nGates),
+		},
+		nPOs: len(c.Outputs()),
 	}
 	for i := 0; i < nGates; i++ {
-		if st.gateOff[i] == st.gateOff[i+1] {
-			continue
+		if p.hasPairs(i) {
+			p.gen.prep(p.samples, i, genWidth[i])
 		}
-		gi, gf := lut.PrepInterp1D(samples, genWidth[i])
-		p.genIdx[i] = int32(gi)
-		p.genFrac[i] = gf
 	}
 	return p
+}
+
+// hasPairs reports whether gate i has a (gate, PO) pair; a gate without
+// one reaches no PO, so its W_ij row is zero under any sources.
+func (p *Propagator) hasPairs(i int) bool { return p.st.gateOff[i] != p.st.gateOff[i+1] }
+
+// prep prepares gate i's step (iv) interpolation for width w.
+func (g *genTable) prep(samples []float64, i int, w float64) {
+	gi, gf := lut.PrepInterp1D(samples, w)
+	g.idx[i], g.frac[i] = int32(gi), gf
 }
 
 // Pairs reports how many (gate, PO) pairs the pass keeps a row for: a
@@ -385,28 +414,28 @@ func (p *Propagator) prepAttenRow(t *attTable, r int, d float64) {
 }
 
 // pairRow evaluates pair q's §3.2 step (iii) row into ws and returns
-// its step (iv) expected width W_ij. Successor rows are read from ws,
-// except that when affected is non-nil the rows of unaffected
-// successors come from base (the incremental delta evaluation). att
-// holds the attenuation rows for the delays under evaluation. The
-// accumulation order (ascending successor index per sample, then
-// P_ij·acc/den) is the serial pass's, so results are bit-identical to
-// it.
-func (p *Propagator) pairRow(q int, ws, base []float64, affected []bool, att *attTable) float64 {
+// its step (iv) expected width W_ij for the generated widths in gen.
+// Successor rows are read from ws, except that when affected is non-nil
+// the rows of unaffected successors come from base (the incremental
+// delta evaluation). att holds the attenuation rows for the delays under
+// evaluation. The accumulation order (ascending successor index per
+// sample, then P_ij·acc/den) is the serial pass's, so results are
+// bit-identical to it.
+func (p *Propagator) pairRow(q int, ws, base []float64, affected []bool, att *attTable, gen *genTable) float64 {
 	st := p.st
 	pr := &st.pairs[q]
 	K := len(p.samples)
 	row := ws[q*K : (q+1)*K]
 	if pr.own {
 		copy(row, p.samples)
-		return p.genWidth[pr.gate]
+		return gen.widthAt(pr, row)
 	}
 	clear(row)
 	if pr.den == 0 {
 		// Reachable but with a zero Eq. 2 denominator (every side
 		// sensitization vanished): the glitch contributes nothing, but
 		// predecessors read this row, so it holds zeros.
-		return 0
+		return gen.widthAt(pr, row)
 	}
 	for _, e := range st.succs[st.succOff[q]:st.succOff[q+1]] {
 		src := ws
@@ -436,7 +465,7 @@ func (p *Propagator) pairRow(q int, ws, base []float64, affected []bool, att *at
 		row[k] = pr.pij * row[k] / pr.den
 	}
 	// Step (iv): expected width for the actual generated glitch width.
-	return lut.ApplyInterp1D(row, int(p.genIdx[pr.gate]), p.genFrac[pr.gate])
+	return gen.widthAt(pr, row)
 }
 
 // elecScratch is one Run's recycled working set: the compact WS arena
@@ -453,19 +482,25 @@ type elecScratch struct {
 var elecScratches par.FreeList[elecScratch]
 
 // Run executes the full reverse-topological pass for the given delay
-// vector. Only the pairs are visited: the columns fan out over
-// workers, and each column's pairs are evaluated in reverse
-// topological order, so a pair's successors are ready before it and
-// the parallel result is identical to the serial one.
+// vector and the widths the Propagator was built for. Only the pairs
+// are visited: the columns fan out over workers, and each column's pairs
+// are evaluated in reverse topological order, so a pair's successors are
+// ready before it and the parallel result is identical to the serial
+// one.
 //
 // wsDst, when not nil, receives the compact WS table (Pairs()·K
 // floats, row q for pair q; DenseWS expands it); otherwise the pass
 // works in a recycled arena. Every pair's row is written, so neither
-// needs zeroing. wijDst (nGates·nPOs) is zero-filled and receives W_ij
-// for every pair; a nil wijDst keeps no W_ij.
+// needs zeroing. wijDst (nGates·nPOs), when not nil, receives W_ij at
+// every pair's entry and nothing else: it must be zero outside those
+// entries, as a fresh table is and as one stays that only Run writes.
 func (p *Propagator) Run(delays, wsDst, wijDst []float64) {
+	p.run(delays, &p.gen, wsDst, wijDst)
+}
+
+// run is Run for the generated widths in gen.
+func (p *Propagator) run(delays []float64, gen *genTable, wsDst, wijDst []float64) {
 	st := p.st
-	clear(wijDst)
 	sc := elecScratches.Get()
 	defer elecScratches.Put(sc)
 	p.prepAtten(&sc.att, delays)
@@ -477,7 +512,7 @@ func (p *Propagator) Run(delays, wsDst, wijDst []float64) {
 	}
 	par.Each(p.nPOs, 0, 1, func(_, jLo, jHi int) {
 		for q := int(st.colOff[jLo]); q < int(st.colOff[jHi]); q++ {
-			w := p.pairRow(q, ws, nil, nil, &sc.att)
+			w := p.pairRow(q, ws, nil, nil, &sc.att, gen)
 			if wijDst != nil {
 				pr := &st.pairs[q]
 				wijDst[int(pr.gate)*p.nPOs+int(pr.col)] = w
@@ -499,54 +534,75 @@ func (p *Propagator) DenseWS(ws []float64) []float64 {
 	return dense
 }
 
-// GateReducer maps one gate's W_ij row to its U contribution — the
-// LatchingWindow+Reduce step the Delta incremental path re-applies per
-// changed gate (aserta supplies the Eq. 3 flux-weighted clamp).
-type GateReducer func(i int, wij []float64) float64
-
-// Delta is the incremental re-reduce configuration of the pipeline:
-// re-evaluating the electrical pass under an alternative delay vector,
-// re-propagating only the pairs of gates in the fanin cones of gates
-// whose delays differ from the analysis baseline, with unaffected rows
-// served from the pristine baseline WS table. This is the optimizer's
-// cheap delay-sensitivity oracle. The delta evaluation always starts
-// from the baseline, so error cannot accumulate across calls. Not safe
-// for concurrent use (shared scratch arenas).
+// Delta is the incremental configuration of the pipeline: it evaluates
+// the circuit unreliability U for sources that differ from the
+// baseline's (another delay vector, other generated widths, other flux
+// weights) by re-doing only what the differences reach, and returns
+// what the full pass and Reduce return on those sources, bit for bit:
+//
+//   - a gate in the fanin cone of a gate whose delay changed (affected)
+//     re-propagates its pairs' step (iii) rows, reading the rows of
+//     unaffected successors from the compact baseline WS table, since a
+//     row depends only on its successors' rows and delays;
+//   - any other gate whose generated width changed re-interpolates its
+//     baseline rows (step iv);
+//   - any other gate whose flux weight alone changed re-reduces its
+//     baseline W_ij row;
+//   - every other gate keeps its baseline U_i;
+//
+// and the U_i are summed in netlist order, Reduce's order. When the
+// affected gates are more than half of all gates, the parallel full pass
+// (RecomputeFull) runs instead. Every call starts from the baseline, so
+// error cannot accumulate across calls. This is the optimizer's
+// candidate scorer and delay-sensitivity oracle. Not safe for
+// concurrent use (shared scratch arenas).
 type Delta struct {
 	p *Propagator
-	// Baseline state (owned by the caller, read-only here).
-	baseDelays []float64
-	baseUi     []float64
-	baseU      float64
-	reduce     GateReducer
+	// Baseline state (owned by the caller, read-only here): the sources
+	// the Propagator was built for and ran on, the W_ij table (nGates·nPOs)
+	// and U_i that Run and Reduce derived from them, and the clock
+	// period of the Eq. 3 window clamp.
+	base    *Sources
+	baseWij []float64
+	baseUi  []float64
+	clock   float64
 	// baseWS is the baseline's compact WS table, built once by BaseWS.
 	baseWS []float64
 	wsOnce sync.Once
 
 	// Per-call scratch: the incremental compact WS arena, the full
-	// pass's W_ij table, one gate's W_ij row and the affected/changed
-	// sets.
+	// pass's W_ij table, one gate's W_ij row, the affected/changed sets
+	// and the gates whose flux weight alone changed.
 	incrWS, incrWij, row []float64
 	affected             []bool
 	changed              []bool
 	changedIDs           []int
+	fluxIDs              []int
 	// att holds the attenuation rows at the baseline delays, except
 	// the rows of the gates in attDirty, which the previous call
-	// prepared at its own delays.
+	// prepared at its own delays. gen's interpolations and ui hold the
+	// baseline's step (iv) input and U_i the same way, except at the
+	// gates in genDirty and uiDirty; gen's widths are the last call's.
 	att      attTable
 	attDirty []int
+	gen      genTable
+	genDirty []int
+	ui       []float64
+	uiDirty  []int
 }
 
-// NewDelta creates the incremental evaluator for a baseline that was
-// produced by Run(baseDelays, …): baseUi/baseU are the baseline's
-// reduced contributions.
-func (p *Propagator) NewDelta(baseDelays, baseUi []float64, baseU float64, reduce GateReducer) *Delta {
+// NewDelta creates the incremental evaluator for the baseline the
+// Propagator was built for: base holds the sources (its GenWidth the
+// Propagator's widths), baseWij the W_ij table Run(base.Delays, …)
+// wrote, and baseUi the Eq. 3 contributions Reduce derived from it at
+// the clock period clock.
+func (p *Propagator) NewDelta(base *Sources, baseWij, baseUi []float64, clock float64) *Delta {
 	return &Delta{
-		p:          p,
-		baseDelays: baseDelays,
-		baseUi:     baseUi,
-		baseU:      baseU,
-		reduce:     reduce,
+		p:       p,
+		base:    base,
+		baseWij: baseWij,
+		baseUi:  baseUi,
+		clock:   clock,
 	}
 }
 
@@ -559,20 +615,20 @@ func (d *Delta) BaseWS() []float64 {
 	d.wsOnce.Do(func() {
 		p := d.p
 		ws := make([]float64, len(p.st.pairs)*len(p.samples))
-		p.Run(d.baseDelays, ws, nil)
+		p.Run(d.base.Delays, ws, nil)
 		d.baseWS = ws
 	})
 	return d.baseWS
 }
 
-// Recompute re-evaluates the electrical pass with an alternative
-// per-gate delay vector, keeping generated widths and sensitization
-// statistics fixed, and returns the resulting circuit unreliability.
+// Recompute returns U for the per-gate delays, generated widths and
+// flux weights given, each indexed by gate ID, with the sensitization
+// statistics fixed: exactly the U of the full pass and Reduce on them.
 // Only the pairs of gates in the fanin cones of gates whose delays
-// differ from the baseline are re-propagated; when those gates are
-// more than half of all gates, the parallel full pass (RecomputeFull)
-// runs instead.
-func (d *Delta) Recompute(delays []float64) (float64, error) {
+// differ from the baseline are re-propagated; when those gates are more
+// than half of all gates, the parallel full pass (RecomputeFull) runs
+// instead.
+func (d *Delta) Recompute(delays, genWidth, flux []float64) float64 {
 	p := d.p
 	c := p.c
 	st := p.st
@@ -580,19 +636,22 @@ func (d *Delta) Recompute(delays []float64) (float64, error) {
 	if d.changed == nil {
 		d.changed = make([]bool, nGates)
 		d.affected = make([]bool, nGates)
+		d.ui = slices.Clone(d.baseUi)
 	}
-	changedIDs := d.changedIDs[:0]
+	d.prepGen(genWidth)
+	changedIDs, fluxIDs := d.changedIDs[:0], d.fluxIDs[:0]
 	for _, g := range c.Gates {
-		ch := !g.Type.IsSource() && delays[g.ID] != d.baseDelays[g.ID]
-		d.changed[g.ID] = ch
+		i := g.ID
+		ch := !g.Type.IsSource() && delays[i] != d.base.Delays[i]
+		d.changed[i] = ch
 		if ch {
-			changedIDs = append(changedIDs, g.ID)
+			changedIDs = append(changedIDs, i)
+		}
+		if p.hasPairs(i) && flux[i] != d.base.Flux[i] && genWidth[i] == d.base.GenWidth[i] {
+			fluxIDs = append(fluxIDs, i)
 		}
 	}
-	d.changedIDs = changedIDs
-	if len(changedIDs) == 0 {
-		return d.baseU, nil
-	}
+	d.changedIDs, d.fluxIDs = changedIDs, fluxIDs
 	// affected(i) = some successor's delay changed, or some successor
 	// is itself affected; one reverse-topological pass. Terminal PO
 	// gates are never affected (no successors): their only row is the
@@ -616,21 +675,23 @@ func (d *Delta) Recompute(delays []float64) (float64, error) {
 	// When most of the circuit moved, the parallel full pass is cheaper
 	// than the serial delta walk.
 	if 2*nAffected > nGates {
-		return d.RecomputeFull(delays)
+		return d.full(delays, flux)
 	}
-	// The baseline table serves the rows of unaffected successors.
+	// The baseline table serves the rows of unaffected successors and
+	// of the gates whose width alone changed.
 	baseWS := d.BaseWS()
+	K := len(p.samples)
 	if d.incrWS == nil {
-		d.incrWS = make([]float64, len(st.pairs)*len(p.samples))
+		d.incrWS = make([]float64, len(st.pairs)*K)
 		d.row = make([]float64, p.nPOs)
-		p.prepAtten(&d.att, d.baseDelays)
+		p.prepAtten(&d.att, d.base.Delays)
 	}
 	// Refresh only the attenuation rows that differ from the baseline
 	// table: restore the rows the previous call dirtied, then prepare
 	// the rows of this call's changed gates that are read as
 	// successors.
 	for _, id := range d.attDirty {
-		p.prepAttenRow(&d.att, int(st.attRow[id]), d.baseDelays[id])
+		p.prepAttenRow(&d.att, int(st.attRow[id]), d.base.Delays[id])
 	}
 	d.attDirty = d.attDirty[:0]
 	for _, id := range changedIDs {
@@ -639,7 +700,10 @@ func (d *Delta) Recompute(delays []float64) (float64, error) {
 			d.attDirty = append(d.attDirty, id)
 		}
 	}
-	u := d.baseU
+	for _, i := range d.uiDirty {
+		d.ui[i] = d.baseUi[i]
+	}
+	d.uiDirty = d.uiDirty[:0]
 	for _, i := range p.rorder {
 		if !d.affected[i] || c.Gates[i].Type.IsSource() {
 			// Source pseudo-gates carry no pairs. (Terminal POs never
@@ -650,31 +714,87 @@ func (d *Delta) Recompute(delays []float64) (float64, error) {
 		}
 		clear(d.row)
 		for _, q := range st.gatePairs[st.gateOff[i]:st.gateOff[i+1]] {
-			d.row[st.pairs[q].col] = p.pairRow(int(q), d.incrWS, baseWS, d.affected, &d.att)
+			d.row[st.pairs[q].col] = p.pairRow(int(q), d.incrWS, baseWS, d.affected, &d.att, &d.gen)
 		}
-		u += d.reduce(i, d.row) - d.baseUi[i]
+		d.setUi(i, GateU(flux[i], d.row, d.clock))
 	}
-	return u, nil
+	for _, i := range d.genDirty {
+		if d.affected[i] {
+			continue
+		}
+		clear(d.row)
+		for _, q := range st.gatePairs[st.gateOff[i]:st.gateOff[i+1]] {
+			pr := &st.pairs[q]
+			d.row[pr.col] = d.gen.widthAt(pr, baseWS[int(q)*K:int(q+1)*K])
+		}
+		d.setUi(i, GateU(flux[i], d.row, d.clock))
+	}
+	for _, i := range fluxIDs {
+		if !d.affected[i] {
+			d.setUi(i, GateU(flux[i], d.baseWij[i*p.nPOs:(i+1)*p.nPOs], d.clock))
+		}
+	}
+	u := 0.0
+	for _, g := range c.Gates {
+		if !g.Type.IsSource() {
+			u += d.ui[g.ID]
+		}
+	}
+	return u
+}
+
+// setUi records gate i's U_i for this call.
+func (d *Delta) setUi(i int, u float64) {
+	d.ui[i] = u
+	d.uiDirty = append(d.uiDirty, i)
+}
+
+// prepGen points the step (iv) table at genWidth: it restores the
+// entries the previous call prepared, then prepares those of the gates
+// with pairs whose width differs from the baseline's, listing them in
+// genDirty.
+func (d *Delta) prepGen(genWidth []float64) {
+	p := d.p
+	if d.gen.idx == nil {
+		d.gen.idx, d.gen.frac = slices.Clone(p.gen.idx), slices.Clone(p.gen.frac)
+	}
+	for _, i := range d.genDirty {
+		d.gen.idx[i], d.gen.frac[i] = p.gen.idx[i], p.gen.frac[i]
+	}
+	d.genDirty = d.genDirty[:0]
+	d.gen.width = genWidth
+	for i, w := range genWidth {
+		if w != d.base.GenWidth[i] && p.hasPairs(i) {
+			d.gen.prep(p.samples, i, w)
+			d.genDirty = append(d.genDirty, i)
+		}
+	}
 }
 
 // RecomputeFull is Recompute without the incremental shortcut: the
-// complete electrical pass runs against the given delays (into scratch
+// complete electrical pass runs against the given sources (into scratch
 // arenas — the baseline is untouched). It is the exactness reference
 // for the incremental path and its fallback when most gates are
 // affected.
-func (d *Delta) RecomputeFull(delays []float64) (float64, error) {
+func (d *Delta) RecomputeFull(delays, genWidth, flux []float64) float64 {
+	d.prepGen(genWidth)
+	return d.full(delays, flux)
+}
+
+// full runs the complete pass at delays and the widths prepGen
+// prepared, and reduces it at flux in netlist order.
+func (d *Delta) full(delays, flux []float64) float64 {
 	p := d.p
 	nPOs := p.nPOs
 	if d.incrWij == nil {
 		d.incrWij = make([]float64, len(p.c.Gates)*nPOs)
 	}
-	p.Run(delays, nil, d.incrWij)
+	p.run(delays, &d.gen, nil, d.incrWij)
 	u := 0.0
 	for _, g := range p.c.Gates {
-		if g.Type.IsSource() {
-			continue
+		if !g.Type.IsSource() {
+			u += GateU(flux[g.ID], d.incrWij[g.ID*nPOs:(g.ID+1)*nPOs], d.clock)
 		}
-		u += d.reduce(g.ID, d.incrWij[g.ID*nPOs:(g.ID+1)*nPOs])
 	}
-	return u, nil
+	return u
 }

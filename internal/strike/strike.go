@@ -19,9 +19,12 @@
 //	                  on the compiled handle, and keeps one compact
 //	                  sample-width row per pair. Deterministic and
 //	                  parallel over PO columns; the Delta variant
-//	                  re-propagates only the pairs of gates in the
-//	                  fanin cones of gates whose delays changed (the
-//	                  optimizer's inner loop).
+//	                  re-evaluates other sources exactly, re-doing
+//	                  only what differs from the baseline: the pairs
+//	                  of gates in the fanin cones of gates whose
+//	                  delays changed, and the gates whose generated
+//	                  width or flux weight changed (the optimizer's
+//	                  inner loop).
 //	LatchingWindow    the Eq. 3 clamp min(W, T): a glitch wider than
 //	                  the clock period is certainly latched. Clamp,
 //	                  GateU and the Reduce/ReduceSequential reducers.
@@ -37,8 +40,8 @@
 // Flows are thin configurations: combinational ASERTA runs
 // EnumerateSources → ElectricalFilter → Reduce (no window-capture
 // split); the sequential engine adds the flop-capture window and
-// LogicalPropagate; the optimizer re-enters through Delta for
-// incremental re-reduction over affected cones.
+// LogicalPropagate; the optimizer re-enters through Delta to score its
+// candidates and probe dU/dd incrementally.
 //
 // Determinism: for a fixed seed every stage is bit-identical between
 // its serial and parallel paths — the electrical pass partitions PO

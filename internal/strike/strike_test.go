@@ -209,6 +209,44 @@ func newPipeline(t testing.TB, lib *charlib.Library, c *ckt.Circuit, vectors int
 	return &pipeline{c, cc, src, sens, samples, strike.NewPropagator(cc, sens, src.GenWidth, samples)}
 }
 
+// baseline runs the pass and Reduce on the pipeline's own sources and
+// returns the delta armed on them.
+func (p *pipeline) baseline(clock float64) *strike.Delta {
+	nPOs := len(p.c.Outputs())
+	wij := make([]float64, len(p.c.Gates)*nPOs)
+	p.prop.Run(p.src.Delays, nil, wij)
+	rows := make([][]float64, len(p.c.Gates))
+	for i := range rows {
+		rows[i] = wij[i*nPOs : (i+1)*nPOs]
+	}
+	ui, _ := strike.Reduce(p.c, p.src.Flux, rows, clock)
+	return p.prop.NewDelta(p.src, wij, ui, clock)
+}
+
+// referenceU is U on the serial reference's rows for the given sources:
+// every gate's GateU, summed in netlist order.
+func referenceU(p *pipeline, delays, genWidth, flux []float64, clock float64) float64 {
+	_, ref := serialReference(p.cc, p.sens, genWidth, p.samples, delays)
+	nPOs := len(p.c.Outputs())
+	u := 0.0
+	for _, g := range p.c.Gates {
+		if !g.Type.IsSource() {
+			u += strike.GateU(flux[g.ID], ref[g.ID*nPOs:(g.ID+1)*nPOs], clock)
+		}
+	}
+	return u
+}
+
+// seedPairs sets wij to NaN at every pair's entry and to zero
+// elsewhere: a W_ij table Run accepts, in which an entry the pass fails
+// to write shows.
+func seedPairs(wij []float64, p *strike.Propagator) {
+	clear(wij)
+	for _, e := range strike.PairEntries(p) {
+		wij[e] = math.NaN()
+	}
+}
+
 // poDrivesLogic is a hand-built netlist whose POs also drive logic, the
 // shape of a sequential frame's D-pin tap: po1 feeds a NOR and a
 // terminal XOR PO, po2 feeds a terminal OR PO.
@@ -246,7 +284,8 @@ func poDrivesLogic(t testing.TB) *ckt.Circuit {
 // from 0.1 % (c6288) to 80 % (c1355) — and on a netlist whose POs drive
 // logic. Each runs twice on one Propagator and once more after a c5315
 // pass, so the recycled arena comes back dirty, and wij starts as NaN
-// every time: the pass must zero what it does not write.
+// at every pair's entry and zero elsewhere, as Run requires: the pass
+// must write every pair's entry.
 func TestScratchPassMatchesSerialReference(t *testing.T) {
 	lib := coarseLib()
 	big := newPipeline(t, lib, iscas(t, "c5315"), 2000)
@@ -263,9 +302,7 @@ func TestScratchPassMatchesSerialReference(t *testing.T) {
 				if when == "after a c5315 run" {
 					big.prop.Run(big.src.Delays, nil, make([]float64, len(big.c.Gates)*len(big.c.Outputs())))
 				}
-				for i := range wij {
-					wij[i] = math.NaN()
-				}
+				seedPairs(wij, p.prop)
 				p.prop.Run(p.src.Delays, nil, wij)
 				for i := range refWij {
 					if wij[i] != refWij[i] {
@@ -278,71 +315,20 @@ func TestScratchPassMatchesSerialReference(t *testing.T) {
 }
 
 // TestDeltaMatchesSerialReference gives the incremental delta an
-// independent exact oracle. After one-gate and several-gate delay
-// changes, RecomputeU must equal, bit for bit, the baseline U plus
-// Σ (GateU of the serial reference's row at the new delays − U_i) over
-// the affected gates in reverse topological order; when more than half
-// the gates are affected, it must equal the netlist-order sum of every
-// gate's GateU at the new delays. The calls run back to back on one
-// Delta, so each also restores the attenuation rows the previous one
-// changed.
+// independent exact oracle. After one-gate, several-gate and
+// every-gate delay changes (the last falls back to the full pass),
+// Recompute must equal, bit for bit, the netlist-order sum of every gate's GateU
+// on the serial reference's rows at the new delays. The calls run back
+// to back on one Delta, so each also restores the attenuation rows the
+// previous one changed.
 func TestDeltaMatchesSerialReference(t *testing.T) {
 	const clock = 300e-12
 	lib := coarseLib()
 	for _, name := range []string{"c432", "c880", "c1908", "c7552"} {
 		p := newPipeline(t, lib, iscas(t, name), 2000)
-		c, cc := p.c, p.cc
-		nGates, nPOs := len(c.Gates), len(c.Outputs())
-		wij := make([]float64, nGates*nPOs)
-		p.prop.Run(p.src.Delays, nil, wij)
-		rows := make([][]float64, nGates)
-		for i := range rows {
-			rows[i] = wij[i*nPOs : (i+1)*nPOs]
-		}
-		ui, baseU := strike.Reduce(c, p.src.Flux, rows, clock)
-		delta := p.prop.NewDelta(p.src.Delays, ui, baseU, func(i int, w []float64) float64 {
-			return strike.GateU(p.src.Flux[i], w, clock)
-		})
-
-		want := func(delays []float64) (float64, string) {
-			_, ref := serialReference(cc, p.sens, p.src.GenWidth, p.samples, delays)
-			gateU := func(i int) float64 { return strike.GateU(p.src.Flux[i], ref[i*nPOs:(i+1)*nPOs], clock) }
-			changed := make([]bool, nGates)
-			for _, g := range c.Gates {
-				changed[g.ID] = !g.Type.IsSource() && delays[g.ID] != p.src.Delays[g.ID]
-			}
-			affected := make([]bool, nGates)
-			nAffected := 0
-			for _, i := range cc.ReverseTopoOrder() {
-				for _, s := range c.Gates[i].Fanout {
-					if changed[s] || affected[s] {
-						affected[i] = true
-					}
-				}
-				if affected[i] {
-					nAffected++
-				}
-			}
-			if 2*nAffected > nGates {
-				u := 0.0
-				for _, g := range c.Gates {
-					if !g.Type.IsSource() {
-						u += gateU(g.ID)
-					}
-				}
-				return u, "full"
-			}
-			u := baseU
-			for _, i := range cc.ReverseTopoOrder() {
-				if affected[i] && !c.Gates[i].Type.IsSource() {
-					u += gateU(i) - ui[i]
-				}
-			}
-			return u, fmt.Sprintf("%d affected", nAffected)
-		}
-
+		delta := p.baseline(clock)
 		var logic []int
-		for _, g := range c.Gates {
+		for _, g := range p.c.Gates {
 			if !g.Type.IsSource() {
 				logic = append(logic, g.ID)
 			}
@@ -350,13 +336,9 @@ func TestDeltaMatchesSerialReference(t *testing.T) {
 		rng := stats.NewRNG(uint64(len(logic)))
 		check := func(label string, delays []float64) {
 			t.Helper()
-			got, err := delta.Recompute(delays)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, how := want(delays)
-			if got != w {
-				t.Fatalf("%s, %s (%s): RecomputeU = %.17g, serial reference %.17g", name, label, how, got, w)
+			got := delta.Recompute(delays, p.src.GenWidth, p.src.Flux)
+			if w := referenceU(p, delays, p.src.GenWidth, p.src.Flux, clock); got != w {
+				t.Fatalf("%s, %s: Recompute = %.17g, serial reference %.17g", name, label, got, w)
 			}
 		}
 		for trial := 0; trial < 4; trial++ {
@@ -385,8 +367,10 @@ func TestDeltaMatchesSerialReference(t *testing.T) {
 // every delay scaled by a fuzzed power of two from 1/16 to 128 so that
 // the ladder's samples fall in all three Eq. 1 regimes (masked,
 // attenuated, passed). Run goes twice through one recycled arena with
-// wij seeded NaN, then once more into a NaN-seeded compact WS table:
-// W_ij and every WS entry must match bit for bit.
+// wij seeded NaN at every pair's entry and zero elsewhere, as Run
+// requires, then once more into a NaN-seeded compact WS table: W_ij and
+// every WS entry must match bit for bit, so every pair's entry and row
+// must be written.
 func FuzzElectricalPass(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(3), uint8(40), uint8(6), uint8(2), uint16(500), uint8(4))
 	f.Add(uint64(7), uint8(20), uint8(9), uint8(150), uint8(14), uint8(3), uint16(64), uint8(0))
@@ -416,9 +400,7 @@ func FuzzElectricalPass(f *testing.F) {
 		label := fmt.Sprintf("%+v at %d vectors, delays x%v", prof, vectors, factor)
 		wij := make([]float64, len(refWij))
 		for run := 0; run < 2; run++ {
-			for i := range wij {
-				wij[i] = math.NaN()
-			}
+			seedPairs(wij, p.prop)
 			p.prop.Run(delays, nil, wij)
 			for i := range refWij {
 				if wij[i] != refWij[i] {
@@ -435,6 +417,86 @@ func FuzzElectricalPass(f *testing.F) {
 		for i := range refWS {
 			if ws[i] != refWS[i] {
 				t.Fatalf("%s: WS[%d] = %v, serial reference %v", label, i, ws[i], refWS[i])
+			}
+		}
+	})
+}
+
+// FuzzDeltaSources holds the delta to the serial reference under
+// source changes, on generated combinational netlists of fuzzed shape
+// at 64–1,024 vectors. Six back-to-back Recompute calls on one Delta
+// each change one gate, a few gates or more than half of them, in
+// their delays, generated widths or flux weights, in a fuzzed mix of
+// the three; where delays and widths both change, so does the width of
+// a fanin of each gate whose delay changed. Every U must equal, bit for bit, the netlist-order sum of
+// every gate's GateU on the serial reference's rows at the changed
+// sources.
+func FuzzDeltaSources(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(3), uint8(40), uint8(6), uint8(2), uint16(500), uint32(0x2a5f17))
+	f.Add(uint64(7), uint8(20), uint8(9), uint8(150), uint8(14), uint8(3), uint16(64), uint32(0x7777))
+	f.Add(uint64(42), uint8(3), uint8(1), uint8(90), uint8(30), uint8(1), uint16(1024), uint32(0x123456))
+	f.Fuzz(func(t *testing.T, seed uint64, pis, pos, gates, depth, fanin uint8, nVec uint16, plan uint32) {
+		prof := gen.Profile{
+			Name:     "fuzz",
+			PIs:      2 + int(pis%30),
+			POs:      1 + int(pos%12),
+			Gates:    4 + int(gates%200),
+			Depth:    3 + int(depth%30),
+			MaxFanin: 2 + int(fanin%4),
+			Seed:     seed,
+		}
+		c, err := gen.Generate(prof)
+		if err != nil {
+			t.Skip() // unsatisfiable profile, not a delta bug
+		}
+		vectors := 64 + int(nVec)%961
+		p := newPipeline(t, coarseLib(), c, vectors)
+		const clock = 300e-12
+		delta := p.baseline(clock)
+		var logic []int
+		for _, g := range c.Gates {
+			if !g.Type.IsSource() {
+				logic = append(logic, g.ID)
+			}
+		}
+		rng := stats.NewRNG(seed ^ uint64(plan))
+		for call := 0; call < 6; call++ {
+			// Three bits of the plan per call: which of delay, width and
+			// flux move (none means all three); the rng picks how many
+			// gates and which.
+			kind := plan >> (3 * call) & 7
+			if kind == 0 {
+				kind = 7
+			}
+			n := 1
+			switch rng.Intn(3) {
+			case 1:
+				n = 2 + rng.Intn(4)
+			case 2:
+				n = len(logic)/2 + 1 + rng.Intn(len(logic)/2+1)
+			}
+			delays, widths, flux := slices.Clone(p.src.Delays), slices.Clone(p.src.GenWidth), slices.Clone(p.src.Flux)
+			for _, pick := range rng.Perm(len(logic))[:min(n, len(logic))] {
+				i := logic[pick]
+				if kind&1 != 0 {
+					delays[i] *= math.Exp2(4*rng.Float64() - 2)
+				}
+				if kind&2 != 0 {
+					widths[i] *= math.Exp2(6*rng.Float64() - 3)
+					// A fanin of a gate whose delay changed is in its
+					// cone: its rows and its width change together.
+					if f := c.Gates[i].Fanin[0]; kind&1 != 0 && !c.Gates[f].Type.IsSource() {
+						widths[f] *= math.Exp2(6*rng.Float64() - 3)
+					}
+				}
+				if kind&4 != 0 {
+					flux[i] *= 0.5 + 1.5*rng.Float64()
+				}
+			}
+			got := delta.Recompute(delays, widths, flux)
+			if want := referenceU(p, delays, widths, flux, clock); got != want {
+				t.Fatalf("%+v at %d vectors, call %d (kind %03b, %d gates): Recompute = %.17g, serial reference %.17g",
+					prof, vectors, call, kind, n, got, want)
 			}
 		}
 	})

@@ -350,7 +350,7 @@ func trimExt(p string) string {
 // AnalysisOptions tune an ASERTA run. The report's Raw() analysis
 // keeps the nGates·nPOs W_ij table; the nGates·nPOs·K sample-width
 // table WS_ijk is built only when something asks for it
-// (Raw().WSTable(), SpectrumU, an incremental RecomputeU).
+// (Raw().WSTable(), SpectrumU, an incremental RecomputeU or SourcesU).
 type AnalysisOptions struct {
 	// Vectors is the random-vector count for sensitization statistics
 	// (default 10,000, as in the paper).
@@ -717,8 +717,8 @@ func (s *System) OptimizeCompiledContext(ctx context.Context, h *Compiled, opts 
 		sopts.Weights = *opts.Weights
 	}
 	// One span for the whole optimizer: its cost loop re-enters the
-	// pipeline thousands of times through RecomputeU, which is far too
-	// hot to instrument per call.
+	// pipeline thousands of times through SourcesU and RecomputeU,
+	// which are far too hot to instrument per call.
 	endOpt := trace.StartStage(rec, "sertopt.optimize")
 	res, err := sertopt.OptimizeCompiled(h.cc, s.Lib, sopts)
 	endOpt()
