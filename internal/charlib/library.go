@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -54,14 +55,27 @@ type Library struct {
 	// propsC memoizes Props. A cell's properties are a pure function of
 	// the cell, but computing them builds transistor networks, and
 	// every flow's Table reads them for each cell it interns.
-	propsC map[Cell]Props
+	propsC map[cellKey]Props
 }
 
-// lutKey identifies one memoized table query: the full cell identity
-// plus the load capacitance it was evaluated at.
+// cellKey is a cell's identity as one block of bits, which a map
+// hashes and compares in one pass where a Cell key costs a call per
+// float field: its class, then the bits of its four design variables.
+// Bit equality and float equality differ only at ±0 and NaN, which no
+// cell a Table interns holds (Table.Intern).
+type cellKey [6]uint64
+
+// keyOf returns the cell's key.
+func keyOf(c Cell) cellKey {
+	return cellKey{uint64(c.Type), uint64(c.Fanin),
+		math.Float64bits(c.Size), math.Float64bits(c.L), math.Float64bits(c.VDD), math.Float64bits(c.Vth)}
+}
+
+// lutKey identifies one memoized table query: the cell's key plus the
+// bits of the load capacitance it was evaluated at.
 type lutKey struct {
-	cell Cell
-	load float64
+	cell cellKey
+	load uint64
 }
 
 // classEntry is one singleflight slot: ready is closed once ct/err are
@@ -90,7 +104,7 @@ func NewLibrary(tech *devmodel.Tech, g Grid) *Library {
 		cfg:     defaultCharConfig(),
 		delayC:  make(map[lutKey]float64),
 		glitchC: make(map[lutKey]float64),
-		propsC:  make(map[Cell]Props),
+		propsC:  make(map[cellKey]Props),
 	}
 }
 
@@ -143,7 +157,7 @@ func (l *Library) Characterizations() int64 { return l.charCount.Load() }
 
 // memoEval serves a table interpolation through the given cache.
 func (l *Library) memoEval(cache map[lutKey]float64, pick func(*classTables) *lut.Table, c Cell, load float64) (float64, error) {
-	k := lutKey{cell: c, load: load}
+	k := lutKey{keyOf(c), math.Float64bits(load)}
 	l.evalMu.RLock()
 	v, ok := cache[k]
 	l.evalMu.RUnlock()
@@ -237,8 +251,9 @@ func (l *Library) HasChargeAxis() bool { return len(l.Grid.Charges) > 0 }
 // Props returns the cell's load-independent properties, computed on
 // first request and then served from the library's memo.
 func (l *Library) Props(c Cell) (Props, error) {
+	k := keyOf(c)
 	l.evalMu.RLock()
-	p, ok := l.propsC[c]
+	p, ok := l.propsC[k]
 	l.evalMu.RUnlock()
 	if ok {
 		return p, nil
@@ -258,7 +273,7 @@ func (l *Library) Props(c Cell) (Props, error) {
 	p.Area = c.Area(l.Tech)
 	p.FluxWeight = c.FluxWeight()
 	l.evalMu.Lock()
-	l.propsC[c] = p
+	l.propsC[k] = p
 	l.evalMu.Unlock()
 	return p, nil
 }

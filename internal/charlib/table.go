@@ -2,6 +2,7 @@ package charlib
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ckt"
 	"repro/internal/spice"
@@ -35,31 +36,40 @@ type Props struct {
 // readers only read it.
 type Table struct {
 	lib   *Library
-	index map[Cell]int32
+	index map[cellKey]int32
 	cells []Cell
 	props []Props
 }
 
 // NewTable returns an empty table over lib.
 func NewTable(lib *Library) *Table {
-	return &Table{lib: lib, index: make(map[Cell]int32)}
+	return &Table{lib: lib, index: make(map[cellKey]int32)}
 }
 
 // Library returns the library the table reads.
 func (t *Table) Library() *Library { return t.lib }
 
 // Intern returns the cell's ID, reading its properties the first time
-// the table sees it.
+// the table sees it. It refuses a cell whose size, channel length, VDD
+// or Vth is not a finite positive number, which no analysis can use;
+// so no cell it keys holds ±0 or NaN, where the bits of cellKey and
+// float equality differ.
 func (t *Table) Intern(c Cell) (int32, error) {
-	if id, ok := t.index[c]; ok {
+	k := keyOf(c)
+	if id, ok := t.index[k]; ok {
 		return id, nil
+	}
+	for _, v := range [...]float64{c.Size, c.L, c.VDD, c.Vth} {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return -1, fmt.Errorf("charlib: %v cell has size %g, L %g, VDD %g, Vth %g; each must be finite and positive", c.Class(), c.Size, c.L, c.VDD, c.Vth)
+		}
 	}
 	p, err := t.lib.Props(c)
 	if err != nil {
 		return -1, err
 	}
 	id := int32(len(t.cells))
-	t.index[c] = id
+	t.index[k] = id
 	t.cells = append(t.cells, c)
 	t.props = append(t.props, p)
 	return id, nil

@@ -90,6 +90,20 @@ func TestTableInternError(t *testing.T) {
 	if _, err := tab.InternAll(c, []Cell{{}}); err == nil || !strings.Contains(err.Error(), "1 cells for 2 gates") {
 		t.Fatalf("short cell list interned with error %v", err)
 	}
+	// A design variable that is not a finite positive number is refused
+	// before the library is asked, and the table stays as it was.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1} {
+		for k := 0; k < 4; k++ {
+			cell := nomCell(ckt.Nand, 2)
+			*[...]*float64{&cell.Size, &cell.L, &cell.VDD, &cell.Vth}[k] = v
+			if id, err := tab.Intern(cell); err == nil {
+				t.Fatalf("cell %+v interned as ID %d, want an error", cell, id)
+			}
+		}
+	}
+	if tab.Len() != 1 {
+		t.Fatalf("table holds %d cells after refusals, want 1", tab.Len())
+	}
 }
 
 // TestNominalAssignment checks that every logic gate gets the nominal

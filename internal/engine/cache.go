@@ -144,8 +144,12 @@ func (ca *Cache) Get(key string, build func() (*CompiledCircuit, error)) (*Compi
 	// are released with an error and the key is freed for retry —
 	// never a permanently wedged entry.
 	var cc *CompiledCircuit
-	err := fmt.Errorf("engine: cache build for %q panicked", key)
+	var err error
+	returned := false
 	defer func() {
+		if !returned {
+			err = fmt.Errorf("engine: cache build for %q panicked", key)
+		}
 		ca.mu.Lock()
 		e.cc, e.err = cc, err
 		if err != nil {
@@ -162,6 +166,7 @@ func (ca *Cache) Get(key string, build func() (*CompiledCircuit, error)) (*Compi
 		ca.mu.Unlock()
 	}()
 	cc, err = ca.buildOrLoad(key, build)
+	returned = true
 	if err == nil && cc == nil {
 		err = fmt.Errorf("engine: cache build for %q returned no circuit", key)
 	}

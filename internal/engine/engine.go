@@ -245,12 +245,19 @@ func (cc *CompiledCircuit) Memo(key any, build func() (any, error)) (any, error)
 	cc.mu.Unlock()
 	// Publish via defer so a panicking build (the panic surfaces to
 	// this caller) can never leave waiters blocked on ready forever:
-	// they observe the pre-set error instead, which a deterministic
-	// build would keep reproducing anyway.
-	e.err = fmt.Errorf("engine: memo build for %v panicked", key)
-	defer close(e.ready)
+	// they observe an error naming the key instead, which a
+	// deterministic build would keep reproducing anyway. Only a build
+	// that did not return pays for formatting it.
+	returned := false
+	defer func() {
+		if !returned {
+			e.err = fmt.Errorf("engine: memo build for %v panicked", key)
+		}
+		close(e.ready)
+	}()
 	t0 := time.Now()
 	e.val, e.err = build()
+	returned = true
 	trace.Observe("engine.memo_build", time.Since(t0))
 	return e.val, e.err
 }

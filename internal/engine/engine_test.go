@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -165,6 +166,9 @@ func TestMemoPanicReleasesWaiters(t *testing.T) {
 	case err := <-waiterDone:
 		if err == nil {
 			t.Fatal("waiter on a panicked build got no error")
+		}
+		if !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("waiter's error %q does not name the key", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter on a panicked build blocked forever")

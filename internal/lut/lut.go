@@ -6,6 +6,7 @@ package lut
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -160,7 +161,7 @@ func (t *Table) locate(d int, x float64) (int, float64) {
 
 // Eval interpolates the table at the query coordinates, multilinearly
 // across all dimensions, clamping out-of-range queries to the grid
-// boundary.
+// boundary. A NaN coordinate has no place on an axis and is an error.
 func (t *Table) Eval(coord ...float64) (float64, error) {
 	if len(coord) != len(t.axes) {
 		return 0, fmt.Errorf("lut: query rank %d, table rank %d", len(coord), len(t.axes))
@@ -169,6 +170,9 @@ func (t *Table) Eval(coord ...float64) (float64, error) {
 	base := make([]int, nd)
 	frac := make([]float64, nd)
 	for d, x := range coord {
+		if math.IsNaN(x) {
+			return 0, fmt.Errorf("lut: query coordinate %d is NaN", d)
+		}
 		base[d], frac[d] = t.locate(d, x)
 	}
 	// Sum over the 2^nd corners of the enclosing cell.

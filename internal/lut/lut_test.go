@@ -70,6 +70,15 @@ func TestClampOutsideGrid(t *testing.T) {
 	}
 }
 
+// A NaN coordinate is an error: it is neither below nor above an axis,
+// and locating it used to index past a two-point axis.
+func TestEvalRefusesNaN(t *testing.T) {
+	tb := MustNew([]float64{0, 1}, []float64{0, 1})
+	if v, err := tb.Eval(0.5, math.NaN()); err == nil {
+		t.Fatalf("Eval at a NaN coordinate = %g, want an error", v)
+	}
+}
+
 // Property: a multilinear table filled from a genuinely multilinear
 // function reproduces it exactly everywhere inside the grid.
 func TestMultilinearExactness3D(t *testing.T) {

@@ -1,15 +1,17 @@
 // Package matrix provides the small dense linear-algebra kernel
 // SERTOPT needs: matrix/vector arithmetic, reduced row echelon form,
 // nullspace bases (for the delay-assignment variation Δ with T·Δ = 0)
-// and least squares. One row reduction serves them all; for the
-// optimizer, which keeps only a basis's first vectors, it can stop
-// early: LeadingNullspace reduces just the leading columns of a 0/1
-// matrix those vectors read.
+// and least squares. Dense reduces row by row. For the optimizer,
+// which keeps only a basis's first vectors of a 0/1 matrix whose rows
+// repeat, LeadingNullspace reduces just the leading columns those
+// vectors read, each distinct row once, to the same values.
 package matrix
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Dense is a row-major dense matrix.
@@ -87,72 +89,57 @@ func (m *Dense) rowViews() [][]float64 {
 }
 
 // rref reduces the n-column matrix whose rows are rows in place to
-// reduced row echelon form, moving rows by swapping the slices, and
-// returns the pivot column of each pivot row. With stopAt > 0 it stops
-// right after the stopAt-th free column, and reports stopped, if every
-// free column so far held exact zeros in all rows that were not yet
-// pivot rows (see LeadingNullspace for why that makes the stop exact).
-//
-// Rows with equal entries may share one slice, which shared (nil when
-// none do) marks. A row gets a slice of its own when it becomes a
-// pivot row, before it is normalized. The elimination then updates a
-// shared slice once: its first row leaves f − f·1 = 0 in the pivot
-// column, since the pivot is pv/pv = 1, and the other rows read that
-// 0 and skip, as any zero row does. So every row holds the values an
-// unshared reduction computes, by the same operations.
-func rref(rows [][]float64, shared []bool, n int, eps float64, stopAt int) (pivots []int, stopped bool) {
-	r, free, exact := 0, 0, true
+// reduced row echelon form, row by row: partial pivoting picks the
+// first row of largest magnitude at or below the pivot rows, and rows
+// move by swapping the slices. It returns the pivot column of each
+// pivot row; pivot row k is rows[k]. It is the plain reduction that
+// LeadingNullspace's grouped one is held to.
+func rref(rows [][]float64, n int, eps float64) (pivots []int) {
+	r := 0
 	for c := 0; c < n; c++ {
-		// Partial pivoting. The same scan sees whether the rows below
-		// the pivot rows hold exact zeros in column c.
-		best, bestAbs, zero := -1, eps, true
+		best, bestAbs := -1, eps
 		for i := r; i < len(rows); i++ {
-			a := math.Abs(rows[i][c])
-			if a > bestAbs {
+			if a := math.Abs(rows[i][c]); a > bestAbs {
 				best, bestAbs = i, a
-			}
-			if a != 0 {
-				zero = false
 			}
 		}
 		if best < 0 {
-			free++
-			exact = exact && zero
-			if free == stopAt && exact {
-				return pivots, true
-			}
 			continue
 		}
 		rows[r], rows[best] = rows[best], rows[r]
-		if shared != nil {
-			shared[r], shared[best] = shared[best], shared[r]
-			if shared[r] {
-				rows[r], shared[r] = append([]float64(nil), rows[r]...), false
-			}
-		}
-		// Normalize pivot row.
-		pr := rows[r]
-		pv := pr[c]
-		for j := c; j < n; j++ {
-			pr[j] /= pv
-		}
-		// Eliminate column c from all other rows.
+		normalize(rows[r], c, n)
 		for i, ri := range rows {
-			if i == r {
-				continue
-			}
-			f := ri[c]
-			if f == 0 {
-				continue
-			}
-			for j := c; j < n; j++ {
-				ri[j] -= f * pr[j]
+			if i != r {
+				eliminate(ri, rows[r], c, n)
 			}
 		}
 		pivots = append(pivots, c)
 		r++
 	}
-	return pivots, false
+	return pivots
+}
+
+// normalize divides the pivot row pr, from its pivot column c on, by
+// its pivot.
+func normalize(pr []float64, c, n int) {
+	pv := pr[c]
+	for j := c; j < n; j++ {
+		pr[j] /= pv
+	}
+}
+
+// eliminate subtracts the normalized pivot row pr, scaled by row ri's
+// entry in the pivot column c, from ri, from column c on. A row that
+// holds 0 there is left as it is.
+func eliminate(ri, pr []float64, c, n int) {
+	f := ri[c]
+	if f == 0 {
+		return
+	}
+	ri, pr = ri[c:n], pr[c:n]
+	for j := range pr {
+		ri[j] -= f * pr[j]
+	}
 }
 
 // pivotEps is the magnitude at or below which the row reduction
@@ -169,15 +156,16 @@ const leadWidth = 8
 // each of length Cols(). An empty result means the nullspace is {0}.
 func (m *Dense) Nullspace() [][]float64 {
 	rows := m.Clone().rowViews()
-	pivots, _ := rref(rows, nil, m.cols, pivotEps, 0)
+	pivots := rref(rows, m.cols, pivotEps)
 	return basis(rows, m.cols, pivots, 0, m.cols)
 }
 
 // LeadingNullspace returns the first maxBasis vectors (every vector
-// for maxBasis <= 0) of Nullspace's basis of the rows×cols 0/1 matrix
-// whose row i has ones at the columns ones[i], each 0 <= j < cols.
-// Every entry is == to Nullspace's truncated to maxBasis; a zero may
-// differ in sign.
+// for maxBasis <= 0) of Nullspace's basis of the 0/1 matrix with cols
+// columns whose row i has a one at column colOf[id] for each id in
+// rows[i]; an id whose colOf is negative adds none. Every entry is ==
+// to Nullspace's truncated to maxBasis, and at maxBasis <= 0 equal to
+// it bit for bit; at maxBasis > 0 a zero may differ in sign.
 //
 // It row-reduces only the leading w columns, starting at
 // w = leadWidth·maxBasis and doubling w until the reduction stops
@@ -194,64 +182,166 @@ func (m *Dense) Nullspace() [][]float64 {
 // the maxBasis-th free column. A nonzero residue at or below the pivot
 // tolerance keeps it going.
 //
-// Rows equal on the leading columns are built once and share one
-// slice, so the reduction updates each distinct row once (see rref);
-// every row still holds the values of the unshared reduction.
-func LeadingNullspace(ones [][]int, cols, maxBasis int) [][]float64 {
+// The reduction works per distinct row (see reduceGroups): at the
+// default path cap a path matrix has 4,096 rows, but its first 64
+// columns hold 223 distinct ones on c432 and 1 on c880.
+func LeadingNullspace[R ~[]int](rows []R, colOf []int, cols, maxBasis int) [][]float64 {
 	w := cols
 	if maxBasis > 0 {
 		w = min(cols, leadWidth*maxBasis)
 	}
 	for {
-		rows, shared := leadingBlock(ones, w)
-		pivots, stopped := rref(rows, shared, w, pivotEps, maxBasis)
+		piv, pivots, stopped := reduceGroups(leadingGroups(rows, colOf, w), w, pivotEps, maxBasis)
 		if stopped || w == cols {
-			return basis(rows, w, pivots, maxBasis, cols)
+			return basis(piv, w, pivots, maxBasis, cols)
 		}
 		w = min(cols, 2*w)
 	}
 }
 
-// leadingBlock returns the rows of the first w columns of the 0/1
-// matrix whose row i has ones at the columns ones[i]. Rows equal on
-// those columns share one slice and are marked shared: at the default
-// path cap a path matrix has 4,096 rows, but its first 64 columns
-// hold only a few hundred distinct ones.
-func leadingBlock(ones [][]int, w int) (rows [][]float64, shared []bool) {
-	key := make([]byte, (w+7)/8)
-	index := make(map[string]int)
-	group := make([]int, len(ones))
-	var size []int
-	for i, row := range ones {
+// group is a set of rows that are equal on the reduced columns: their
+// one row slice, and the ascending positions, in the row order of
+// rref's reduction of the same rows, of those of them that are not yet
+// pivot rows.
+type group struct {
+	row []float64
+	pos []int32
+}
+
+// leadingGroups returns the distinct rows of the first w columns of
+// LeadingNullspace's matrix in order of first appearance, each with
+// the positions of the rows equal to it.
+func leadingGroups[R ~[]int](rows []R, colOf []int, w int) []group {
+	key, last := make([]byte, (w+7)/8), make([]byte, (w+7)/8)
+	index := make(map[string]int32)
+	of := make([]int32, len(rows))
+	var size []int32
+	g := int32(-1)
+	for i, row := range rows {
 		clear(key)
-		for _, j := range row {
-			if j < w {
+		for _, id := range row {
+			if j := colOf[id]; j >= 0 && j < w {
 				key[j/8] |= 1 << (j % 8)
 			}
 		}
-		g, ok := index[string(key)]
-		if !ok {
-			g = len(size)
-			index[string(key)] = g
-			size = append(size, 0)
+		// Paths in walk order mostly repeat the row before (3,622 of
+		// c432's 4,096 on the first 64 columns), which skips the map.
+		if g < 0 || !bytes.Equal(key, last) {
+			var ok bool
+			if g, ok = index[string(key)]; !ok {
+				g = int32(len(size))
+				index[string(key)] = g
+				size = append(size, 0)
+			}
+			key, last = last, key
 		}
-		group[i] = g
+		of[i] = g
 		size[g]++
 	}
+	groups := make([]group, len(size))
 	data := make([]float64, len(size)*w)
-	rows = make([][]float64, len(ones))
-	shared = make([]bool, len(ones))
-	for i, row := range ones {
-		g := group[i]
-		rows[i] = data[g*w : (g+1)*w : (g+1)*w]
-		shared[i] = size[g] > 1
-		for _, j := range row {
-			if j < w {
-				rows[i][j] = 1
+	pos := make([]int32, len(rows))
+	for g, at := 0, int32(0); g < len(groups); g++ {
+		groups[g].row = data[g*w : (g+1)*w : (g+1)*w]
+		groups[g].pos = pos[at : at : at+size[g]]
+		at += size[g]
+	}
+	for i, g := range of {
+		gr := &groups[g]
+		if len(gr.pos) == 0 {
+			for _, id := range rows[i] {
+				if j := colOf[id]; j >= 0 && j < w {
+					gr.row[j] = 1
+				}
 			}
 		}
+		gr.pos = append(gr.pos, int32(i))
 	}
-	return rows, shared
+	return groups
+}
+
+// reduceGroups reduces the w-column rows the groups hold as rref
+// reduces them row by row, but updates each group's slice once. Rows
+// that are equal stay equal under the same operations, so every row
+// holds the values rref computes, by the same operations, and the
+// pivots are the same:
+//
+//   - The pivot scan runs over the groups with rows left. The largest
+//     magnitude above eps wins, and a tie goes to the group whose
+//     lowest position is lowest: that is the row rref's scan meets
+//     first.
+//   - rref's swap moves the pivot row to position r, the first that is
+//     not a pivot row, and the row at r to the pivot's old position, so
+//     only those two groups' positions change. The pivot row leaves
+//     its group with a slice of its own.
+//   - The elimination updates each earlier pivot row and each group
+//     once.
+//
+// It returns the pivot rows and their pivot columns. With stopAt > 0
+// it stops right after the stopAt-th free column, and reports stopped,
+// if every free column so far held exact zeros in all rows that were
+// not yet pivot rows (see LeadingNullspace for why that makes the stop
+// exact).
+func reduceGroups(groups []group, w int, eps float64, stopAt int) (piv [][]float64, pivots []int, stopped bool) {
+	live := make([]*group, len(groups))
+	for i := range groups {
+		live[i] = &groups[i]
+	}
+	free, exact := 0, true
+	for c := 0; c < w; c++ {
+		// The same scan sees whether the rows below the pivot rows hold
+		// exact zeros in column c, and finds the group holding r.
+		r := int32(len(piv))
+		var best, atR *group
+		bi, bestAbs, zero := 0, eps, true
+		for i, g := range live {
+			a := math.Abs(g.row[c])
+			if a > bestAbs || a == bestAbs && best != nil && g.pos[0] < best.pos[0] {
+				best, bi, bestAbs = g, i, a
+			}
+			if a != 0 {
+				zero = false
+			}
+			if g.pos[0] == r {
+				atR = g
+			}
+		}
+		if best == nil {
+			free++
+			exact = exact && zero
+			if free == stopAt && exact {
+				return piv, pivots, true
+			}
+			continue
+		}
+		p := best.pos[0]
+		best.pos = best.pos[1:]
+		if atR != best {
+			// The row at r takes position p > r, in order.
+			q := atR.pos
+			k := 0
+			for ; k+1 < len(q) && q[k+1] < p; k++ {
+				q[k] = q[k+1]
+			}
+			q[k] = p
+		}
+		pr := best.row
+		if len(best.pos) > 0 {
+			pr = append([]float64(nil), pr...)
+		} else {
+			live = slices.Delete(live, bi, bi+1)
+		}
+		normalize(pr, c, w)
+		for _, ri := range piv {
+			eliminate(ri, pr, c, w)
+		}
+		for _, g := range live {
+			eliminate(g.row, pr, c, w)
+		}
+		piv = append(piv, pr)
+		pivots = append(pivots, c)
+	}
+	return piv, pivots, false
 }
 
 // basis returns the unit-norm nullspace vectors of the first n free
@@ -291,8 +381,7 @@ func basis(rows [][]float64, w int, pivots []int, n, cols int) [][]float64 {
 
 // Rank returns the numerical rank at tolerance 1e-10.
 func (m *Dense) Rank() int {
-	pivots, _ := rref(m.Clone().rowViews(), nil, m.cols, pivotEps, 0)
-	return len(pivots)
+	return len(rref(m.Clone().rowViews(), m.cols, pivotEps))
 }
 
 // LeastSquares solves min ‖A·x − b‖₂ via normal equations with

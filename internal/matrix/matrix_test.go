@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -210,60 +211,95 @@ func TestLeadingNullspaceMatchesNullspace(t *testing.T) {
 			}
 		}
 		for _, maxBasis := range []int{-1, 0, 1, 2, 3, 5, 8} {
-			requireLeadingMatches(t, ones, cols, maxBasis)
+			requireLeadingMatches(t, ones, identity(cols), cols, maxBasis)
 		}
 	}
 
 	// Rows 0, 1 and 3 are identical and hold the first pivot: row 0
-	// becomes the pivot row, and rows 1 and 3, one shared slice, are
+	// becomes the pivot row, and rows 1 and 3, one group, are
 	// eliminated. Rows 2 and 5 repeat the same way in column 1. Rows 4
-	// and 6 differ only in the last column, so they must not share.
+	// and 6 differ only in the last column, so they must not group.
 	ones := [][]int{{0, 1, 3}, {0, 1, 3}, {1, 2}, {0, 1, 3}, {2, 3, 4}, {1, 2}, {2, 3}}
-	if _, shared := leadingBlock(ones, 5); !shared[0] || !shared[2] || shared[4] || shared[6] {
-		t.Fatalf("leadingBlock shares %v, want rows 0, 1, 3 and 2, 5 shared", shared)
+	var pos [][]int32
+	for _, g := range leadingGroups(ones, identity(5), 5) {
+		pos = append(pos, g.pos)
+	}
+	if want := [][]int32{{0, 1, 3}, {2, 5}, {4}, {6}}; !reflect.DeepEqual(pos, want) {
+		t.Fatalf("leadingGroups positions %v, want %v", pos, want)
 	}
 	for _, maxBasis := range []int{0, 1, 2} {
-		requireLeadingMatches(t, ones, 5, maxBasis)
+		requireLeadingMatches(t, ones, identity(5), 5, maxBasis)
 	}
 }
 
-// requireLeadingMatches checks LeadingNullspace(ones, cols, maxBasis)
-// against the full reduction of the same matrix truncated to maxBasis:
-// the same vector count and == entries. The early-stopped reduction
-// may put +0 where the full one computed -0 (a pivot row found after
-// the stop holds an exact zero there, negated), so entries compare
-// with ==, not by bits; at maxBasis <= 0 both are the full reduction
-// and must match bit for bit.
-func requireLeadingMatches(t *testing.T, ones [][]int, cols, maxBasis int) {
+// TestLeadingNullspaceTies holds the grouped pivot scan's tie rule to
+// rref's: among groups of equal magnitude the pivot comes from the one
+// whose lowest position is lowest, the row a scan in row order meets
+// first. After a swap has moved a row, that is not always the group
+// first seen, and in both matrices breaking the tie by group order
+// changes the basis bits.
+func TestLeadingNullspaceTies(t *testing.T) {
+	for _, tc := range []struct {
+		cols int
+		ones [][]int
+	}{
+		{11, [][]int{{2, 4, 6, 9}, {2, 3, 4, 6, 7, 8, 9, 10}, {0, 2, 3, 4, 5, 8, 10}}},
+		{6, [][]int{{1, 2, 3}, {1, 4}, {0, 1, 2, 4, 5}, {0, 1, 2, 4, 5}, {0, 1, 2, 4, 5}, {1, 2, 3}, {1, 2, 3}, {1, 4}, {1, 4}, {1, 2, 3}, {0, 1, 2, 4, 5}}},
+	} {
+		for _, maxBasis := range []int{0, 1, 2, 3} {
+			requireLeadingMatches(t, tc.ones, identity(tc.cols), tc.cols, maxBasis)
+		}
+	}
+}
+
+// identity is the column map that sends id j to column j.
+func identity(cols int) []int {
+	colOf := make([]int, cols)
+	for j := range colOf {
+		colOf[j] = j
+	}
+	return colOf
+}
+
+// requireLeadingMatches checks LeadingNullspace(rows, colOf, cols,
+// maxBasis) against the full row-by-row reduction of the same matrix
+// truncated to maxBasis: the same vector count and == entries. The
+// early-stopped reduction may put +0 where the full one computed -0 (a
+// pivot row found after the stop holds an exact zero there, negated),
+// so entries compare with ==, not by bits; at maxBasis <= 0 both are
+// the full reduction and must match bit for bit.
+func requireLeadingMatches(t *testing.T, rows [][]int, colOf []int, cols, maxBasis int) {
 	t.Helper()
-	m := NewDense(len(ones), cols)
-	for i, row := range ones {
-		for _, j := range row {
-			m.Set(i, j, 1)
+	m := NewDense(len(rows), cols)
+	for i, row := range rows {
+		for _, id := range row {
+			if j := colOf[id]; j >= 0 {
+				m.Set(i, j, 1)
+			}
 		}
 	}
 	orig := m.Clone()
 	want := m.Nullspace()
 	for i := range m.data {
 		if math.Float64bits(m.data[i]) != math.Float64bits(orig.data[i]) {
-			t.Fatalf("%dx%d: Nullspace modified its receiver", len(ones), cols)
+			t.Fatalf("%dx%d: Nullspace modified its receiver", len(rows), cols)
 		}
 	}
 	if maxBasis > 0 && len(want) > maxBasis {
 		want = want[:maxBasis]
 	}
-	got := LeadingNullspace(ones, cols, maxBasis)
+	got := LeadingNullspace(rows, colOf, cols, maxBasis)
 	if len(got) != len(want) {
-		t.Fatalf("%dx%d maxBasis %d: %d vectors, want %d", len(ones), cols, maxBasis, len(got), len(want))
+		t.Fatalf("%dx%d maxBasis %d: %d vectors, want %d", len(rows), cols, maxBasis, len(got), len(want))
 	}
 	for k := range want {
 		if len(got[k]) != cols {
-			t.Fatalf("%dx%d maxBasis %d: vector %d has %d entries, want %d", len(ones), cols, maxBasis, k, len(got[k]), cols)
+			t.Fatalf("%dx%d maxBasis %d: vector %d has %d entries, want %d", len(rows), cols, maxBasis, k, len(got[k]), cols)
 		}
 		for j := range want[k] {
 			g, w := got[k][j], want[k][j]
 			if g != w || (maxBasis <= 0 && math.Float64bits(g) != math.Float64bits(w)) {
-				t.Fatalf("%dx%d maxBasis %d: vector %d differs at %d: %g vs %g", len(ones), cols, maxBasis, k, j, g, w)
+				t.Fatalf("%dx%d maxBasis %d: vector %d differs at %d: %g vs %g", len(rows), cols, maxBasis, k, j, g, w)
 			}
 		}
 	}

@@ -85,22 +85,9 @@ func (tp *Topology) T() *matrix.Dense {
 // per-gate delay vector directly. Its entry at gate GateOf[col] is ==
 // to entry col of the matching vector of T().Nullspace(), truncated,
 // but only the leading columns of T the first maxBasis vectors read
-// are built and reduced (matrix.LeadingNullspace).
+// are built, from the paths, and reduced (matrix.LeadingNullspace).
 func (tp *Topology) Nullspace(maxBasis int) [][]float64 {
-	n := 0
-	for _, p := range tp.Paths {
-		n += len(p)
-	}
-	cols := make([]int, 0, n)
-	ones := make([][]int, len(tp.Paths))
-	for j, p := range tp.Paths {
-		start := len(cols)
-		for _, id := range p {
-			cols = append(cols, tp.Col[id])
-		}
-		ones[j] = cols[start:]
-	}
-	basis := matrix.LeadingNullspace(ones, len(tp.GateOf), maxBasis)
+	basis := matrix.LeadingNullspace(tp.Paths, tp.Col, len(tp.GateOf), maxBasis)
 	for k, v := range basis {
 		z := make([]float64, len(tp.Col))
 		for col, id := range tp.GateOf {

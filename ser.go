@@ -40,6 +40,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -356,7 +357,9 @@ type AnalysisOptions struct {
 	// (default 10,000, as in the paper).
 	Vectors int
 	Seed    uint64
-	// POLoad is the latch capacitance at each primary output (F).
+	// POLoad is the latch capacitance at each primary output (F);
+	// zero or a negative load selects the default (2 fF), and a NaN or
+	// infinite one is refused.
 	POLoad float64
 	// Cells is the per-gate cell assignment, indexed by gate ID, with
 	// every logic gate's cell of the gate's own type and fan-in;
@@ -471,9 +474,12 @@ func (s *System) AnalyzeCompiledContext(ctx context.Context, h *Compiled, opts A
 	if c.Sequential() {
 		return nil, fmt.Errorf("ser: circuit %q has flip-flops; use AnalyzeSequential", c.Name)
 	}
-	if opts.POLoad == 0 {
-		opts.POLoad = engine.DefaultPOLoad
+	if err := checkPOLoad(opts.POLoad); err != nil {
+		return nil, err
 	}
+	p := engine.Params{POLoad: opts.POLoad}
+	p.Normalize()
+	opts.POLoad = p.POLoad
 	rec := trace.RecorderFrom(ctx)
 	endChar := trace.StartStage(rec, "charlib.precharacterize")
 	err := s.Lib.PrecharacterizeContext(ctx, charlib.CircuitClasses(c))
@@ -507,6 +513,15 @@ func (s *System) AnalyzeCompiledContext(ctx context.Context, h *Compiled, opts A
 	return reportOf(an), nil
 }
 
+// checkPOLoad refuses a NaN or infinite latch load, which no analysis
+// can use. A load <= 0 is no error: it selects the default.
+func checkPOLoad(load float64) error {
+	if math.IsNaN(load) || math.IsInf(load, 0) {
+		return fmt.Errorf("ser: POLoad %g is not a finite capacitance", load)
+	}
+	return nil
+}
+
 // reportOf shapes an analysis into its report: every logic gate in
 // netlist order.
 func reportOf(an *aserta.Analysis) *Report {
@@ -534,7 +549,8 @@ type SequentialOptions struct {
 	Vectors int
 	Seed    uint64
 	// POLoad is the latch capacitance at every frame output — genuine
-	// POs and flop D pins alike (default 2 fF).
+	// POs and flop D pins alike (default 2 fF, which zero or a negative
+	// load selects; a NaN or infinite one is refused).
 	POLoad float64
 	// ClockPeriod is the Eq. 3 latching-window clock (default 300 ps).
 	ClockPeriod float64
@@ -604,6 +620,9 @@ func (s *System) AnalyzeSequential(c *Circuit, opts SequentialOptions) (*Sequent
 // at the characterization boundary and between analysis stages.
 func (s *System) AnalyzeSequentialCompiledContext(ctx context.Context, h *Compiled, opts SequentialOptions) (*SequentialReport, error) {
 	c := h.c
+	if err := checkPOLoad(opts.POLoad); err != nil {
+		return nil, err
+	}
 	endChar := trace.StartStage(trace.RecorderFrom(ctx), "charlib.precharacterize")
 	err := s.Lib.PrecharacterizeContext(ctx, charlib.CircuitClasses(c))
 	endChar()

@@ -3,6 +3,7 @@ package ser
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -266,6 +267,95 @@ func TestAnalyzeRejectsCellOfWrongClass(t *testing.T) {
 	cells[id] = charlib.Cell{Type: ckt.Not, Fanin: 1, Params: cells[id].Params}
 	if _, err := sys().Analyze(c, opts); err == nil || !strings.Contains(err.Error(), "gate 10 ") {
 		t.Fatalf("NAND2 gate 10 analyzed as an inverter: error %v, want one naming the gate", err)
+	}
+}
+
+// TestAnalyzeRefusesUnusableCells checks that a hand-built cell whose
+// size, channel length, VDD or Vth is NaN, infinite, zero or negative
+// is refused with an error naming its gate. A NaN size used to panic
+// past a table axis, and a size of 0, -1 or +Inf gave a U.
+func TestAnalyzeRefusesUnusableCells(t *testing.T) {
+	c, _ := Benchmark("c17")
+	id, _ := c.GateByName("10")
+	for _, tc := range []struct {
+		name string
+		set  func(p *spice.Params)
+	}{
+		{"size NaN", func(p *spice.Params) { p.Size = math.NaN() }},
+		{"size 0", func(p *spice.Params) { p.Size = 0 }},
+		{"size -1", func(p *spice.Params) { p.Size = -1 }},
+		{"size +Inf", func(p *spice.Params) { p.Size = math.Inf(1) }},
+		{"L NaN", func(p *spice.Params) { p.L = math.NaN() }},
+		{"VDD 0", func(p *spice.Params) { p.VDD = 0 }},
+		{"Vth -Inf", func(p *spice.Params) { p.Vth = math.Inf(-1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cells := make([]charlib.Cell, len(c.Gates))
+			for _, g := range c.Gates {
+				if g.Type != ckt.Input {
+					cells[g.ID] = charlib.Cell{Type: g.Type, Fanin: len(g.Fanin), Params: spice.Nominal(sys().Tech, 1)}
+				}
+			}
+			tc.set(&cells[id].Params)
+			rep, err := sys().Analyze(c, AnalysisOptions{Vectors: 500, Seed: 1, Cells: cells})
+			if err == nil {
+				t.Fatalf("analyzed to U %g, want an error naming gate 10", rep.U)
+			}
+			if !strings.Contains(err.Error(), "gate 10:") {
+				t.Fatalf("error %q does not name gate 10", err)
+			}
+		})
+	}
+}
+
+// TestAnalyzePOLoad checks that a NaN or infinite PO load is refused,
+// by the combinational and the sequential analysis, and that a
+// negative one selects the default for the baseline sizing as well as
+// the analysis, as zero does. A NaN load used to panic past a table
+// axis, and sizing used to read a negative load that the analysis
+// then replaced: the NAND below, a PO that drives six inverters, was
+// sized down for it, which doubled U.
+func TestAnalyzePOLoad(t *testing.T) {
+	c17, _ := Benchmark("c17")
+	s27, _ := Benchmark("s27")
+	for _, load := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if rep, err := sys().Analyze(c17, AnalysisOptions{Vectors: 500, Seed: 1, POLoad: load}); err == nil {
+			t.Errorf("c17 at POLoad %g: U %g, want an error", load, rep.U)
+		}
+		if rep, err := sys().AnalyzeSequential(s27, SequentialOptions{Vectors: 500, Seed: 1, POLoad: load}); err == nil {
+			t.Errorf("s27 at POLoad %g: U %g, want an error", load, rep.U)
+		}
+	}
+	c, err := ParseBench(strings.NewReader(`INPUT(a)
+INPUT(b)
+OUTPUT(n)
+OUTPUT(o1)
+OUTPUT(o2)
+OUTPUT(o3)
+OUTPUT(o4)
+OUTPUT(o5)
+OUTPUT(o6)
+n = NAND(a, b)
+o1 = NOT(n)
+o2 = NOT(n)
+o3 = NOT(n)
+o4 = NOT(n)
+o5 = NOT(n)
+o6 = NOT(n)
+`), "po-fanout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := sys().Analyze(c, AnalysisOptions{Vectors: 500, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg, err := sys().Analyze(c, AnalysisOptions{Vectors: 500, Seed: 1, POLoad: -1e-15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if neg.U != def.U {
+		t.Errorf("U %v at POLoad -1 fF, %v at the default; a negative load must select the default", neg.U, def.U)
 	}
 }
 
