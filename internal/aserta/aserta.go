@@ -291,10 +291,12 @@ func (cfg Config) sampleWidths() []float64 {
 // and sensitization statistics fixed, and returns the resulting circuit
 // unreliability. This is the delay-sensitivity oracle SERTOPT's
 // gradient seeding uses, and SourcesU with only the delays changed: it
-// is incremental and exact, equal bit for bit to RecomputeUFull.
+// is incremental and exact, equal bit for bit to RecomputeUFull. A NaN
+// or infinite delay that differs from the analysis' own is an error
+// naming its gate.
 // Not safe for concurrent use on one Analysis (shared scratch arenas).
 func (a *Analysis) RecomputeU(delays []float64) (float64, error) {
-	return a.delta.Recompute(delays, a.GenWidth, a.Flux), nil
+	return a.delta.Recompute(delays, a.GenWidth, a.Flux)
 }
 
 // RecomputeUFull is RecomputeU without the incremental shortcut: the
@@ -302,7 +304,7 @@ func (a *Analysis) RecomputeU(delays []float64) (float64, error) {
 // arenas — the analysis baseline is untouched). It is the exactness
 // reference for the incremental path.
 func (a *Analysis) RecomputeUFull(delays []float64) (float64, error) {
-	return a.delta.RecomputeFull(delays, a.GenWidth, a.Flux), nil
+	return a.delta.RecomputeFull(delays, a.GenWidth, a.Flux)
 }
 
 // SourcesU returns the circuit unreliability of other sources for the
@@ -314,7 +316,10 @@ func (a *Analysis) RecomputeUFull(delays []float64) (float64, error) {
 // generated width or flux weight changed. The compact baseline WS table
 // the incremental path reads is built by the first call that needs it.
 // Every call starts from the analysis' own sources, so error cannot
-// accumulate across calls. Not safe for concurrent use on one Analysis
+// accumulate across calls. A NaN or infinite delay, generated width or
+// flux weight that differs from the analysis' own is an error naming
+// its gate; the check rides on the comparisons with the baseline, so
+// it costs no pass. Not safe for concurrent use on one Analysis
 // (shared scratch arenas).
 func (a *Analysis) SourcesU(src *strike.Sources) (float64, error) {
 	for _, s := range [][]float64{src.Delays, src.GenWidth, src.Flux} {
@@ -322,5 +327,5 @@ func (a *Analysis) SourcesU(src *strike.Sources) (float64, error) {
 			return 0, fmt.Errorf("aserta: source slice of %d entries for %d gates", len(s), len(a.Circuit.Gates))
 		}
 	}
-	return a.delta.Recompute(src.Delays, src.GenWidth, src.Flux), nil
+	return a.delta.Recompute(src.Delays, src.GenWidth, src.Flux)
 }

@@ -2,7 +2,9 @@ package aserta
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -407,6 +409,91 @@ func TestSourcesUMatchesAnalyzeSources(t *testing.T) {
 		}
 		check("widths inside and outside a delay's cone", src)
 		check("baseline", base())
+	}
+}
+
+// TestSourcesURefusesNonFinite hands SourcesU a NaN, +Inf or -Inf
+// delay, generated width or flux weight at a PO gate and at an interior
+// gate of c432, and RecomputeU the same delays: each must be an error
+// naming the gate and the source. A NaN width at a PO gate used to
+// panic in the step (iv) interpolation, and every other case returned
+// a U. After the refusals the same Analysis must still score its own
+// sources and a finite change exactly.
+func TestSourcesURefusesNonFinite(t *testing.T) {
+	c, err := gen.ISCAS85("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := engine.MustCompile(c)
+	cells := nominal(t, c, lib())
+	cfg := Config{Vectors: 500, Seed: 1}
+	an, err := AnalyzeCompiled(cc, cells, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := func() *strike.Sources {
+		return &strike.Sources{
+			Loads:    an.Loads,
+			Delays:   slices.Clone(an.Delays),
+			GenWidth: slices.Clone(an.GenWidth),
+			Flux:     slices.Clone(an.Flux),
+		}
+	}
+	po, interior := c.Outputs()[0], -1
+	for _, id := range cc.TopoOrder() {
+		if g := c.Gates[id]; g.Type != ckt.Input && !g.PO && interior < 0 {
+			interior = id
+		}
+	}
+	refused := func(label, name, what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: no error", label)
+		}
+		if want := what + " of gate " + name + " is"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not name %q", label, err, want)
+		}
+	}
+	fields := []struct {
+		what string
+		of   func(*strike.Sources) []float64
+	}{
+		{"delay", func(s *strike.Sources) []float64 { return s.Delays }},
+		{"generated width", func(s *strike.Sources) []float64 { return s.GenWidth }},
+		{"flux weight", func(s *strike.Sources) []float64 { return s.Flux }},
+	}
+	for _, id := range []int{po, interior} {
+		name := c.Gates[id].Name
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, f := range fields {
+				src := base()
+				f.of(src)[id] = v
+				_, err := an.SourcesU(src)
+				refused(fmt.Sprintf("SourcesU, %s %g at gate %s", f.what, v, name), name, f.what, err)
+				if f.what == "delay" {
+					_, err := an.RecomputeU(src.Delays)
+					refused(fmt.Sprintf("RecomputeU, delay %g at gate %s", v, name), name, f.what, err)
+				}
+			}
+		}
+	}
+	if u, err := an.SourcesU(base()); err != nil || u != an.U {
+		t.Fatalf("own sources after the refusals: U = %.17g, %v; want %.17g", u, err, an.U)
+	}
+	src := base()
+	src.Delays[interior] *= 1.5
+	src.GenWidth[po] *= 2
+	src.Flux[po] *= 0.5
+	got, err := an.SourcesU(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := AnalyzeSources(cc, cells, src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != full.U {
+		t.Fatalf("finite change after the refusals: SourcesU = %.17g, AnalyzeSources U = %.17g", got, full.U)
 	}
 }
 

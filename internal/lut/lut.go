@@ -224,7 +224,9 @@ func Interp1D(xs, ys []float64, x float64) float64 {
 // search once. The returned (i, f) feed ApplyInterp1D; f < 0 encodes
 // "return ys[i] exactly" (clamped or on-sample queries), and i < 0
 // encodes an empty axis. Interp1D(xs, ys, x) ==
-// ApplyInterp1D(ys, PrepInterp1D(xs, x)) bit for bit.
+// ApplyInterp1D(ys, PrepInterp1D(xs, x)) bit for bit. A NaN query,
+// which no comparison places, lands in the last interval with a NaN
+// fraction, so the interpolation is NaN.
 func PrepInterp1D(xs []float64, x float64) (int, float64) {
 	n := len(xs)
 	if n == 0 {
@@ -236,7 +238,9 @@ func PrepInterp1D(xs []float64, x float64) (int, float64) {
 	if x >= xs[n-1] {
 		return n - 1, -1
 	}
-	i := sort.SearchFloat64s(xs, x)
+	// x < xs[n-1] here unless x is NaN, so searching all but the last
+	// sample finds the same i for every other query, and n-1 for NaN.
+	i := sort.SearchFloat64s(xs[:n-1], x)
 	if xs[i] == x {
 		return i, -1
 	}

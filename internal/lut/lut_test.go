@@ -211,3 +211,25 @@ func TestPrepInterp1DMatchesInterp1D(t *testing.T) {
 		t.Error("empty-axis apply should return 0")
 	}
 }
+
+// A NaN query has no place on an axis: PrepInterp1D must stay inside
+// it, and the interpolation is NaN. It used to index one past the
+// last sample.
+func TestInterp1DNaN(t *testing.T) {
+	for _, xs := range [][]float64{{0, 1}, {1, 2, 4, 8, 16}} {
+		ys := make([]float64, len(xs))
+		for i := range ys {
+			ys[i] = float64(3 * i)
+		}
+		i, f := PrepInterp1D(xs, math.NaN())
+		if i < 0 || i+1 >= len(xs) || !math.IsNaN(f) {
+			t.Fatalf("PrepInterp1D(%v, NaN) = (%d, %g), want an interval of the axis and a NaN fraction", xs, i, f)
+		}
+		if got := ApplyInterp1D(ys, i, f); !math.IsNaN(got) {
+			t.Fatalf("ApplyInterp1D at a NaN query = %g, want NaN", got)
+		}
+		if got := Interp1D(xs, ys, math.NaN()); !math.IsNaN(got) {
+			t.Fatalf("Interp1D(%v, NaN) = %g, want NaN", xs, got)
+		}
+	}
+}

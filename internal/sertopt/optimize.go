@@ -124,9 +124,11 @@ func (r *Result) Ratios() (area, energy, delay float64) {
 // to which the matcher adds every menu cell. The baseline's loads,
 // delays, glitch widths and flux weights are derived once from it
 // (strike.EnumerateSources) and feed both its metrics and its
-// analysis. A cost evaluation matches cells to the candidate delays
-// over the same table, re-deciding only the gates
-// whose matching inputs changed since the previous evaluation; scores
+// analysis. A cost evaluation builds the candidate delays on the basis'
+// support only and matches cells to them over the same table,
+// re-examining only the gates whose desired delay or fanout cells
+// changed since the previous evaluation and re-deciding those whose
+// matching inputs changed, from per-run candidate-delay rows; scores
 // the matcher's loads, delays, glitch widths and flux weights with the
 // metrics core and with BaseAnalysis.SourcesU, an exact incremental
 // evaluation that re-does only what differs from the baseline and
@@ -230,23 +232,30 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 
 	// The baseline analysis holds every gate's delay under its own
 	// loads; it is also the delta baseline, so it is never written.
+	// Outside the basis' support Z·θ adds only zeros, which change no
+	// bit of a delay or of its clamp, so d holds the clamped d0 there
+	// from the start and evalTheta rewrites only the support.
 	d0 := res.BaseAnalysis.Delays
 	d := make([]float64, len(d0))
+	for i := range d {
+		d[i] = clampDelay(d0[i])
+	}
+	support := supportOf(basis)
 	// evalTheta matches cells for d = d0 + Z·θ and scores them.
 	evalTheta := func(theta []float64) (*evalOut, error) {
 		res.Evaluations++
-		copy(d, d0)
-		for bi, z := range basis {
-			if theta[bi] == 0 {
-				continue
-			}
-			matrix.AddScaled(d, theta[bi], z)
+		for _, i := range support {
+			d[i] = d0[i]
 		}
-		const minDelay = 0.5e-12
-		for i := range d {
-			if d[i] < minDelay {
-				d[i] = minDelay
+		for bi, z := range basis {
+			if t := theta[bi]; t != 0 {
+				for _, i := range support {
+					d[i] += t * z[i]
+				}
 			}
+		}
+		for _, i := range support {
+			d[i] = clampDelay(d[i])
 		}
 		if err := match.match(d); err != nil {
 			return nil, err
@@ -282,7 +291,7 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	// descent direction onto the nullspace, and line-search it before
 	// the main loop.
 	if len(basis) > 0 {
-		seed, err := gradientSeed(cc, basis, res.BaseAnalysis, opts.StepInit)
+		seed, err := gradientSeed(cc, basis, support, res.BaseAnalysis, opts.StepInit)
 		if err != nil {
 			return nil, err
 		}
@@ -345,21 +354,20 @@ func appendKey(key []byte, ids []int32) []byte {
 // are indexed by gate ID. Sensitivities are only probed for gates
 // within a few levels of the POs — electrical and logical masking make
 // deeper gates' contributions (and sensitivities) negligible, and this
-// bounds the seeding cost on large circuits — and only where some
-// basis vector is nonzero: the projection never reads the gradient
-// anywhere else, since LeastSquares skips zero entries of Z when it
-// forms Zᵀv. Each probe starts from the baseline, so skipping one
-// changes no other.
-func gradientSeed(cc *engine.CompiledCircuit, basis [][]float64, base *aserta.Analysis, stepInit float64) ([]float64, error) {
+// bounds the seeding cost on large circuits — and only in the basis'
+// support: the projection never reads the gradient anywhere else,
+// since LeastSquares skips zero entries of Z when it forms Zᵀv. Each
+// probe starts from the baseline, so skipping one changes no other.
+func gradientSeed(cc *engine.CompiledCircuit, basis [][]float64, support []int, base *aserta.Analysis, stepInit float64) ([]float64, error) {
 	const sensDepth = 8
 	const h = 2e-12
 	depth := cc.DepthFromPO()
 	grad := make([]float64, len(base.Delays))
 	d := append([]float64(nil), base.Delays...)
 	any := false
-	for _, g := range cc.Circuit().Gates {
-		id := g.ID
-		if g.Type == ckt.Input || depth[id] < 0 || depth[id] > sensDepth || !inSupport(basis, id) {
+	gates := cc.Circuit().Gates
+	for _, id := range support {
+		if gates[id].Type == ckt.Input || depth[id] < 0 || depth[id] > sensDepth {
 			continue
 		}
 		d[id] += h
@@ -412,14 +420,31 @@ func gradientSeed(cc *engine.CompiledCircuit, basis [][]float64, base *aserta.An
 	return theta, nil
 }
 
-// inSupport reports whether some basis vector is nonzero at gate id.
-func inSupport(basis [][]float64, id int) bool {
-	for _, z := range basis {
-		if z[id] != 0 {
-			return true
+// supportOf lists, in ascending order, the gate IDs at which some
+// basis vector is nonzero.
+func supportOf(basis [][]float64) []int {
+	if len(basis) == 0 {
+		return nil
+	}
+	var support []int
+	for id := range basis[0] {
+		for _, z := range basis {
+			if z[id] != 0 {
+				support = append(support, id)
+				break
+			}
 		}
 	}
-	return false
+	return support
+}
+
+// clampDelay raises a desired delay below 0.5 ps to 0.5 ps.
+func clampDelay(d float64) float64 {
+	const minDelay = 0.5e-12
+	if d < minDelay {
+		return minDelay
+	}
+	return d
 }
 
 // evalOut is one scored assignment as the memo keeps it: its cell IDs,

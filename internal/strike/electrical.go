@@ -1,6 +1,8 @@
 package strike
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -627,8 +629,9 @@ func (d *Delta) BaseWS() []float64 {
 // Only the pairs of gates in the fanin cones of gates whose delays
 // differ from the baseline are re-propagated; when those gates are more
 // than half of all gates, the parallel full pass (RecomputeFull) runs
-// instead.
-func (d *Delta) Recompute(delays, genWidth, flux []float64) float64 {
+// instead. A logic gate's delay, width or flux weight that differs from
+// the baseline's and is NaN or infinite is an error naming the gate.
+func (d *Delta) Recompute(delays, genWidth, flux []float64) (float64, error) {
 	p := d.p
 	c := p.c
 	st := p.st
@@ -638,17 +641,30 @@ func (d *Delta) Recompute(delays, genWidth, flux []float64) float64 {
 		d.affected = make([]bool, nGates)
 		d.ui = slices.Clone(d.baseUi)
 	}
-	d.prepGen(genWidth)
+	if err := d.prepGen(genWidth); err != nil {
+		return 0, err
+	}
 	changedIDs, fluxIDs := d.changedIDs[:0], d.fluxIDs[:0]
 	for _, g := range c.Gates {
 		i := g.ID
-		ch := !g.Type.IsSource() && delays[i] != d.base.Delays[i]
-		d.changed[i] = ch
-		if ch {
+		d.changed[i] = false
+		if g.Type.IsSource() {
+			continue
+		}
+		if delays[i] != d.base.Delays[i] {
+			if err := p.finite("delay", i, delays[i]); err != nil {
+				return 0, err
+			}
+			d.changed[i] = true
 			changedIDs = append(changedIDs, i)
 		}
-		if p.hasPairs(i) && flux[i] != d.base.Flux[i] && genWidth[i] == d.base.GenWidth[i] {
-			fluxIDs = append(fluxIDs, i)
+		if flux[i] != d.base.Flux[i] {
+			if err := p.finite("flux weight", i, flux[i]); err != nil {
+				return 0, err
+			}
+			if p.hasPairs(i) && genWidth[i] == d.base.GenWidth[i] {
+				fluxIDs = append(fluxIDs, i)
+			}
 		}
 	}
 	d.changedIDs, d.fluxIDs = changedIDs, fluxIDs
@@ -675,7 +691,7 @@ func (d *Delta) Recompute(delays, genWidth, flux []float64) float64 {
 	// When most of the circuit moved, the parallel full pass is cheaper
 	// than the serial delta walk.
 	if 2*nAffected > nGates {
-		return d.full(delays, flux)
+		return d.full(delays, flux), nil
 	}
 	// The baseline table serves the rows of unaffected successors and
 	// of the gates whose width alone changed.
@@ -740,7 +756,16 @@ func (d *Delta) Recompute(delays, genWidth, flux []float64) float64 {
 			u += d.ui[g.ID]
 		}
 	}
-	return u
+	return u, nil
+}
+
+// finite refuses a NaN or infinite source value of gate i, naming the
+// gate: no pass can propagate or weigh it.
+func (p *Propagator) finite(what string, i int, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("strike: %s of gate %s is %g, not a finite number", what, p.c.Gates[i].Name, v)
+	}
+	return nil
 }
 
 // setUi records gate i's U_i for this call.
@@ -752,8 +777,9 @@ func (d *Delta) setUi(i int, u float64) {
 // prepGen points the step (iv) table at genWidth: it restores the
 // entries the previous call prepared, then prepares those of the gates
 // with pairs whose width differs from the baseline's, listing them in
-// genDirty.
-func (d *Delta) prepGen(genWidth []float64) {
+// genDirty. A logic gate's differing width that is NaN or infinite is
+// an error.
+func (d *Delta) prepGen(genWidth []float64) error {
 	p := d.p
 	if d.gen.idx == nil {
 		d.gen.idx, d.gen.frac = slices.Clone(p.gen.idx), slices.Clone(p.gen.frac)
@@ -764,21 +790,31 @@ func (d *Delta) prepGen(genWidth []float64) {
 	d.genDirty = d.genDirty[:0]
 	d.gen.width = genWidth
 	for i, w := range genWidth {
-		if w != d.base.GenWidth[i] && p.hasPairs(i) {
+		if w == d.base.GenWidth[i] || p.c.Gates[i].Type.IsSource() {
+			continue
+		}
+		if err := p.finite("generated width", i, w); err != nil {
+			return err
+		}
+		if p.hasPairs(i) {
 			d.gen.prep(p.samples, i, w)
 			d.genDirty = append(d.genDirty, i)
 		}
 	}
+	return nil
 }
 
 // RecomputeFull is Recompute without the incremental shortcut: the
 // complete electrical pass runs against the given sources (into scratch
 // arenas — the baseline is untouched). It is the exactness reference
 // for the incremental path and its fallback when most gates are
-// affected.
-func (d *Delta) RecomputeFull(delays, genWidth, flux []float64) float64 {
-	d.prepGen(genWidth)
-	return d.full(delays, flux)
+// affected. It shares Recompute's check of the widths, not that of
+// the delays and flux weights.
+func (d *Delta) RecomputeFull(delays, genWidth, flux []float64) (float64, error) {
+	if err := d.prepGen(genWidth); err != nil {
+		return 0, err
+	}
+	return d.full(delays, flux), nil
 }
 
 // full runs the complete pass at delays and the widths prepGen

@@ -336,7 +336,10 @@ func TestDeltaMatchesSerialReference(t *testing.T) {
 		rng := stats.NewRNG(uint64(len(logic)))
 		check := func(label string, delays []float64) {
 			t.Helper()
-			got := delta.Recompute(delays, p.src.GenWidth, p.src.Flux)
+			got, err := delta.Recompute(delays, p.src.GenWidth, p.src.Flux)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if w := referenceU(p, delays, p.src.GenWidth, p.src.Flux, clock); got != w {
 				t.Fatalf("%s, %s: Recompute = %.17g, serial reference %.17g", name, label, got, w)
 			}
@@ -493,7 +496,10 @@ func FuzzDeltaSources(f *testing.F) {
 					flux[i] *= 0.5 + 1.5*rng.Float64()
 				}
 			}
-			got := delta.Recompute(delays, widths, flux)
+			got, err := delta.Recompute(delays, widths, flux)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if want := referenceU(p, delays, widths, flux, clock); got != want {
 				t.Fatalf("%+v at %d vectors, call %d (kind %03b, %d gates): Recompute = %.17g, serial reference %.17g",
 					prof, vectors, call, kind, n, got, want)
